@@ -23,7 +23,8 @@ from .geometry import (
     element_positions,
     unit_direction,
 )
-from .wavefield import Source, complex_field_at_array
+from .localization import _dtft2
+from .wavefield import Source, _parse_header, complex_field_at_array
 
 _CODING_MAGIC = "# holoris-coding v1"
 
@@ -197,6 +198,11 @@ def pattern(
 
     Reports the peak direction and the half-power beamwidth of the cuts
     through the peak along each axis.
+
+    The power over the whole grid is one 2D DTFT of the panel excitation,
+    |sum_{m,n} e[m, n]*exp(i*(m*w_z(theta) + n*w_x(theta, phi)))|^2,
+    evaluated by Horner's rule along x with no per-theta loop (see
+    localization._dtft2).
     """
     theta_grid_deg = np.asarray(theta_grid_deg, dtype=float)
     phi_grid_deg = np.asarray(phi_grid_deg, dtype=float)
@@ -214,13 +220,7 @@ def pattern(
     ph = np.radians(phi_grid_deg)
     w_z = -cz * np.sin(th)
     w_x = cx * np.cos(th)[:, np.newaxis] * np.sin(ph)[np.newaxis, :]
-    m = np.arange(geom.n_z)
-    n = np.arange(geom.n_x)
-    e_z = np.exp(1j * np.outer(w_z, m))  # (T, n_z)
-    power = np.empty((len(th), len(ph)))
-    for a in range(len(th)):
-        e_x = np.exp(1j * np.outer(n, w_x[a]))  # (n_x, P)
-        power[a] = np.abs(e_z[a] @ excitation @ e_x) ** 2
+    power = np.abs(_dtft2(excitation, w_z, w_x)) ** 2
     i, j = np.unravel_index(int(np.argmax(power)), power.shape)
     peak = AngularLocation(
         theta_deg=float(theta_grid_deg[i]), phi_deg=float(phi_grid_deg[j])
@@ -280,17 +280,8 @@ def read_coding_file(path) -> CodingMatrix:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _CODING_MAGIC:
         raise FileFormatError(f"missing magic header {_CODING_MAGIC!r}", 1)
-    try:
-        if not lines[1].startswith("# n_x="):
-            raise FileFormatError(f"expected '# n_x=', got {lines[1]!r}", 2)
-        n_x = int(lines[1][len("# n_x="):])
-        if not lines[2].startswith("# n_z="):
-            raise FileFormatError(f"expected '# n_z=', got {lines[2]!r}", 3)
-        n_z = int(lines[2][len("# n_z="):])
-    except IndexError:
-        raise FileFormatError("truncated header", len(lines)) from None
-    except ValueError as exc:
-        raise FileFormatError(str(exc), 2) from None
+    n_x = _parse_header(lines, "n_x", 2, int)
+    n_z = _parse_header(lines, "n_z", 3, int)
     rows = lines[3:]
     if len(rows) != n_z:
         raise FileFormatError(f"expected {n_z} rows, found {len(rows)}", len(lines))

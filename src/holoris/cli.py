@@ -219,6 +219,12 @@ def _experiment_config(cfg: RunConfig, seed: int, trials: int, out_dir: Path):
 
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config)
+    if isinstance(cfg.localization.policy, SectorPolicy):
+        raise ConfigError(
+            "localization.disambiguation: 'sector' is not supported by experiment; "
+            "the suites pick each record's twin with a per-record oracle on its "
+            "true direction"
+        )
     seed = cfg.experiment.seed if args.seed is None else args.seed
     trials = cfg.experiment.trials if args.trials is None else args.trials
     if trials < 1:

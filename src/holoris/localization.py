@@ -320,6 +320,24 @@ def localize(
     )
 
 
+def _dtft2(x: np.ndarray, w_z: np.ndarray, w_x: np.ndarray) -> np.ndarray:
+    """sum_{m,n} x[m, n] * exp(i*(m*w_z[t] + n*w_x[t, p])) for every (t, p).
+
+    x is (n_z, n_x), w_z is (T,) and w_x is (T, P); returns (T, P).  The
+    z axis is one matrix product, y = exp(i*outer(w_z, m)) @ x of shape
+    (T, n_x); the x axis is the polynomial sum_n y[t, n]*z^n in
+    z = exp(i*w_x), evaluated by Horner's rule with one (T, P)
+    multiply-add per column, so no (T, n_x, P) intermediate is formed.
+    """
+    y = np.exp(1j * np.outer(w_z, np.arange(x.shape[0]))) @ x
+    z = np.exp(1j * w_x)
+    acc = np.repeat(y[:, -1:], z.shape[1], axis=1)
+    for col in y[:, -2::-1].T:
+        acc *= z
+        acc += col[:, np.newaxis]
+    return acc
+
+
 def ml_refine(
     holo: Hologram,
     bs: AngularLocation,
@@ -335,6 +353,13 @@ def ml_refine(
     squares (amplitude and phase concentrated out), and the direction with
     the smallest residual wins.  The grid always contains the coarse point
     itself, so refinement never loses to the coarse estimate on-model.
+
+    The whole grid is evaluated at once, with no per-theta loop: the
+    projection of the hologram on exp(-i*Phi) and the sums of exp(-i*Phi)
+    and exp(-2i*Phi) are each one 2D DTFT over the grid (Horner's rule
+    along x, see _dtft2), and the 3x3 normal equations of every grid point
+    are solved together in closed form.  Ties go to the first grid point in
+    (theta, phi) row-major order.
     """
     if search_halfwidth_deg <= 0 or grid_step_deg <= 0:
         raise ValueError("search_halfwidth_deg and grid_step_deg must be positive")
@@ -349,8 +374,6 @@ def ml_refine(
 
     I = holo.values
     n_z, n_x = I.shape
-    m = np.arange(n_z)
-    n = np.arange(n_x)
     total = float(I.sum())
     n_el = n_z * n_x
 
@@ -366,43 +389,29 @@ def ml_refine(
         - bs_freqs.omega_x
     )
 
-    def geom_sum(w, count):
-        # sum_{j=0}^{count-1} exp(-i*w*j), stable at w == 0
-        idx = np.arange(count)
-        return np.exp(-1j * np.outer(w, idx)).sum(axis=1)
-
-    best = None
-    e_z = np.exp(-1j * np.outer(dz, m))  # (T, n_z)
-    for a, dzv in enumerate(dz):
-        dxv = dx_grid[a]  # (P,)
-        e_x = np.exp(-1j * np.outer(n, dxv))  # (n_x, P)
-        t = e_z[a] @ I @ e_x  # (P,) projection of I on exp(-i*Phi)
-        s1 = geom_sum(np.array([dzv]), n_z)[0] * geom_sum(dxv, n_x)  # sum exp(-iPhi)
-        s2 = geom_sum(np.array([2 * dzv]), n_z)[0] * geom_sum(2 * dxv, n_x)
-        # Normal equations for basis [1, cos(Phi), sin(Phi)]
-        sc = s1.real
-        ss = -s1.imag
-        scc = 0.5 * (n_el + s2.real)
-        sss = 0.5 * (n_el - s2.real)
-        scs = -0.5 * s2.imag
-        b0 = np.full_like(sc, total)
-        b1 = t.real
-        b2 = -t.imag
-        G = np.empty((len(dxv), 3, 3))
-        G[:, 0, 0] = n_el
-        G[:, 0, 1] = G[:, 1, 0] = sc
-        G[:, 0, 2] = G[:, 2, 0] = ss
-        G[:, 1, 1] = scc
-        G[:, 1, 2] = G[:, 2, 1] = scs
-        G[:, 2, 2] = sss
-        G += 1e-9 * n_el * np.eye(3)[np.newaxis, :, :]
-        b = np.stack([b0, b1, b2], axis=1)
-        coef = np.linalg.solve(G, b[:, :, np.newaxis])[:, :, 0]
-        explained = np.einsum("pi,pi->p", coef, b)
-        p = int(np.argmax(explained))
-        if best is None or explained[p] > best[0]:
-            best = (float(explained[p]), float(thetas[a]), float(phis[p]))
-    return AngularLocation(theta_deg=best[1], phi_deg=best[2])
+    ones = np.ones_like(I)
+    t = _dtft2(I, -dz, -dx_grid)  # projection of I on exp(-i*Phi)
+    s1 = _dtft2(ones, -dz, -dx_grid)  # sum of exp(-i*Phi)
+    s2 = _dtft2(ones, -2 * dz, -2 * dx_grid)  # sum of exp(-2i*Phi)
+    # Normal equations G c = b for the basis [1, cos(Phi), sin(Phi)] at every
+    # (theta, phi), G regularized by 1e-9*n_el on the diagonal.  The explained
+    # energy b.G^-1.b is total^2/G00, the same at every point and dropped, plus
+    # r.H^-1.r: H is the 2x2 Schur complement of G00 and r the cos/sin part
+    # of b after eliminating the constant term.
+    reg = 1e-9 * n_el
+    g00 = n_el + reg
+    sc = s1.real
+    ss = -s1.imag
+    r_c = t.real - (total / g00) * sc
+    r_s = -t.imag - (total / g00) * ss
+    h_cc = 0.5 * (n_el + s2.real) + reg - sc * sc / g00
+    h_ss = 0.5 * (n_el - s2.real) + reg - ss * ss / g00
+    h_cs = -0.5 * s2.imag - sc * ss / g00
+    explained = (h_ss * r_c**2 - 2.0 * h_cs * r_c * r_s + h_cc * r_s**2) / (
+        h_cc * h_ss - h_cs**2
+    )
+    a, p = np.unravel_index(int(np.argmax(explained)), explained.shape)
+    return AngularLocation(theta_deg=float(thetas[a]), phi_deg=float(phis[p]))
 
 
 def multiuser_localize(

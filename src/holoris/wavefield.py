@@ -149,6 +149,8 @@ class Hologram:
                 f"values shape {values.shape} does not match geometry "
                 f"{self.geometry.shape}"
             )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("hologram intensities must be finite")
         if np.any(values < 0):
             raise ValueError("hologram intensities must be non-negative")
         object.__setattr__(self, "values", values)
@@ -271,11 +273,18 @@ def write_hologram_csv(path, holo: Hologram) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_header(line: str, key: str, lineno: int) -> str:
+def _parse_header(lines: list[str], key: str, lineno: int, parse):
+    """parse() of the value of header line lineno (1-based), '# key=value'."""
+    if lineno > len(lines):
+        raise FileFormatError("truncated header", len(lines))
+    line = lines[lineno - 1]
     prefix = f"# {key}="
     if not line.startswith(prefix):
         raise FileFormatError(f"expected header {prefix!r}, got {line!r}", lineno)
-    return line[len(prefix):]
+    try:
+        return parse(line[len(prefix):])
+    except ValueError as exc:
+        raise FileFormatError(str(exc), lineno) from None
 
 
 def read_hologram_csv(path) -> Hologram:
@@ -284,17 +293,12 @@ def read_hologram_csv(path) -> Hologram:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _HOLOGRAM_MAGIC:
         raise FileFormatError(f"missing magic header {_HOLOGRAM_MAGIC!r}", 1)
-    try:
-        f_c_hz = int(_parse_header(lines[1], "f_c_hz", 2))
-        d_x_m = float(_parse_header(lines[2], "d_x_m", 3))
-        d_z_m = float(_parse_header(lines[3], "d_z_m", 4))
-        n_x = int(_parse_header(lines[4], "n_x", 5))
-        n_z = int(_parse_header(lines[5], "n_z", 6))
-        tag = int(_parse_header(lines[6], "frequency_tag", 7))
-    except IndexError:
-        raise FileFormatError("truncated header", len(lines)) from None
-    except ValueError as exc:
-        raise FileFormatError(str(exc), None) from None
+    f_c_hz = _parse_header(lines, "f_c_hz", 2, int)
+    d_x_m = _parse_header(lines, "d_x_m", 3, float)
+    d_z_m = _parse_header(lines, "d_z_m", 4, float)
+    n_x = _parse_header(lines, "n_x", 5, int)
+    n_z = _parse_header(lines, "n_z", 6, int)
+    tag = _parse_header(lines, "frequency_tag", 7, int)
     data_lines = lines[7:]
     if len(data_lines) != n_z:
         raise FileFormatError(
@@ -312,6 +316,8 @@ def read_hologram_csv(path) -> Hologram:
             row = [float(p) for p in parts]
         except ValueError as exc:
             raise FileFormatError(str(exc), lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise FileFormatError("non-finite intensity", lineno)
         if any(v < 0 for v in row):
             raise FileFormatError("negative intensity", lineno)
         values[i] = row

@@ -204,6 +204,63 @@ def test_coding_file_round_trip(tmp_path):
     assert exc.value.line_number == data_start + 1
 
 
+@pytest.mark.parametrize("lineno, key", [(2, "n_x"), (3, "n_z")])
+def test_coding_file_header_errors_carry_their_line(tmp_path, lineno, key):
+    path = tmp_path / "coding.txt"
+    write_coding_file(path, CodingMatrix.all_zero((3, 4)))
+    lines = path.read_text().splitlines()
+    assert lines[lineno - 1].startswith(f"# {key}=")
+    lines[lineno - 1] = f"# {key}=abc"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as exc:
+        read_coding_file(path)
+    assert exc.value.line_number == lineno
+
+
+def brute_force_pattern(factor, bs, geom, theta_grid_deg, phi_grid_deg):
+    """Independent oracle: |sum over elements of incident * factor * outgoing|^2.
+
+    Incident and outgoing plane waves are exp(i*k0*u.p) with u the unit
+    direction toward each terminal and p the element position, summed
+    element by element for every grid direction.
+    """
+    k0 = 2.0 * math.pi / geom.wavelength_m
+    pos = element_positions(geom)
+    excitation = np.exp(1j * k0 * (pos @ unit_direction(bs))) * factor
+    power = np.empty((len(theta_grid_deg), len(phi_grid_deg)))
+    for a, th in enumerate(theta_grid_deg):
+        for b, ph in enumerate(phi_grid_deg):
+            u = unit_direction(AngularLocation(float(th), float(ph)))
+            total = 0j
+            for m in range(geom.n_z):
+                for n in range(geom.n_x):
+                    total += excitation[m, n] * np.exp(1j * k0 * (pos[m, n] @ u))
+            power[a, b] = abs(total) ** 2
+    return power
+
+
+PANEL_5X7 = ArrayGeometry(n_z=5, n_x=7, d_z_m=0.02, d_x_m=0.03, f_c_hz=3_500_000_000)
+
+
+@pytest.mark.parametrize("theta_grid", [np.arange(-40.0, 41.0, 10.0), [12.5]])
+def test_pattern_matches_per_element_field_sum(theta_grid):
+    bs = AngularLocation(-8.0, 15.0)
+    phi_grid = np.arange(-60.0, 61.0, 7.5)
+    rng = np.random.default_rng(5)
+    phases = rng.uniform(-math.pi, math.pi, PANEL_5X7.shape)
+    states = rng.integers(0, 2, PANEL_5X7.shape)
+    for coding, factor in (
+        (CodingMatrix(states=states), np.exp(1j * math.pi * states)),
+        (PhaseProfile(values=phases), np.exp(1j * phases)),
+    ):
+        res = pattern(coding, Source.far_field(bs), PANEL_5X7, theta_grid, phi_grid)
+        own = brute_force_pattern(factor, bs, PANEL_5X7, theta_grid, phi_grid)
+        assert res.power.shape == (len(theta_grid), len(phi_grid))
+        assert np.max(np.abs(res.power - own)) <= 1e-12 * np.max(own)
+        i, j = np.unravel_index(int(np.argmax(own)), own.shape)
+        assert (res.peak.theta_deg, res.peak.phi_deg) == (theta_grid[i], phi_grid[j])
+
+
 def test_pattern_csv_writes_grid(tmp_path):
     coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
     res = pattern(coding, Source.far_field(BS), GEOM,

@@ -220,6 +220,20 @@ def test_localize_io_errors_exit_3(tmp_path, fixture_csv, capsys):
     assert f"line {data_start + 1}" in capsys.readouterr().err
 
 
+def test_localize_non_finite_intensity_exits_3(tmp_path, fixture_csv, capsys):
+    lines = open(fixture_csv).read().splitlines()
+    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    cells = lines[data_start + 2].split(",")
+    cells[0] = "nan"
+    lines[data_start + 2] = ",".join(cells)
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["localize", str(bad), "--bs", "0,0"]) == 3
+    err = capsys.readouterr().err
+    assert f"line {data_start + 3}" in err and "non-finite" in err
+
+
 # ----------------------------------------------------------------- codegen
 
 def test_codegen_far(tmp_path, capsys):
@@ -314,6 +328,14 @@ def test_experiment_unknown_suite_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     for suite in ("grid", "gain", "ber", "showcase"):
         assert suite in err
+
+
+def test_experiment_rejects_sector_disambiguation(tmp_path, capsys):
+    cfg = experiment_config(tmp_path, extra={"localization": {
+        "disambiguation": "sector", "sector_phi_deg": [0.0, 90.0]}})
+    assert main(["experiment", "--suite", "grid", "--config", cfg]) == 2
+    assert "per-record oracle" in capsys.readouterr().err
+    assert not (tmp_path / "run_out" / "manifest.txt").exists()
 
 
 def test_missing_subcommand_exits_2():

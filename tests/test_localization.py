@@ -32,6 +32,7 @@ from holoris.localization import (
     OraclePolicy,
     SectorPolicy,
     Spectrum,
+    _dtft2,
     candidate_frequencies,
     disambiguate,
     extract_peaks,
@@ -45,7 +46,7 @@ from holoris.localization import (
     peak_to_median_ratio,
     regulate,
 )
-from holoris.wavefield import Hologram, Source, synthesize_hologram
+from holoris.wavefield import DetectorModel, Hologram, Source, synthesize_hologram
 
 GEOM = default_geometry()
 FIXTURE_PHI = 32.367221606087334  # asin((4/32) / (d/lambda)) in degrees
@@ -309,6 +310,66 @@ def test_ml_refine_keeps_exact_on_grid_coarse():
     fine = ml_refine(holo, bs, res.chosen)
     assert fine.phi_deg == pytest.approx(ue.phi_deg, abs=1e-9)
     assert fine.theta_deg == pytest.approx(0.0, abs=1e-9)
+
+
+def lstsq_refine(holo, bs, coarse, halfwidth_deg, step_deg):
+    """Independent oracle: per-grid-point lstsq fit of [1, cos Phi, sin Phi].
+
+    Returns the clipped theta grid, the residuals over the (theta, phi) grid
+    and the first grid point of smallest residual in row-major order.
+    """
+    half = int(round(halfwidth_deg / step_deg))
+    offsets = [step_deg * (k - half) for k in range(2 * half + 1)]
+    thetas = [coarse.theta_deg + o for o in offsets if abs(coarse.theta_deg + o) < 90]
+    phis = [coarse.phi_deg + o for o in offsets if abs(coarse.phi_deg + o) < 90]
+    w_bs = spatial_frequencies(bs, holo.geometry)
+    m = np.arange(holo.geometry.n_z)[:, None]
+    n = np.arange(holo.geometry.n_x)[None, :]
+    residuals = np.empty((len(thetas), len(phis)))
+    for a, th in enumerate(thetas):
+        for b, ph in enumerate(phis):
+            w = spatial_frequencies(AngularLocation(th, ph), holo.geometry)
+            fringe = (m * (w.omega_z - w_bs.omega_z) + n * (w.omega_x - w_bs.omega_x)).ravel()
+            basis = np.stack([np.ones_like(fringe), np.cos(fringe), np.sin(fringe)], axis=1)
+            _, res, _, _ = np.linalg.lstsq(basis, holo.values.ravel(), rcond=None)
+            residuals[a, b] = res[0]
+    a, b = np.unravel_index(int(np.argmin(residuals)), residuals.shape)
+    return thetas, residuals, AngularLocation(thetas[a], phis[b])
+
+
+PANEL_6X9 = ArrayGeometry(n_z=6, n_x=9, d_z_m=0.02, d_x_m=0.025, f_c_hz=3_500_000_000)
+
+
+@pytest.mark.parametrize("bs, ue, coarse", [
+    ((0.0, -20.0), (12.34, 17.61), (12.1, 17.9)),
+    ((5.0, 10.0), (89.6, 30.0), (89.8, 30.2)),
+    ((-5.0, 10.0), (-89.5, -40.0), (-89.8, -40.0)),
+])
+def test_ml_refine_matches_lstsq_grid_search(bs, ue, coarse):
+    bs, ue, coarse = AngularLocation(*bs), AngularLocation(*ue), AngularLocation(*coarse)
+    holo = synthesize_hologram(
+        [Source.far_field(bs), Source.far_field(ue)], PANEL_6X9,
+        detector=DetectorModel(noise_std=0.3), seed=4,
+    )[0]
+    fine = ml_refine(holo, bs, coarse, search_halfwidth_deg=0.5, grid_step_deg=0.1)
+    thetas, residuals, best = lstsq_refine(holo, bs, coarse, 0.5, 0.1)
+    assert residuals.shape[1] == 11
+    if abs(coarse.theta_deg) > 89:
+        assert len(thetas) == 7  # the grid is clipped at |theta| < 90
+    assert fine == best
+
+
+def test_dtft2_matches_explicit_sum():
+    rng = np.random.default_rng(2)
+    for n_z, n_x in ((3, 5), (4, 1), (1, 6)):
+        x = rng.normal(size=(n_z, n_x)) + 1j * rng.normal(size=(n_z, n_x))
+        w_z = rng.uniform(-4, 4, 3)
+        w_x = rng.uniform(-4, 4, (3, 2))
+        own = np.array([[
+            sum(x[m, n] * np.exp(1j * (m * w_z[t] + n * w_x[t, p]))
+                for m in range(n_z) for n in range(n_x))
+            for p in range(2)] for t in range(3)])
+        assert np.allclose(_dtft2(x, w_z, w_x), own, rtol=0, atol=1e-12)
 
 
 def test_ml_refine_validation():

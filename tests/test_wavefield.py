@@ -236,6 +236,67 @@ def test_hologram_shape_validation():
         Hologram(values=np.zeros((4, 4)), geometry=GEOM)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hologram_rejects_non_finite_intensity(bad):
+    values = np.ones(GEOM.shape)
+    values[3, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Hologram(values=values, geometry=GEOM)
+
+
+def write_fixture_csv(tmp_path):
+    holo = synthesize_hologram(
+        [Source.far_field(AngularLocation(0.0, 0.0)),
+         Source.far_field(AngularLocation(0.0, 30.0))], GEOM
+    )[0]
+    path = tmp_path / "holo.csv"
+    write_hologram_csv(path, holo)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_hologram_csv_rejects_non_finite_intensity(tmp_path, bad):
+    lines = write_fixture_csv(tmp_path)
+    row = 7 + 4  # 0-based index of the fifth data row
+    cells = lines[row].split(",")
+    cells[2] = bad
+    lines[row] = ",".join(cells)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="non-finite") as exc:
+        read_hologram_csv(path)
+    assert exc.value.line_number == row + 1
+
+
+@pytest.mark.parametrize("lineno, key, bad", [
+    (2, "f_c_hz", "3.5e9"),
+    (3, "d_x_m", "abc"),
+    (4, "d_z_m", ""),
+    (5, "n_x", "thirty-two"),
+    (6, "n_z", "32.0"),
+    (7, "frequency_tag", "x"),
+])
+def test_hologram_csv_header_errors_carry_their_line(tmp_path, lineno, key, bad):
+    lines = write_fixture_csv(tmp_path)
+    assert lines[lineno - 1].startswith(f"# {key}=")
+    lines[lineno - 1] = f"# {key}={bad}"
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as exc:
+        read_hologram_csv(path)
+    assert exc.value.line_number == lineno
+    assert str(exc.value).startswith(f"line {lineno}: ")
+
+
+def test_hologram_csv_truncated_header(tmp_path):
+    lines = write_fixture_csv(tmp_path)
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(lines[:4]) + "\n")
+    with pytest.raises(FileFormatError, match="truncated header") as exc:
+        read_hologram_csv(path)
+    assert exc.value.line_number == 4
+
+
 def test_field_amplitude_attenuates_beyond_reference_range():
     """Spherical spreading follows 1/max(r/r_ref, 1) element by element."""
     src = Source.near_field(position=(0.0, 1.0, 0.0))
