@@ -285,14 +285,12 @@ def read_coding_file(path) -> CodingMatrix:
     rows = lines[3:]
     if len(rows) != n_z:
         raise FileFormatError(f"expected {n_z} rows, found {len(rows)}", len(lines))
-    states = np.empty((n_z, n_x), dtype=np.int8)
-    for i, row in enumerate(rows):
-        lineno = 4 + i
+    for lineno, row in enumerate(rows, start=4):
         if len(row) != n_x or any(c not in "01" for c in row):
             raise FileFormatError(
                 f"expected {n_x} characters of 0/1, got {row!r}", lineno
             )
-        states[i] = [int(c) for c in row]
+    states = np.array([[int(c) for c in row] for row in rows], dtype=np.int8)
     return CodingMatrix(states=states)
 
 

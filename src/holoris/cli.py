@@ -201,7 +201,7 @@ def cmd_codegen(args) -> int:
     return EXIT_OK
 
 
-def _experiment_config(cfg: RunConfig, seed: int, trials: int, out_dir: Path):
+def _experiment_config(cfg: RunConfig, seed: int, trials: int):
     return ExperimentConfig(
         geometry=cfg.geometry,
         detector=cfg.detector,
@@ -212,19 +212,11 @@ def _experiment_config(cfg: RunConfig, seed: int, trials: int, out_dir: Path):
         zero_pad_factor=cfg.localization.zero_pad_factor,
         dc_guard=cfg.localization.dc_guard,
         significance_threshold=cfg.localization.significance_threshold,
-        disambiguation="oracle",
-        output_dir=str(out_dir),
     )
 
 
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config)
-    if isinstance(cfg.localization.policy, SectorPolicy):
-        raise ConfigError(
-            "localization.disambiguation: 'sector' is not supported by experiment; "
-            "the suites pick each record's twin with a per-record oracle on its "
-            "true direction"
-        )
     seed = cfg.experiment.seed if args.seed is None else args.seed
     trials = cfg.experiment.trials if args.trials is None else args.trials
     if trials < 1:
@@ -261,7 +253,7 @@ def cmd_experiment(args) -> int:
 
 
 def _run_suite(suite, cfg, seed, trials, out_dir: Path, artifacts: list) -> list:
-    exp = _experiment_config(cfg, seed, trials, out_dir)
+    exp = _experiment_config(cfg, seed, trials)
     if suite == "grid":
         stats, records = run_localization_grid(exp)
         paths = (

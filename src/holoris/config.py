@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .geometry import AngularLocation, ArrayGeometry, default_geometry
-from .localization import OraclePolicy, SectorPolicy
 from .wavefield import DetectorModel, Source
 
 
@@ -31,7 +30,6 @@ class LocalizationSettings:
     zero_pad_factor: int = 2
     dc_guard: int = 2
     significance_threshold: float = 6.0
-    policy: OraclePolicy | SectorPolicy | None = None
 
 
 @dataclass(frozen=True)
@@ -209,64 +207,18 @@ def _default_sources() -> tuple:
     )
 
 
-def _parse_range(section: dict, key: str, path: str):
-    if key not in section or section[key] is None:
-        return None
-    value = section[key]
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-        or not value[0] <= value[1]
-    ):
-        raise ConfigError(f"{path}.{key}: expected [lo_deg, hi_deg] with lo <= hi")
-    return (float(value[0]), float(value[1]))
-
-
 def _parse_localization(section: dict) -> LocalizationSettings:
     _reject_unknown(
         section,
-        {
-            "zero_pad_factor",
-            "dc_guard",
-            "significance_threshold",
-            "disambiguation",
-            "oracle_deg",
-            "sector_theta_deg",
-            "sector_phi_deg",
-        },
+        {"zero_pad_factor", "dc_guard", "significance_threshold"},
         "localization",
     )
-    mode = section.get("disambiguation", "none")
-    if mode not in ("none", "oracle", "sector"):
-        raise ConfigError(
-            "localization.disambiguation: expected 'none', 'oracle', or 'sector'"
-        )
-    policy = None
-    if mode == "oracle":
-        if "oracle_deg" not in section:
-            raise ConfigError(
-                "localization.oracle_deg: required for oracle disambiguation"
-            )
-        policy = OraclePolicy(
-            truth=_angle_pair(section["oracle_deg"], "localization.oracle_deg")
-        )
-    elif mode == "sector":
-        theta_range = _parse_range(section, "sector_theta_deg", "localization")
-        phi_range = _parse_range(section, "sector_phi_deg", "localization")
-        if theta_range is None and phi_range is None:
-            raise ConfigError(
-                "localization.sector_phi_deg: sector disambiguation needs at "
-                "least one bounded axis"
-            )
-        policy = SectorPolicy(theta_range_deg=theta_range, phi_range_deg=phi_range)
     return LocalizationSettings(
         zero_pad_factor=_get_int(section, "zero_pad_factor", 2, "localization",
                                  minimum=1),
         dc_guard=_get_int(section, "dc_guard", 2, "localization", minimum=0),
         significance_threshold=_get_number(section, "significance_threshold", 6.0,
                                            "localization", minimum=0.0),
-        policy=policy,
     )
 
 
@@ -408,24 +360,6 @@ def config_as_dict(cfg: RunConfig) -> dict:
             entry["position_m"] = list(s.position)
         sources.append(entry)
     loc = cfg.localization
-    policy: dict = {"disambiguation": "none"}
-    if isinstance(loc.policy, OraclePolicy):
-        policy = {
-            "disambiguation": "oracle",
-            "oracle_deg": [loc.policy.truth.theta_deg, loc.policy.truth.phi_deg],
-        }
-    elif isinstance(loc.policy, SectorPolicy):
-        policy = {
-            "disambiguation": "sector",
-            "sector_theta_deg": (
-                list(loc.policy.theta_range_deg)
-                if loc.policy.theta_range_deg
-                else None
-            ),
-            "sector_phi_deg": (
-                list(loc.policy.phi_range_deg) if loc.policy.phi_range_deg else None
-            ),
-        }
     return {
         "geometry": {
             "n_z": cfg.geometry.n_z,
@@ -448,7 +382,6 @@ def config_as_dict(cfg: RunConfig) -> dict:
             "zero_pad_factor": loc.zero_pad_factor,
             "dc_guard": loc.dc_guard,
             "significance_threshold": loc.significance_threshold,
-            **policy,
         },
         "experiment": {
             "trials": cfg.experiment.trials,

@@ -25,10 +25,6 @@ class SectorAmbiguous(HolorisError):
     """Both candidates fall inside the configured admissible sector."""
 
 
-class BaselineZeroPower(HolorisError):
-    """Baseline received power underflowed; gain is not well defined."""
-
-
 class ConfigError(HolorisError):
     """Run configuration failed validation; message carries the field path."""
 

@@ -100,16 +100,10 @@ class ExperimentConfig:
     zero_pad_factor: int = 2
     dc_guard: int = 2
     significance_threshold: float = 6.0
-    disambiguation: str = "oracle"
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.disambiguation != "oracle":
-            raise ValueError(
-                "experiment suites require the oracle disambiguation policy"
-            )
 
 
 @dataclass(frozen=True)

@@ -46,17 +46,6 @@ class Spectrum:
     """Unnormalized 2D DFT of a hologram (optionally zero padded)."""
 
     values: np.ndarray
-    zero_pad_factor: int = 1
-
-
-@dataclass(frozen=True)
-class SpectralPeaks:
-    """DC amplitude and the off-DC peak of a hologram spectrum."""
-
-    dc_amplitude: complex
-    pair_amplitude: complex
-    pair_location: SpatialFrequencyPair
-    peak_bin: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -136,7 +125,7 @@ def fft2(holo: Hologram, zero_pad_factor: int = 1, remove_mean: bool = False) ->
     values = holo.values - holo.values.mean() if remove_mean else holo.values
     stage = np.fft.fft(values, n=zero_pad_factor * n_z, axis=0)
     values = np.fft.fft(stage, n=zero_pad_factor * n_x, axis=1)
-    return Spectrum(values=values, zero_pad_factor=zero_pad_factor)
+    return Spectrum(values=values)
 
 
 def _guard_complement(shape: tuple[int, int], dc_guard: int) -> np.ndarray:
@@ -150,42 +139,36 @@ def _guard_complement(shape: tuple[int, int], dc_guard: int) -> np.ndarray:
     return mask
 
 
-def _search_mask(shape: tuple[int, int], dc_guard: int) -> np.ndarray:
-    mask = _guard_complement(shape, dc_guard)
-    mask[shape[0] // 2 + 1:, :] = False
-    return mask
-
-
-def _ratio(mags: np.ndarray, dc_guard: int) -> tuple[float, float]:
-    """(peak magnitude over the search region, peak/median diagnostic)."""
-    mask = _search_mask(mags.shape, dc_guard)
-    if not mask.any():
-        raise NoPeak("search region is empty")
-    peak_mag = float(np.where(mask, mags, -1.0).max())
-    median = float(np.median(mags[_guard_complement(mags.shape, dc_guard)]))
-    if median > 0:
-        return peak_mag, peak_mag / median
-    return peak_mag, (math.inf if peak_mag > 0 else 0.0)
-
-
 def find_peak(
     spec: Spectrum,
     dc_guard: int = 0,
     significance_threshold: float = 6.0,
     min_magnitude: float = 0.0,
-) -> tuple[int, int]:
-    """Locate the dominant off-DC bin; returns 1-based (i_z, i_x).
+) -> tuple[tuple[int, int], float]:
+    """Locate the dominant off-DC bin; returns ((i_z, i_x), peak/median ratio).
 
-    The search excludes a (2*dc_guard+1)^2 torus neighborhood of DC (the
-    DC bin itself always), restricts rows to the lower half-spectrum
-    k <= M_z/2, and breaks magnitude ties by the lexicographically
-    smallest (k, l).  Raises NoPeak when the best bin is <= min_magnitude
-    (so rounding residue of a nominally constant hologram never counts as
-    a fringe) or falls below significance_threshold times the median
-    magnitude outside the DC guard.
+    The bin is 1-based.  The search excludes a (2*dc_guard+1)^2 torus
+    neighborhood of DC (the DC bin itself always), restricts rows to the
+    lower half-spectrum k <= M_z/2, and breaks magnitude ties by the
+    lexicographically smallest (k, l).  The ratio is the peak magnitude over
+    the median magnitude outside the DC guard (inf for a zero median).
+    Raises NoPeak when the best bin is <= min_magnitude (so rounding residue
+    of a nominally constant hologram never counts as a fringe) or the ratio
+    falls below significance_threshold.
     """
     mags = np.abs(spec.values)
-    peak_mag, ratio = _ratio(mags, dc_guard)
+    outside = _guard_complement(mags.shape, dc_guard)
+    search = outside.copy()
+    search[mags.shape[0] // 2 + 1:, :] = False
+    if not search.any():
+        raise NoPeak("search region is empty")
+    allowed = np.where(search, mags, -1.0)
+    peak_mag = float(allowed.max())
+    median = float(np.median(mags[outside]))
+    if median > 0:
+        ratio = peak_mag / median
+    else:
+        ratio = math.inf if peak_mag > 0 else 0.0
     if peak_mag <= max(min_magnitude, 0.0):
         raise NoPeak("no off-DC energy in the spectrum")
     if ratio < significance_threshold:
@@ -193,29 +176,10 @@ def find_peak(
             f"peak/median ratio {ratio:.3g} below significance threshold "
             f"{significance_threshold:g}"
         )
-    allowed = np.where(_search_mask(mags.shape, dc_guard), mags, -1.0)
-    tied = np.argwhere(allowed >= peak_mag * (1.0 - _TIE_RTOL))
-    k, l = min(map(tuple, tied))
-    return (int(k) + 1, int(l) + 1)
-
-
-def peak_to_median_ratio(spec: Spectrum, dc_guard: int = 0) -> float:
-    """Diagnostic ratio used by the significance test in find_peak."""
-    return _ratio(np.abs(spec.values), dc_guard)[1]
-
-
-def extract_peaks(spec: Spectrum, dc_guard: int = 0) -> SpectralPeaks:
-    """DC and dominant-pair amplitudes with the pair's regulated frequencies."""
-    i_z, i_x = find_peak(spec, dc_guard=dc_guard)
-    m_z, m_x = spec.values.shape
-    omega_z = regulate(2.0 * math.pi * (i_z - 1) / m_z)
-    omega_x = regulate(2.0 * math.pi * (i_x - 1) / m_x)
-    return SpectralPeaks(
-        dc_amplitude=complex(spec.values[0, 0]),
-        pair_amplitude=complex(spec.values[i_z - 1, i_x - 1]),
-        pair_location=SpatialFrequencyPair(omega_z=omega_z, omega_x=omega_x),
-        peak_bin=(i_z, i_x),
-    )
+    # The first tied bin in row-major order is the lexicographically smallest.
+    first = int(np.argmax(allowed >= peak_mag * (1.0 - _TIE_RTOL)))
+    k, l = np.unravel_index(first, mags.shape)
+    return (int(k) + 1, int(l) + 1), ratio
 
 
 def candidate_frequencies(
@@ -291,13 +255,12 @@ def localize(
     # residue (a constant hologram is constant only to the last ulp), not
     # an interference pattern.
     fringe_floor = 1e-9 * float(np.abs(holo.values).sum())
-    peak_bin = find_peak(
+    peak_bin, ratio = find_peak(
         spec,
         dc_guard=dc_guard,
         significance_threshold=significance_threshold,
         min_magnitude=fringe_floor,
     )
-    ratio = peak_to_median_ratio(spec, dc_guard=dc_guard)
     plus, minus = candidate_frequencies(bs_freqs, peak_bin, spec.values.shape)
     candidates: list[AngularLocation | None] = []
     for freqs in (plus, minus):

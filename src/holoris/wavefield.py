@@ -273,8 +273,12 @@ def write_hologram_csv(path, holo: Hologram) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_header(lines: list[str], key: str, lineno: int, parse):
-    """parse() of the value of header line lineno (1-based), '# key=value'."""
+def _parse_header(lines: list[str], key: str, lineno: int, parse,
+                  allow_zero: bool = False):
+    """parse() of the value of header line lineno (1-based), '# key=value'.
+
+    The value must be finite and > 0 (>= 0 with allow_zero).
+    """
     if lineno > len(lines):
         raise FileFormatError("truncated header", len(lines))
     line = lines[lineno - 1]
@@ -282,9 +286,14 @@ def _parse_header(lines: list[str], key: str, lineno: int, parse):
     if not line.startswith(prefix):
         raise FileFormatError(f"expected header {prefix!r}, got {line!r}", lineno)
     try:
-        return parse(line[len(prefix):])
-    except ValueError as exc:
+        value = parse(line[len(prefix):])
+        finite = math.isfinite(value)  # OverflowError for ints beyond float
+    except (ValueError, OverflowError) as exc:
         raise FileFormatError(str(exc), lineno) from None
+    if not (finite and (value >= 0 if allow_zero else value > 0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise FileFormatError(f"{key} must be finite and {bound}, got {value!r}", lineno)
+    return value
 
 
 def read_hologram_csv(path) -> Hologram:
@@ -298,15 +307,14 @@ def read_hologram_csv(path) -> Hologram:
     d_z_m = _parse_header(lines, "d_z_m", 4, float)
     n_x = _parse_header(lines, "n_x", 5, int)
     n_z = _parse_header(lines, "n_z", 6, int)
-    tag = _parse_header(lines, "frequency_tag", 7, int)
+    tag = _parse_header(lines, "frequency_tag", 7, int, allow_zero=True)
     data_lines = lines[7:]
     if len(data_lines) != n_z:
         raise FileFormatError(
             f"expected {n_z} data rows, found {len(data_lines)}", len(lines)
         )
-    values = np.empty((n_z, n_x))
-    for i, line in enumerate(data_lines):
-        lineno = 8 + i
+    rows = []
+    for lineno, line in enumerate(data_lines, start=8):
         parts = line.split(",")
         if len(parts) != n_x:
             raise FileFormatError(
@@ -320,6 +328,6 @@ def read_hologram_csv(path) -> Hologram:
             raise FileFormatError("non-finite intensity", lineno)
         if any(v < 0 for v in row):
             raise FileFormatError("negative intensity", lineno)
-        values[i] = row
+        rows.append(row)
     geom = ArrayGeometry(n_z=n_z, n_x=n_x, d_z_m=d_z_m, d_x_m=d_x_m, f_c_hz=f_c_hz)
-    return Hologram(values=values, geometry=geom, frequency_tag=tag)
+    return Hologram(values=np.array(rows), geometry=geom, frequency_tag=tag)

@@ -204,13 +204,18 @@ def test_coding_file_round_trip(tmp_path):
     assert exc.value.line_number == data_start + 1
 
 
-@pytest.mark.parametrize("lineno, key", [(2, "n_x"), (3, "n_z")])
-def test_coding_file_header_errors_carry_their_line(tmp_path, lineno, key):
+@pytest.mark.parametrize("lineno, key, bad", [
+    pytest.param(2, "n_x", "abc", id="2-n_x"),
+    pytest.param(3, "n_z", "abc", id="3-n_z"),
+    pytest.param(2, "n_x", "-2", id="2-n_x-negative"),
+    pytest.param(3, "n_z", "0", id="3-n_z-zero"),
+])
+def test_coding_file_header_errors_carry_their_line(tmp_path, lineno, key, bad):
     path = tmp_path / "coding.txt"
     write_coding_file(path, CodingMatrix.all_zero((3, 4)))
     lines = path.read_text().splitlines()
     assert lines[lineno - 1].startswith(f"# {key}=")
-    lines[lineno - 1] = f"# {key}=abc"
+    lines[lineno - 1] = f"# {key}={bad}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError) as exc:
         read_coding_file(path)

@@ -15,7 +15,6 @@ from holoris.cli import main
 from holoris.config import config_as_dict, load_config, parse_config
 from holoris.errors import ConfigError
 from holoris.geometry import AngularLocation
-from holoris.localization import OraclePolicy, SectorPolicy
 from holoris.wavefield import read_hologram_csv
 
 FIXTURE_PHI = "32.367221606087334"
@@ -30,7 +29,6 @@ def test_empty_config_gives_defaults():
     assert cfg.detector.noise_std == 0.0
     assert cfg.localization.zero_pad_factor == 2
     assert cfg.localization.dc_guard == 2
-    assert cfg.localization.policy is None
     assert cfg.experiment.trials == 1
 
 
@@ -59,18 +57,19 @@ def test_source_validation():
     assert cfg.sources[1].kind == "near_field"
 
 
-def test_disambiguation_settings():
-    with pytest.raises(ConfigError, match="oracle_deg"):
-        parse_config({"localization": {"disambiguation": "oracle"}})
-    with pytest.raises(ConfigError, match="sector"):
-        parse_config({"localization": {"disambiguation": "sector"}})
-    cfg = parse_config({"localization": {
-        "disambiguation": "oracle", "oracle_deg": [0.0, 30.0]}})
-    assert isinstance(cfg.localization.policy, OraclePolicy)
-    cfg = parse_config({"localization": {
-        "disambiguation": "sector", "sector_phi_deg": [0.0, 90.0]}})
-    assert isinstance(cfg.localization.policy, SectorPolicy)
-    assert cfg.localization.policy.phi_range_deg == (0.0, 90.0)
+REMOVED_LOCALIZATION_KEYS = {
+    "disambiguation": "oracle",
+    "oracle_deg": [0.0, 30.0],
+    "sector_theta_deg": [-10.0, 10.0],
+    "sector_phi_deg": [0.0, 90.0],
+}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_LOCALIZATION_KEYS))
+def test_removed_localization_keys_are_unknown(key):
+    # A twin-selection policy exists only on `holoris localize`.
+    with pytest.raises(ConfigError, match=f"^localization.{key}: unknown key$"):
+        parse_config({"localization": {key: REMOVED_LOCALIZATION_KEYS[key]}})
 
 
 def test_experiment_settings_validation():
@@ -99,8 +98,7 @@ def test_config_dict_round_trip():
             {"kind": "far_field", "theta_deg": -10.0, "phi_deg": 20.0},
             {"kind": "near_field", "position_m": [0.1, 2.0, 0.3], "amplitude": 0.7},
         ],
-        "localization": {"zero_pad_factor": 1, "dc_guard": 0,
-                         "disambiguation": "sector", "sector_phi_deg": [0.0, 90.0]},
+        "localization": {"zero_pad_factor": 1, "dc_guard": 0},
         "experiment": {"trials": 3, "seed": 11, "ber_gain_db": 12.5},
     })
     again = parse_config(config_as_dict(cfg))
@@ -234,6 +232,17 @@ def test_localize_non_finite_intensity_exits_3(tmp_path, fixture_csv, capsys):
     assert f"line {data_start + 3}" in err and "non-finite" in err
 
 
+def test_localize_invalid_header_value_exits_3(tmp_path, fixture_csv, capsys):
+    lines = open(fixture_csv).read().splitlines()
+    assert lines[2].startswith("# d_x_m=")
+    lines[2] = "# d_x_m=-0.02"
+    bad = tmp_path / "pitch.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["localize", str(bad), "--bs", "0,0"]) == 3
+    assert "line 3: d_x_m must be finite and > 0" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- codegen
 
 def test_codegen_far(tmp_path, capsys):
@@ -330,11 +339,16 @@ def test_experiment_unknown_suite_exits_2(tmp_path, capsys):
         assert suite in err
 
 
-def test_experiment_rejects_sector_disambiguation(tmp_path, capsys):
-    cfg = experiment_config(tmp_path, extra={"localization": {
-        "disambiguation": "sector", "sector_phi_deg": [0.0, 90.0]}})
+@pytest.mark.parametrize("key", sorted(REMOVED_LOCALIZATION_KEYS))
+def test_simulate_and_experiment_reject_removed_keys(tmp_path, capsys, key):
+    extra = {"localization": {key: REMOVED_LOCALIZATION_KEYS[key]}}
+    cfg = experiment_config(tmp_path, extra=extra)
+    out = tmp_path / "holo.csv"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
+    assert f"localization.{key}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
     assert main(["experiment", "--suite", "grid", "--config", cfg]) == 2
-    assert "per-record oracle" in capsys.readouterr().err
+    assert f"localization.{key}: unknown key" in capsys.readouterr().err
     assert not (tmp_path / "run_out" / "manifest.txt").exists()
 
 

@@ -35,7 +35,6 @@ from holoris.localization import (
     _dtft2,
     candidate_frequencies,
     disambiguate,
-    extract_peaks,
     fft2,
     find_peak,
     format_report,
@@ -43,7 +42,6 @@ from holoris.localization import (
     ml_refine,
     multiuser_localize,
     parse_report,
-    peak_to_median_ratio,
     regulate,
 )
 from holoris.wavefield import DetectorModel, Hologram, Source, synthesize_hologram
@@ -146,7 +144,7 @@ def test_fixture_peak_matches_by_definition_dft():
     k, l = brute_force_dft_peak(sub)
     assert (k, l) == (0, 4)
     spec = fft2(holo, remove_mean=True)
-    assert find_peak(spec) == (1, 5)
+    assert find_peak(spec)[0] == (1, 5)
 
 
 def test_localize_fixture_candidates():
@@ -164,14 +162,14 @@ def test_find_peak_tie_breaks_lexicographically():
     values[4, 7] = 2.0
     values[1, 2] = 2.0
     values[2, 2] = 2.0 * (1.0 - 1e-14)  # inside the tie tolerance
-    assert find_peak(Spectrum(values=values)) == (2, 3)
+    assert find_peak(Spectrum(values=values))[0] == (2, 3)
 
 
 def test_find_peak_respects_dc_guard_and_half_spectrum():
     values = np.zeros((16, 16), dtype=complex)
     values[1, 1] = 5.0   # inside a guard of 1
     values[4, 2] = 3.0
-    assert find_peak(Spectrum(values=values), dc_guard=1) == (5, 3)
+    assert find_peak(Spectrum(values=values), dc_guard=1)[0] == (5, 3)
     # energy only in the upper half (conjugate rows) is not a usable peak
     upper = np.zeros((16, 16), dtype=complex)
     upper[13, 3] = 4.0
@@ -185,24 +183,22 @@ def test_find_peak_significance_and_floor():
         find_peak(Spectrum(values=flat))  # ratio 1 < default threshold 6
     tiny = np.zeros((16, 16), dtype=complex)
     tiny[2, 3] = 1e-20
-    assert find_peak(Spectrum(values=tiny)) == (3, 4)
+    assert find_peak(Spectrum(values=tiny))[0] == (3, 4)
     with pytest.raises(NoPeak):
         find_peak(Spectrum(values=tiny), min_magnitude=1e-12)
+    lifted = np.ones((16, 16), dtype=complex)
+    lifted[2, 3] = 12.0  # median outside DC is 1
+    assert find_peak(Spectrum(values=lifted)) == ((3, 4), 12.0)
 
 
-def test_peak_to_median_ratio_on_fixture():
-    spec = fft2(fixture_hologram(), remove_mean=True)
-    assert math.isinf(peak_to_median_ratio(spec))
+def test_find_peak_ratio_on_fixture():
+    peak_bin, ratio = find_peak(fft2(fixture_hologram(), remove_mean=True))
+    assert peak_bin == (1, 5)
+    assert math.isinf(ratio)
     # with the DC term left in, the median is still dominated by zeros
-    spec_raw = fft2(fixture_hologram())
-    assert peak_to_median_ratio(spec_raw) > 6.0
-
-
-def test_extract_peaks_fixture():
-    peaks = extract_peaks(fft2(fixture_hologram(), remove_mean=True))
-    assert peaks.peak_bin == (1, 5)
-    assert peaks.pair_location.omega_z == 0.0
-    assert peaks.pair_location.omega_x == pytest.approx(2.0 * math.pi * 4 / 32)
+    peak_bin, ratio = find_peak(fft2(fixture_hologram()))
+    assert peak_bin == (1, 5)
+    assert ratio > 6.0
 
 
 # ---------------------------------------------------------------- candidates

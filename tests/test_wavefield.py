@@ -275,6 +275,15 @@ def test_hologram_csv_rejects_non_finite_intensity(tmp_path, bad):
     (5, "n_x", "thirty-two"),
     (6, "n_z", "32.0"),
     (7, "frequency_tag", "x"),
+    (2, "f_c_hz", "0"),
+    pytest.param(2, "f_c_hz", "1" + "0" * 400, id="2-f_c_hz-beyond-float"),
+    (3, "d_x_m", "-0.02"),
+    (3, "d_x_m", "inf"),
+    (4, "d_z_m", "0.0"),
+    (4, "d_z_m", "nan"),
+    (5, "n_x", "-2"),
+    (6, "n_z", "0"),
+    (7, "frequency_tag", "-1"),
 ])
 def test_hologram_csv_header_errors_carry_their_line(tmp_path, lineno, key, bad):
     lines = write_fixture_csv(tmp_path)
