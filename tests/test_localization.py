@@ -191,14 +191,24 @@ def test_find_peak_significance_and_floor():
     assert find_peak(Spectrum(values=lifted)) == ((3, 4), 12.0)
 
 
-def test_find_peak_ratio_on_fixture():
-    peak_bin, ratio = find_peak(fft2(fixture_hologram(), remove_mean=True))
-    assert peak_bin == (1, 5)
+def test_peak_to_median_ratio_on_fixture():
+    _, ratio = find_peak(fft2(fixture_hologram(), remove_mean=True))
     assert math.isinf(ratio)
     # with the DC term left in, the median is still dominated by zeros
-    peak_bin, ratio = find_peak(fft2(fixture_hologram()))
+    _, ratio_raw = find_peak(fft2(fixture_hologram()))
+    assert ratio_raw > 6.0
+
+
+def test_extract_peaks_fixture():
+    spec = fft2(fixture_hologram(), remove_mean=True)
+    peak_bin, _ = find_peak(spec)
     assert peak_bin == (1, 5)
-    assert ratio > 6.0
+    assert find_peak(fft2(fixture_hologram()))[0] == (1, 5)
+    # the bin's frequency offset is what candidate_frequencies adds to omega_bs
+    pair, _ = candidate_frequencies(
+        SpatialFrequencyPair(omega_z=0.0, omega_x=0.0), peak_bin, spec.values.shape)
+    assert pair.omega_z == 0.0
+    assert pair.omega_x == pytest.approx(2.0 * math.pi * 4 / 32)
 
 
 # ---------------------------------------------------------------- candidates
