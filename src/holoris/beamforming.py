@@ -24,7 +24,7 @@ from .geometry import (
     unit_direction,
 )
 from .localization import _dtft2
-from .wavefield import Source, _parse_header, complex_field_at_array
+from .wavefield import Source, _parse_header, _read_lines, complex_field_at_array
 
 _CODING_MAGIC = "# holoris-coding v1"
 
@@ -276,8 +276,7 @@ def write_coding_file(path, coding: CodingMatrix) -> None:
 
 def read_coding_file(path) -> CodingMatrix:
     """Parse a v1 coding file; FileFormatError carries the line number."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != _CODING_MAGIC:
         raise FileFormatError(f"missing magic header {_CODING_MAGIC!r}", 1)
     n_x = _parse_header(lines, "n_x", 2, int)

@@ -120,6 +120,11 @@ def _angle_pair(value, path: str) -> AngularLocation:
 
 def _parse_geometry(section: dict) -> ArrayGeometry:
     _reject_unknown(section, {"n_x", "n_z", "d_x_m", "d_z_m", "f_c_hz"}, "geometry")
+    f_c_hz = _get_int(section, "f_c_hz", 3_500_000_000, "geometry", minimum=1)
+    try:
+        float(f_c_hz)  # the wavelength and wavenumber are floats
+    except OverflowError:
+        raise ConfigError("geometry.f_c_hz: too large to convert to a float") from None
     try:
         return ArrayGeometry(
             n_z=_get_int(section, "n_z", 32, "geometry", minimum=1),
@@ -128,7 +133,7 @@ def _parse_geometry(section: dict) -> ArrayGeometry:
                               strict_min=True),
             d_x_m=_get_number(section, "d_x_m", 0.02, "geometry", minimum=0.0,
                               strict_min=True),
-            f_c_hz=_get_int(section, "f_c_hz", 3_500_000_000, "geometry", minimum=1),
+            f_c_hz=f_c_hz,
         )
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from None

@@ -31,12 +31,19 @@ from .geometry import (
     default_geometry,
     wrap_degrees,
 )
-from .localization import OraclePolicy, fft2, format_report, localize
+from .localization import (
+    OraclePolicy,
+    fft2,
+    format_report,
+    localize,
+    localize_trials,
+)
 from .wavefield import (
     DetectorModel,
     Hologram,
     Source,
     synthesize_hologram,
+    synthesize_trials,
     write_hologram_csv,
 )
 
@@ -189,9 +196,10 @@ def run_localization_grid(cfg: ExperimentConfig):
     """Monte Carlo localization over every non-coincident BS x UE pair.
 
     Each trial synthesizes a fresh two-source hologram, localizes with the
-    per-record oracle policy, and records wrapped per-axis errors.
-    Failures (NoPeak and friends) are recorded, never fatal.  Returns
-    (ErrorStatistics, records).
+    per-record oracle policy, and records wrapped per-axis errors.  The
+    trials of one placement are synthesized and localized as one stack,
+    one placement at a time.  Failures (NoPeak and friends) are recorded,
+    never fatal.  Returns (ErrorStatistics, records).
     """
     records = []
     config_index = 0
@@ -199,25 +207,30 @@ def run_localization_grid(cfg: ExperimentConfig):
         for ue in cfg.ue_locations:
             if _coincident(bs, ue):
                 continue
-            for trial in range(cfg.trials):
-                seed = _derive_seed(cfg.seed, config_index, trial)
-                holo = _pair_hologram(bs, ue, cfg, seed)
-                try:
-                    result = localize(
-                        holo,
-                        bs,
-                        zero_pad_factor=cfg.zero_pad_factor,
-                        disambiguation=OraclePolicy(truth=ue),
-                        dc_guard=cfg.dc_guard,
-                        significance_threshold=cfg.significance_threshold,
-                    )
-                except (NoPeak, AllCandidatesInfeasible) as exc:
+            seeds = [_derive_seed(cfg.seed, config_index, t) for t in range(cfg.trials)]
+            captures = synthesize_trials(
+                [Source.far_field(bs), Source.far_field(ue)],
+                cfg.geometry,
+                cfg.detector,
+                seeds,
+            )
+            outcomes = localize_trials(
+                captures,
+                cfg.geometry,
+                bs,
+                zero_pad_factor=cfg.zero_pad_factor,
+                disambiguation=OraclePolicy(truth=ue),
+                dc_guard=cfg.dc_guard,
+                significance_threshold=cfg.significance_threshold,
+            )
+            for trial, result in enumerate(outcomes):
+                if isinstance(result, (NoPeak, AllCandidatesInfeasible)):
                     records.append(
                         GridRecord(
                             bs=bs,
                             ue=ue,
                             trial=trial,
-                            status=type(exc).__name__,
+                            status=type(result).__name__,
                         )
                     )
                     continue

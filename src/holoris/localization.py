@@ -14,6 +14,7 @@ or none) selects one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .geometry import (
     AngularLocation,
+    ArrayGeometry,
     SpatialFrequencyPair,
     angles_from_frequencies,
     angular_distance_deg,
@@ -105,6 +107,19 @@ def regulate(x: float) -> float:
     return x - 2.0 * math.pi * r
 
 
+def _transform(values: np.ndarray, zero_pad_factor: int, remove_mean: bool) -> np.ndarray:
+    """fft2 of every capture of a (T, n_z, n_x) stack, one FFT call per axis."""
+    if zero_pad_factor < 1:
+        raise ValueError("zero_pad_factor must be a positive integer")
+    _, n_z, n_x = values.shape
+    if n_z < 2 or n_x < 2:
+        raise ValueError("spectral analysis needs at least a 2x2 hologram")
+    if remove_mean:
+        values = values - values.mean(axis=(1, 2), keepdims=True)
+    values = np.fft.fft(values, n=zero_pad_factor * n_z, axis=1)
+    return np.fft.fft(values, n=zero_pad_factor * n_x, axis=2)
+
+
 def fft2(holo: Hologram, zero_pad_factor: int = 1, remove_mean: bool = False) -> Spectrum:
     """Two cascaded 1D FFTs (rows along z, then columns along x).
 
@@ -117,15 +132,8 @@ def fft2(holo: Hologram, zero_pad_factor: int = 1, remove_mean: bool = False) ->
     would otherwise smear over the refined bins, where it can out-peak a
     weak fringe.  Peak search goes through localize, which enables it.
     """
-    if zero_pad_factor < 1:
-        raise ValueError("zero_pad_factor must be a positive integer")
-    n_z, n_x = holo.values.shape
-    if n_z < 2 or n_x < 2:
-        raise ValueError("spectral analysis needs at least a 2x2 hologram")
-    values = holo.values - holo.values.mean() if remove_mean else holo.values
-    stage = np.fft.fft(values, n=zero_pad_factor * n_z, axis=0)
-    values = np.fft.fft(stage, n=zero_pad_factor * n_x, axis=1)
-    return Spectrum(values=values)
+    return Spectrum(values=_transform(holo.values[np.newaxis], zero_pad_factor,
+                                      remove_mean)[0])
 
 
 def _guard_complement(shape: tuple[int, int], dc_guard: int) -> np.ndarray:
@@ -137,6 +145,72 @@ def _guard_complement(shape: tuple[int, int], dc_guard: int) -> np.ndarray:
     cols = np.arange(-g, g + 1) % m_x
     mask[np.ix_(rows, cols)] = False
     return mask
+
+
+@functools.lru_cache(maxsize=32)
+def _peak_plan(shape: tuple[int, int], dc_guard: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major flat indices of the bins outside the DC guard (the median's
+    population) and of those in the lower half-spectrum k <= M_z/2 (the peak
+    search).  Read-only, as every caller shares them."""
+    outside = _guard_complement(shape, dc_guard)
+    search = outside.copy()
+    search[shape[0] // 2 + 1:, :] = False
+    plan = (np.flatnonzero(outside), np.flatnonzero(search))
+    for idx in plan:
+        idx.flags.writeable = False
+    return plan
+
+
+def _row_medians(a: np.ndarray) -> np.ndarray:
+    """np.median of each row of a 2D array, which is partitioned in place.
+
+    One partition at K//2 places the upper middle value; for even K the
+    lower one is the maximum of the K//2 values before it, and the median is
+    their mean, as np.median computes it.
+    """
+    half = a.shape[1] // 2
+    a.partition(half, axis=1)
+    upper = a[:, half]
+    if a.shape[1] % 2:
+        return upper
+    return (a[:, :half].max(axis=1) + upper) / 2
+
+
+def _peaks(mags: np.ndarray, dc_guard: int, significance_threshold: float,
+           min_magnitudes) -> list:
+    """find_peak over a (T, M_z, M_x) stack of magnitude spectra.
+
+    Returns per spectrum ((i_z, i_x), ratio) or the NoPeak it raises.
+    """
+    n, m_z, m_x = mags.shape
+    outside, search = _peak_plan((m_z, m_x), dc_guard)
+    if not search.size:
+        return [NoPeak("search region is empty") for _ in range(n)]
+    flat = mags.reshape(n, m_z * m_x)
+    searched = flat[:, search]
+    peak_mags = searched.max(axis=1)
+    medians = _row_medians(flat[:, outside])
+    # The first tied bin in row-major order is the lexicographically smallest.
+    firsts = np.argmax(searched >= (peak_mags * (1.0 - _TIE_RTOL))[:, np.newaxis], axis=1)
+    out = []
+    for peak_mag, median, first, floor in zip(
+        peak_mags.tolist(), medians.tolist(), firsts.tolist(), min_magnitudes
+    ):
+        if median > 0:
+            ratio = peak_mag / median
+        else:
+            ratio = math.inf if peak_mag > 0 else 0.0
+        if peak_mag <= max(floor, 0.0):
+            out.append(NoPeak("no off-DC energy in the spectrum"))
+        elif ratio < significance_threshold:
+            out.append(NoPeak(
+                f"peak/median ratio {ratio:.3g} below significance threshold "
+                f"{significance_threshold:g}"
+            ))
+        else:
+            k, l = divmod(int(search[first]), m_x)
+            out.append(((k + 1, l + 1), ratio))
+    return out
 
 
 def find_peak(
@@ -156,30 +230,11 @@ def find_peak(
     of a nominally constant hologram never counts as a fringe) or the ratio
     falls below significance_threshold.
     """
-    mags = np.abs(spec.values)
-    outside = _guard_complement(mags.shape, dc_guard)
-    search = outside.copy()
-    search[mags.shape[0] // 2 + 1:, :] = False
-    if not search.any():
-        raise NoPeak("search region is empty")
-    allowed = np.where(search, mags, -1.0)
-    peak_mag = float(allowed.max())
-    median = float(np.median(mags[outside]))
-    if median > 0:
-        ratio = peak_mag / median
-    else:
-        ratio = math.inf if peak_mag > 0 else 0.0
-    if peak_mag <= max(min_magnitude, 0.0):
-        raise NoPeak("no off-DC energy in the spectrum")
-    if ratio < significance_threshold:
-        raise NoPeak(
-            f"peak/median ratio {ratio:.3g} below significance threshold "
-            f"{significance_threshold:g}"
-        )
-    # The first tied bin in row-major order is the lexicographically smallest.
-    first = int(np.argmax(allowed >= peak_mag * (1.0 - _TIE_RTOL)))
-    k, l = np.unravel_index(first, mags.shape)
-    return (int(k) + 1, int(l) + 1), ratio
+    peak = _peaks(np.abs(spec.values)[np.newaxis], dc_guard, significance_threshold,
+                  [min_magnitude])[0]
+    if isinstance(peak, NoPeak):
+        raise peak
+    return peak
 
 
 def candidate_frequencies(
@@ -232,6 +287,75 @@ def disambiguate(
     raise TypeError(f"unknown disambiguation policy {policy!r}")
 
 
+def localize_trials(
+    values,
+    geom: ArrayGeometry,
+    bs: AngularLocation,
+    zero_pad_factor: int = 1,
+    disambiguation: OraclePolicy | SectorPolicy | None = None,
+    dc_guard: int = 0,
+    significance_threshold: float = 6.0,
+) -> list:
+    """Localize every capture of a (T, n_z, n_x) intensity stack.
+
+    All captures share the geometry, the reference and the policy.  The
+    stack is validated once (finite, non-negative, trailing shape
+    geom.shape) and transformed with one FFT call per axis.  Returns, in
+    stack order, one LocalizationResult per capture, or the localization
+    error (NoPeak, AllCandidatesInfeasible, SectorEmpty, SectorAmbiguous)
+    localize would raise on it.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1:] != geom.shape:
+        raise ValueError(
+            f"expected a (T, {geom.n_z}, {geom.n_x}) stack of captures, "
+            f"got shape {values.shape}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("hologram intensities must be finite")
+    if np.any(values < 0):
+        raise ValueError("hologram intensities must be non-negative")
+    bs_freqs = spatial_frequencies(bs, geom)
+    mags = np.abs(_transform(values, zero_pad_factor, remove_mean=True))
+    # Fringe contrast below ~1e-9 of the total captured power is rounding
+    # residue (a constant hologram is constant only to the last ulp), not
+    # an interference pattern.
+    fringe_floors = (1e-9 * values.sum(axis=(1, 2))).tolist()
+    peaks = _peaks(mags, dc_guard, significance_threshold, fringe_floors)
+    out: list = []
+    for peak in peaks:
+        if isinstance(peak, NoPeak):
+            out.append(peak)
+            continue
+        peak_bin, ratio = peak
+        plus, minus = candidate_frequencies(bs_freqs, peak_bin, mags.shape[1:])
+        candidates: list[AngularLocation | None] = []
+        for freqs in (plus, minus):
+            try:
+                candidates.append(angles_from_frequencies(freqs, geom))
+            except InfeasibleFrequency:
+                candidates.append(None)
+        candidate_1, candidate_2 = candidates
+        if candidate_1 is None and candidate_2 is None:
+            out.append(AllCandidatesInfeasible(
+                "both twin candidates fall outside the propagating-wave region"
+            ))
+            continue
+        try:
+            chosen = disambiguate(candidate_1, candidate_2, disambiguation)
+        except (SectorEmpty, SectorAmbiguous) as exc:
+            out.append(exc)
+            continue
+        out.append(LocalizationResult(
+            candidate_1=candidate_1,
+            candidate_2=candidate_2,
+            chosen=chosen,
+            peak_bin=peak_bin,
+            peak_to_median_ratio=ratio,
+        ))
+    return out
+
+
 def localize(
     holo: Hologram,
     bs: AngularLocation,
@@ -246,41 +370,21 @@ def localize(
     frequency candidates, discards any that violate the propagating-wave
     bound, converts the rest to angles, and applies the disambiguation
     policy.  Raises NoPeak (no significant fringe energy) or
-    AllCandidatesInfeasible (both candidates evanescent).
+    AllCandidatesInfeasible (both candidates evanescent).  The one-capture
+    case of localize_trials.
     """
-    geom = holo.geometry
-    bs_freqs = spatial_frequencies(bs, geom)
-    spec = fft2(holo, zero_pad_factor=zero_pad_factor, remove_mean=True)
-    # Fringe contrast below ~1e-9 of the total captured power is rounding
-    # residue (a constant hologram is constant only to the last ulp), not
-    # an interference pattern.
-    fringe_floor = 1e-9 * float(np.abs(holo.values).sum())
-    peak_bin, ratio = find_peak(
-        spec,
+    out = localize_trials(
+        holo.values[np.newaxis],
+        holo.geometry,
+        bs,
+        zero_pad_factor=zero_pad_factor,
+        disambiguation=disambiguation,
         dc_guard=dc_guard,
         significance_threshold=significance_threshold,
-        min_magnitude=fringe_floor,
-    )
-    plus, minus = candidate_frequencies(bs_freqs, peak_bin, spec.values.shape)
-    candidates: list[AngularLocation | None] = []
-    for freqs in (plus, minus):
-        try:
-            candidates.append(angles_from_frequencies(freqs, geom))
-        except InfeasibleFrequency:
-            candidates.append(None)
-    candidate_1, candidate_2 = candidates
-    if candidate_1 is None and candidate_2 is None:
-        raise AllCandidatesInfeasible(
-            "both twin candidates fall outside the propagating-wave region"
-        )
-    chosen = disambiguate(candidate_1, candidate_2, disambiguation)
-    return LocalizationResult(
-        candidate_1=candidate_1,
-        candidate_2=candidate_2,
-        chosen=chosen,
-        peak_bin=peak_bin,
-        peak_to_median_ratio=ratio,
-    )
+    )[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _dtft2(x: np.ndarray, w_z: np.ndarray, w_x: np.ndarray) -> np.ndarray:

@@ -192,6 +192,73 @@ def _tag_signature(source: Source, geom: ArrayGeometry):
     return ("near_field", *source.position.tolist())
 
 
+def _capture_stack(tag_sources, geom: ArrayGeometry, detector: DetectorModel,
+                   rngs) -> np.ndarray:
+    """Intensities of one tag's sources, one capture per generator.
+
+    Returns shape (T, n_z, n_x) for T generators.  The source fields are
+    computed once; each capture draws from its own generator, jitter scalar
+    first and then the noise matrix, so a capture depends only on its own
+    generator's state.
+    """
+    signatures = {_tag_signature(s, geom) for s in tag_sources}
+    if len(signatures) == 1:
+        warnings.warn(
+            f"tag {tag_sources[0].frequency_tag}: all sources share one spatial "
+            "signature; hologram carries no interference fringes",
+            DegenerateInterference,
+            stacklevel=3,
+        )
+    fields = [complex_field_at_array(s, geom) for s in tag_sources]
+    head = np.zeros(geom.shape, dtype=complex)
+    for fld in fields[:-1]:
+        head += fld
+    jitters = [
+        detector.phase_jitter_std * rng.standard_normal()
+        if detector.phase_jitter_std > 0 else 0.0
+        for rng in rngs
+    ]
+    total = np.empty((len(rngs), *geom.shape), dtype=complex)
+    for t, jitter in enumerate(jitters):
+        last = fields[-1] * np.exp(1j * jitter) if jitter != 0.0 else fields[-1]
+        np.add(head, last, out=total[t])
+    intensity = np.abs(total) ** 2
+    if detector.noise_std > 0:
+        noise = np.empty_like(intensity)
+        for rng, out in zip(rngs, noise):
+            rng.standard_normal(out=out)
+        intensity += detector.noise_std * noise
+    intensity = np.clip(intensity, detector.floor, detector.ceiling)
+    if detector.agc_enabled:
+        peaks = intensity.max(axis=(1, 2))
+        for t in np.flatnonzero(peaks > 0):
+            intensity[t] *= detector.ceiling / peaks[t]
+    return intensity
+
+
+def synthesize_trials(
+    sources,
+    geom: ArrayGeometry,
+    detector: DetectorModel | None,
+    seeds,
+) -> np.ndarray:
+    """Captures of one frequency tag, one per seed, shape (T, n_z, n_x).
+
+    Capture t is bit-identical to the values of
+    synthesize_hologram(sources, geom, detector, seed=seeds[t]).  All
+    sources must share one frequency tag.
+    """
+    if detector is None:
+        detector = DetectorModel.ideal()
+    sources = list(sources)
+    if not sources:
+        raise ValueError("at least one source is required")
+    if len({s.frequency_tag for s in sources}) != 1:
+        raise ValueError("synthesize_trials takes the sources of one frequency tag")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    return _capture_stack(sources, geom, detector, rngs)
+
+
 def synthesize_hologram(
     sources,
     geom: ArrayGeometry,
@@ -204,7 +271,8 @@ def synthesize_hologram(
     then the detector model is applied: Gaussian noise, clamping to
     [floor, ceiling], and optionally AGC rescaling the matrix maximum to the
     ceiling.  When phase_jitter_std > 0 a single Gaussian phase offset is
-    added to the last source of the tag before summation.
+    added to the last source of the tag before summation.  One generator
+    seeded with seed serves the tags in ascending order.
 
     Emits a DegenerateInterference warning for any tag whose sources all
     share one spatial signature (the hologram then carries no fringes).
@@ -221,31 +289,7 @@ def synthesize_hologram(
     holograms = []
     for tag in sorted({s.frequency_tag for s in sources}):
         tag_sources = [s for s in sources if s.frequency_tag == tag]
-        signatures = {_tag_signature(s, geom) for s in tag_sources}
-        if len(signatures) == 1:
-            warnings.warn(
-                f"tag {tag}: all sources share one spatial signature; "
-                "hologram carries no interference fringes",
-                DegenerateInterference,
-                stacklevel=2,
-            )
-        jitter = 0.0
-        if detector.phase_jitter_std > 0:
-            jitter = detector.phase_jitter_std * rng.standard_normal()
-        total = np.zeros(geom.shape, dtype=complex)
-        for i, s in enumerate(tag_sources):
-            fld = complex_field_at_array(s, geom)
-            if i == len(tag_sources) - 1 and jitter != 0.0:
-                fld = fld * np.exp(1j * jitter)
-            total += fld
-        intensity = np.abs(total) ** 2
-        if detector.noise_std > 0:
-            intensity = intensity + detector.noise_std * rng.standard_normal(geom.shape)
-        intensity = np.clip(intensity, detector.floor, detector.ceiling)
-        if detector.agc_enabled:
-            peak = intensity.max()
-            if peak > 0:
-                intensity = intensity * (detector.ceiling / peak)
+        intensity = _capture_stack(tag_sources, geom, detector, [rng])[0]
         holograms.append(Hologram(values=intensity, geometry=geom, frequency_tag=tag))
     return holograms
 
@@ -273,6 +317,19 @@ def write_hologram_csv(path, holo: Hologram) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; FileFormatError at an undecodable line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # The bytes before the first bad one decode; the bad byte sits on the
+        # line a character appended to them would start or continue.
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise FileFormatError(f"not UTF-8 text: {exc.reason}", lineno) from None
+
+
 def _parse_header(lines: list[str], key: str, lineno: int, parse,
                   allow_zero: bool = False):
     """parse() of the value of header line lineno (1-based), '# key=value'.
@@ -298,8 +355,7 @@ def _parse_header(lines: list[str], key: str, lineno: int, parse,
 
 def read_hologram_csv(path) -> Hologram:
     """Parse a v1 hologram file; FileFormatError carries the line number."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != _HOLOGRAM_MAGIC:
         raise FileFormatError(f"missing magic header {_HOLOGRAM_MAGIC!r}", 1)
     f_c_hz = _parse_header(lines, "f_c_hz", 2, int)

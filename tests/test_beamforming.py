@@ -222,6 +222,17 @@ def test_coding_file_header_errors_carry_their_line(tmp_path, lineno, key, bad):
     assert exc.value.line_number == lineno
 
 
+def test_coding_file_undecodable_bytes_carry_their_line(tmp_path):
+    path = tmp_path / "coding.txt"
+    write_coding_file(path, CodingMatrix.all_zero((3, 4)))
+    data = path.read_bytes().split(b"\n")
+    data[4] = b"\xff\xfe00"  # second coding row, line 5
+    path.write_bytes(b"\n".join(data))
+    with pytest.raises(FileFormatError, match="UTF-8") as exc:
+        read_coding_file(path)
+    assert exc.value.line_number == 5
+
+
 def brute_force_pattern(factor, bs, geom, theta_grid_deg, phi_grid_deg):
     """Independent oracle: |sum over elements of incident * factor * outgoing|^2.
 

@@ -152,6 +152,15 @@ def test_simulate_bad_config_exits_2(tmp_path):
     assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "x.csv")]) == 2
 
 
+def test_simulate_oversized_carrier_exits_2(tmp_path, capsys):
+    # an integer JSON literal beyond the float range
+    cfg = write_config(tmp_path, {"geometry": {"f_c_hz": 10**400}})
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
+    assert "geometry.f_c_hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- localize
 
 @pytest.fixture()
@@ -230,6 +239,16 @@ def test_localize_non_finite_intensity_exits_3(tmp_path, fixture_csv, capsys):
     assert main(["localize", str(bad), "--bs", "0,0"]) == 3
     err = capsys.readouterr().err
     assert f"line {data_start + 3}" in err and "non-finite" in err
+
+
+def test_localize_undecodable_bytes_exit_3(tmp_path, fixture_csv, capsys):
+    data = open(fixture_csv, "rb").read().split(b"\n")
+    data[9] = b"\xff\xfe" + data[9]
+    bad = tmp_path / "bytes.csv"
+    bad.write_bytes(b"\n".join(data))
+    capsys.readouterr()
+    assert main(["localize", str(bad), "--bs", "0,0"]) == 3
+    assert "line 10" in capsys.readouterr().err
 
 
 def test_localize_invalid_header_value_exits_3(tmp_path, fixture_csv, capsys):

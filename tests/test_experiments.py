@@ -94,6 +94,44 @@ def test_grid_runs_are_seed_reproducible():
     assert c_stats != a_stats
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_records_match_per_record_oracle(seed):
+    """The stacked grid equals one synthesize_hologram + localize per record."""
+    from holoris.errors import AllCandidatesInfeasible, NoPeak
+    from holoris.geometry import wrap_degrees
+    from holoris.localization import OraclePolicy, localize
+    from holoris.wavefield import Source, synthesize_hologram
+
+    cfg = ExperimentConfig(trials=3, seed=seed, detector=calibrated_detector(),
+                           significance_threshold=CALIBRATED_SIGNIFICANCE_THRESHOLD)
+    want = []
+    pairs = [(bs, ue) for bs in cfg.bs_locations for ue in cfg.ue_locations if bs != ue]
+    for index, (bs, ue) in enumerate(pairs):
+        for trial in range(cfg.trials):
+            capture = int(np.random.SeedSequence([seed, index, trial]).generate_state(1)[0])
+            holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)],
+                                       cfg.geometry, cfg.detector, seed=capture)[0]
+            try:
+                res = localize(holo, bs, zero_pad_factor=cfg.zero_pad_factor,
+                               disambiguation=OraclePolicy(truth=ue), dc_guard=cfg.dc_guard,
+                               significance_threshold=cfg.significance_threshold)
+            except (NoPeak, AllCandidatesInfeasible) as exc:
+                want.append(GridRecord(bs=bs, ue=ue, trial=trial, status=type(exc).__name__))
+                continue
+            err_t = wrap_degrees(res.chosen.theta_deg - ue.theta_deg)
+            err_p = wrap_degrees(res.chosen.phi_deg - ue.phi_deg)
+            want.append(GridRecord(
+                bs=bs, ue=ue, trial=trial, status="ok", estimate=res.chosen,
+                err_theta_deg=err_t, err_phi_deg=err_p,
+                err_total_deg=math.hypot(err_t, err_p), peak_bin=res.peak_bin,
+                peak_to_median_ratio=res.peak_to_median_ratio))
+    _, got = run_localization_grid(cfg)
+    assert len(got) == len(want) == 104 * 3
+    for g, w in zip(got, want):  # by repr: the NaN fields of failures never compare equal
+        assert repr(g) == repr(w)
+    assert {r.status for r in want} == {"ok", "AllCandidatesInfeasible"}
+
+
 def test_calibrated_detector_values():
     det = calibrated_detector()
     assert det.noise_std == CALIBRATED_NOISE_STD == 6.9

@@ -33,18 +33,27 @@ from holoris.localization import (
     SectorPolicy,
     Spectrum,
     _dtft2,
+    _guard_complement,
+    _row_medians,
     candidate_frequencies,
     disambiguate,
     fft2,
     find_peak,
     format_report,
     localize,
+    localize_trials,
     ml_refine,
     multiuser_localize,
     parse_report,
     regulate,
 )
-from holoris.wavefield import DetectorModel, Hologram, Source, synthesize_hologram
+from holoris.wavefield import (
+    DetectorModel,
+    Hologram,
+    Source,
+    synthesize_hologram,
+    synthesize_trials,
+)
 
 GEOM = default_geometry()
 FIXTURE_PHI = 32.367221606087334  # asin((4/32) / (d/lambda)) in degrees
@@ -289,6 +298,140 @@ def test_all_candidates_infeasible():
     holo = Hologram(values=values, geometry=geom)
     with pytest.raises(AllCandidatesInfeasible):
         localize(holo, AngularLocation(0.0, 0.0))
+
+
+# ----------------------------------------------------------- stacked core
+
+def _outcome(fn):
+    """_bits of what fn returns or of the localization error it raises."""
+    try:
+        return _bits(fn())
+    except (NoPeak, AllCandidatesInfeasible, SectorEmpty, SectorAmbiguous) as exc:
+        return _bits(exc)
+
+
+def _bits(res):
+    """A localization result or error, reduced to comparable bits."""
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    return (res.peak_bin, float(res.peak_to_median_ratio).hex(),
+            res.candidate_1, res.candidate_2, res.chosen)
+
+
+def _sparse_panel_stack():
+    """Captures on a sparse panel (d = 0.15 lambda): noisy two-source ones,
+    one constant (NoPeak) and one fringe at half the sampling rate whose
+    twins are both evanescent (AllCandidatesInfeasible)."""
+    lam = 299792458.0 / 3.5e9
+    geom = ArrayGeometry(n_z=32, n_x=32, d_z_m=0.15 * lam, d_x_m=0.15 * lam,
+                         f_c_hz=3_500_000_000)
+    bs = AngularLocation(0.0, 0.0)
+    noisy = synthesize_trials(
+        [Source.far_field(bs), Source.far_field(AngularLocation(20.0, 40.0))],
+        geom, DetectorModel(noise_std=1.0, phase_jitter_std=0.2), range(4))
+    n = np.arange(32)[np.newaxis, :]
+    infeasible = 2.0 + np.cos(n * (math.pi / 2.0)) * np.ones((32, 1))
+    constant = np.full((32, 32), 4.0)
+    return geom, bs, np.concatenate([noisy, constant[None], infeasible[None]])
+
+
+@pytest.mark.parametrize("pad, guard", [(1, 0), (2, 2)])
+@pytest.mark.parametrize("policy", [
+    None,
+    OraclePolicy(truth=AngularLocation(20.0, 40.0)),
+    SectorPolicy(phi_range_deg=(0.0, 89.0)),
+    SectorPolicy(phi_range_deg=(-89.0, 89.0)),
+], ids=["none", "oracle", "sector", "sector-wide"])
+def test_localize_trials_matches_localize(pad, guard, policy):
+    geom, bs, stack = _sparse_panel_stack()
+    kw = dict(zero_pad_factor=pad, disambiguation=policy, dc_guard=guard,
+              significance_threshold=2.0)
+    got = [_bits(r) for r in localize_trials(stack, geom, bs, **kw)]
+    want = [_outcome(lambda: localize(Hologram(values=v, geometry=geom), bs, **kw))
+            for v in stack]
+    assert got == want
+    # the noisy captures localize (or fail the sector), the other two do not
+    kinds = {w[0] if isinstance(w[0], type) else "ok" for w in want}
+    assert {NoPeak, AllCandidatesInfeasible} <= kinds and len(kinds) >= 3
+
+
+def reference_peak(values, pad, guard):
+    """Peak bin and ratio by whole-array numpy: |DFT| of the centered capture
+    (z axis, then x), the maximum over the guarded lower half-spectrum with
+    the first row-major tie, over np.median outside the guard."""
+    n_z, n_x = values.shape
+    spec = np.fft.fft(np.fft.fft(values - values.mean(), n=pad * n_z, axis=0),
+                      n=pad * n_x, axis=1)
+    mags = np.abs(spec)
+    m_z, m_x = mags.shape
+    outside = np.ones(mags.shape, dtype=bool)
+    outside[np.ix_(np.arange(-guard, guard + 1) % m_z, np.arange(-guard, guard + 1) % m_x)] = False
+    search = outside.copy()
+    search[m_z // 2 + 1:] = False
+    allowed = np.where(search, mags, -1.0)
+    peak = allowed.max()
+    k, l = np.unravel_index(np.argmax(allowed >= peak * (1.0 - 1e-12)), mags.shape)
+    return (int(k) + 1, int(l) + 1), float(peak / np.median(mags[outside]))
+
+
+@pytest.mark.parametrize("bs, ue", [
+    (AngularLocation(-15.0, -30.0), AngularLocation(15.0, 60.0)),
+    (AngularLocation(0.0, 0.0), AngularLocation(-15.0, 45.0)),
+    (AngularLocation(0.0, -30.0), AngularLocation(15.0, -60.0)),
+])
+def test_localize_trials_matches_localize_on_calibrated_captures(bs, ue):
+    det = DetectorModel(noise_std=6.9, phase_jitter_std=0.2)
+    srcs = [Source.far_field(bs), Source.far_field(ue)]
+    seeds = list(range(20))
+    kw = dict(zero_pad_factor=2, disambiguation=OraclePolicy(truth=ue), dc_guard=2,
+              significance_threshold=2.0)
+    stack = synthesize_trials(srcs, GEOM, det, seeds)
+    results = localize_trials(stack, GEOM, bs, **kw)
+    want = [_outcome(lambda: localize(synthesize_hologram(srcs, GEOM, det, seed=s)[0],
+                                      bs, **kw))
+            for s in seeds]
+    assert [_bits(r) for r in results] == want
+    for values, res in zip(stack, results):
+        if not isinstance(res, Exception):
+            assert (res.peak_bin, res.peak_to_median_ratio) == reference_peak(values, 2, 2)
+
+
+def test_localize_trials_validation():
+    bs = AngularLocation(0.0, 0.0)
+    good = np.ones((2, 32, 32))
+    assert localize_trials(np.ones((0, 32, 32)), GEOM, bs) == []
+    for bad in (np.ones((32, 32)), np.ones((2, 32, 31)), np.ones((1, 2, 32, 32))):
+        with pytest.raises(ValueError, match="stack"):
+            localize_trials(bad, GEOM, bs)
+    for value, match in ((math.nan, "finite"), (math.inf, "finite"), (-1.0, "non-negative")):
+        stack = good.copy()
+        stack[1, 3, 4] = value
+        with pytest.raises(ValueError, match=match):
+            localize_trials(stack, GEOM, bs)
+    with pytest.raises(ValueError, match="zero_pad_factor"):
+        localize_trials(good, GEOM, bs, zero_pad_factor=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 29, 34, 35])
+def test_row_medians_match_np_median(k):
+    rng = np.random.default_rng(k)
+    rows = np.concatenate([rng.random((6, k)), rng.integers(0, 3, (6, k)).astype(float)])
+    assert _row_medians(rows.copy()).tolist() == np.median(rows, axis=1).tolist()
+
+
+@pytest.mark.parametrize("n_x", [6, 7])  # K = 29 and 34 bins outside the DC bin
+def test_find_peak_ratio_uses_the_exact_median(n_x):
+    geom = ArrayGeometry(n_z=5, n_x=n_x, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    holo = synthesize_hologram(
+        [Source.far_field(AngularLocation(0.0, 0.0)),
+         Source.far_field(AngularLocation(10.0, 25.0))],
+        geom, DetectorModel(noise_std=0.3), seed=3)[0]
+    spec = fft2(holo, remove_mean=True)
+    mags = np.abs(spec.values)
+    outside = _guard_complement(mags.shape, 0)
+    assert outside.sum() == 5 * n_x - 1
+    peak_bin, ratio = find_peak(spec, significance_threshold=0.0)
+    assert ratio == mags[peak_bin[0] - 1, peak_bin[1] - 1] / np.median(mags[outside])
 
 
 # ---------------------------------------------------------------- ml refine

@@ -21,6 +21,7 @@ from holoris.wavefield import (
     complex_field_at_array,
     read_hologram_csv,
     synthesize_hologram,
+    synthesize_trials,
     write_hologram_csv,
 )
 
@@ -147,6 +148,66 @@ def test_noise_is_seed_deterministic():
     c = synthesize_hologram(srcs, GEOM, detector=det, seed=124)[0]
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+def reference_capture(sources, geom, detector, seed):
+    """One capture by the per-capture detector loop: a fresh generator, the
+    jitter scalar drawn before the noise matrix, the jitter applied to the
+    last source only when non-zero, AGC on the capture's own maximum."""
+    rng = np.random.default_rng(seed)
+    jitter = 0.0
+    if detector.phase_jitter_std > 0:
+        jitter = detector.phase_jitter_std * rng.standard_normal()
+    total = np.zeros(geom.shape, dtype=complex)
+    for i, src in enumerate(sources):
+        field = complex_field_at_array(src, geom)
+        if i == len(sources) - 1 and jitter != 0.0:
+            field = field * np.exp(1j * jitter)
+        total += field
+    intensity = np.abs(total) ** 2
+    if detector.noise_std > 0:
+        intensity = intensity + detector.noise_std * rng.standard_normal(geom.shape)
+    intensity = np.clip(intensity, detector.floor, detector.ceiling)
+    if detector.agc_enabled and intensity.max() > 0:
+        intensity = intensity * (detector.ceiling / intensity.max())
+    return intensity
+
+
+@pytest.mark.parametrize("detector", [
+    pytest.param(DetectorModel(), id="ideal"),
+    pytest.param(DetectorModel(noise_std=0.8), id="noise"),
+    pytest.param(DetectorModel(phase_jitter_std=0.3), id="jitter"),
+    pytest.param(DetectorModel(noise_std=6.9, phase_jitter_std=0.2), id="noise-jitter"),
+    pytest.param(DetectorModel(noise_std=0.5, floor=0.2, ceiling=3.0, agc_enabled=True,
+                               phase_jitter_std=0.1), id="agc"),
+])
+@pytest.mark.parametrize("geom", [GEOM, ArrayGeometry(n_z=5, n_x=7, d_z_m=0.02, d_x_m=0.02,
+                                                      f_c_hz=3_500_000_000)],
+                         ids=["32x32", "5x7"])
+def test_synthesize_trials_matches_synthesize_hologram(detector, geom):
+    """Each capture of the stack is bit-identical to a one-seed synthesis
+    and to the per-capture reference loop."""
+    srcs = [Source.far_field(AngularLocation(-15.0, 0.0)),
+            Source.far_field(AngularLocation(7.0, 31.0), amplitude=0.7),
+            Source.near_field((0.2, 1.5, -0.1), phase_rad=0.4)]
+    seeds = [0, 1, 7, 2**40 + 3, 1]
+    stack = synthesize_trials(srcs, geom, detector, seeds)
+    assert stack.shape == (len(seeds), *geom.shape)
+    for capture, seed in zip(stack, seeds):
+        one = synthesize_hologram(srcs, geom, detector=detector, seed=seed)[0]
+        assert capture.tobytes() == one.values.tobytes()
+        assert capture.tobytes() == reference_capture(srcs, geom, detector, seed).tobytes()
+
+
+def test_synthesize_trials_validation():
+    pair = [Source.far_field(AngularLocation(0.0, 0.0)),
+            Source.far_field(AngularLocation(0.0, 30.0))]
+    other_tag = Source.far_field(AngularLocation(5.0, 5.0), frequency_tag=1)
+    with pytest.raises(ValueError, match="one frequency tag"):
+        synthesize_trials(pair + [other_tag], GEOM, None, [0])
+    assert synthesize_trials(pair, GEOM, None, []).shape == (0, *GEOM.shape)
+    with pytest.raises(ValueError, match="source"):
+        synthesize_trials([], GEOM, None, [0])
 
 
 def test_frequency_tags_do_not_interfere():
@@ -295,6 +356,17 @@ def test_hologram_csv_header_errors_carry_their_line(tmp_path, lineno, key, bad)
         read_hologram_csv(path)
     assert exc.value.line_number == lineno
     assert str(exc.value).startswith(f"line {lineno}: ")
+
+
+def test_hologram_csv_undecodable_bytes_carry_their_line(tmp_path):
+    lines = write_fixture_csv(tmp_path)
+    data = [line.encode() for line in lines]
+    data[11] = b"1.0,\xff\xfe" + data[11][4:]  # fifth data row, line 12
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"\r\n".join(data) + b"\r\n")
+    with pytest.raises(FileFormatError, match="UTF-8") as exc:
+        read_hologram_csv(path)
+    assert exc.value.line_number == 12
 
 
 def test_hologram_csv_truncated_header(tmp_path):
