@@ -24,7 +24,12 @@ from .geometry import (
     unit_direction,
 )
 from .localization import _dtft2
-from .wavefield import Source, _parse_header, _read_lines, complex_field_at_array
+from .wavefield import (
+    Source,
+    _read_matrix_file,
+    _write_matrix_file,
+    complex_field_at_array,
+)
 
 _CODING_MAGIC = "# holoris-coding v1"
 
@@ -267,40 +272,20 @@ def link_gain(
 def write_coding_file(path, coding: CodingMatrix) -> None:
     """Write a coding matrix in the v1 format: header plus 0/1 rows."""
     n_z, n_x = coding.states.shape
-    lines = [_CODING_MAGIC, f"# n_x={n_x}", f"# n_z={n_z}"]
-    for row in coding.states:
-        lines.append("".join(str(int(s)) for s in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ("".join(str(int(s)) for s in row) for row in coding.states)
+    _write_matrix_file(path, _CODING_MAGIC, (("n_x", n_x), ("n_z", n_z)), rows)
 
 
 def read_coding_file(path) -> CodingMatrix:
     """Parse a v1 coding file; FileFormatError carries the line number."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != _CODING_MAGIC:
-        raise FileFormatError(f"missing magic header {_CODING_MAGIC!r}", 1)
-    n_x = _parse_header(lines, "n_x", 2, int)
-    n_z = _parse_header(lines, "n_z", 3, int)
-    rows = lines[3:]
-    if len(rows) != n_z:
-        raise FileFormatError(f"expected {n_z} rows, found {len(rows)}", len(lines))
-    for lineno, row in enumerate(rows, start=4):
+    header, numbered_rows = _read_matrix_file(
+        path, _CODING_MAGIC, (("n_x", int), ("n_z", int))
+    )
+    n_x = header["n_x"]
+    for lineno, row in numbered_rows:
         if len(row) != n_x or any(c not in "01" for c in row):
             raise FileFormatError(
                 f"expected {n_x} characters of 0/1, got {row!r}", lineno
             )
-    states = np.array([[int(c) for c in row] for row in rows], dtype=np.int8)
+    states = np.array([[int(c) for c in row] for _, row in numbered_rows], dtype=np.int8)
     return CodingMatrix(states=states)
-
-
-def write_pattern_csv(path, result: PatternResult) -> None:
-    """Flatten a pattern to CSV rows theta_deg,phi_deg,power_db."""
-    with open(path, "w") as fh:
-        fh.write("theta_deg,phi_deg,power_db\n")
-        with np.errstate(divide="ignore"):
-            power_db = 10.0 * np.log10(result.power)
-        for i, th in enumerate(result.theta_deg):
-            for j, ph in enumerate(result.phi_deg):
-                fh.write(
-                    f"{float(th)!r},{float(ph)!r},{float(power_db[i, j])!r}\n"
-                )

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .geometry import AngularLocation, ArrayGeometry, default_geometry
+from .geometry import AngularLocation, ArrayGeometry
 from .wavefield import DetectorModel, Source
 
 
@@ -218,12 +218,15 @@ def _parse_localization(section: dict) -> LocalizationSettings:
         {"zero_pad_factor", "dc_guard", "significance_threshold"},
         "localization",
     )
+    defaults = LocalizationSettings()
     return LocalizationSettings(
-        zero_pad_factor=_get_int(section, "zero_pad_factor", 2, "localization",
-                                 minimum=1),
-        dc_guard=_get_int(section, "dc_guard", 2, "localization", minimum=0),
-        significance_threshold=_get_number(section, "significance_threshold", 6.0,
-                                           "localization", minimum=0.0),
+        zero_pad_factor=_get_int(section, "zero_pad_factor", defaults.zero_pad_factor,
+                                 "localization", minimum=1),
+        dc_guard=_get_int(section, "dc_guard", defaults.dc_guard, "localization",
+                          minimum=0),
+        significance_threshold=_get_number(
+            section, "significance_threshold", defaults.significance_threshold,
+            "localization", minimum=0.0),
     )
 
 

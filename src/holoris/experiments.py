@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamforming import (
-    CodingMatrix,
     farfield_phase_profile,
     link_gain,
     quantize_1bit,
     write_coding_file,
 )
-from .errors import AllCandidatesInfeasible, NoPeak
+from .errors import AllCandidatesInfeasible, DegenerateInterference, NoPeak
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
@@ -35,14 +34,13 @@ from .localization import (
     OraclePolicy,
     fft2,
     format_report,
-    localize,
     localize_trials,
 )
 from .wavefield import (
     DetectorModel,
     Hologram,
     Source,
-    synthesize_hologram,
+    _write_matrix_file,
     synthesize_trials,
     write_hologram_csv,
 )
@@ -182,14 +180,28 @@ def _derive_seed(master: int, config_index: int, trial: int) -> int:
     )
 
 
-def _pair_hologram(
-    bs: AngularLocation,
-    ue: AngularLocation,
-    cfg: ExperimentConfig,
-    seed: int,
-) -> Hologram:
-    sources = [Source.far_field(bs), Source.far_field(ue)]
-    return synthesize_hologram(sources, cfg.geometry, cfg.detector, seed=seed)[0]
+def _localize_pair(cfg: ExperimentConfig, bs: AngularLocation, ue: AngularLocation,
+                   seeds) -> tuple:
+    """Capture the BS/UE pair once per seed and localize the captures.
+
+    The captures are synthesized and localized as one stack with the
+    configured spectral settings and the per-record oracle policy.  Returns
+    (captures, outcomes): the (T, n_z, n_x) stack and, per capture, its
+    LocalizationResult or localization error.
+    """
+    captures = synthesize_trials(
+        [Source.far_field(bs), Source.far_field(ue)], cfg.geometry, cfg.detector, seeds
+    )
+    outcomes = localize_trials(
+        captures,
+        cfg.geometry,
+        bs,
+        zero_pad_factor=cfg.zero_pad_factor,
+        disambiguation=OraclePolicy(truth=ue),
+        dc_guard=cfg.dc_guard,
+        significance_threshold=cfg.significance_threshold,
+    )
+    return captures, outcomes
 
 
 def run_localization_grid(cfg: ExperimentConfig):
@@ -208,21 +220,7 @@ def run_localization_grid(cfg: ExperimentConfig):
             if _coincident(bs, ue):
                 continue
             seeds = [_derive_seed(cfg.seed, config_index, t) for t in range(cfg.trials)]
-            captures = synthesize_trials(
-                [Source.far_field(bs), Source.far_field(ue)],
-                cfg.geometry,
-                cfg.detector,
-                seeds,
-            )
-            outcomes = localize_trials(
-                captures,
-                cfg.geometry,
-                bs,
-                zero_pad_factor=cfg.zero_pad_factor,
-                disambiguation=OraclePolicy(truth=ue),
-                dc_guard=cfg.dc_guard,
-                significance_threshold=cfg.significance_threshold,
-            )
+            _, outcomes = _localize_pair(cfg, bs, ue, seeds)
             for trial, result in enumerate(outcomes):
                 if isinstance(result, (NoPeak, AllCandidatesInfeasible)):
                     records.append(
@@ -282,21 +280,11 @@ def gain_sweep(cfg: ExperimentConfig, phi_range_deg) -> list[SweepPoint]:
     points = []
     for index, phi in enumerate(phi_range_deg):
         ue = AngularLocation(0.0, float(phi))
-        seed = _derive_seed(cfg.seed, index, 0)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            holo = _pair_hologram(bs, ue, cfg, seed)
-        try:
-            result = localize(
-                holo,
-                bs,
-                zero_pad_factor=cfg.zero_pad_factor,
-                disambiguation=OraclePolicy(truth=ue),
-                dc_guard=cfg.dc_guard,
-                significance_threshold=cfg.significance_threshold,
-            )
-        except (NoPeak, AllCandidatesInfeasible) as exc:
-            points.append(SweepPoint(phi_deg=float(phi), status=type(exc).__name__))
+            warnings.simplefilter("ignore", DegenerateInterference)
+            _, (result,) = _localize_pair(cfg, bs, ue, [_derive_seed(cfg.seed, index, 0)])
+        if isinstance(result, (NoPeak, AllCandidatesInfeasible)):
+            points.append(SweepPoint(phi_deg=float(phi), status=type(result).__name__))
             continue
         est = result.chosen
         coding = quantize_1bit(farfield_phase_profile(bs, est, cfg.geometry))
@@ -392,18 +380,11 @@ def showcase_samples() -> tuple:
 
 def write_spectrum_csv(path, holo: Hologram, zero_pad_factor: int = 1) -> None:
     """Spectrum magnitudes as CSV with a small descriptive header."""
-    spec = fft2(holo, zero_pad_factor=zero_pad_factor)
-    mags = np.abs(spec.values)
-    lines = [
-        _SPECTRUM_MAGIC,
-        f"# n_z={mags.shape[0]}",
-        f"# n_x={mags.shape[1]}",
-        f"# zero_pad_factor={zero_pad_factor}",
-    ]
-    for row in mags:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    mags = np.abs(fft2(holo, zero_pad_factor=zero_pad_factor).values)
+    header = (("n_z", mags.shape[0]), ("n_x", mags.shape[1]),
+              ("zero_pad_factor", zero_pad_factor))
+    rows = (",".join(repr(float(v)) for v in row) for row in mags)
+    _write_matrix_file(path, _SPECTRUM_MAGIC, header, rows)
 
 
 def showcase_three_samples(cfg: ExperimentConfig, out_dir) -> list[ShowcaseSample]:
@@ -419,16 +400,12 @@ def showcase_three_samples(cfg: ExperimentConfig, out_dir) -> list[ShowcaseSampl
     out.mkdir(parents=True, exist_ok=True)
     samples = []
     for index, (bs, ue) in enumerate(showcase_samples(), start=1):
-        seed = _derive_seed(cfg.seed, 1000 + index, 0)
-        holo = _pair_hologram(bs, ue, cfg, seed)
-        result = localize(
-            holo,
-            bs,
-            zero_pad_factor=cfg.zero_pad_factor,
-            disambiguation=OraclePolicy(truth=ue),
-            dc_guard=cfg.dc_guard,
-            significance_threshold=cfg.significance_threshold,
+        captures, (result,) = _localize_pair(
+            cfg, bs, ue, [_derive_seed(cfg.seed, 1000 + index, 0)]
         )
+        if isinstance(result, Exception):
+            raise result
+        holo = Hologram(values=captures[0], geometry=cfg.geometry)
         est = result.chosen
         coding = quantize_1bit(farfield_phase_profile(bs, est, cfg.geometry))
         gain = link_gain(coding, None, Source.far_field(bs), ue, cfg.geometry)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from .geometry import (
     angular_distance_deg,
     spatial_frequencies,
 )
-from .wavefield import Hologram
+from .wavefield import Hologram, _intensity_sums
 
 # Bins whose magnitude is within this relative margin of the maximum are
 # treated as tied, so conjugate-symmetric near-ties resolve to the
@@ -182,6 +183,10 @@ def _peaks(mags: np.ndarray, dc_guard: int, significance_threshold: float,
 
     Returns per spectrum ((i_z, i_x), ratio) or the NoPeak it raises.
     """
+    if dc_guard < 0:
+        raise ValueError("dc_guard must be a non-negative integer")
+    if not significance_threshold >= 0:
+        raise ValueError("significance_threshold must be a number >= 0")
     n, m_z, m_x = mags.shape
     outside, search = _peak_plan((m_z, m_x), dc_guard)
     if not search.size:
@@ -299,11 +304,11 @@ def localize_trials(
     """Localize every capture of a (T, n_z, n_x) intensity stack.
 
     All captures share the geometry, the reference and the policy.  The
-    stack is validated once (finite, non-negative, trailing shape
-    geom.shape) and transformed with one FFT call per axis.  Returns, in
-    stack order, one LocalizationResult per capture, or the localization
-    error (NoPeak, AllCandidatesInfeasible, SectorEmpty, SectorAmbiguous)
-    localize would raise on it.
+    stack is validated once (finite, non-negative, a finite sum per capture,
+    trailing shape geom.shape) and transformed with one FFT call per axis.
+    Returns, in stack order, one LocalizationResult per capture, or the
+    localization error (NoPeak, AllCandidatesInfeasible, SectorEmpty,
+    SectorAmbiguous) localize would raise on it.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 3 or values.shape[1:] != geom.shape:
@@ -311,17 +316,13 @@ def localize_trials(
             f"expected a (T, {geom.n_z}, {geom.n_x}) stack of captures, "
             f"got shape {values.shape}"
         )
-    if not np.all(np.isfinite(values)):
-        raise ValueError("hologram intensities must be finite")
-    if np.any(values < 0):
-        raise ValueError("hologram intensities must be non-negative")
+    totals = _intensity_sums(values)
     bs_freqs = spatial_frequencies(bs, geom)
     mags = np.abs(_transform(values, zero_pad_factor, remove_mean=True))
     # Fringe contrast below ~1e-9 of the total captured power is rounding
     # residue (a constant hologram is constant only to the last ulp), not
     # an interference pattern.
-    fringe_floors = (1e-9 * values.sum(axis=(1, 2))).tolist()
-    peaks = _peaks(mags, dc_guard, significance_threshold, fringe_floors)
+    peaks = _peaks(mags, dc_guard, significance_threshold, (1e-9 * totals).tolist())
     out: list = []
     for peak in peaks:
         if isinstance(peak, NoPeak):
@@ -491,29 +492,35 @@ def multiuser_localize(
 ) -> dict:
     """Localize one user per frequency tag, isolating per-tag failures.
 
-    holograms: mapping tag -> Hologram or a sequence of Holograms.  Returns
-    a dict mapping each tag to its LocalizationResult, or to the raised
-    localization error for tags that fail; one degenerate tag never
-    affects the others.
+    holograms: a mapping tag -> Hologram, or a sequence of Holograms keyed
+    by their frequency_tag.  Each tag appears once and every hologram has
+    one geometry (ValueError otherwise); the captures are localized as one
+    stack.  Returns a dict, in ascending tag order, mapping each tag to its
+    LocalizationResult or to the localization error localize would raise
+    on it; one degenerate tag never affects the others.
     """
-    if isinstance(holograms, dict):
-        items = sorted(holograms.items())
+    if isinstance(holograms, Mapping):
+        items = list(holograms.items())
     else:
-        items = sorted((h.frequency_tag, h) for h in holograms)
-    out = {}
-    for tag, holo in items:
-        try:
-            out[tag] = localize(
-                holo,
-                bs,
-                zero_pad_factor=zero_pad_factor,
-                disambiguation=disambiguation,
-                dc_guard=dc_guard,
-                significance_threshold=significance_threshold,
-            )
-        except (NoPeak, AllCandidatesInfeasible, SectorEmpty, SectorAmbiguous) as exc:
-            out[tag] = exc
-    return out
+        items = [(h.frequency_tag, h) for h in holograms]
+    if len({tag for tag, _ in items}) != len(items):
+        raise ValueError("multiuser_localize takes one hologram per frequency tag")
+    if not items:
+        return {}
+    items.sort(key=lambda item: item[0])
+    geometries = {h.geometry for _, h in items}
+    if len(geometries) != 1:
+        raise ValueError("multiuser_localize takes holograms of one geometry")
+    outcomes = localize_trials(
+        np.stack([h.values for _, h in items]),
+        geometries.pop(),
+        bs,
+        zero_pad_factor=zero_pad_factor,
+        disambiguation=disambiguation,
+        dc_guard=dc_guard,
+        significance_threshold=significance_threshold,
+    )
+    return {tag: outcome for (tag, _), outcome in zip(items, outcomes)}
 
 
 def _fmt_angle(loc: AngularLocation | None, axis: str) -> str:
@@ -536,25 +543,3 @@ def format_report(result: LocalizationResult) -> str:
     lines.append(f"peak_bin_x={result.peak_bin[1]}")
     lines.append(f"peak_to_median_ratio={repr(float(result.peak_to_median_ratio))}")
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str) -> dict:
-    """Parse a key=value localization report back into a dict.
-
-    Angle and ratio values come back as float or None; peak bins as int.
-    """
-    out = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        if not _:
-            raise ValueError(f"malformed report line {raw!r}")
-        if value == "none":
-            out[key] = None
-        elif key.startswith("peak_bin"):
-            out[key] = int(value)
-        else:
-            out[key] = float(value)
-    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,11 +149,26 @@ class Hologram:
                 f"values shape {values.shape} does not match geometry "
                 f"{self.geometry.shape}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("hologram intensities must be finite")
-        if np.any(values < 0):
-            raise ValueError("hologram intensities must be non-negative")
+        _intensity_sums(values)
         object.__setattr__(self, "values", values)
+
+
+def _intensity_sums(values: np.ndarray) -> np.ndarray:
+    """The sum of each trailing (n_z, n_x) capture of values.
+
+    Raises ValueError unless every intensity is finite and non-negative and
+    every sum is finite (finite intensities can still sum beyond the float
+    range, and the spectral analysis takes each capture's mean).
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError("hologram intensities must be finite")
+    if np.any(values < 0):
+        raise ValueError("hologram intensities must be non-negative")
+    with np.errstate(over="ignore"):
+        sums = values.sum(axis=(-2, -1))
+    if not np.all(np.isfinite(sums)):
+        raise ValueError("hologram intensity sum overflows the float range")
+    return sums
 
 
 def complex_field_at_array(source: Source, geom: ArrayGeometry) -> np.ndarray:
@@ -294,6 +309,17 @@ def synthesize_hologram(
     return holograms
 
 
+def _write_matrix_file(path, magic: str, header_pairs, rows) -> None:
+    """Write the magic line, one '# key=value' line per pair, then the rows.
+
+    The holoris text formats (hologram CSV, coding file, spectrum CSV) all
+    share this layout; rows are the already formatted data lines.
+    """
+    lines = [magic, *(f"# {key}={value}" for key, value in header_pairs), *rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_hologram_csv(path, holo: Hologram) -> None:
     """Write a hologram in the v1 interchange format.
 
@@ -302,19 +328,16 @@ def write_hologram_csv(path, holo: Hologram) -> None:
     index along z.
     """
     geom = holo.geometry
-    lines = [
-        _HOLOGRAM_MAGIC,
-        f"# f_c_hz={geom.f_c_hz}",
-        f"# d_x_m={float(geom.d_x_m)!r}",
-        f"# d_z_m={float(geom.d_z_m)!r}",
-        f"# n_x={geom.n_x}",
-        f"# n_z={geom.n_z}",
-        f"# frequency_tag={holo.frequency_tag}",
-    ]
-    for row in holo.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = (
+        ("f_c_hz", geom.f_c_hz),
+        ("d_x_m", float(geom.d_x_m)),
+        ("d_z_m", float(geom.d_z_m)),
+        ("n_x", geom.n_x),
+        ("n_z", geom.n_z),
+        ("frequency_tag", holo.frequency_tag),
+    )
+    rows = (",".join(repr(float(v)) for v in row) for row in holo.values)
+    _write_matrix_file(path, _HOLOGRAM_MAGIC, header, rows)
 
 
 def _read_lines(path) -> list[str]:
@@ -353,24 +376,43 @@ def _parse_header(lines: list[str], key: str, lineno: int, parse,
     return value
 
 
+def _read_matrix_file(path, magic: str, fields, allow_zero=()):
+    """Read a file written by _write_matrix_file: (header, numbered_rows).
+
+    fields lists the header's (key, parse) pairs in file order; each value
+    must be finite and > 0, or >= 0 for the keys in allow_zero.  The header
+    must hold n_z, and n_z data lines must follow it.  numbered_rows pairs
+    each data line with its 1-based line number.  Every error is a
+    FileFormatError carrying the offending line.
+    """
+    lines = _read_lines(path)
+    if not lines or lines[0] != magic:
+        raise FileFormatError(f"missing magic header {magic!r}", 1)
+    header = {
+        key: _parse_header(lines, key, lineno, parse, allow_zero=key in allow_zero)
+        for lineno, (key, parse) in enumerate(fields, start=2)
+    }
+    data = lines[len(fields) + 1:]
+    if len(data) != header["n_z"]:
+        raise FileFormatError(
+            f"expected {header['n_z']} data rows, found {len(data)}", len(lines)
+        )
+    return header, list(enumerate(data, start=len(fields) + 2))
+
+
 def read_hologram_csv(path) -> Hologram:
     """Parse a v1 hologram file; FileFormatError carries the line number."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != _HOLOGRAM_MAGIC:
-        raise FileFormatError(f"missing magic header {_HOLOGRAM_MAGIC!r}", 1)
-    f_c_hz = _parse_header(lines, "f_c_hz", 2, int)
-    d_x_m = _parse_header(lines, "d_x_m", 3, float)
-    d_z_m = _parse_header(lines, "d_z_m", 4, float)
-    n_x = _parse_header(lines, "n_x", 5, int)
-    n_z = _parse_header(lines, "n_z", 6, int)
-    tag = _parse_header(lines, "frequency_tag", 7, int, allow_zero=True)
-    data_lines = lines[7:]
-    if len(data_lines) != n_z:
-        raise FileFormatError(
-            f"expected {n_z} data rows, found {len(data_lines)}", len(lines)
-        )
+    header, numbered_rows = _read_matrix_file(
+        path,
+        _HOLOGRAM_MAGIC,
+        (("f_c_hz", int), ("d_x_m", float), ("d_z_m", float), ("n_x", int),
+         ("n_z", int), ("frequency_tag", int)),
+        allow_zero=("frequency_tag",),
+    )
+    n_x = header["n_x"]
     rows = []
-    for lineno, line in enumerate(data_lines, start=8):
+    total = 0.0
+    for lineno, line in numbered_rows:
         parts = line.split(",")
         if len(parts) != n_x:
             raise FileFormatError(
@@ -384,6 +426,11 @@ def read_hologram_csv(path) -> Hologram:
             raise FileFormatError("non-finite intensity", lineno)
         if any(v < 0 for v in row):
             raise FileFormatError("negative intensity", lineno)
+        total += sum(row)
+        if not math.isfinite(total):
+            raise FileFormatError("intensity sum overflows the float range", lineno)
         rows.append(row)
-    geom = ArrayGeometry(n_z=n_z, n_x=n_x, d_z_m=d_z_m, d_x_m=d_x_m, f_c_hz=f_c_hz)
-    return Hologram(values=np.array(rows), geometry=geom, frequency_tag=tag)
+    geom = ArrayGeometry(n_z=header["n_z"], n_x=n_x, d_z_m=header["d_z_m"],
+                         d_x_m=header["d_x_m"], f_c_hz=header["f_c_hz"])
+    return Hologram(values=np.array(rows), geometry=geom,
+                    frequency_tag=header["frequency_tag"])

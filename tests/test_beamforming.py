@@ -24,7 +24,6 @@ from holoris.beamforming import (
     read_coding_file,
     received_power,
     write_coding_file,
-    write_pattern_csv,
 )
 from holoris.wavefield import Source
 
@@ -275,20 +274,6 @@ def test_pattern_matches_per_element_field_sum(theta_grid):
         assert np.max(np.abs(res.power - own)) <= 1e-12 * np.max(own)
         i, j = np.unravel_index(int(np.argmax(own)), own.shape)
         assert (res.peak.theta_deg, res.peak.phi_deg) == (theta_grid[i], phi_grid[j])
-
-
-def test_pattern_csv_writes_grid(tmp_path):
-    coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
-    res = pattern(coding, Source.far_field(BS), GEOM,
-                  theta_grid_deg=[0.0], phi_grid_deg=np.arange(-60.0, 61.0, 5.0))
-    path = tmp_path / "pattern.csv"
-    write_pattern_csv(path, res)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "theta_deg,phi_deg,power_db"
-    assert len(lines) == 1 + 25  # header plus one row per grid direction
-    theta, phi, power_db = lines[1].split(",")
-    assert float(theta) == 0.0 and float(phi) == -60.0
-    assert math.isfinite(float(power_db))
 
 
 def test_coding_matrix_validation():

@@ -6,6 +6,7 @@ disambiguation failures.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ def test_localize_no_peak_exits_4(tmp_path):
 
 def test_localize_io_errors_exit_3(tmp_path, fixture_csv, capsys):
     assert main(["localize", str(tmp_path / "nope.csv"), "--bs", "0,0"]) == 3
-    lines = open(fixture_csv).read().splitlines()
+    lines = Path(fixture_csv).read_text().splitlines()
     data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     lines[data_start] = "1.0,2.0"
     bad = tmp_path / "corrupt.csv"
@@ -228,7 +229,7 @@ def test_localize_io_errors_exit_3(tmp_path, fixture_csv, capsys):
 
 
 def test_localize_non_finite_intensity_exits_3(tmp_path, fixture_csv, capsys):
-    lines = open(fixture_csv).read().splitlines()
+    lines = Path(fixture_csv).read_text().splitlines()
     data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     cells = lines[data_start + 2].split(",")
     cells[0] = "nan"
@@ -242,7 +243,7 @@ def test_localize_non_finite_intensity_exits_3(tmp_path, fixture_csv, capsys):
 
 
 def test_localize_undecodable_bytes_exit_3(tmp_path, fixture_csv, capsys):
-    data = open(fixture_csv, "rb").read().split(b"\n")
+    data = Path(fixture_csv).read_bytes().split(b"\n")
     data[9] = b"\xff\xfe" + data[9]
     bad = tmp_path / "bytes.csv"
     bad.write_bytes(b"\n".join(data))
@@ -252,7 +253,7 @@ def test_localize_undecodable_bytes_exit_3(tmp_path, fixture_csv, capsys):
 
 
 def test_localize_invalid_header_value_exits_3(tmp_path, fixture_csv, capsys):
-    lines = open(fixture_csv).read().splitlines()
+    lines = Path(fixture_csv).read_text().splitlines()
     assert lines[2].startswith("# d_x_m=")
     lines[2] = "# d_x_m=-0.02"
     bad = tmp_path / "pitch.csv"
@@ -260,6 +261,32 @@ def test_localize_invalid_header_value_exits_3(tmp_path, fixture_csv, capsys):
     capsys.readouterr()
     assert main(["localize", str(bad), "--bs", "0,0"]) == 3
     assert "line 3: d_x_m must be finite and > 0" in capsys.readouterr().err
+
+
+def test_localize_overflowing_intensity_sum_exits_3(tmp_path, fixture_csv, capsys):
+    # Each row of 32 values 1e306 sums to 3.2e307; the sixth row takes the
+    # running sum past the float range, on line 7 header lines + 6.
+    lines = Path(fixture_csv).read_text().splitlines()
+    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    assert data_start == 7
+    lines[data_start:] = [",".join(["1e306"] * 32)] * 32
+    bad = tmp_path / "huge.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["localize", str(bad), "--bs", "0,0"]) == 3
+    assert "line 13: intensity sum overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--dc-guard", "-1"),
+    ("--dc-guard", "-40"),
+    ("--significance-threshold", "nan"),
+    ("--significance-threshold", "-3"),
+])
+def test_localize_invalid_peak_parameters_exit_2(fixture_csv, capsys, flag, value):
+    capsys.readouterr()
+    assert main(["localize", fixture_csv, "--bs", "0,0", f"{flag}={value}"]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- codegen

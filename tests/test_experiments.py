@@ -132,6 +132,35 @@ def test_grid_records_match_per_record_oracle(seed):
     assert {r.status for r in want} == {"ok", "AllCandidatesInfeasible"}
 
 
+def test_gain_sweep_matches_per_azimuth_localize():
+    """gain_sweep equals one synthesize_hologram + localize per azimuth."""
+    from holoris.errors import AllCandidatesInfeasible, NoPeak
+    from holoris.localization import OraclePolicy, localize
+    from holoris.wavefield import Source, synthesize_hologram
+
+    cfg = ExperimentConfig(seed=4, detector=calibrated_detector(),
+                           significance_threshold=CALIBRATED_SIGNIFICANCE_THRESHOLD)
+    phis = tuple(float(p) for p in range(-60, 61, 15))
+    bs = cfg.bs_locations[0]
+    want = []
+    for index, phi in enumerate(phis):
+        ue = AngularLocation(0.0, phi)
+        seed = int(np.random.SeedSequence([cfg.seed, index, 0]).generate_state(1)[0])
+        holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)],
+                                   cfg.geometry, cfg.detector, seed=seed)[0]
+        try:
+            res = localize(holo, bs, zero_pad_factor=cfg.zero_pad_factor,
+                           disambiguation=OraclePolicy(truth=ue), dc_guard=cfg.dc_guard,
+                           significance_threshold=cfg.significance_threshold)
+        except (NoPeak, AllCandidatesInfeasible) as exc:
+            want.append((phi, type(exc).__name__, None))
+            continue
+        want.append((phi, "ok", res.chosen))
+    points = gain_sweep(cfg, phis)
+    assert [(p.phi_deg, p.status, p.estimate) for p in points] == want
+    assert sum(p.status == "ok" for p in points) >= 6
+
+
 def test_calibrated_detector_values():
     det = calibrated_detector()
     assert det.noise_std == CALIBRATED_NOISE_STD == 6.9

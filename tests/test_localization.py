@@ -44,7 +44,6 @@ from holoris.localization import (
     localize_trials,
     ml_refine,
     multiuser_localize,
-    parse_report,
     regulate,
 )
 from holoris.wavefield import (
@@ -412,6 +411,21 @@ def test_localize_trials_validation():
         localize_trials(good, GEOM, bs, zero_pad_factor=0)
 
 
+def test_overflowing_sums_and_bad_peak_parameters_are_rejected():
+    bs = AngularLocation(0.0, 0.0)
+    good = np.ones((2, 32, 32))
+    # finite intensities whose sum is not: the capture mean would overflow
+    with pytest.raises(ValueError, match="sum overflows"):
+        localize_trials(np.full((2, 32, 32), 1e306), GEOM, bs)
+    for kw, match in (({"dc_guard": -1}, "dc_guard"),
+                      ({"significance_threshold": math.nan}, "significance_threshold"),
+                      ({"significance_threshold": -3.0}, "significance_threshold")):
+        with pytest.raises(ValueError, match=match):
+            localize_trials(good, GEOM, bs, **kw)
+        with pytest.raises(ValueError, match=match):
+            find_peak(fft2(fixture_hologram()), **kw)
+
+
 @pytest.mark.parametrize("k", [1, 2, 29, 34, 35])
 def test_row_medians_match_np_median(k):
     rng = np.random.default_rng(k)
@@ -554,24 +568,80 @@ def test_multiuser_isolates_failing_tag():
     assert out[0].peak_bin == solo.peak_bin
 
 
+def _tagged_holograms():
+    """Four tags against a broadside reference on a noisy detector; tag 2
+    carries the reference twice and has no fringe."""
+    bs = AngularLocation(0.0, 0.0)
+    users = (AngularLocation(10.0, 25.0), AngularLocation(-12.0, -40.0), bs,
+             AngularLocation(14.0, 55.0))
+    sources = [src for tag, ue in enumerate(users)
+               for src in (Source.far_field(bs, frequency_tag=tag),
+                           Source.far_field(ue, frequency_tag=tag))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInterference)
+        holos = synthesize_hologram(sources, GEOM, DetectorModel(noise_std=0.2), seed=3)
+    return bs, holos
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    dict(zero_pad_factor=2, dc_guard=2,
+         disambiguation=SectorPolicy(phi_range_deg=(0.0, 89.0))),
+], ids=["raw", "padded-sector"])
+def test_multiuser_localize_matches_localize(kw):
+    bs, holos = _tagged_holograms()
+    want = [_outcome(lambda: localize(h, bs, **kw)) for h in holos]
+    assert [isinstance(w[0], type) for w in want] == [False, False, True, False]
+    assert want[2][0] is NoPeak
+    got = multiuser_localize(list(reversed(holos)), bs, **kw)
+    assert list(got) == [0, 1, 2, 3]
+    assert [_bits(r) for r in got.values()] == want
+    # a mapping keeps its own keys as tags, in ascending order
+    keyed = multiuser_localize({40 - 10 * h.frequency_tag: h for h in holos}, bs, **kw)
+    assert list(keyed) == [10, 20, 30, 40]
+    assert [_bits(r) for r in keyed.values()] == want[::-1]
+
+
+def test_multiuser_localize_validation():
+    bs, holos = _tagged_holograms()
+    assert multiuser_localize([], bs) == {}
+    retagged = Hologram(values=holos[1].values, geometry=GEOM, frequency_tag=0)
+    for repeated in ([holos[0], retagged], [holos[0], holos[0]]):
+        with pytest.raises(ValueError, match="one hologram per frequency tag"):
+            multiuser_localize(repeated, bs)
+    pitch = ArrayGeometry(n_z=32, n_x=32, d_z_m=0.02, d_x_m=0.015,
+                          f_c_hz=GEOM.f_c_hz)
+    other = Hologram(values=holos[1].values, geometry=pitch, frequency_tag=1)
+    for mixed in ([holos[0], other], {0: holos[0], 1: other}):
+        with pytest.raises(ValueError, match="one geometry"):
+            multiuser_localize(mixed, bs)
+
+
 # ------------------------------------------------------------------- report
+
+def _report_fields(text):
+    return dict(line.split("=", 1) for line in text.splitlines())
+
 
 def test_report_round_trip():
     res = localize(fixture_hologram(), AngularLocation(0.0, 0.0),
                    disambiguation=SectorPolicy(phi_range_deg=(0.0, 90.0)))
     text = format_report(res)
     assert text.endswith("\n")
-    fields = parse_report(text)
-    assert fields["candidate_1_phi_deg"] == res.candidate_1.phi_deg
-    assert fields["chosen_phi_deg"] == res.chosen.phi_deg
-    assert fields["peak_bin_z"] == 1 and fields["peak_bin_x"] == 5
-    assert math.isinf(fields["peak_to_median_ratio"])
+    fields = _report_fields(text)
+    assert list(fields) == [
+        f"{name}_{axis}_deg" for name in ("candidate_1", "candidate_2", "chosen")
+        for axis in ("theta", "phi")
+    ] + ["peak_bin_z", "peak_bin_x", "peak_to_median_ratio"]
+    assert float(fields["candidate_1_phi_deg"]) == res.candidate_1.phi_deg
+    assert float(fields["chosen_phi_deg"]) == res.chosen.phi_deg
+    assert fields["peak_bin_z"] == "1" and fields["peak_bin_x"] == "5"
+    assert fields["peak_to_median_ratio"] == "inf"
 
 
 def test_report_encodes_missing_choice_as_none():
     res = localize(fixture_hologram(), AngularLocation(0.0, 0.0))
-    fields = parse_report(format_report(res))
-    assert fields["chosen_theta_deg"] is None
-    assert fields["chosen_phi_deg"] is None
-    with pytest.raises(ValueError):
-        parse_report("no equals sign here\n")
+    fields = _report_fields(format_report(res))
+    assert fields["chosen_theta_deg"] == "none"
+    assert fields["chosen_phi_deg"] == "none"
+    assert float(fields["candidate_2_phi_deg"]) == res.candidate_2.phi_deg

@@ -305,6 +305,12 @@ def test_hologram_rejects_non_finite_intensity(bad):
         Hologram(values=values, geometry=GEOM)
 
 
+def test_hologram_rejects_overflowing_intensity_sum():
+    values = np.full(GEOM.shape, 1e306)  # each finite, their sum is not
+    with pytest.raises(ValueError, match="sum overflows"):
+        Hologram(values=values, geometry=GEOM)
+
+
 def write_fixture_csv(tmp_path):
     holo = synthesize_hologram(
         [Source.far_field(AngularLocation(0.0, 0.0)),
@@ -356,6 +362,18 @@ def test_hologram_csv_header_errors_carry_their_line(tmp_path, lineno, key, bad)
         read_hologram_csv(path)
     assert exc.value.line_number == lineno
     assert str(exc.value).startswith(f"line {lineno}: ")
+
+
+def test_hologram_csv_overflowing_intensity_sum_carries_its_line(tmp_path):
+    lines = write_fixture_csv(tmp_path)
+    # Rows of 32 values 1e306 sum to 3.2e307 each: the running sum leaves
+    # the float range on the sixth data row.
+    lines[7:] = [",".join(["1e306"] * 32)] * 32
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="sum overflows") as exc:
+        read_hologram_csv(path)
+    assert exc.value.line_number == 7 + 6
 
 
 def test_hologram_csv_undecodable_bytes_carry_their_line(tmp_path):
