@@ -13,6 +13,7 @@ file; 4 NoPeak / AllCandidatesInfeasible; 5 sector disambiguation failed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from .beamforming import (
     received_power,
     write_coding_file,
 )
-from .config import RunConfig, config_as_dict, load_config
+from .config import config_as_dict, load_config
 from .errors import (
     AllCandidatesInfeasible,
     ConfigError,
@@ -35,7 +36,6 @@ from .errors import (
     SectorEmpty,
 )
 from .experiments import (
-    ExperimentConfig,
     ber_curve,
     gain_sweep,
     run_localization_grid,
@@ -109,11 +109,18 @@ def _db(power: float) -> float:
     return 10.0 * math.log10(power) if power > 0 else -math.inf
 
 
+def _check_seed(seed) -> None:
+    if seed is not None and seed < 0:
+        raise ConfigError("--seed: must be >= 0")
+
+
 def cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     cfg = load_config(args.config)
-    seed = cfg.experiment.seed if args.seed is None else args.seed
+    exp = cfg.experiment
+    seed = exp.seed if args.seed is None else args.seed
     holos = synthesize_hologram(
-        list(cfg.sources), cfg.geometry, detector=cfg.detector, seed=seed
+        list(cfg.sources), exp.geometry, detector=exp.detector, seed=seed
     )
     output = Path(args.output)
     if output.parent and not output.parent.exists():
@@ -156,7 +163,10 @@ def cmd_localize(args) -> int:
 
 
 def cmd_codegen(args) -> int:
-    geometry = load_config(args.config).geometry if args.config else default_geometry()
+    geometry = (
+        load_config(args.config).experiment.geometry if args.config
+        else default_geometry()
+    )
     if args.mode == "far":
         if args.bs is None or args.ue is None:
             raise ConfigError("far mode needs --bs and --ue angles")
@@ -201,38 +211,26 @@ def cmd_codegen(args) -> int:
     return EXIT_OK
 
 
-def _experiment_config(cfg: RunConfig, seed: int, trials: int):
-    return ExperimentConfig(
-        geometry=cfg.geometry,
-        detector=cfg.detector,
-        bs_locations=cfg.experiment.bs_locations,
-        ue_locations=cfg.experiment.ue_locations,
-        trials=trials,
-        seed=seed,
-        zero_pad_factor=cfg.localization.zero_pad_factor,
-        dc_guard=cfg.localization.dc_guard,
-        significance_threshold=cfg.localization.significance_threshold,
-    )
-
-
 def cmd_experiment(args) -> int:
+    _check_seed(args.seed)
     cfg = load_config(args.config)
     seed = cfg.experiment.seed if args.seed is None else args.seed
     trials = cfg.experiment.trials if args.trials is None else args.trials
     if trials < 1:
         raise ConfigError("--trials: must be >= 1")
-    out_dir = Path(args.output_dir or cfg.experiment.output_dir)
+    cfg = dataclasses.replace(
+        cfg, experiment=dataclasses.replace(cfg.experiment, seed=seed, trials=trials)
+    )
+    out_dir = Path(args.output_dir or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Manifest config reflects the numbers that produced the artifacts; the
     # output directory is pure redirection and stays as configured so reruns
     # into different directories stay byte-identical.
     cfg_dict = config_as_dict(cfg)
-    cfg_dict["experiment"]["seed"] = seed
-    cfg_dict["experiment"]["trials"] = trials
     manifest_path = out_dir / "manifest.txt"
     artifacts: list[Path] = []
     try:
-        summary = _run_suite(args.suite, cfg, seed, trials, out_dir, artifacts)
+        summary = _run_suite(args.suite, cfg, out_dir, artifacts)
     except Exception as exc:
         write_manifest(
             manifest_path,
@@ -252,8 +250,8 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _run_suite(suite, cfg, seed, trials, out_dir: Path, artifacts: list) -> list:
-    exp = _experiment_config(cfg, seed, trials)
+def _run_suite(suite, cfg, out_dir: Path, artifacts: list) -> list:
+    exp = cfg.experiment
     if suite == "grid":
         stats, records = run_localization_grid(exp)
         paths = (
@@ -271,7 +269,7 @@ def _run_suite(suite, cfg, seed, trials, out_dir: Path, artifacts: list) -> list
             f"fraction_within_9deg={stats.fraction_within_9deg:.4f}"
         ]
     if suite == "gain":
-        points = gain_sweep(exp, cfg.experiment.gain_phi_deg)
+        points = gain_sweep(exp, cfg.gain_phi_deg)
         path = out_dir / "gain_sweep.csv"
         write_sweep_csv(path, points)
         artifacts.append(path)
@@ -279,10 +277,10 @@ def _run_suite(suite, cfg, seed, trials, out_dir: Path, artifacts: list) -> list
         mean = sum(ok) / len(ok) if ok else math.nan
         return [f"gain: points={len(points)} ok={len(ok)} mean_gain_db={mean:.3f}"]
     if suite == "ber":
-        order = cfg.experiment.ber_modulation_order
-        gain_db = cfg.experiment.ber_gain_db
-        baseline = ber_curve(cfg.experiment.ber_snr_db, 0.0, order)
-        enhanced = ber_curve(cfg.experiment.ber_snr_db, gain_db, order)
+        order = cfg.ber_modulation_order
+        gain_db = cfg.ber_gain_db
+        baseline = ber_curve(cfg.ber_snr_db, 0.0, order)
+        enhanced = ber_curve(cfg.ber_snr_db, gain_db, order)
         path = out_dir / "ber_curves.csv"
         write_ber_csv(path, baseline, enhanced, gain_db)
         artifacts.append(path)

@@ -14,44 +14,27 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .experiments import ExperimentConfig, paper_bs_locations, paper_ue_locations
 from .geometry import AngularLocation, ArrayGeometry
 from .wavefield import DetectorModel, Source
 
 
 @dataclass(frozen=True)
-class LocalizationSettings:
-    """Spectral-analysis settings consumed by the experiment suites.
+class RunConfig:
+    """A validated configuration document.
 
-    Defaults match the suites (zero_pad_factor 2 with a matching DC guard);
-    the bare localize API and subcommand default to the raw transform
-    (factor 1, no guard) instead.
+    ``experiment`` is the ExperimentConfig the suites take: the geometry,
+    detector, localization section and the suite keys of the experiment
+    section.  The other fields are what single commands need beside it.
     """
 
-    zero_pad_factor: int = 2
-    dc_guard: int = 2
-    significance_threshold: float = 6.0
-
-
-@dataclass(frozen=True)
-class ExperimentSettings:
-    trials: int = 1
-    seed: int = 0
+    experiment: ExperimentConfig
+    sources: tuple
     output_dir: str = "holoris_out"
-    bs_locations: tuple = ()
-    ue_locations: tuple = ()
     gain_phi_deg: tuple = tuple(float(p) for p in range(-60, 61, 15))
     ber_snr_db: tuple = tuple(float(s) for s in range(-10, 31))
     ber_gain_db: float = 16.4
     ber_modulation_order: int = 64
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    geometry: ArrayGeometry
-    detector: DetectorModel
-    sources: tuple
-    localization: LocalizationSettings
-    experiment: ExperimentSettings
 
 
 def _expect_mapping(value, path: str) -> dict:
@@ -105,15 +88,22 @@ def _get_bool(section: dict, key: str, default, path: str):
     return value
 
 
-def _angle_pair(value, path: str) -> AngularLocation:
+def _numbers(value, message: str, length=None) -> tuple:
+    """A non-empty list of numbers (of ``length`` if given) as floats."""
     if (
         not isinstance(value, (list, tuple))
-        or len(value) != 2
+        or not value
+        or (length is not None and len(value) != length)
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
-        raise ConfigError(f"{path}: expected [theta_deg, phi_deg]")
+        raise ConfigError(message)
+    return tuple(float(v) for v in value)
+
+
+def _angle_pair(value, path: str) -> AngularLocation:
+    theta, phi = _numbers(value, f"{path}: expected [theta_deg, phi_deg]", length=2)
     try:
-        return AngularLocation(float(value[0]), float(value[1]))
+        return AngularLocation(theta, phi)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -186,16 +176,11 @@ def _parse_source(entry, path: str) -> Source:
             {"kind", "position_m", "amplitude", "phase_rad", "frequency_tag"},
             path,
         )
-        pos = section.get("position_m")
-        if (
-            not isinstance(pos, (list, tuple))
-            or len(pos) != 3
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pos)
-        ):
-            raise ConfigError(f"{path}.position_m: expected [x_m, y_m, z_m]")
+        pos = _numbers(section.get("position_m"),
+                       f"{path}.position_m: expected [x_m, y_m, z_m]", length=3)
         try:
             return Source.near_field(
-                [float(v) for v in pos],
+                pos,
                 amplitude=_get_number(section, "amplitude", 1.0, path, minimum=0.0),
                 phase_rad=_get_number(section, "phase_rad", 0.0, path),
                 frequency_tag=_get_int(section, "frequency_tag", 0, path, minimum=0),
@@ -212,24 +197,6 @@ def _default_sources() -> tuple:
     )
 
 
-def _parse_localization(section: dict) -> LocalizationSettings:
-    _reject_unknown(
-        section,
-        {"zero_pad_factor", "dc_guard", "significance_threshold"},
-        "localization",
-    )
-    defaults = LocalizationSettings()
-    return LocalizationSettings(
-        zero_pad_factor=_get_int(section, "zero_pad_factor", defaults.zero_pad_factor,
-                                 "localization", minimum=1),
-        dc_guard=_get_int(section, "dc_guard", defaults.dc_guard, "localization",
-                          minimum=0),
-        significance_threshold=_get_number(
-            section, "significance_threshold", defaults.significance_threshold,
-            "localization", minimum=0.0),
-    )
-
-
 def _parse_locations(section: dict, key: str, default: tuple, path: str) -> tuple:
     if key not in section:
         return default
@@ -238,68 +205,6 @@ def _parse_locations(section: dict, key: str, default: tuple, path: str) -> tupl
         raise ConfigError(f"{path}.{key}: expected a non-empty list of angle pairs")
     return tuple(
         _angle_pair(entry, f"{path}.{key}[{i}]") for i, entry in enumerate(value)
-    )
-
-
-def _parse_experiment(section: dict) -> ExperimentSettings:
-    from .experiments import paper_bs_locations, paper_ue_locations
-
-    _reject_unknown(
-        section,
-        {
-            "trials",
-            "seed",
-            "output_dir",
-            "bs_locations_deg",
-            "ue_locations_deg",
-            "gain_phi_deg",
-            "ber_snr_db",
-            "ber_gain_db",
-            "ber_modulation_order",
-        },
-        "experiment",
-    )
-    defaults = ExperimentSettings()
-    output_dir = section.get("output_dir", defaults.output_dir)
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("experiment.output_dir: expected a non-empty string")
-    gain_phi = section.get("gain_phi_deg")
-    if gain_phi is None:
-        gain_phi = defaults.gain_phi_deg
-    else:
-        if not isinstance(gain_phi, list) or not gain_phi or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in gain_phi
-        ):
-            raise ConfigError("experiment.gain_phi_deg: expected a list of degrees")
-        gain_phi = tuple(float(v) for v in gain_phi)
-    snr = section.get("ber_snr_db")
-    if snr is None:
-        snr = defaults.ber_snr_db
-    else:
-        if not isinstance(snr, list) or not snr or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in snr
-        ):
-            raise ConfigError("experiment.ber_snr_db: expected a list of dB values")
-        snr = tuple(float(v) for v in snr)
-    order = _get_int(section, "ber_modulation_order",
-                     defaults.ber_modulation_order, "experiment", minimum=4)
-    if order not in (4, 16, 64):
-        raise ConfigError("experiment.ber_modulation_order: expected 4, 16, or 64")
-    return ExperimentSettings(
-        trials=_get_int(section, "trials", defaults.trials, "experiment", minimum=1),
-        seed=_get_int(section, "seed", defaults.seed, "experiment", minimum=0),
-        output_dir=output_dir,
-        bs_locations=_parse_locations(
-            section, "bs_locations_deg", paper_bs_locations(), "experiment"
-        ),
-        ue_locations=_parse_locations(
-            section, "ue_locations_deg", paper_ue_locations(), "experiment"
-        ),
-        gain_phi_deg=gain_phi,
-        ber_snr_db=snr,
-        ber_gain_db=_get_number(section, "ber_gain_db", defaults.ber_gain_db,
-                                "experiment"),
-        ber_modulation_order=order,
     )
 
 
@@ -322,18 +227,78 @@ def parse_config(document: dict) -> RunConfig:
         )
     else:
         sources = _default_sources()
-    localization = _parse_localization(
-        _expect_mapping(root.get("localization", {}), "localization")
+
+    loc = _expect_mapping(root.get("localization", {}), "localization")
+    _reject_unknown(
+        loc, {"zero_pad_factor", "dc_guard", "significance_threshold"}, "localization"
     )
-    experiment = _parse_experiment(
-        _expect_mapping(root.get("experiment", {}), "experiment")
+    zero_pad_factor = _get_int(loc, "zero_pad_factor", ExperimentConfig.zero_pad_factor,
+                               "localization", minimum=1)
+    dc_guard = _get_int(loc, "dc_guard", ExperimentConfig.dc_guard, "localization",
+                        minimum=0)
+    significance_threshold = _get_number(
+        loc, "significance_threshold", ExperimentConfig.significance_threshold,
+        "localization", minimum=0.0)
+
+    section = _expect_mapping(root.get("experiment", {}), "experiment")
+    _reject_unknown(
+        section,
+        {
+            "trials",
+            "seed",
+            "output_dir",
+            "bs_locations_deg",
+            "ue_locations_deg",
+            "gain_phi_deg",
+            "ber_snr_db",
+            "ber_gain_db",
+            "ber_modulation_order",
+        },
+        "experiment",
     )
-    return RunConfig(
+    output_dir = section.get("output_dir", RunConfig.output_dir)
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("experiment.output_dir: expected a non-empty string")
+    gain_phi = section.get("gain_phi_deg")
+    if gain_phi is None:
+        gain_phi = RunConfig.gain_phi_deg
+    else:
+        gain_phi = _numbers(gain_phi,
+                            "experiment.gain_phi_deg: expected a list of degrees")
+    snr = section.get("ber_snr_db")
+    if snr is None:
+        snr = RunConfig.ber_snr_db
+    else:
+        snr = _numbers(snr, "experiment.ber_snr_db: expected a list of dB values")
+    order = _get_int(section, "ber_modulation_order", RunConfig.ber_modulation_order,
+                     "experiment", minimum=4)
+    if order not in (4, 16, 64):
+        raise ConfigError("experiment.ber_modulation_order: expected 4, 16, or 64")
+    experiment = ExperimentConfig(
         geometry=geometry,
         detector=detector,
-        sources=sources,
-        localization=localization,
+        trials=_get_int(section, "trials", ExperimentConfig.trials, "experiment",
+                        minimum=1),
+        seed=_get_int(section, "seed", ExperimentConfig.seed, "experiment", minimum=0),
+        bs_locations=_parse_locations(
+            section, "bs_locations_deg", paper_bs_locations(), "experiment"
+        ),
+        ue_locations=_parse_locations(
+            section, "ue_locations_deg", paper_ue_locations(), "experiment"
+        ),
+        zero_pad_factor=zero_pad_factor,
+        dc_guard=dc_guard,
+        significance_threshold=significance_threshold,
+    )
+    return RunConfig(
         experiment=experiment,
+        sources=sources,
+        output_dir=output_dir,
+        gain_phi_deg=gain_phi,
+        ber_snr_db=snr,
+        ber_gain_db=_get_number(section, "ber_gain_db", RunConfig.ber_gain_db,
+                                "experiment"),
+        ber_modulation_order=order,
     )
 
 
@@ -367,43 +332,39 @@ def config_as_dict(cfg: RunConfig) -> dict:
         else:
             entry["position_m"] = list(s.position)
         sources.append(entry)
-    loc = cfg.localization
+    exp = cfg.experiment
     return {
         "geometry": {
-            "n_z": cfg.geometry.n_z,
-            "n_x": cfg.geometry.n_x,
-            "d_z_m": cfg.geometry.d_z_m,
-            "d_x_m": cfg.geometry.d_x_m,
-            "f_c_hz": cfg.geometry.f_c_hz,
+            "n_z": exp.geometry.n_z,
+            "n_x": exp.geometry.n_x,
+            "d_z_m": exp.geometry.d_z_m,
+            "d_x_m": exp.geometry.d_x_m,
+            "f_c_hz": exp.geometry.f_c_hz,
         },
         "detector": {
-            "noise_std": cfg.detector.noise_std,
-            "floor": cfg.detector.floor,
+            "noise_std": exp.detector.noise_std,
+            "floor": exp.detector.floor,
             "ceiling": (
-                None if math.isinf(cfg.detector.ceiling) else cfg.detector.ceiling
+                None if math.isinf(exp.detector.ceiling) else exp.detector.ceiling
             ),
-            "agc_enabled": cfg.detector.agc_enabled,
-            "phase_jitter_std": cfg.detector.phase_jitter_std,
+            "agc_enabled": exp.detector.agc_enabled,
+            "phase_jitter_std": exp.detector.phase_jitter_std,
         },
         "sources": sources,
         "localization": {
-            "zero_pad_factor": loc.zero_pad_factor,
-            "dc_guard": loc.dc_guard,
-            "significance_threshold": loc.significance_threshold,
+            "zero_pad_factor": exp.zero_pad_factor,
+            "dc_guard": exp.dc_guard,
+            "significance_threshold": exp.significance_threshold,
         },
         "experiment": {
-            "trials": cfg.experiment.trials,
-            "seed": cfg.experiment.seed,
-            "output_dir": cfg.experiment.output_dir,
-            "bs_locations_deg": [
-                [b.theta_deg, b.phi_deg] for b in cfg.experiment.bs_locations
-            ],
-            "ue_locations_deg": [
-                [u.theta_deg, u.phi_deg] for u in cfg.experiment.ue_locations
-            ],
-            "gain_phi_deg": list(cfg.experiment.gain_phi_deg),
-            "ber_snr_db": list(cfg.experiment.ber_snr_db),
-            "ber_gain_db": cfg.experiment.ber_gain_db,
-            "ber_modulation_order": cfg.experiment.ber_modulation_order,
+            "trials": exp.trials,
+            "seed": exp.seed,
+            "output_dir": cfg.output_dir,
+            "bs_locations_deg": [[b.theta_deg, b.phi_deg] for b in exp.bs_locations],
+            "ue_locations_deg": [[u.theta_deg, u.phi_deg] for u in exp.ue_locations],
+            "gain_phi_deg": list(cfg.gain_phi_deg),
+            "ber_snr_db": list(cfg.ber_snr_db),
+            "ber_gain_db": cfg.ber_gain_db,
+            "ber_modulation_order": cfg.ber_modulation_order,
         },
     }

@@ -15,6 +15,7 @@ increases omega_x.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ import numpy as np
 from .errors import InfeasibleFrequency
 
 SPEED_OF_LIGHT = 299792458.0
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers, False for bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,7 @@ class ArrayGeometry:
 
     n_z rows spaced d_z_m apart along z, n_x columns spaced d_x_m along x.
     The carrier f_c_hz fixes the wavelength used by every phase computation.
+    n_z, n_x and f_c_hz are integers (the hologram file stores them so).
     """
 
     n_z: int
@@ -58,6 +65,10 @@ class ArrayGeometry:
     f_c_hz: int
 
     def __post_init__(self):
+        for name in ("n_z", "n_x", "f_c_hz"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_z < 1 or self.n_x < 1:
             raise ValueError("element counts must be at least 1")
         if self.d_z_m <= 0 or self.d_x_m <= 0:

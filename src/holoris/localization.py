@@ -316,7 +316,13 @@ def localize_trials(
             f"expected a (T, {geom.n_z}, {geom.n_x}) stack of captures, "
             f"got shape {values.shape}"
         )
-    totals = _intensity_sums(values)
+    return _localize_stack(values, _intensity_sums(values), geom, bs, zero_pad_factor,
+                           disambiguation, dc_guard, significance_threshold)
+
+
+def _localize_stack(values, totals, geom, bs, zero_pad_factor, disambiguation,
+                    dc_guard, significance_threshold) -> list:
+    """localize_trials on a checked stack whose per-capture sums are totals."""
     bs_freqs = spatial_frequencies(bs, geom)
     mags = np.abs(_transform(values, zero_pad_factor, remove_mean=True))
     # Fringe contrast below ~1e-9 of the total captured power is rounding
@@ -374,15 +380,11 @@ def localize(
     AllCandidatesInfeasible (both candidates evanescent).  The one-capture
     case of localize_trials.
     """
-    out = localize_trials(
-        holo.values[np.newaxis],
-        holo.geometry,
-        bs,
-        zero_pad_factor=zero_pad_factor,
-        disambiguation=disambiguation,
-        dc_guard=dc_guard,
-        significance_threshold=significance_threshold,
-    )[0]
+    # A Hologram has checked its intensities; only the sum is still needed.
+    values = holo.values[np.newaxis]
+    out = _localize_stack(values, values.sum(axis=(-2, -1)), holo.geometry, bs,
+                          zero_pad_factor, disambiguation, dc_guard,
+                          significance_threshold)[0]
     if isinstance(out, Exception):
         raise out
     return out
@@ -511,15 +513,10 @@ def multiuser_localize(
     geometries = {h.geometry for _, h in items}
     if len(geometries) != 1:
         raise ValueError("multiuser_localize takes holograms of one geometry")
-    outcomes = localize_trials(
-        np.stack([h.values for _, h in items]),
-        geometries.pop(),
-        bs,
-        zero_pad_factor=zero_pad_factor,
-        disambiguation=disambiguation,
-        dc_guard=dc_guard,
-        significance_threshold=significance_threshold,
-    )
+    values = np.stack([h.values for _, h in items])
+    outcomes = _localize_stack(values, values.sum(axis=(-2, -1)), geometries.pop(), bs,
+                               zero_pad_factor, disambiguation, dc_guard,
+                               significance_threshold)
     return {tag: outcome for (tag, _), outcome in zip(items, outcomes)}
 
 

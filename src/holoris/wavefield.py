@@ -23,6 +23,7 @@ from .errors import DegenerateInterference, FileFormatError
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
+    _is_int,
     element_positions,
     spatial_frequencies,
 )
@@ -136,20 +137,28 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class Hologram:
-    """Captured intensity matrix for one frequency tag."""
+    """Captured intensity matrix for one frequency tag.
+
+    values is a read-only copy, so the checks made here hold for the
+    hologram's lifetime and its users need not repeat them.
+    """
 
     values: np.ndarray
     geometry: ArrayGeometry
     frequency_tag: int = 0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        tag = self.frequency_tag
+        if not (_is_int(tag) and tag >= 0):
+            raise ValueError(f"frequency_tag must be a non-negative integer, got {tag!r}")
+        values = np.array(self.values, dtype=float)
         if values.shape != self.geometry.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match geometry "
                 f"{self.geometry.shape}"
             )
         _intensity_sums(values)
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
 

@@ -5,6 +5,7 @@ format errors, 4 no significant peak / no feasible candidate, 5 sector
 disambiguation failures.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -15,6 +16,14 @@ from holoris.beamforming import read_coding_file
 from holoris.cli import main
 from holoris.config import config_as_dict, load_config, parse_config
 from holoris.errors import ConfigError
+from holoris.experiments import (
+    ExperimentConfig,
+    calibrated_detector,
+    run_localization_grid,
+    write_cdf_csv,
+    write_grid_records_csv,
+    write_statistics_txt,
+)
 from holoris.geometry import AngularLocation
 from holoris.wavefield import read_hologram_csv
 
@@ -25,12 +34,27 @@ FIXTURE_PHI = "32.367221606087334"
 
 def test_empty_config_gives_defaults():
     cfg = parse_config({})
-    assert cfg.geometry.shape == (32, 32)
+    assert cfg.experiment.geometry.shape == (32, 32)
     assert len(cfg.sources) == 2     # broadside reference + (0, 30) terminal
-    assert cfg.detector.noise_std == 0.0
-    assert cfg.localization.zero_pad_factor == 2
-    assert cfg.localization.dc_guard == 2
+    assert cfg.experiment.detector.noise_std == 0.0
+    assert cfg.experiment.zero_pad_factor == 2
+    assert cfg.experiment.dc_guard == 2
     assert cfg.experiment.trials == 1
+
+
+def test_empty_config_is_the_default_experiment_config():
+    # The suite defaults are stated once, on ExperimentConfig.
+    assert parse_config({}).experiment == ExperimentConfig()
+
+
+def test_manifest_gate_canonical_document_is_the_canonical_experiment():
+    path = Path(__file__).resolve().parent.parent / "tools" / "manifest_gate.py"
+    spec = importlib.util.spec_from_file_location("manifest_gate", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    assert parse_config(gate.CONFIGS["canonical"]).experiment == ExperimentConfig(
+        detector=calibrated_detector(), trials=20, significance_threshold=2.0
+    )
 
 
 def test_unknown_keys_are_rejected_with_field_path():
@@ -103,10 +127,11 @@ def test_config_dict_round_trip():
         "experiment": {"trials": 3, "seed": 11, "ber_gain_db": 12.5},
     })
     again = parse_config(config_as_dict(cfg))
-    assert again.geometry == cfg.geometry
-    assert again.detector == cfg.detector
-    assert again.localization == cfg.localization
     assert again.experiment == cfg.experiment
+    assert (again.output_dir, again.gain_phi_deg, again.ber_snr_db,
+            again.ber_gain_db, again.ber_modulation_order) == \
+        (cfg.output_dir, cfg.gain_phi_deg, cfg.ber_snr_db,
+         cfg.ber_gain_db, cfg.ber_modulation_order)
     assert len(again.sources) == len(cfg.sources)
     for a, b in zip(again.sources, cfg.sources):
         assert (a.kind, a.angles, a.amplitude, a.phase_rad, a.frequency_tag) == \
@@ -340,6 +365,38 @@ def test_experiment_grid_suite(tmp_path, capsys):
                  "manifest.txt"):
         assert (out_dir / name).exists()
     assert "fraction_within_9deg" in capsys.readouterr().out
+
+
+def test_experiment_grid_matches_run_localization_grid(tmp_path):
+    cfg = experiment_config(tmp_path, extra={
+        "detector": {"noise_std": 6.9, "phase_jitter_std": 0.2},
+        "localization": {"significance_threshold": 2.0},
+    })
+    assert main(["experiment", "--suite", "grid", "--config", cfg, "--quiet",
+                 "--trials", "3", "--seed", "5"]) == 0
+    stats, records = run_localization_grid(ExperimentConfig(
+        detector=calibrated_detector(), trials=3, seed=5, significance_threshold=2.0,
+    ))
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    write_grid_records_csv(ref / "grid_records.csv", records)
+    write_statistics_txt(ref / "grid_statistics.txt", stats)
+    write_cdf_csv(ref / "grid_cdf.csv", stats)
+    for name in ("grid_records.csv", "grid_statistics.txt", "grid_cdf.csv"):
+        assert (tmp_path / "run_out" / name).read_bytes() == (ref / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "grid", "gain", "ber", "showcase"])
+def test_negative_seed_exits_2_before_writing(tmp_path, capsys, command):
+    cfg = experiment_config(tmp_path)
+    if command == "simulate":
+        argv = ["simulate", "--config", cfg, "--output", str(tmp_path / "sim" / "h.csv")]
+    else:
+        argv = ["experiment", "--suite", command, "--config", cfg]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+    assert not (tmp_path / "run_out").exists()
 
 
 def test_experiment_rerun_is_byte_identical(tmp_path):

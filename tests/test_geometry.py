@@ -44,6 +44,22 @@ def test_geometry_validation():
         ArrayGeometry(n_z=32, n_x=32, d_z_m=0.02, d_x_m=0.02, f_c_hz=0)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("f_c_hz", 3.5e9),       # the hologram file could not be read back
+    ("f_c_hz", True),        # would give a 299792458 m wavelength
+    ("n_z", 32.0),
+    ("n_x", False),
+    ("n_x", "32"),
+])
+def test_geometry_rejects_non_integer_counts_and_carrier(field, bad):
+    kwargs = dict(n_z=32, n_x=32, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ArrayGeometry(**kwargs)
+    kwargs[field] = np.int64(4)     # numpy integers are integers
+    assert getattr(ArrayGeometry(**kwargs), field) == 4
+
+
 def test_angular_location_open_interval():
     AngularLocation(89.9, -89.9)
     for theta, phi in ((90.0, 0.0), (-90.0, 0.0), (0.0, 90.0), (0.0, -90.0)):

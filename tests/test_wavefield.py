@@ -257,6 +257,34 @@ def test_hologram_csv_round_trip_is_bit_exact(tmp_path):
     assert back.frequency_tag == holo.frequency_tag
 
 
+def test_hologram_csv_round_trip_of_non_default_capture(tmp_path):
+    geom = ArrayGeometry(n_z=3, n_x=5, d_z_m=0.015, d_x_m=0.025,
+                         f_c_hz=np.int64(2_600_000_000))
+    values = np.random.default_rng(4).uniform(0.0, 9.0, size=(3, 5))
+    holo = Hologram(values=values, geometry=geom, frequency_tag=np.int64(3))
+    path = tmp_path / "holo.csv"
+    write_hologram_csv(path, holo)
+    back = read_hologram_csv(path)
+    assert np.array_equal(back.values, holo.values)
+    assert back.geometry == geom
+    assert back.frequency_tag == 3
+
+
+def test_hologram_values_are_a_read_only_copy():
+    values = np.ones(GEOM.shape)
+    holo = Hologram(values=values, geometry=GEOM)
+    values[0, 0] = math.nan          # the caller's array stays its own
+    assert np.all(holo.values == 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        holo.values[0, 0] = math.nan
+
+
+@pytest.mark.parametrize("bad", [-1, 1.0, True, "1"])
+def test_hologram_rejects_non_integer_or_negative_tag(bad):
+    with pytest.raises(ValueError, match="frequency_tag must be a non-negative integer"):
+        Hologram(values=np.ones(GEOM.shape), geometry=GEOM, frequency_tag=bad)
+
+
 def test_hologram_csv_rejects_corruption(tmp_path):
     holo = synthesize_hologram(
         [Source.far_field(AngularLocation(0.0, 0.0)),

@@ -1,14 +1,15 @@
-"""Print the artifact checksums of the experiment suites, to compare two checkouts.
+"""Print the manifests of the experiment suites, to compare two checkouts.
 
     python3 tools/manifest_gate.py > manifests.txt
 
 Runs ``holoris experiment`` for the grid, gain, ber and showcase suites at
 seeds 0 and 1, once with the default configuration and once with the
 calibrated canonical one (calibrated detector, significance threshold 2.0,
-20 trials), and prints each run's ``artifact=... sha256=...`` manifest lines
-under a header naming the run.  The program is imported from the ``src/``
-directory of the checkout holding this script.  Run it in two checkouts and
-``diff`` the outputs: a change that keeps behaviour prints identical bytes.
+20 trials), and prints each run's whole manifest (suite, status, seed,
+config and every ``artifact=... sha256=...`` line) under a header naming the
+run.  The program is imported from the ``src/`` directory of the checkout
+holding this script.  Run it in two checkouts and ``diff`` the outputs: a
+change that keeps behaviour prints identical bytes.
 Exits 1 when any run fails.
 """
 
@@ -54,9 +55,7 @@ def run(work: Path) -> int:
                     failed += 1
                     print(f"# {err.getvalue().strip()}")
                     continue
-                for line in (out / "manifest.txt").read_text().splitlines():
-                    if line.startswith("artifact="):
-                        print(line)
+                print((out / "manifest.txt").read_text(), end="")
     return 1 if failed else 0
 
 
