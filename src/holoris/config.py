@@ -50,6 +50,14 @@ def _reject_unknown(section: dict, allowed, path: str) -> None:
         raise ConfigError(f"{path}.{name}: unknown key")
 
 
+def _float(value, path: str) -> float:
+    """A JSON number as a float; an integer beyond the float range is rejected."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: too large to convert to a float") from None
+
+
 def _get_number(section: dict, key: str, default, path: str, minimum=None,
                 strict_min=False, allow_none_as=None):
     if key not in section:
@@ -59,7 +67,7 @@ def _get_number(section: dict, key: str, default, path: str, minimum=None,
         return allow_none_as
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
-    value = float(value)
+    value = _float(value, f"{path}.{key}")
     if minimum is not None:
         if strict_min and not value > minimum:
             raise ConfigError(f"{path}.{key}: must be > {minimum}")
@@ -88,7 +96,7 @@ def _get_bool(section: dict, key: str, default, path: str):
     return value
 
 
-def _numbers(value, message: str, length=None) -> tuple:
+def _numbers(value, path: str, expected: str, length=None) -> tuple:
     """A non-empty list of numbers (of ``length`` if given) as floats."""
     if (
         not isinstance(value, (list, tuple))
@@ -96,12 +104,12 @@ def _numbers(value, message: str, length=None) -> tuple:
         or (length is not None and len(value) != length)
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
-        raise ConfigError(message)
-    return tuple(float(v) for v in value)
+        raise ConfigError(f"{path}: expected {expected}")
+    return tuple(_float(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _angle_pair(value, path: str) -> AngularLocation:
-    theta, phi = _numbers(value, f"{path}: expected [theta_deg, phi_deg]", length=2)
+    theta, phi = _numbers(value, path, "[theta_deg, phi_deg]", length=2)
     try:
         return AngularLocation(theta, phi)
     except ValueError as exc:
@@ -111,10 +119,7 @@ def _angle_pair(value, path: str) -> AngularLocation:
 def _parse_geometry(section: dict) -> ArrayGeometry:
     _reject_unknown(section, {"n_x", "n_z", "d_x_m", "d_z_m", "f_c_hz"}, "geometry")
     f_c_hz = _get_int(section, "f_c_hz", 3_500_000_000, "geometry", minimum=1)
-    try:
-        float(f_c_hz)  # the wavelength and wavenumber are floats
-    except OverflowError:
-        raise ConfigError("geometry.f_c_hz: too large to convert to a float") from None
+    _float(f_c_hz, "geometry.f_c_hz")  # the wavelength and wavenumber are floats
     try:
         return ArrayGeometry(
             n_z=_get_int(section, "n_z", 32, "geometry", minimum=1),
@@ -160,10 +165,11 @@ def _parse_source(entry, path: str) -> Source:
         )
         if "theta_deg" not in section or "phi_deg" not in section:
             raise ConfigError(f"{path}: far_field source needs theta_deg and phi_deg")
-        angles = _angle_pair([section["theta_deg"], section["phi_deg"]], path)
+        theta = _get_number(section, "theta_deg", None, path)
+        phi = _get_number(section, "phi_deg", None, path)
         try:
             return Source.far_field(
-                angles,
+                AngularLocation(theta, phi),
                 amplitude=_get_number(section, "amplitude", 1.0, path, minimum=0.0),
                 phase_rad=_get_number(section, "phase_rad", 0.0, path),
                 frequency_tag=_get_int(section, "frequency_tag", 0, path, minimum=0),
@@ -176,8 +182,8 @@ def _parse_source(entry, path: str) -> Source:
             {"kind", "position_m", "amplitude", "phase_rad", "frequency_tag"},
             path,
         )
-        pos = _numbers(section.get("position_m"),
-                       f"{path}.position_m: expected [x_m, y_m, z_m]", length=3)
+        pos = _numbers(section.get("position_m"), f"{path}.position_m",
+                       "[x_m, y_m, z_m]", length=3)
         try:
             return Source.near_field(
                 pos,
@@ -263,13 +269,12 @@ def parse_config(document: dict) -> RunConfig:
     if gain_phi is None:
         gain_phi = RunConfig.gain_phi_deg
     else:
-        gain_phi = _numbers(gain_phi,
-                            "experiment.gain_phi_deg: expected a list of degrees")
+        gain_phi = _numbers(gain_phi, "experiment.gain_phi_deg", "a list of degrees")
     snr = section.get("ber_snr_db")
     if snr is None:
         snr = RunConfig.ber_snr_db
     else:
-        snr = _numbers(snr, "experiment.ber_snr_db: expected a list of dB values")
+        snr = _numbers(snr, "experiment.ber_snr_db", "a list of dB values")
     order = _get_int(section, "ber_modulation_order", RunConfig.ber_modulation_order,
                      "experiment", minimum=4)
     if order not in (4, 16, 64):

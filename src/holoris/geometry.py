@@ -55,7 +55,8 @@ class ArrayGeometry:
 
     n_z rows spaced d_z_m apart along z, n_x columns spaced d_x_m along x.
     The carrier f_c_hz fixes the wavelength used by every phase computation.
-    n_z, n_x and f_c_hz are integers (the hologram file stores them so).
+    n_z, n_x and f_c_hz are integers (the hologram file stores them so);
+    the pitches are finite and > 0 (the hologram file reader requires it).
     """
 
     n_z: int
@@ -71,8 +72,10 @@ class ArrayGeometry:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_z < 1 or self.n_x < 1:
             raise ValueError("element counts must be at least 1")
-        if self.d_z_m <= 0 or self.d_x_m <= 0:
-            raise ValueError("element pitches must be positive")
+        for name in ("d_z_m", "d_x_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.f_c_hz <= 0:
             raise ValueError("carrier frequency must be positive")
 

@@ -396,16 +396,64 @@ def _dtft2(x: np.ndarray, w_z: np.ndarray, w_x: np.ndarray) -> np.ndarray:
     x is (n_z, n_x), w_z is (T,) and w_x is (T, P); returns (T, P).  The
     z axis is one matrix product, y = exp(i*outer(w_z, m)) @ x of shape
     (T, n_x); the x axis is the polynomial sum_n y[t, n]*z^n in
-    z = exp(i*w_x), evaluated by Horner's rule with one (T, P)
-    multiply-add per column, so no (T, n_x, P) intermediate is formed.
+    z = exp(i*w_x), evaluated by _horner.
     """
     y = np.exp(1j * np.outer(w_z, np.arange(x.shape[0]))) @ x
-    z = np.exp(1j * w_x)
+    return _horner(y, np.exp(1j * w_x))
+
+
+def _horner(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_n y[t, n] * z[t, p]**n for every (t, p), by Horner's rule.
+
+    y is (T, N) and z is (T, P); one (T, P) multiply-add per column, so no
+    (T, N, P) intermediate is formed.  The x axis of _dtft2, taking z
+    precomputed so a caller can share it with other sums in the same z.
+    """
     acc = np.repeat(y[:, -1:], z.shape[1], axis=1)
     for col in y[:, -2::-1].T:
         acc *= z
         acc += col[:, np.newaxis]
     return acc
+
+
+# Where |1 - z| is below this, _geometric_sum leaves the quotient, whose
+# absolute error grows as ~n*eps/|1 - z|, for the sine form.
+_NEAR_ONE = 1e-2
+
+
+def _power(z: np.ndarray, n: int) -> np.ndarray:
+    """z**n for an integer n >= 1 by repeated squaring."""
+    out = None
+    while True:
+        if n & 1:
+            out = z if out is None else out * z
+        n >>= 1
+        if not n:
+            return out
+        z = z * z
+
+
+def _geometric_sum(z: np.ndarray, z_n: np.ndarray, n: int) -> np.ndarray:
+    """sum_{k<n} z**k elementwise, for z on the unit circle and z_n = z**n.
+
+    The closed form (1 - z_n) / (1 - z), except where |1 - z| < _NEAR_ONE:
+    there the quotient cancels (the sum tends to n at z = 1), and the sine
+    form exp(i*(n-1)*w/2) * sin(n*w/2) / sin(w/2) in w = angle(z) is taken
+    instead, as n * sinc(n*w/2pi) / sinc(w/2pi) so that w = 0 gives n.
+    The absolute error stays below about n*eps/_NEAR_ONE + n**2*eps, eps
+    the float64 epsilon.
+    """
+    num = 1.0 - z_n
+    den = 1.0 - z
+    near = den.real < 0.5 * _NEAR_ONE**2  # |1 - z|**2 = 2*(1 - Re z) on |z| = 1
+    if not near.any():
+        return num / den
+    den[near] = 1.0
+    out = num / den
+    w = np.angle(z[near])
+    out[near] = np.exp(0.5j * (n - 1) * w) * (
+        n * np.sinc(n * w / (2 * math.pi)) / np.sinc(w / (2 * math.pi)))
+    return out
 
 
 def ml_refine(
@@ -425,14 +473,19 @@ def ml_refine(
     itself, so refinement never loses to the coarse estimate on-model.
 
     The whole grid is evaluated at once, with no per-theta loop: the
-    projection of the hologram on exp(-i*Phi) and the sums of exp(-i*Phi)
-    and exp(-2i*Phi) are each one 2D DTFT over the grid (Horner's rule
-    along x, see _dtft2), and the 3x3 normal equations of every grid point
-    are solved together in closed form.  Ties go to the first grid point in
-    (theta, phi) row-major order.
+    projection of the hologram on exp(-i*Phi) is one 2D DTFT over the grid
+    (Horner's rule along x, see _dtft2), the sums of exp(-i*Phi) and
+    exp(-2i*Phi) are closed-form geometric sums sharing its one complex
+    exp, and the 3x3 normal equations of every grid point are solved
+    together in closed form.  Ties go to the first grid point in
+    (theta, phi) row-major order.  Raises ValueError unless both
+    search_halfwidth_deg and grid_step_deg are finite and > 0.
     """
-    if search_halfwidth_deg <= 0 or grid_step_deg <= 0:
-        raise ValueError("search_halfwidth_deg and grid_step_deg must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (search_halfwidth_deg, grid_step_deg)):
+        raise ValueError(
+            "search_halfwidth_deg and grid_step_deg must be finite and > 0, got "
+            f"{search_halfwidth_deg!r} and {grid_step_deg!r}"
+        )
     geom = holo.geometry
     bs_freqs = spatial_frequencies(bs, geom)
     half_steps = int(round(search_halfwidth_deg / grid_step_deg))
@@ -459,10 +512,17 @@ def ml_refine(
         - bs_freqs.omega_x
     )
 
-    ones = np.ones_like(I)
-    t = _dtft2(I, -dz, -dx_grid)  # projection of I on exp(-i*Phi)
-    s1 = _dtft2(ones, -dz, -dx_grid)  # sum of exp(-i*Phi)
-    s2 = _dtft2(ones, -2 * dz, -2 * dx_grid)  # sum of exp(-2i*Phi)
+    # exp(-i*Phi) = e_z[t, m] * z_x[t, p]**n: the z-axis factors are one
+    # (T, n_z) exp and the x-axis ones one (T, P) exp, shared by all three sums.
+    e_z = np.exp(1j * np.outer(-dz, np.arange(n_z)))
+    z_x = np.exp(1j * -dx_grid)
+    t = _horner(e_z @ I, z_x)  # projection of I on exp(-i*Phi), as in _dtft2
+    # The sums of exp(-i*Phi) and exp(-2i*Phi) over the panel are each a 1-D
+    # sum along z times a geometric sum along x, in z_x and z_x**2.
+    z_xn = _power(z_x, n_x)
+    s1 = e_z.sum(axis=1)[:, np.newaxis] * _geometric_sum(z_x, z_xn, n_x)
+    s2 = (e_z * e_z).sum(axis=1)[:, np.newaxis] * _geometric_sum(
+        z_x * z_x, z_xn * z_xn, n_x)
     # Normal equations G c = b for the basis [1, cos(Phi), sin(Phi)] at every
     # (theta, phi), G regularized by 1e-9*n_el on the diagonal.  The explained
     # energy b.G^-1.b is total^2/G00, the same at every point and dropped, plus

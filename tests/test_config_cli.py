@@ -187,6 +187,35 @@ def test_simulate_oversized_carrier_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite, document, field", [
+    ("ber", {"experiment": {"ber_gain_db": 10**400}}, "experiment.ber_gain_db"),
+    ("gain", {"experiment": {"gain_phi_deg": [0.0, 10**400]}},
+     "experiment.gain_phi_deg[1]"),
+    ("showcase", {"sources": [{"kind": "near_field", "position_m": [0.0, 10**400, 0.0]}]},
+     "sources[0].position_m[1]"),
+    ("showcase", {"sources": [{"kind": "far_field", "theta_deg": 10**400, "phi_deg": 0.0}]},
+     "sources[0].theta_deg"),
+])
+def test_experiment_oversized_float_field_exits_2(tmp_path, capsys, suite, document, field):
+    # an integer JSON literal beyond the float range, where a float is read
+    cfg = write_config(tmp_path, document)
+    out = tmp_path / "out"
+    assert main(["experiment", "--suite", suite, "--config", cfg,
+                 "--output-dir", str(out), "--quiet"]) == 2
+    assert f"{field}: too large to convert to a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_infinite_pitch_exits_2(tmp_path, capsys):
+    # json writes float("inf") as the literal Infinity, which json reads back
+    cfg = write_config(tmp_path, {"geometry": {"d_z_m": float("inf")}})
+    assert "Infinity" in Path(cfg).read_text()
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
+    assert "geometry: d_z_m must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- localize
 
 @pytest.fixture()

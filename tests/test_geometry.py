@@ -60,6 +60,16 @@ def test_geometry_rejects_non_integer_counts_and_carrier(field, bad):
     assert getattr(ArrayGeometry(**kwargs), field) == 4
 
 
+@pytest.mark.parametrize("field", ["d_z_m", "d_x_m"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_geometry_rejects_non_finite_pitch(field, bad):
+    # the hologram file reader rejects such a header, so the writer must not get one
+    kwargs = dict(n_z=32, n_x=32, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        ArrayGeometry(**kwargs)
+
+
 def test_angular_location_open_interval():
     AngularLocation(89.9, -89.9)
     for theta, phi in ((90.0, 0.0), (-90.0, 0.0), (0.0, 90.0), (0.0, -90.0)):

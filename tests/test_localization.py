@@ -33,7 +33,9 @@ from holoris.localization import (
     SectorPolicy,
     Spectrum,
     _dtft2,
+    _geometric_sum,
     _guard_complement,
+    _power,
     _row_medians,
     candidate_frequencies,
     disambiguate,
@@ -543,6 +545,112 @@ def test_ml_refine_validation():
     with pytest.raises(ValueError):
         ml_refine(holo, AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
                   search_halfwidth_deg=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            ml_refine(holo, AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
+                      search_halfwidth_deg=bad)
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            ml_refine(holo, AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
+                      grid_step_deg=bad)
+
+
+# Offsets from a multiple of 2*pi, down to where 1 - z vanishes in float64.
+NEAR_ZERO_OFFSETS = (0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-6, -1e-6, 1e-3, -1e-3, 1.3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32])
+def test_geometric_sum_matches_explicit_sum(n):
+    # Within 1e-12 absolute of the term-by-term sum, also at z -> 1, where
+    # the quotient (1 - z**n) / (1 - z) cancels and replacing it by its
+    # limit n would be off by up to ~n**2*|w|/2.
+    w = np.array([2 * math.pi * k + d for k in (0, 1, -3) for d in NEAR_ZERO_OFFSETS])
+    z = np.exp(1j * w).reshape(3, -1)
+    own = np.array([sum(np.exp(1j * k * v) for k in range(n)) for v in w]).reshape(3, -1)
+    assert np.allclose(_geometric_sum(z, _power(z, n), n), own, rtol=0, atol=1e-12)
+    assert np.allclose(_power(z, n), np.exp(1j * n * w).reshape(3, -1), rtol=0, atol=1e-12)
+
+
+def three_dtft_refine(holo, bs, coarse, halfwidth_deg=5.0, step_deg=0.1):
+    """Reference for ml_refine: the projection and both sums as three _dtft2
+    calls, the sums on a panel of ones, with no closed form."""
+    geom = holo.geometry
+    bs_freqs = spatial_frequencies(bs, geom)
+    half = int(round(halfwidth_deg / step_deg))
+    offsets = step_deg * (np.arange(2 * half + 1) - half)
+    thetas = coarse.theta_deg + offsets
+    phis = coarse.phi_deg + offsets
+    thetas = thetas[np.abs(thetas) < 90.0]
+    phis = phis[np.abs(phis) < 90.0]
+    values = holo.values
+    total = float(values.sum())
+    n_el = values.size
+    factor_x = 2.0 * math.pi * geom.d_x_m / geom.wavelength_m
+    factor_z = 2.0 * math.pi * geom.d_z_m / geom.wavelength_m
+    th, ph = np.radians(thetas), np.radians(phis)
+    dz = (-factor_z * np.sin(th)) - bs_freqs.omega_z
+    dx = factor_x * np.cos(th)[:, np.newaxis] * np.sin(ph)[np.newaxis, :] - bs_freqs.omega_x
+    ones = np.ones_like(values)
+    t = _dtft2(values, -dz, -dx)
+    s1 = _dtft2(ones, -dz, -dx)
+    s2 = _dtft2(ones, -2 * dz, -2 * dx)
+    reg = 1e-9 * n_el
+    g00 = n_el + reg
+    sc, ss = s1.real, -s1.imag
+    r_c = t.real - (total / g00) * sc
+    r_s = -t.imag - (total / g00) * ss
+    h_cc = 0.5 * (n_el + s2.real) + reg - sc * sc / g00
+    h_ss = 0.5 * (n_el - s2.real) + reg - ss * ss / g00
+    h_cs = -0.5 * s2.imag - sc * ss / g00
+    explained = (h_ss * r_c**2 - 2.0 * h_cs * r_c * r_s + h_cc * r_s**2) / (
+        h_cc * h_ss - h_cs**2)
+    a, p = np.unravel_index(int(np.argmax(explained)), explained.shape)
+    return AngularLocation(float(thetas[a]), float(phis[p]))
+
+
+def test_ml_refine_matches_three_dtft_reference_on_noisy_32x32():
+    rng = np.random.default_rng(11)
+    bs_set = [AngularLocation(0.0, -30.0), AngularLocation(10.0, 20.0)]
+    placements = []
+    while len(placements) < 40:
+        bs = bs_set[len(placements) % 2]
+        ue = AngularLocation(float(rng.uniform(-30, 30)), float(rng.uniform(-60, 60)))
+        if math.hypot(ue.theta_deg - bs.theta_deg, ue.phi_deg - bs.phi_deg) >= 10.0:
+            placements.append((bs, ue))
+    # Users on the BS's x-frequency, so the search grid crosses dx = 0, where
+    # both geometric sums go through their z -> 1 branch.
+    for theta in (-25.0, 15.0, 25.0):
+        sin_phi = math.sin(math.radians(-30.0)) / math.cos(math.radians(theta))
+        ue = AngularLocation(theta, math.degrees(math.asin(sin_phi)))
+        placements.append((bs_set[0], ue))
+    refined = 0
+    for i, (bs, ue) in enumerate(placements):
+        holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)], GEOM,
+                                   DetectorModel(noise_std=1.0), seed=i)[0]
+        try:
+            coarse = localize(holo, bs, zero_pad_factor=2, dc_guard=2,
+                              disambiguation=OraclePolicy(truth=ue)).chosen
+        except (NoPeak, AllCandidatesInfeasible):
+            continue
+        assert ml_refine(holo, bs, coarse) == three_dtft_refine(holo, bs, coarse)
+        refined += 1
+    assert refined >= 40
+
+
+@pytest.mark.parametrize("geom", [
+    PANEL_6X9,
+    ArrayGeometry(n_z=5, n_x=7, d_z_m=0.02, d_x_m=0.03, f_c_hz=3_500_000_000),
+])
+def test_ml_refine_matches_three_dtft_reference_on_small_panels(geom):
+    rng = np.random.default_rng(5)
+    for i in range(12):
+        bs = AngularLocation(float(rng.uniform(-20, 20)), float(rng.uniform(-40, 40)))
+        ue = AngularLocation(float(rng.uniform(-60, 60)), float(rng.uniform(-80, 80)))
+        coarse = AngularLocation(
+            float(np.clip(ue.theta_deg + rng.uniform(-3, 3), -89.9, 89.9)),
+            float(np.clip(ue.phi_deg + rng.uniform(-3, 3), -89.9, 89.9)))
+        holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)], geom,
+                                   DetectorModel(noise_std=0.3), seed=i)[0]
+        assert ml_refine(holo, bs, coarse) == three_dtft_refine(holo, bs, coarse)
 
 
 # ---------------------------------------------------------------- multiuser
