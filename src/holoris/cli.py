@@ -303,11 +303,10 @@ def _run_suite(suite, cfg, out_dir: Path, artifacts: list) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true", help="suppress progress output")
-    common.add_argument(
-        "--seed", type=int, default=None, help="override the configured seed"
-    )
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress progress output")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="override the configured seed")
 
     parser = argparse.ArgumentParser(
         prog="holoris",
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser(
-        "simulate", parents=[common], help="synthesize hologram CSVs from a config"
+        "simulate", parents=[quiet, seed], help="synthesize hologram CSVs from a config"
     )
     p_sim.add_argument("--config", required=True, help="JSON run configuration")
     p_sim.add_argument(
@@ -327,9 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_loc = sub.add_parser(
-        "localize", parents=[common], help="localize from a hologram CSV"
-    )
+    p_loc = sub.add_parser("localize", help="localize from a hologram CSV")
     p_loc.add_argument("hologram", help="hologram CSV path")
     p_loc.add_argument(
         "--bs", required=True, help="reference direction 'theta_deg,phi_deg'"
@@ -355,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loc.set_defaults(func=cmd_localize)
 
     p_gen = sub.add_parser(
-        "codegen", parents=[common], help="generate a 1-bit coding file"
+        "codegen", parents=[quiet], help="generate a 1-bit coding file"
     )
     p_gen.add_argument("--mode", required=True, choices=("far", "near"))
     p_gen.add_argument("--bs", default=None, help="'theta_deg,phi_deg'")
@@ -375,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_codegen)
 
     p_exp = sub.add_parser(
-        "experiment", parents=[common], help="run an experiment suite"
+        "experiment", parents=[quiet, seed], help="run an experiment suite"
     )
     p_exp.add_argument("--suite", required=True, choices=SUITES)
     p_exp.add_argument("--config", required=True, help="JSON run configuration")

@@ -488,7 +488,10 @@ def ml_refine(
         )
     geom = holo.geometry
     bs_freqs = spatial_frequencies(bs, geom)
-    half_steps = int(round(search_halfwidth_deg / grid_step_deg))
+    # No offset beyond +-180 deg survives the |angle| < 90 clip below, so a
+    # wider halfwidth gives the same grid.
+    half_steps = round(min(search_halfwidth_deg / grid_step_deg,
+                           math.ceil(180.0 / grid_step_deg)))
     offsets = grid_step_deg * (np.arange(2 * half_steps + 1) - half_steps)
     thetas = coarse.theta_deg + offsets
     phis = coarse.phi_deg + offsets

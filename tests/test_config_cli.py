@@ -7,10 +7,13 @@ disambiguation failures.
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoris.beamforming import read_coding_file
 from holoris.cli import main
@@ -126,6 +129,10 @@ def test_config_dict_round_trip():
         "localization": {"zero_pad_factor": 1, "dc_guard": 0},
         "experiment": {"trials": 3, "seed": 11, "ber_gain_db": 12.5},
     })
+    assert_round_trips(cfg)
+
+
+def assert_round_trips(cfg):
     again = parse_config(config_as_dict(cfg))
     assert again.experiment == cfg.experiment
     assert (again.output_dir, again.gain_phi_deg, again.ber_snr_db,
@@ -139,6 +146,75 @@ def test_config_dict_round_trip():
         assert (a.position is None) == (b.position is None)
         if a.position is not None:
             assert np.array_equal(a.position, b.position)
+
+
+# Documents built from the real key names, each value either of the form
+# the key takes (mostly valid) or any JSON value at all, NaN, infinities and
+# integers beyond the float range included.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+ANGLE = st.floats(-89.9, 89.9)
+
+
+def like(value):
+    """Values of the form of the default ``value``."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.just(value) | st.integers(value - 1, value + 40)
+    if isinstance(value, float):
+        return st.just(value) | st.floats(0.0, 60.0, exclude_min=True)
+    if isinstance(value, str):
+        return st.just(value) | st.text(max_size=4)
+    if value is None:
+        return st.none() | st.floats(0.0, 100.0)
+    if isinstance(value[0], list):
+        return st.lists(st.lists(ANGLE, min_size=2, max_size=2), min_size=1, max_size=2)
+    return st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=len(value))
+
+
+EDGE = st.sampled_from([10**400, -10**400, math.nan, math.inf, -math.inf, True, None, ""])
+
+
+def mostly(strategy):
+    """``strategy`` most of the time, an edge case or any JSON value otherwise."""
+    return st.integers(0, 9).flatmap(
+        lambda i: ANY_JSON if i == 3 else EDGE if i == 7 else strategy)
+
+
+def config_section(template, required=()):
+    values = {key: mostly(like(value)) for key, value in template.items()}
+    return st.fixed_dictionaries({key: values.pop(key) for key in required}, optional=values)
+
+
+DEFAULT_DOCUMENT = config_as_dict(parse_config({}))
+SHARED_SOURCE_KEYS = {"amplitude": 1.0, "phase_rad": 0.0, "frequency_tag": 0}
+SOURCE = st.one_of(
+    config_section({**SHARED_SOURCE_KEYS, "theta_deg": 0.0, "phi_deg": 30.0},
+                   required=("theta_deg", "phi_deg")),
+    config_section({**SHARED_SOURCE_KEYS, "kind": "near_field", "position_m": [0.5, 3.0, 0.2]},
+                   required=("kind", "position_m")),
+)
+CONFIG_DOCUMENTS = st.fixed_dictionaries({}, optional={
+    **{name: mostly(config_section(DEFAULT_DOCUMENT[name]))
+       for name in ("geometry", "detector", "localization", "experiment")},
+    "sources": mostly(st.lists(SOURCE, min_size=1, max_size=3)),
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(CONFIG_DOCUMENTS)
+def test_any_document_parses_and_round_trips_or_raises_config_error(document):
+    try:
+        cfg = parse_config(document)
+    except ConfigError:
+        return
+    assert_round_trips(cfg)
 
 
 # ---------------------------------------------------------------- simulate
@@ -212,7 +288,33 @@ def test_simulate_infinite_pitch_exits_2(tmp_path, capsys):
     assert "Infinity" in Path(cfg).read_text()
     out = tmp_path / "x.csv"
     assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
-    assert "geometry: d_z_m must be finite and > 0" in capsys.readouterr().err
+    assert "geometry.d_z_m: must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("ber", {"experiment": {"ber_gain_db": float("nan")}},
+     "experiment.ber_gain_db: must be finite, got nan"),
+    ("gain", {"experiment": {"gain_phi_deg": [0.0, float("inf")]}},
+     "experiment.gain_phi_deg[1]: must be finite, got inf"),
+    ("simulate", {"sources": [{"kind": "far_field", "theta_deg": 0.0, "phi_deg": 0.0,
+                               "amplitude": float("inf")}]},
+     "sources[0].amplitude: must be finite, got inf"),
+    ("grid", {"detector": {"ceiling": float("inf")}},
+     "detector.ceiling: must be finite, got inf"),
+], ids=["ber_gain_db-nan", "gain_phi_deg-inf", "amplitude-inf", "ceiling-inf"])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, command, document, message):
+    # json reads the literals NaN, Infinity and -Infinity; null is how the
+    # config says "unbounded"
+    cfg = write_config(tmp_path, document)
+    assert "NaN" in Path(cfg).read_text() or "Infinity" in Path(cfg).read_text()
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--config", cfg, "--output", str(out / "h.csv")]
+    else:
+        argv = ["experiment", "--suite", command, "--config", cfg, "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -250,6 +352,24 @@ def test_localize_sector_failures_exit_5(fixture_csv):
     # the  --sector=  form keeps argparse from reading "-90:90" as a flag
     assert main(["localize", fixture_csv, "--bs", "0,0", "--sector=-90:90"]) == 5
     assert main(["localize", fixture_csv, "--bs", "0,0", "--sector", "40:50"]) == 5
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("localize", "--seed=7"), ("localize", "--quiet"), ("codegen", "--seed=99"),
+])
+def test_flags_a_command_would_ignore_exit_2(fixture_csv, tmp_path, capsys, command, flag):
+    # --seed exists only where a seed is drawn (simulate, experiment) and
+    # --quiet only where progress is printed (simulate, codegen, experiment)
+    out = tmp_path / "c.txt"
+    argv = {
+        "localize": ["localize", fixture_csv, "--bs", "0,0"],
+        "codegen": ["codegen", "--mode", "far", "--bs", "0,0", "--ue", "0,30",
+                    "--output", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + [flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_localize_flag_conflicts_exit_2(fixture_csv):

@@ -554,6 +554,15 @@ def test_ml_refine_validation():
                       grid_step_deg=bad)
 
 
+def test_ml_refine_halfwidth_beyond_180_searches_the_180_grid():
+    # No offset beyond +-180 deg survives the |angle| < 90 clip, so a huge
+    # halfwidth (whose step count overflows an integer) is the 180 deg search.
+    holo = fixture_hologram()
+    bs, coarse = AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0)
+    wide = ml_refine(holo, bs, coarse, search_halfwidth_deg=180.0, grid_step_deg=0.5)
+    assert ml_refine(holo, bs, coarse, search_halfwidth_deg=1e300, grid_step_deg=0.5) == wide
+
+
 # Offsets from a multiple of 2*pi, down to where 1 - z vanishes in float64.
 NEAR_ZERO_OFFSETS = (0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-6, -1e-6, 1e-3, -1e-3, 1.3)
 
