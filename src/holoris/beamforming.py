@@ -20,6 +20,7 @@ from .errors import FileFormatError
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
+    _frequency_grid,
     element_positions,
     unit_direction,
 )
@@ -142,6 +143,22 @@ def _target_field(ue, geom: ArrayGeometry) -> np.ndarray:
     return complex_field_at_array(probe, geom)
 
 
+def _reflection(phase, geom: ArrayGeometry) -> np.ndarray:
+    """exp(i*phase) per element of a CodingMatrix (phase pi*state) or PhaseProfile.
+
+    TypeError for any other phase, ValueError unless its shape is geom.shape.
+    """
+    if isinstance(phase, CodingMatrix):
+        values = math.pi * phase.states
+    elif isinstance(phase, PhaseProfile):
+        values = phase.values
+    else:
+        raise TypeError("phase must be a CodingMatrix or PhaseProfile")
+    if values.shape != geom.shape:
+        raise ValueError(f"phase shape {values.shape} does not match {geom.shape}")
+    return np.exp(1j * values)
+
+
 def received_power(
     phase: CodingMatrix | PhaseProfile,
     bs_src: Source,
@@ -156,16 +173,9 @@ def received_power(
     unit-amplitude element, so a fully aligned n_z*n_x panel tops out at
     (n_z*n_x)^2.
     """
+    factor = _reflection(phase, geom)
     incident = complex_field_at_array(bs_src, geom)
     outgoing = _target_field(ue, geom)
-    if isinstance(phase, CodingMatrix):
-        factor = np.exp(1j * math.pi * phase.states)
-    elif isinstance(phase, PhaseProfile):
-        factor = np.exp(1j * phase.values)
-    else:
-        raise TypeError("phase must be a CodingMatrix or PhaseProfile")
-    if factor.shape != geom.shape:
-        raise ValueError(f"phase shape {factor.shape} does not match {geom.shape}")
     total = np.sum(incident * factor * outgoing)
     return float(np.abs(total) ** 2)
 
@@ -207,24 +217,14 @@ def pattern(
     The power over the whole grid is one 2D DTFT of the panel excitation,
     |sum_{m,n} e[m, n]*exp(i*(m*w_z(theta) + n*w_x(theta, phi)))|^2,
     evaluated by Horner's rule along x with no per-theta loop (see
-    localization._dtft2).
+    localization._dtft2).  Like received_power, raises TypeError unless
+    coding is a CodingMatrix or PhaseProfile and ValueError unless its shape
+    is geom.shape.
     """
+    excitation = complex_field_at_array(bs_src, geom) * _reflection(coding, geom)
     theta_grid_deg = np.asarray(theta_grid_deg, dtype=float)
     phi_grid_deg = np.asarray(phi_grid_deg, dtype=float)
-    incident = complex_field_at_array(bs_src, geom)
-    if isinstance(coding, CodingMatrix):
-        factor = np.exp(1j * math.pi * coding.states)
-    else:
-        factor = np.exp(1j * coding.values)
-    excitation = incident * factor
-
-    lam = geom.wavelength_m
-    cz = 2.0 * math.pi * geom.d_z_m / lam
-    cx = 2.0 * math.pi * geom.d_x_m / lam
-    th = np.radians(theta_grid_deg)
-    ph = np.radians(phi_grid_deg)
-    w_z = -cz * np.sin(th)
-    w_x = cx * np.cos(th)[:, np.newaxis] * np.sin(ph)[np.newaxis, :]
+    w_z, w_x = _frequency_grid(theta_grid_deg, phi_grid_deg, geom)
     power = np.abs(_dtft2(excitation, w_z, w_x)) ** 2
     i, j = np.unravel_index(int(np.argmax(power)), power.shape)
     peak = AngularLocation(

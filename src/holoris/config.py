@@ -16,6 +16,8 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError
 from .experiments import ExperimentConfig
 from .geometry import AngularLocation, default_geometry
@@ -196,6 +198,15 @@ _EXPERIMENT = (
 )
 
 
+# The most elements an array can have: numpy indexes with np.intp.
+_MAX_ELEMENTS = int(np.iinfo(np.intp).max)
+
+
+def _check_elements(path: str, what: str, count: int) -> None:
+    if count > _MAX_ELEMENTS:
+        raise ConfigError(f"{path}: {what} must be at most {_MAX_ELEMENTS} elements")
+
+
 def _section(root: dict, name: str, table) -> dict:
     """Section ``name`` of the document, read by ``table``."""
     section = _expect_mapping(root.get(name, {}), name)
@@ -232,6 +243,8 @@ def parse_config(document: dict) -> RunConfig:
                     "config")
     geometry = _build(replace, "geometry", default_geometry(),
                       **_section(root, "geometry", _GEOMETRY))
+    n_z, n_x = geometry.shape
+    _check_elements(f"geometry.{'n_z' if n_z >= n_x else 'n_x'}", "n_z*n_x", n_z * n_x)
     detector = _build(DetectorModel, "detector", **_section(root, "detector", _DETECTOR))
     if "sources" in root:
         raw = root["sources"]
@@ -242,6 +255,9 @@ def parse_config(document: dict) -> RunConfig:
         sources = (Source.far_field(AngularLocation(0.0, 0.0)),
                    Source.far_field(AngularLocation(0.0, 30.0)))
     localization = _section(root, "localization", _LOCALIZATION)
+    pad = localization.get("zero_pad_factor", ExperimentConfig.zero_pad_factor)
+    _check_elements("localization.zero_pad_factor",
+                    "(zero_pad_factor*n_z)*(zero_pad_factor*n_x)", pad * n_z * pad * n_x)
     values = _section(root, "experiment", _EXPERIMENT)
     run = {f.name: values.pop(f.name) for f in fields(RunConfig) if f.name in values}
     experiment = ExperimentConfig(

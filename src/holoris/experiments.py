@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import AllCandidatesInfeasible, DegenerateInterference, NoPeak
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
+    angular_distance_deg,
     default_geometry,
     wrap_degrees,
 )
@@ -40,6 +41,10 @@ from .wavefield import (
     DetectorModel,
     Hologram,
     Source,
+    _MISSING,
+    _float_rows,
+    _number,
+    _write_lines,
     _write_matrix_file,
     synthesize_trials,
     write_hologram_csv,
@@ -383,8 +388,7 @@ def write_spectrum_csv(path, holo: Hologram, zero_pad_factor: int = 1) -> None:
     mags = np.abs(fft2(holo, zero_pad_factor=zero_pad_factor).values)
     header = (("n_z", mags.shape[0]), ("n_x", mags.shape[1]),
               ("zero_pad_factor", zero_pad_factor))
-    rows = (",".join(repr(float(v)) for v in row) for row in mags)
-    _write_matrix_file(path, _SPECTRUM_MAGIC, header, rows)
+    _write_matrix_file(path, _SPECTRUM_MAGIC, header, _float_rows(mags))
 
 
 def showcase_three_samples(cfg: ExperimentConfig, out_dir) -> list[ShowcaseSample]:
@@ -417,16 +421,14 @@ def showcase_three_samples(cfg: ExperimentConfig, out_dir) -> list[ShowcaseSampl
         coding_path = base / "coding.txt"
         write_hologram_csv(holo_path, holo)
         write_spectrum_csv(spec_path, holo, zero_pad_factor=cfg.zero_pad_factor)
-        report_path.write_text(format_report(result))
+        _write_lines(report_path, format_report(result).splitlines())
         write_coding_file(coding_path, coding)
-        err_t = wrap_degrees(est.theta_deg - ue.theta_deg)
-        err_p = wrap_degrees(est.phi_deg - ue.phi_deg)
         samples.append(
             ShowcaseSample(
                 bs=bs,
                 ue=ue,
                 estimate=est,
-                error_deg=math.hypot(err_t, err_p),
+                error_deg=angular_distance_deg(est, ue),
                 gain_db=gain.gain_db,
                 artifacts=(holo_path, spec_path, report_path, coding_path),
             )
@@ -435,85 +437,48 @@ def showcase_three_samples(cfg: ExperimentConfig, out_dir) -> list[ShowcaseSampl
 
 
 def write_grid_records_csv(path, records) -> None:
-    cols = (
+    lines = [
         "bs_theta_deg,bs_phi_deg,ue_theta_deg,ue_phi_deg,trial,status,"
         "est_theta_deg,est_phi_deg,err_theta_deg,err_phi_deg,err_total_deg,"
         "peak_bin_z,peak_bin_x,peak_to_median_ratio"
-    )
-    lines = [cols]
+    ]
     for r in records:
-        est_t = "none" if r.estimate is None else repr(float(r.estimate.theta_deg))
-        est_p = "none" if r.estimate is None else repr(float(r.estimate.phi_deg))
-        bin_z = "none" if r.peak_bin is None else str(r.peak_bin[0])
-        bin_x = "none" if r.peak_bin is None else str(r.peak_bin[1])
-        lines.append(
-            ",".join(
-                [
-                    repr(float(r.bs.theta_deg)),
-                    repr(float(r.bs.phi_deg)),
-                    repr(float(r.ue.theta_deg)),
-                    repr(float(r.ue.phi_deg)),
-                    str(r.trial),
-                    r.status,
-                    est_t,
-                    est_p,
-                    repr(float(r.err_theta_deg)),
-                    repr(float(r.err_phi_deg)),
-                    repr(float(r.err_total_deg)),
-                    bin_z,
-                    bin_x,
-                    repr(float(r.peak_to_median_ratio)),
-                ]
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        bin_z, bin_x = (_MISSING, _MISSING) if r.peak_bin is None else r.peak_bin
+        lines.append(",".join([
+            repr(float(r.bs.theta_deg)), repr(float(r.bs.phi_deg)),
+            repr(float(r.ue.theta_deg)), repr(float(r.ue.phi_deg)), str(r.trial), r.status,
+            _number(getattr(r.estimate, "theta_deg", None)),
+            _number(getattr(r.estimate, "phi_deg", None)),
+            repr(float(r.err_theta_deg)), repr(float(r.err_phi_deg)),
+            repr(float(r.err_total_deg)), str(bin_z), str(bin_x),
+            repr(float(r.peak_to_median_ratio)),
+        ]))
+    _write_lines(path, lines)
 
 
 def write_statistics_txt(path, stats: ErrorStatistics) -> None:
-    lines = [
-        f"std_theta_deg={stats.std_theta_deg!r}",
-        f"std_phi_deg={stats.std_phi_deg!r}",
-        f"total_avg_deviation_deg={stats.total_avg_deviation_deg!r}",
-        f"fraction_within_9deg={stats.fraction_within_9deg!r}",
-        f"n_samples={stats.n_samples}",
-        f"n_failures={stats.n_failures}",
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """One name=value line per field but cdf, in declaration order."""
+    _write_lines(path, (f"{f.name}={getattr(stats, f.name)!r}"
+                        for f in fields(stats) if f.name != "cdf"))
 
 
 def write_cdf_csv(path, stats: ErrorStatistics) -> None:
-    with open(path, "w") as fh:
-        fh.write("error_deg,fraction\n")
-        for err, frac in stats.cdf:
-            fh.write(f"{err!r},{frac!r}\n")
+    _write_lines(path, ["error_deg,fraction",
+                        *(f"{err!r},{frac!r}" for err, frac in stats.cdf)])
 
 
 def write_sweep_csv(path, points) -> None:
-    cols = (
-        "phi_deg,status,est_theta_deg,est_phi_deg,gain_db,"
-        "gain_from_truth_db,baseline_floored"
-    )
-    lines = [cols]
+    lines = ["phi_deg,status,est_theta_deg,est_phi_deg,gain_db,gain_from_truth_db,"
+             "baseline_floored"]
     for p in points:
-        est_t = "none" if p.estimate is None else repr(float(p.estimate.theta_deg))
-        est_p = "none" if p.estimate is None else repr(float(p.estimate.phi_deg))
-        lines.append(
-            ",".join(
-                [
-                    repr(float(p.phi_deg)),
-                    p.status,
-                    est_t,
-                    est_p,
-                    repr(float(p.gain_db)),
-                    repr(float(p.gain_from_truth_db)),
-                    str(int(p.baseline_floored)),
-                ]
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(",".join([
+            repr(float(p.phi_deg)), p.status,
+            _number(getattr(p.estimate, "theta_deg", None)),
+            _number(getattr(p.estimate, "phi_deg", None)),
+            repr(float(p.gain_db)), repr(float(p.gain_from_truth_db)),
+            str(int(p.baseline_floored)),
+        ]))
+    _write_lines(path, lines)
 
 
 def write_ber_csv(path, baseline_curve, enhanced_curve, gain_db: float) -> None:
@@ -521,8 +486,7 @@ def write_ber_csv(path, baseline_curve, enhanced_curve, gain_db: float) -> None:
     lines = [f"# gain_db={float(gain_db)!r}", "tx_power_proxy_db,ber_baseline,ber_enhanced"]
     for (snr, b0), (_, b1) in zip(baseline_curve, enhanced_curve):
         lines.append(f"{snr!r},{b0!r},{b1!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _sha256(path) -> str:
@@ -564,5 +528,4 @@ def write_manifest(
         rel = Path(art).relative_to(base)
         entries.append(f"artifact={rel.as_posix()} sha256={_sha256(art)}")
     lines.extend(sorted(entries))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

@@ -153,6 +153,17 @@ def spatial_frequencies(loc: AngularLocation, geom: ArrayGeometry) -> SpatialFre
     return SpatialFrequencyPair(omega_z=omega_z, omega_x=omega_x)
 
 
+def _frequency_grid(theta_deg, phi_deg, geom: ArrayGeometry) -> tuple:
+    """spatial_frequencies on a grid of theta_deg (T,) by phi_deg (P,), up to
+    rounding: (omega_z of shape (T,), omega_x of shape (T, P))."""
+    lam = geom.wavelength_m
+    th = np.radians(theta_deg)
+    ph = np.radians(phi_deg)
+    omega_z = -(2.0 * math.pi * geom.d_z_m / lam) * np.sin(th)
+    omega_x = (2.0 * math.pi * geom.d_x_m / lam) * np.cos(th)[:, np.newaxis] * np.sin(ph)
+    return omega_z, omega_x
+
+
 def angles_from_frequencies(
     freqs: SpatialFrequencyPair, geom: ArrayGeometry
 ) -> AngularLocation:

@@ -32,11 +32,12 @@ from .geometry import (
     AngularLocation,
     ArrayGeometry,
     SpatialFrequencyPair,
+    _frequency_grid,
     angles_from_frequencies,
     angular_distance_deg,
     spatial_frequencies,
 )
-from .wavefield import Hologram, _intensity_sums
+from .wavefield import Hologram, _intensity_sums, _number
 
 # Bins whose magnitude is within this relative margin of the maximum are
 # treated as tied, so conjugate-symmetric near-ties resolve to the
@@ -503,17 +504,10 @@ def ml_refine(
     total = float(I.sum())
     n_el = n_z * n_x
 
-    lam = geom.wavelength_m
-    factor_x = 2.0 * math.pi * geom.d_x_m / lam
-    factor_z = 2.0 * math.pi * geom.d_z_m / lam
-    th_rad = np.radians(thetas)
-    ph_rad = np.radians(phis)
     # Fringe frequencies for every grid direction relative to the reference.
-    dz = (-factor_z * np.sin(th_rad)) - bs_freqs.omega_z
-    dx_grid = (
-        factor_x * np.cos(th_rad)[:, np.newaxis] * np.sin(ph_rad)[np.newaxis, :]
-        - bs_freqs.omega_x
-    )
+    omega_z, omega_x = _frequency_grid(thetas, phis, geom)
+    dz = omega_z - bs_freqs.omega_z
+    dx_grid = omega_x - bs_freqs.omega_x
 
     # exp(-i*Phi) = e_z[t, m] * z_x[t, p]**n: the z-axis factors are one
     # (T, n_z) exp and the x-axis ones one (T, P) exp, shared by all three sums.
@@ -583,23 +577,14 @@ def multiuser_localize(
     return {tag: outcome for (tag, _), outcome in zip(items, outcomes)}
 
 
-def _fmt_angle(loc: AngularLocation | None, axis: str) -> str:
-    if loc is None:
-        return "none"
-    return repr(float(getattr(loc, axis)))
-
-
 def format_report(result: LocalizationResult) -> str:
     """Flat key=value record of a localization result."""
-    lines = []
-    for name, cand in (
-        ("candidate_1", result.candidate_1),
-        ("candidate_2", result.candidate_2),
-        ("chosen", result.chosen),
-    ):
-        lines.append(f"{name}_theta_deg={_fmt_angle(cand, 'theta_deg')}")
-        lines.append(f"{name}_phi_deg={_fmt_angle(cand, 'phi_deg')}")
-    lines.append(f"peak_bin_z={result.peak_bin[0]}")
-    lines.append(f"peak_bin_x={result.peak_bin[1]}")
-    lines.append(f"peak_to_median_ratio={repr(float(result.peak_to_median_ratio))}")
+    lines = [
+        f"{name}_{axis}={_number(getattr(cand, axis, None))}"
+        for name, cand in (("candidate_1", result.candidate_1),
+                           ("candidate_2", result.candidate_2), ("chosen", result.chosen))
+        for axis in ("theta_deg", "phi_deg")
+    ]
+    lines += [f"peak_bin_z={result.peak_bin[0]}", f"peak_bin_x={result.peak_bin[1]}",
+              f"peak_to_median_ratio={_number(result.peak_to_median_ratio)}"]
     return "\n".join(lines) + "\n"

@@ -318,15 +318,32 @@ def synthesize_hologram(
     return holograms
 
 
+def _write_lines(path, lines) -> None:
+    """Write each line followed by a newline: the one text writer of holoris."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+_MISSING = "none"  # how every holoris text file spells a missing number
+
+
+def _number(value) -> str:
+    """A number as holoris text files spell it: repr(float), or none for None."""
+    return _MISSING if value is None else repr(float(value))
+
+
+def _float_rows(matrix: np.ndarray):
+    """The rows of a 2D float array, each as comma-separated repr(float) values."""
+    return (",".join(map(repr, row.tolist())) for row in matrix)
+
+
 def _write_matrix_file(path, magic: str, header_pairs, rows) -> None:
     """Write the magic line, one '# key=value' line per pair, then the rows.
 
     The holoris text formats (hologram CSV, coding file, spectrum CSV) all
     share this layout; rows are the already formatted data lines.
     """
-    lines = [magic, *(f"# {key}={value}" for key, value in header_pairs), *rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [magic, *(f"# {key}={value}" for key, value in header_pairs), *rows])
 
 
 def write_hologram_csv(path, holo: Hologram) -> None:
@@ -345,8 +362,7 @@ def write_hologram_csv(path, holo: Hologram) -> None:
         ("n_z", geom.n_z),
         ("frequency_tag", holo.frequency_tag),
     )
-    rows = (",".join(repr(float(v)) for v in row) for row in holo.values)
-    _write_matrix_file(path, _HOLOGRAM_MAGIC, header, rows)
+    _write_matrix_file(path, _HOLOGRAM_MAGIC, header, _float_rows(holo.values))
 
 
 def _read_lines(path) -> list[str]:

@@ -276,6 +276,22 @@ def test_pattern_matches_per_element_field_sum(theta_grid):
         assert (res.peak.theta_deg, res.peak.phi_deg) == (theta_grid[i], phi_grid[j])
 
 
+@pytest.mark.parametrize("phase, error, message", [
+    (CodingMatrix(states=np.zeros((1, 32))), ValueError,
+     r"phase shape \(1, 32\) does not match \(32, 32\)"),
+    (PhaseProfile(values=np.zeros((32, 31))), ValueError,
+     r"phase shape \(32, 31\) does not match \(32, 32\)"),
+    (np.zeros((32, 32)), TypeError, "phase must be a CodingMatrix or PhaseProfile"),
+], ids=["coding-1x32", "profile-32x31", "array"])
+@pytest.mark.parametrize("evaluate", [
+    lambda phase: received_power(phase, Source.far_field(BS), UE, GEOM),
+    lambda phase: pattern(phase, Source.far_field(BS), GEOM, [0.0], [0.0, 30.0]),
+], ids=["received_power", "pattern"])
+def test_phase_of_another_shape_or_kind_is_rejected(evaluate, phase, error, message):
+    with pytest.raises(error, match=message):
+        evaluate(phase)
+
+
 def test_coding_matrix_validation():
     with pytest.raises(ValueError):
         CodingMatrix(states=np.array([[0, 2]]))

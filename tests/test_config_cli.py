@@ -318,6 +318,31 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, command, document, m
     assert not out.exists()
 
 
+MAX_ELEMENTS = np.iinfo(np.intp).max  # the most elements numpy can index
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("simulate", {"geometry": {"n_z": 10**400}},
+     f"geometry.n_z: n_z*n_x must be at most {MAX_ELEMENTS} elements"),
+    ("simulate", {"geometry": {"n_z": 2**40, "n_x": 2**40}},
+     f"geometry.n_z: n_z*n_x must be at most {MAX_ELEMENTS} elements"),
+    ("showcase", {"localization": {"zero_pad_factor": 10**400}},
+     "localization.zero_pad_factor: (zero_pad_factor*n_z)*(zero_pad_factor*n_x) "
+     f"must be at most {MAX_ELEMENTS} elements"),
+], ids=["n_z-10**400", "n_z-n_x-2**40", "zero_pad_factor-10**400"])
+def test_array_size_beyond_numpy_exits_2(tmp_path, capsys, command, document, message):
+    # a size numpy cannot index fails at its field, before any array is built
+    cfg = write_config(tmp_path, document)
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--config", cfg, "--output", str(out / "h.csv")]
+    else:
+        argv = ["experiment", "--suite", command, "--config", cfg, "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- localize
 
 @pytest.fixture()

@@ -360,6 +360,15 @@ def test_grid_records_csv(tmp_path):
     assert row["status"] == "ok"
     assert float(row["err_total_deg"]) == pytest.approx(records[0].err_total_deg)
 
+    # a failed record has no estimate and no peak bin, and NaN errors and ratio
+    failed = GridRecord(bs=records[0].bs, ue=records[0].ue, trial=0, status="NoPeak")
+    write_grid_records_csv(path, [failed])
+    row = dict(zip(header, path.read_text().splitlines()[1].split(",")))
+    assert [row[k] for k in ("est_theta_deg", "est_phi_deg", "peak_bin_z", "peak_bin_x")] \
+        == ["none"] * 4
+    assert [row[k] for k in ("err_theta_deg", "err_phi_deg", "err_total_deg",
+                             "peak_to_median_ratio")] == ["nan"] * 4
+
 
 def test_statistics_and_cdf_files(tmp_path):
     stats, _ = _noiseless_grid()
@@ -385,7 +394,8 @@ def test_sweep_and_ber_files(tmp_path):
     lines = sweep_path.read_text().splitlines()
     data = [l for l in lines if not l.startswith("#")][1:]
     assert len(data) == 3
-    assert any("NoPeak" in l for l in data)
+    # the user at the reference direction leaves no fringe: no estimate, NaN gains
+    assert data[1] == "0.0,NoPeak,none,none,nan,nan,0"
 
     grid = np.arange(-10.0, 31.0, 5.0)
     ber_path = tmp_path / "ber.csv"

@@ -9,22 +9,30 @@ guard.  Each placement is synthesized with detector noise 1.0 and its own
 capture seed, localized at zero-pad 2 and DC guard 2 with the oracle
 policy, and refined by ``ml_refine`` at its defaults (+-5 deg, 0.1 deg).
 Prints one line per placement with the BS, the user, the coarse and the
-refined angles as ``float.hex``, or the error localization raised.  The
-program is imported from the ``src/`` directory of the checkout holding
-this script.  Run it in two checkouts and ``diff`` the outputs: a change
-that keeps the refined angles prints identical bytes.
+refined angles as ``float.hex``, or the error localization raised.  For a
+refined placement the line also holds the ``pattern`` of the 1-bit coding
+steered at the refined angles, on the 121x121 grid over -60..60 deg in
+both axes: its peak and both half-power beamwidths as ``float.hex`` and
+the SHA-256 of its power grid.  The program is imported from the ``src/``
+directory of the checkout holding this script.  Run it in two checkouts
+and ``diff`` the outputs: a change that keeps the refined angles and the
+beams prints identical bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from holoris.beamforming import farfield_phase_profile, pattern, quantize_1bit  # noqa: E402
 from holoris.errors import AllCandidatesInfeasible, NoPeak  # noqa: E402
 from holoris.experiments import paper_bs_locations  # noqa: E402
 from holoris.geometry import AngularLocation, default_geometry  # noqa: E402
@@ -37,6 +45,7 @@ NOISE_STD = 1.0
 ZERO_PAD = 2
 DC_GUARD = 2
 MIN_SEPARATION_DEG = 10.0
+PATTERN_GRID_DEG = np.linspace(-60.0, 60.0, 121)
 
 
 def placements(seed: int):
@@ -73,7 +82,13 @@ def run() -> int:
                 print(f"{head} error={type(exc).__name__}")
                 continue
             refined = ml_refine(holo, bs, coarse)
-            print(f"{head} coarse={_pair(coarse)} refined={_pair(refined)}")
+            coding = quantize_1bit(farfield_phase_profile(bs, refined, geom))
+            beam = pattern(coding, Source.far_field(bs), geom, PATTERN_GRID_DEG,
+                           PATTERN_GRID_DEG)
+            power = hashlib.sha256(np.ascontiguousarray(beam.power).tobytes()).hexdigest()
+            print(f"{head} coarse={_pair(coarse)} refined={_pair(refined)} "
+                  f"peak={_pair(beam.peak)} hpbw={beam.hpbw_theta_deg.hex()},"
+                  f"{beam.hpbw_phi_deg.hex()} power={power}")
     return 0
 
 
