@@ -145,10 +145,11 @@ def _locations(value, path: str) -> tuple:
     )
 
 
-def _carrier(value, path: str) -> int:
-    hz = _value(value, path, int, 1)
-    _float(hz, path)  # the wavelength and wavenumber are floats
-    return hz
+def _float_int(value, path: str, minimum: int) -> int:
+    """An integer >= minimum that converts to a float."""
+    number = _value(value, path, int, minimum)
+    _float(number, path)
+    return number
 
 
 def _modulation_order(value, path: str) -> int:
@@ -160,7 +161,7 @@ def _modulation_order(value, path: str) -> int:
 
 # Each table lists its keys in read order: of several errors, the first met is reported.
 _GEOMETRY = (
-    _Key("f_c_hz", _carrier),
+    _Key("f_c_hz", partial(_float_int, minimum=1)),  # wavelength and wavenumber are floats
     _Key("n_z", int, 1),
     _Key("n_x", int, 1),
     _Key("d_z_m", float, 0.0, strict=True),
@@ -176,7 +177,7 @@ _DETECTOR = (
 _SOURCE = (  # the keys both source kinds take
     _Key("amplitude", float, 0.0),
     _Key("phase_rad", float),
-    _Key("frequency_tag", int, 0),
+    _Key("frequency_tag", partial(_float_int, minimum=0)),  # as Hologram requires
 )
 _LOCALIZATION = (
     _Key("zero_pad_factor", int, 1),

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .beamforming import (
     farfield_phase_profile,
@@ -42,11 +43,11 @@ from .wavefield import (
     Hologram,
     Source,
     _MISSING,
+    _capture_stack,
     _float_rows,
     _number,
     _write_lines,
     _write_matrix_file,
-    synthesize_trials,
     write_hologram_csv,
 )
 
@@ -179,23 +180,139 @@ def _coincident(a: AngularLocation, b: AngularLocation) -> bool:
     return a.theta_deg == b.theta_deg and a.phi_deg == b.phi_deg
 
 
-def _derive_seed(master: int, config_index: int, trial: int) -> int:
-    return int(
-        np.random.SeedSequence([master, config_index, trial]).generate_state(1)[0]
-    )
+# numpy's SeedSequence follows O'Neill's seed_seq design ("Developing a
+# seed_seq Alternative", pcg-random.org, 2015), and NEP 19 freezes its output:
+# a pool of four 32-bit words, hashed and mixed with these constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_pool(entropy: list) -> list:
+    """SeedSequence's pool for a batch of entropies, one word at a time.
+
+    entropy lists the entropy words, each a uint32 array over the batch;
+    returns the pool's words likewise.  Words beyond the pool size are mixed
+    into every pool word, as SeedSequence mixes a long entropy.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _generate_state(pool: list, n_words: int) -> list:
+    """SeedSequence.generate_state(n_words) of a batch of pools, word by word."""
+    hash_const = _INIT_B
+    out = []
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append(value ^ (value >> 16))
+    return out
+
+
+def _capture_seeds(master: int, config_index, trial) -> tuple[np.ndarray, np.ndarray]:
+    """The suites' per-capture seeding, for whole arrays of captures at once.
+
+    Capture trial[j] of placement config_index[j] is seeded with
+    SeedSequence([master, config_index[j], trial[j]]).generate_state(1)[0],
+    and its generator starts from the PCG64 state np.random.default_rng
+    draws from that seed.  Both stages run SeedSequence's own arithmetic
+    over the arrays, broadcast together.  Returns (seeds, states): uint32 of
+    their shape S and uint64 of shape (*S, 4).
+    """
+    if master < 0:
+        raise ValueError(f"seed must be non-negative, got {master!r}")
+    config_index, trial = np.broadcast_arrays(np.asarray(config_index),
+                                              np.asarray(trial))
+    if config_index.size and max(config_index.max(), trial.max()) > _MASK32:
+        raise ValueError("placement and trial indices must be below 2**32")
+    words = []  # an integer enters SeedSequence as its 32-bit words, least first
+    while True:
+        words.append(np.full(config_index.shape, master & _MASK32, dtype=np.uint32))
+        master >>= 32
+        if not master:
+            break
+    words += [config_index.astype(np.uint32), trial.astype(np.uint32)]
+    (seeds,) = _generate_state(_seed_pool(words), 1)
+    return seeds, _pcg64_states(seeds)
+
+
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """The PCG64 state np.random.default_rng(seed) starts from, per uint32 seed.
+
+    PCG64 takes SeedSequence(seed).generate_state(4, uint64): the first 8
+    words in pairs, the first of each pair low.  Returns shape (*seeds.shape, 4).
+    """
+    words = _generate_state(_seed_pool([seeds]), 8)
+    states = np.empty((*seeds.shape, 4), dtype=np.uint64)
+    for k in range(4):
+        column = states[..., k]
+        column[...] = words[2 * k + 1]
+        column <<= np.uint64(32)
+        column |= words[2 * k]
+    return states
+
+
+class _PCG64State(ISeedSequence):
+    """Hands np.random.PCG64 a state _pcg64_states computed."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = np.ascontiguousarray(state, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype != np.uint64:
+            raise ValueError("holds a PCG64 state only: 4 uint64 words")
+        return self.state
+
+
+def _placement_generators(master: int, indices, trials: int = 1):
+    """Per placement index, the generators of its captures 0 .. trials-1.
+
+    The seeds and states of all placements come from one _capture_seeds
+    pass; each placement's generators are built when the iteration reaches
+    it, so one placement's are alive at a time.
+    """
+    _, states = _capture_seeds(master, np.asarray(indices)[:, np.newaxis],
+                               np.arange(trials))
+    for placement in states:
+        yield [np.random.Generator(np.random.PCG64(_PCG64State(s))) for s in placement]
 
 
 def _localize_pair(cfg: ExperimentConfig, bs: AngularLocation, ue: AngularLocation,
-                   seeds) -> tuple:
-    """Capture the BS/UE pair once per seed and localize the captures.
+                   rngs) -> tuple:
+    """Capture the BS/UE pair once per generator and localize the captures.
 
     The captures are synthesized and localized as one stack with the
     configured spectral settings and the per-record oracle policy.  Returns
     (captures, outcomes): the (T, n_z, n_x) stack and, per capture, its
     LocalizationResult or localization error.
     """
-    captures = synthesize_trials(
-        [Source.far_field(bs), Source.far_field(ue)], cfg.geometry, cfg.detector, seeds
+    captures = _capture_stack(
+        [Source.far_field(bs), Source.far_field(ue)], cfg.geometry, cfg.detector, rngs
     )
     outcomes = localize_trials(
         captures,
@@ -217,44 +334,48 @@ def run_localization_grid(cfg: ExperimentConfig):
     trials of one placement are synthesized and localized as one stack,
     one placement at a time.  Failures (NoPeak and friends) are recorded,
     never fatal.  Returns (ErrorStatistics, records).
+
+    Seeds: with the non-coincident pairs numbered i = 0, 1, ... in (BS, UE)
+    order, capture t of pair i is synthesized with the generator
+    np.random.default_rng(SeedSequence([cfg.seed, i, t]).generate_state(1)[0]).
+    The seeds and generator states of the whole grid are derived in one
+    vectorized pass, and each placement's generators are built from them
+    when it runs.
     """
+    pairs = [(bs, ue) for bs in cfg.bs_locations for ue in cfg.ue_locations
+             if not _coincident(bs, ue)]
     records = []
-    config_index = 0
-    for bs in cfg.bs_locations:
-        for ue in cfg.ue_locations:
-            if _coincident(bs, ue):
-                continue
-            seeds = [_derive_seed(cfg.seed, config_index, t) for t in range(cfg.trials)]
-            _, outcomes = _localize_pair(cfg, bs, ue, seeds)
-            for trial, result in enumerate(outcomes):
-                if isinstance(result, (NoPeak, AllCandidatesInfeasible)):
-                    records.append(
-                        GridRecord(
-                            bs=bs,
-                            ue=ue,
-                            trial=trial,
-                            status=type(result).__name__,
-                        )
-                    )
-                    continue
-                est = result.chosen
-                err_t = wrap_degrees(est.theta_deg - ue.theta_deg)
-                err_p = wrap_degrees(est.phi_deg - ue.phi_deg)
+    for (bs, ue), rngs in zip(pairs, _placement_generators(cfg.seed, range(len(pairs)),
+                                                           cfg.trials)):
+        _, outcomes = _localize_pair(cfg, bs, ue, rngs)
+        for trial, result in enumerate(outcomes):
+            if isinstance(result, (NoPeak, AllCandidatesInfeasible)):
                 records.append(
                     GridRecord(
                         bs=bs,
                         ue=ue,
                         trial=trial,
-                        status="ok",
-                        estimate=est,
-                        err_theta_deg=err_t,
-                        err_phi_deg=err_p,
-                        err_total_deg=math.hypot(err_t, err_p),
-                        peak_bin=result.peak_bin,
-                        peak_to_median_ratio=result.peak_to_median_ratio,
+                        status=type(result).__name__,
                     )
                 )
-            config_index += 1
+                continue
+            est = result.chosen
+            err_t = wrap_degrees(est.theta_deg - ue.theta_deg)
+            err_p = wrap_degrees(est.phi_deg - ue.phi_deg)
+            records.append(
+                GridRecord(
+                    bs=bs,
+                    ue=ue,
+                    trial=trial,
+                    status="ok",
+                    estimate=est,
+                    err_theta_deg=err_t,
+                    err_phi_deg=err_p,
+                    err_total_deg=math.hypot(err_t, err_p),
+                    peak_bin=result.peak_bin,
+                    peak_to_median_ratio=result.peak_to_median_ratio,
+                )
+            )
     return ErrorStatistics.from_records(records), records
 
 
@@ -282,12 +403,13 @@ def gain_sweep(cfg: ExperimentConfig, phi_range_deg) -> list[SweepPoint]:
     """
     bs = cfg.bs_locations[0]
     bs_src = Source.far_field(bs)
+    phis = list(phi_range_deg)
     points = []
-    for index, phi in enumerate(phi_range_deg):
+    for phi, rngs in zip(phis, _placement_generators(cfg.seed, range(len(phis)))):
         ue = AngularLocation(0.0, float(phi))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateInterference)
-            _, (result,) = _localize_pair(cfg, bs, ue, [_derive_seed(cfg.seed, index, 0)])
+            _, (result,) = _localize_pair(cfg, bs, ue, rngs)
         if isinstance(result, (NoPeak, AllCandidatesInfeasible)):
             points.append(SweepPoint(phi_deg=float(phi), status=type(result).__name__))
             continue
@@ -402,11 +524,11 @@ def showcase_three_samples(cfg: ExperimentConfig, out_dir) -> list[ShowcaseSampl
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    placements = showcase_samples()
+    rngs_of = _placement_generators(cfg.seed, range(1001, 1001 + len(placements)))
     samples = []
-    for index, (bs, ue) in enumerate(showcase_samples(), start=1):
-        captures, (result,) = _localize_pair(
-            cfg, bs, ue, [_derive_seed(cfg.seed, 1000 + index, 0)]
-        )
+    for index, ((bs, ue), rngs) in enumerate(zip(placements, rngs_of), start=1):
+        captures, (result,) = _localize_pair(cfg, bs, ue, rngs)
         if isinstance(result, Exception):
             raise result
         holo = Hologram(values=captures[0], geometry=cfg.geometry)

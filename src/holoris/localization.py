@@ -330,38 +330,46 @@ def _localize_stack(values, totals, geom, bs, zero_pad_factor, disambiguation,
     # residue (a constant hologram is constant only to the last ulp), not
     # an interference pattern.
     peaks = _peaks(mags, dc_guard, significance_threshold, (1e-9 * totals).tolist())
+    # Captures of one stack share few peak bins, so each bin is mapped once.
+    outcome_of_bin: dict = {}
     out: list = []
     for peak in peaks:
         if isinstance(peak, NoPeak):
             out.append(peak)
             continue
         peak_bin, ratio = peak
-        plus, minus = candidate_frequencies(bs_freqs, peak_bin, mags.shape[1:])
-        candidates: list[AngularLocation | None] = []
-        for freqs in (plus, minus):
-            try:
-                candidates.append(angles_from_frequencies(freqs, geom))
-            except InfeasibleFrequency:
-                candidates.append(None)
-        candidate_1, candidate_2 = candidates
-        if candidate_1 is None and candidate_2 is None:
-            out.append(AllCandidatesInfeasible(
-                "both twin candidates fall outside the propagating-wave region"
-            ))
-            continue
-        try:
-            chosen = disambiguate(candidate_1, candidate_2, disambiguation)
-        except (SectorEmpty, SectorAmbiguous) as exc:
-            out.append(exc)
-            continue
-        out.append(LocalizationResult(
-            candidate_1=candidate_1,
-            candidate_2=candidate_2,
-            chosen=chosen,
-            peak_bin=peak_bin,
-            peak_to_median_ratio=ratio,
-        ))
+        if peak_bin not in outcome_of_bin:
+            outcome_of_bin[peak_bin] = _bin_outcome(bs_freqs, peak_bin, mags.shape[1:],
+                                                    geom, disambiguation)
+        out.append(outcome_of_bin[peak_bin](ratio))
     return out
+
+
+def _bin_outcome(bs_freqs, peak_bin, padded_shape, geom, disambiguation):
+    """The outcome of a capture whose peak is peak_bin, as a function of its ratio.
+
+    The twin candidates and the policy's choice depend on the bin alone, so
+    they are computed here once; the returned function makes a new
+    LocalizationResult, or a new localization error, on every call.
+    """
+    plus, minus = candidate_frequencies(bs_freqs, peak_bin, padded_shape)
+    candidates: list[AngularLocation | None] = []
+    for freqs in (plus, minus):
+        try:
+            candidates.append(angles_from_frequencies(freqs, geom))
+        except InfeasibleFrequency:
+            candidates.append(None)
+    candidate_1, candidate_2 = candidates
+    if candidate_1 is None and candidate_2 is None:
+        return lambda ratio: AllCandidatesInfeasible(
+            "both twin candidates fall outside the propagating-wave region"
+        )
+    try:
+        chosen = disambiguate(candidate_1, candidate_2, disambiguation)
+    except (SectorEmpty, SectorAmbiguous) as exc:
+        kind, args = type(exc), exc.args
+        return lambda ratio: kind(*args)
+    return functools.partial(LocalizationResult, candidate_1, candidate_2, chosen, peak_bin)
 
 
 def localize(

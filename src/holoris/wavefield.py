@@ -140,7 +140,9 @@ class Hologram:
     """Captured intensity matrix for one frequency tag.
 
     values is a read-only copy, so the checks made here hold for the
-    hologram's lifetime and its users need not repeat them.
+    hologram's lifetime and its users need not repeat them.  frequency_tag
+    must convert to a float, as read_hologram_csv requires of the tag it
+    reads back.
     """
 
     values: np.ndarray
@@ -151,6 +153,10 @@ class Hologram:
         tag = self.frequency_tag
         if not (_is_int(tag) and tag >= 0):
             raise ValueError(f"frequency_tag must be a non-negative integer, got {tag!r}")
+        try:
+            float(tag)
+        except OverflowError:
+            raise ValueError("frequency_tag is too large to convert to a float") from None
         values = np.array(self.values, dtype=float)
         if values.shape != self.geometry.shape:
             raise ValueError(

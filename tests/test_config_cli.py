@@ -263,6 +263,19 @@ def test_simulate_oversized_carrier_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_tag_beyond_float_exits_2(tmp_path, capsys):
+    # the hologram reader could not read such a tag back, so it is refused
+    # where it enters
+    tagged = {"theta_deg": 0.0, "frequency_tag": 10**400}
+    cfg = write_config(tmp_path, {"sources": [{**tagged, "phi_deg": 0.0},
+                                              {**tagged, "phi_deg": 30.0}]})
+    out = tmp_path / "h.csv"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: sources[0].frequency_tag: too large to convert to a float\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suite, document, field", [
     ("ber", {"experiment": {"ber_gain_db": 10**400}}, "experiment.ber_gain_db"),
     ("gain", {"experiment": {"gain_phi_deg": [0.0, 10**400]}},

@@ -19,6 +19,10 @@ from holoris.experiments import (
     ErrorStatistics,
     ExperimentConfig,
     GridRecord,
+    _PCG64State,
+    _capture_seeds,
+    _pcg64_states,
+    _placement_generators,
     ber_curve,
     calibrated_detector,
     gain_sweep,
@@ -159,6 +163,47 @@ def test_gain_sweep_matches_per_azimuth_localize():
     points = gain_sweep(cfg, phis)
     assert [(p.phi_deg, p.status, p.estimate) for p in points] == want
     assert sum(p.status == "ok" for p in points) >= 6
+
+
+def test_capture_seeds_match_seed_sequence():
+    """The vectorized seeding equals SeedSequence([master, i, t]).generate_state(1)
+    on 10**5 random 32-bit triples and on masters of several 32-bit words."""
+    rng = np.random.default_rng(20)
+    masters = rng.integers(0, 2**32, size=100, dtype=np.uint64)
+    masters[:2] = (0, 2**32 - 1)
+    pairs = rng.integers(0, 2**32, size=(100, 1000, 2), dtype=np.uint64)
+    got = np.stack([_capture_seeds(int(m), ij[:, 0], ij[:, 1])[0]
+                    for m, ij in zip(masters, pairs)])
+    # Entropy of words below 2**32 enters SeedSequence as those words, so an
+    # array of them stands for the list [master, i, t] and is built faster.
+    triples = np.concatenate([np.broadcast_to(masters[:, None, None], (100, 1000, 1)), pairs],
+                             axis=2).astype(np.uint32)
+    want = np.array([np.random.SeedSequence(t).generate_state(1)[0]
+                     for t in triples.reshape(-1, 3)]).reshape(100, 1000)
+    assert np.array_equal(got, want)
+    for master in (0, 2**32 - 1, 2**32, 2**40 + 7, 10**40):
+        i, t = pairs[0, :20, 0], pairs[0, :20, 1]
+        want = [np.random.SeedSequence([master, int(a), int(b)]).generate_state(1)[0]
+                for a, b in zip(i, t)]
+        assert _capture_seeds(master, i, t)[0].tolist() == want
+    with pytest.raises(ValueError):
+        _capture_seeds(0, [2**32], 0)
+
+
+def test_placement_generators_draw_as_default_rng():
+    """The suites' generators draw what np.random.default_rng(seed) draws, for
+    derived seeds and for seed 0."""
+    seeds = _capture_seeds(7, np.arange(4)[:, None], np.arange(5))[0].ravel().tolist()
+    gens = [g for placement in _placement_generators(7, range(4), 5) for g in placement]
+    seeds.append(0)
+    gens.append(np.random.Generator(np.random.PCG64(
+        _PCG64State(_pcg64_states(np.zeros(1, dtype=np.uint32))[0]))))
+    assert len(gens) == 21
+    for seed, gen in zip(seeds, gens):
+        ref = np.random.default_rng(seed)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
+        assert np.array_equal(gen.integers(0, 2**62, 8), ref.integers(0, 2**62, 8))
 
 
 def test_calibrated_detector_values():

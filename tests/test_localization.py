@@ -29,6 +29,7 @@ from holoris.geometry import (
     spatial_frequencies,
 )
 from holoris.localization import (
+    LocalizationResult,
     OraclePolicy,
     SectorPolicy,
     Spectrum,
@@ -354,6 +355,46 @@ def test_localize_trials_matches_localize(pad, guard, policy):
     # the noisy captures localize (or fail the sector), the other two do not
     kinds = {w[0] if isinstance(w[0], type) else "ok" for w in want}
     assert {NoPeak, AllCandidatesInfeasible} <= kinds and len(kinds) >= 3
+
+
+MEMO_USERS = (AngularLocation(20.0, 50.0), AngularLocation(-20.0, 50.0),
+              AngularLocation(0.0, 30.0))
+
+
+@pytest.mark.parametrize("policy, failures", [
+    (None, set()),
+    (OraclePolicy(truth=MEMO_USERS[0]), set()),
+    # with the reference at broadside the twins mirror through it: the first
+    # user has one twin inside, the second none, the third both
+    (SectorPolicy(theta_range_deg=(-5.0, 89.0), phi_range_deg=(-40.0, 89.0)),
+     {SectorEmpty, SectorAmbiguous}),
+], ids=["none", "oracle", "sector"])
+def test_localize_trials_on_recurring_bins_matches_localize(policy, failures):
+    """A stack of repeated, permuted captures, so that peak bins recur within
+    one call: every record equals per-capture localize, and records that fail
+    on one bin carry distinct errors."""
+    bs = AngularLocation(0.0, 0.0)
+    det = DetectorModel(noise_std=1.0, phase_jitter_std=0.2)
+    n = np.arange(32)[np.newaxis, :]
+    infeasible = 2.0 + np.cos(n * (math.pi / 2.0)) * np.ones((32, 1))
+    base = np.concatenate(
+        [synthesize_trials([Source.far_field(bs), Source.far_field(ue)], GEOM, det, range(3))
+         for ue in MEMO_USERS]
+        + [infeasible[None], np.full((1, 32, 32), 4.0)])
+    stack = base[np.random.default_rng(9).permutation(np.tile(np.arange(len(base)), 3))]
+    kw = dict(zero_pad_factor=2, disambiguation=policy, dc_guard=2, significance_threshold=2.0)
+    got = localize_trials(stack, GEOM, bs, **kw)
+    want = [_outcome(lambda: localize(Hologram(values=v, geometry=GEOM), bs, **kw))
+            for v in stack]
+    assert [_bits(r) for r in got] == want
+    assert {type(r) for r in got} == {LocalizationResult, AllCandidatesInfeasible, NoPeak,
+                                      *failures}
+    bins = [r.peak_bin for r in got if isinstance(r, LocalizationResult)]
+    assert len(set(bins)) < len(bins)
+    errors = [r for r in got if isinstance(r, Exception)]
+    assert len({id(e) for e in errors}) == len(errors)
+    for kind in (AllCandidatesInfeasible, *failures):
+        assert sum(isinstance(e, kind) for e in errors) >= 3
 
 
 def reference_peak(values, pad, guard):

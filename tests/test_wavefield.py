@@ -285,6 +285,18 @@ def test_hologram_rejects_non_integer_or_negative_tag(bad):
         Hologram(values=np.ones(GEOM.shape), geometry=GEOM, frequency_tag=bad)
 
 
+def test_hologram_rejects_tag_beyond_float_and_largest_tag_reads_back(tmp_path):
+    # read_hologram_csv reads the tag as a finite number, so a tag beyond the
+    # float range would be written but never read back
+    with pytest.raises(ValueError, match="frequency_tag is too large to convert to a float"):
+        Hologram(values=np.ones(GEOM.shape), geometry=GEOM, frequency_tag=10**400)
+    largest = int(np.finfo(float).max)
+    path = tmp_path / "h.csv"
+    write_hologram_csv(path, Hologram(values=np.ones(GEOM.shape), geometry=GEOM,
+                                      frequency_tag=largest))
+    assert read_hologram_csv(path).frequency_tag == largest
+
+
 def test_hologram_csv_rejects_corruption(tmp_path):
     holo = synthesize_hologram(
         [Source.far_field(AngularLocation(0.0, 0.0)),
