@@ -1,65 +1,82 @@
 """The gate scripts of tools/ against their checked-in golden outputs.
 
-tools/golden/manifest_gate.txt is the output of tools/manifest_gate.py
-(every suite's manifest at seeds 0 and 1, default and canonical configs)
-under a first line naming the Python and numpy versions that made it.
+tools/golden/<gate>.txt is the standard output of tools/<gate>.py under a
+first line naming the Python and numpy versions that made it:
+
+- manifest_gate: every suite's manifest at seeds 0 and 1, default and
+  canonical configs;
+- refine_gate: the coarse and ml_refine angles and the steered beam of 576
+  fixed placements;
+- config_gate: how parse_config reads a fixed corpus of documents.
+
 Artifact bytes depend on numpy's FFT and the platform libm, so under other
 versions the test fails with both named instead of comparing.  A change
-that moves an artifact regenerates the golden file in its own diff:
+that moves a gate's output regenerates its golden file in its own diff:
 
-    python3 tests/test_gates.py > tools/golden/manifest_gate.txt
+    python3 tests/test_gates.py manifest_gate > tools/golden/manifest_gate.txt
 """
 
 from __future__ import annotations
 
 import contextlib
 import difflib
-import importlib.util
 import io
 import platform
+import runpy
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-GOLDEN = TOOLS / "golden" / "manifest_gate.txt"
 
 
 def _versions() -> str:
     return f"# python {platform.python_version()} numpy {np.__version__}"
 
 
-def _manifest_gate(work: Path) -> tuple[int, str]:
-    """Exit code and standard output of tools/manifest_gate.py, run in-process."""
-    spec = importlib.util.spec_from_file_location("manifest_gate", TOOLS / "manifest_gate.py")
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
+def _gate(name: str) -> tuple[int, str]:
+    """Exit code and standard output of tools/<name>.py, run in-process as a script."""
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = gate.run(work)
+        try:
+            runpy.run_path(str(TOOLS / f"{name}.py"), run_name="__main__")
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue()
 
 
-def test_manifest_gate_matches_golden(tmp_path):
-    made_with, _, want = GOLDEN.read_text().partition("\n")
+def _check_golden(name: str) -> None:
+    golden = TOOLS / "golden" / f"{name}.txt"
+    made_with, _, want = golden.read_text().partition("\n")
     assert made_with == _versions(), (
-        f"{GOLDEN.name} was made with {made_with[2:]!r}, this is {_versions()[2:]!r}: "
+        f"{golden.name} was made with {made_with[2:]!r}, this is {_versions()[2:]!r}: "
         "regenerate it under these versions from a checkout known to be right"
     )
-    code, got = _manifest_gate(tmp_path)
+    code, got = _gate(name)
     if got != want:
         diff = difflib.unified_diff(want.splitlines(), got.splitlines(),
                                     "golden", "now", n=0, lineterm="")
         first = [line[:200] for _, line in zip(range(12), diff)]
-        raise AssertionError(f"manifest_gate output differs from {GOLDEN.name}:\n"
+        raise AssertionError(f"{name} output differs from {golden.name}:\n"
                              + "\n".join(first))
     assert code == 0
 
 
+def test_manifest_gate_matches_golden():
+    _check_golden("manifest_gate")
+
+
+def test_refine_gate_matches_golden():
+    _check_golden("refine_gate")
+
+
+def test_config_gate_matches_golden():
+    _check_golden("config_gate")
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        code, text = _manifest_gate(Path(tmp))
+    code, text = _gate(sys.argv[1])
     print(_versions())
     print(text, end="")
     sys.exit(code)
