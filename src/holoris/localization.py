@@ -465,6 +465,20 @@ def _geometric_sum(z: np.ndarray, z_n: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _clipped_axis(center: float, step: float, half_steps: int) -> np.ndarray:
+    """center + step*k for the integers |k| <= half_steps with |angle| < 90.
+
+    Only the range of k that can pass the clip is built, widened by a few
+    steps for rounding; the clip is then the same float comparison on the
+    same values, so the axis is that of the whole range, clipped.
+    """
+    slack = 2 + math.ceil(1e-12 / step)
+    lo = max(-half_steps, math.floor((-90.0 - center) / step) - slack)
+    hi = min(half_steps, math.ceil((90.0 - center) / step) + slack)
+    axis = center + step * np.arange(lo, hi + 1)
+    return axis[np.abs(axis) < 90.0]
+
+
 def ml_refine(
     holo: Hologram,
     bs: AngularLocation,
@@ -497,15 +511,12 @@ def ml_refine(
         )
     geom = holo.geometry
     bs_freqs = spatial_frequencies(bs, geom)
-    # No offset beyond +-180 deg survives the |angle| < 90 clip below, so a
-    # wider halfwidth gives the same grid.
+    # No offset beyond +-180 deg survives the |angle| < 90 clip, so a wider
+    # halfwidth gives the same grid.
     half_steps = round(min(search_halfwidth_deg / grid_step_deg,
                            math.ceil(180.0 / grid_step_deg)))
-    offsets = grid_step_deg * (np.arange(2 * half_steps + 1) - half_steps)
-    thetas = coarse.theta_deg + offsets
-    phis = coarse.phi_deg + offsets
-    thetas = thetas[np.abs(thetas) < 90.0]
-    phis = phis[np.abs(phis) < 90.0]
+    thetas = _clipped_axis(coarse.theta_deg, grid_step_deg, half_steps)
+    phis = _clipped_axis(coarse.phi_deg, grid_step_deg, half_steps)
 
     I = holo.values
     n_z, n_x = I.shape

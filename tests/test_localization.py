@@ -33,6 +33,7 @@ from holoris.localization import (
     OraclePolicy,
     SectorPolicy,
     Spectrum,
+    _clipped_axis,
     _dtft2,
     _geometric_sum,
     _guard_complement,
@@ -602,6 +603,32 @@ def test_ml_refine_halfwidth_beyond_180_searches_the_180_grid():
     bs, coarse = AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0)
     wide = ml_refine(holo, bs, coarse, search_halfwidth_deg=180.0, grid_step_deg=0.5)
     assert ml_refine(holo, bs, coarse, search_halfwidth_deg=1e300, grid_step_deg=0.5) == wide
+
+
+@pytest.mark.parametrize("bs, ue, coarse, want", [
+    ((5.0, 10.0), (88.6, -87.9), (89.3, -88.7),
+     ("0x1.5a00000000000p+6", "-0x1.0000000000001p+5")),
+    ((-5.0, 10.0), (-88.8, 87.5), (-89.4, 88.9),
+     ("0x1.c199999999998p+5", "0x1.2333333333334p+5")),
+])
+def test_ml_refine_near_90_with_huge_halfwidth_keeps_its_grid(bs, ue, coarse, want):
+    # Only the offsets that can pass the |angle| < 90 clip are built; the
+    # result is the one of building all 2*half_steps+1 and clipping them,
+    # written here as float.hex.
+    bs, ue, coarse = AngularLocation(*bs), AngularLocation(*ue), AngularLocation(*coarse)
+    holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)], PANEL_6X9,
+                               DetectorModel(noise_std=0.3), seed=4)[0]
+    fine = ml_refine(holo, bs, coarse, search_halfwidth_deg=1e300, grid_step_deg=0.7)
+    assert (fine.theta_deg.hex(), fine.phi_deg.hex()) == want
+
+
+@given(center=st.floats(-90.0, 90.0), step=st.floats(1e-3, 400.0),
+       half_steps=st.integers(0, 3000))
+@settings(max_examples=300, deadline=None)
+def test_clipped_axis_is_the_whole_range_clipped(center, step, half_steps):
+    whole = center + step * (np.arange(2 * half_steps + 1) - half_steps)
+    want = whole[np.abs(whole) < 90.0]
+    assert _clipped_axis(center, step, half_steps).tobytes() == want.tobytes()
 
 
 # Offsets from a multiple of 2*pi, down to where 1 - z vanishes in float64.
