@@ -260,6 +260,8 @@ def parse_config(document: dict) -> RunConfig:
     _check_elements("localization.zero_pad_factor",
                     "(zero_pad_factor*n_z)*(zero_pad_factor*n_x)", pad * n_z * pad * n_x)
     values = _section(root, "experiment", _EXPERIMENT)
+    trials = values.get("trials", ExperimentConfig.trials)
+    _check_elements("experiment.trials", "trials*n_z*n_x", trials * n_z * n_x)
     run = {f.name: values.pop(f.name) for f in fields(RunConfig) if f.name in values}
     experiment = ExperimentConfig(
         geometry=geometry, detector=detector, **localization,

@@ -342,7 +342,12 @@ MAX_ELEMENTS = np.iinfo(np.intp).max  # the most elements numpy can index
     ("showcase", {"localization": {"zero_pad_factor": 10**400}},
      "localization.zero_pad_factor: (zero_pad_factor*n_z)*(zero_pad_factor*n_x) "
      f"must be at most {MAX_ELEMENTS} elements"),
-], ids=["n_z-10**400", "n_z-n_x-2**40", "zero_pad_factor-10**400"])
+    ("grid", {"experiment": {"trials": 10**50}},
+     f"experiment.trials: trials*n_z*n_x must be at most {MAX_ELEMENTS} elements"),
+    ("grid", {"geometry": {"n_z": 2**20, "n_x": 2**20}, "experiment": {"trials": 2**23}},
+     f"experiment.trials: trials*n_z*n_x must be at most {MAX_ELEMENTS} elements"),
+], ids=["n_z-10**400", "n_z-n_x-2**40", "zero_pad_factor-10**400", "trials-10**50",
+        "trials-n_z-n_x-2**63"])
 def test_array_size_beyond_numpy_exits_2(tmp_path, capsys, command, document, message):
     # a size numpy cannot index fails at its field, before any array is built
     cfg = write_config(tmp_path, document)
