@@ -109,8 +109,16 @@ def regulate(x: float) -> float:
     return x - 2.0 * math.pi * r
 
 
-def _transform(values: np.ndarray, zero_pad_factor: int, remove_mean: bool) -> np.ndarray:
-    """fft2 of every capture of a (T, n_z, n_x) stack, one FFT call per axis."""
+def _transform(values: np.ndarray, zero_pad_factor: int, remove_mean: bool,
+               full: bool = False) -> np.ndarray:
+    """The half spectrum of every capture of a (T, n_z, n_x) stack: the rows
+    k <= M_z//2 of its (M_z, M_x) = zero_pad_factor*(n_z, n_x) DFT, one FFT
+    call per axis (rfft along z, then fft along x).
+
+    A capture is real, so its spectrum is Hermitian, X[-k, -l] = conj(X[k, l]),
+    and the other rows only mirror these.  full=True returns all M_z rows,
+    by a complex fft along z.
+    """
     if zero_pad_factor < 1:
         raise ValueError("zero_pad_factor must be a positive integer")
     _, n_z, n_x = values.shape
@@ -118,7 +126,8 @@ def _transform(values: np.ndarray, zero_pad_factor: int, remove_mean: bool) -> n
         raise ValueError("spectral analysis needs at least a 2x2 hologram")
     if remove_mean:
         values = values - values.mean(axis=(1, 2), keepdims=True)
-    values = np.fft.fft(values, n=zero_pad_factor * n_z, axis=1)
+    along_z = np.fft.fft if full else np.fft.rfft
+    values = along_z(values, n=zero_pad_factor * n_z, axis=1)
     return np.fft.fft(values, n=zero_pad_factor * n_x, axis=2)
 
 
@@ -135,7 +144,7 @@ def fft2(holo: Hologram, zero_pad_factor: int = 1, remove_mean: bool = False) ->
     weak fringe.  Peak search goes through localize, which enables it.
     """
     return Spectrum(values=_transform(holo.values[np.newaxis], zero_pad_factor,
-                                      remove_mean)[0])
+                                      remove_mean, full=True)[0])
 
 
 def _guard_complement(shape: tuple[int, int], dc_guard: int) -> np.ndarray:
@@ -151,13 +160,20 @@ def _guard_complement(shape: tuple[int, int], dc_guard: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _peak_plan(shape: tuple[int, int], dc_guard: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major flat indices of the bins outside the DC guard (the median's
-    population) and of those in the lower half-spectrum k <= M_z/2 (the peak
-    search).  Read-only, as every caller shares them."""
-    outside = _guard_complement(shape, dc_guard)
-    search = outside.copy()
-    search[shape[0] // 2 + 1:, :] = False
-    plan = (np.flatnonzero(outside), np.flatnonzero(search))
+    """Flat indices into the half spectrum (rows k <= M_z//2) of an (M_z, M_x)
+    spectrum: the median's population and the peak search.
+
+    The search is every bin outside the DC guard, in row-major order.  The
+    population is the bins outside the guard of the whole spectrum: the DC
+    guard is symmetric under (k, l) -> (-k, -l), so row M_z - k outside it
+    holds the magnitudes of row k outside it, and the rows
+    1..ceil(M_z/2)-1, which have a mirror, are gathered twice.  Read-only, as
+    every caller shares them.
+    """
+    m_z, m_x = shape
+    search = np.flatnonzero(_guard_complement(shape, dc_guard)[:m_z // 2 + 1])
+    mirrored = search[(search >= m_x) & (search < (m_z + 1) // 2 * m_x)]
+    plan = (np.concatenate([search, mirrored]), search)
     for idx in plan:
         idx.flags.writeable = False
     return plan
@@ -178,9 +194,10 @@ def _row_medians(a: np.ndarray) -> np.ndarray:
     return (a[:, :half].max(axis=1) + upper) / 2
 
 
-def _peaks(mags: np.ndarray, dc_guard: int, significance_threshold: float,
+def _peaks(mags: np.ndarray, m_z: int, dc_guard: int, significance_threshold: float,
            min_magnitudes) -> list:
-    """find_peak over a (T, M_z, M_x) stack of magnitude spectra.
+    """find_peak over a (T, m_z//2 + 1, M_x) stack of half-spectrum magnitudes,
+    the spectra being m_z rows tall.
 
     Returns per spectrum ((i_z, i_x), ratio) or the NoPeak it raises.
     """
@@ -188,11 +205,11 @@ def _peaks(mags: np.ndarray, dc_guard: int, significance_threshold: float,
         raise ValueError("dc_guard must be a non-negative integer")
     if not significance_threshold >= 0:
         raise ValueError("significance_threshold must be a number >= 0")
-    n, m_z, m_x = mags.shape
+    n, half, m_x = mags.shape
     outside, search = _peak_plan((m_z, m_x), dc_guard)
     if not search.size:
         return [NoPeak("search region is empty") for _ in range(n)]
-    flat = mags.reshape(n, m_z * m_x)
+    flat = mags.reshape(n, half * m_x)
     searched = flat[:, search]
     peak_mags = searched.max(axis=1)
     medians = _row_medians(flat[:, outside])
@@ -235,8 +252,13 @@ def find_peak(
     Raises NoPeak when the best bin is <= min_magnitude (so rounding residue
     of a nominally constant hologram never counts as a fringe) or the ratio
     falls below significance_threshold.
+
+    Only the rows k <= M_z/2 are read: the spectrum is taken to be Hermitian,
+    as that of a real hologram is, so each other row mirrors one of them.
     """
-    peak = _peaks(np.abs(spec.values)[np.newaxis], dc_guard, significance_threshold,
+    m_z = spec.values.shape[0]
+    half = np.abs(spec.values[:m_z // 2 + 1])
+    peak = _peaks(half[np.newaxis], m_z, dc_guard, significance_threshold,
                   [min_magnitude])[0]
     if isinstance(peak, NoPeak):
         raise peak
@@ -325,11 +347,13 @@ def _localize_stack(values, totals, geom, bs, zero_pad_factor, disambiguation,
                     dc_guard, significance_threshold) -> list:
     """localize_trials on a checked stack whose per-capture sums are totals."""
     bs_freqs = spatial_frequencies(bs, geom)
+    padded_shape = (zero_pad_factor * geom.n_z, zero_pad_factor * geom.n_x)
     mags = np.abs(_transform(values, zero_pad_factor, remove_mean=True))
     # Fringe contrast below ~1e-9 of the total captured power is rounding
     # residue (a constant hologram is constant only to the last ulp), not
     # an interference pattern.
-    peaks = _peaks(mags, dc_guard, significance_threshold, (1e-9 * totals).tolist())
+    peaks = _peaks(mags, padded_shape[0], dc_guard, significance_threshold,
+                   (1e-9 * totals).tolist())
     # Captures of one stack share few peak bins, so each bin is mapped once.
     outcome_of_bin: dict = {}
     out: list = []
@@ -339,7 +363,7 @@ def _localize_stack(values, totals, geom, bs, zero_pad_factor, disambiguation,
             continue
         peak_bin, ratio = peak
         if peak_bin not in outcome_of_bin:
-            outcome_of_bin[peak_bin] = _bin_outcome(bs_freqs, peak_bin, mags.shape[1:],
+            outcome_of_bin[peak_bin] = _bin_outcome(bs_freqs, peak_bin, padded_shape,
                                                     geom, disambiguation)
         out.append(outcome_of_bin[peak_bin](ratio))
     return out

@@ -191,7 +191,8 @@ def complex_field_at_array(source: Source, geom: ArrayGeometry) -> np.ndarray:
 
     far_field: amplitude * exp(i*(phase + m*omega_z + n*omega_x)) with the
     spatial frequencies of the source direction (m, n zero-based here; the
-    index origin only shifts a global phase).
+    index origin only shifts a global phase), built as the outer product of
+    its z and x factors, so n_z + n_x complex exps.
 
     near_field: amplitude * exp(i*(phase - k0*r_mn)) / max(r_mn/r_ref, 1)
     with r_mn the element distance and r_ref the distance to the panel
@@ -200,10 +201,9 @@ def complex_field_at_array(source: Source, geom: ArrayGeometry) -> np.ndarray:
     """
     if source.kind == "far_field":
         freqs = spatial_frequencies(source.angles, geom)
-        m = np.arange(geom.n_z)[:, np.newaxis]
-        n = np.arange(geom.n_x)[np.newaxis, :]
-        phase = source.phase_rad + m * freqs.omega_z + n * freqs.omega_x
-        return source.amplitude * np.exp(1j * phase)
+        along_z = np.exp(1j * (source.phase_rad + np.arange(geom.n_z) * freqs.omega_z))
+        along_x = np.exp(1j * (np.arange(geom.n_x) * freqs.omega_x))
+        return np.outer(source.amplitude * along_z, along_x)
     pos = element_positions(geom)
     r = np.linalg.norm(pos - source.position[np.newaxis, np.newaxis, :], axis=2)
     r_ref = float(np.linalg.norm(source.position))
