@@ -364,6 +364,22 @@ MEMO_USERS = (AngularLocation(20.0, 50.0), AngularLocation(-20.0, 50.0),
               AngularLocation(0.0, 30.0))
 
 
+def _memo_bank():
+    """Captures on the default panel whose peak bins recur: three users, three
+    trials each, a capture whose twins are both evanescent and a constant one."""
+    bs = AngularLocation(0.0, 0.0)
+    n = np.arange(32)[np.newaxis, :]
+    infeasible = 2.0 + np.cos(n * (math.pi / 2.0)) * np.ones((32, 1))
+    det = DetectorModel(noise_std=1.0, phase_jitter_std=0.2)
+    return np.concatenate(
+        [synthesize_trials([Source.far_field(bs), Source.far_field(ue)], GEOM, det, range(3))
+         for ue in MEMO_USERS]
+        + [infeasible[None], np.full((1, 32, 32), 4.0)])
+
+
+MEMO_BANK = _memo_bank()
+
+
 @pytest.mark.parametrize("policy, failures", [
     (None, set()),
     (OraclePolicy(truth=MEMO_USERS[0]), set()),
@@ -377,14 +393,8 @@ def test_localize_trials_on_recurring_bins_matches_localize(policy, failures):
     one call: every record equals per-capture localize, and records that fail
     on one bin carry distinct errors."""
     bs = AngularLocation(0.0, 0.0)
-    det = DetectorModel(noise_std=1.0, phase_jitter_std=0.2)
-    n = np.arange(32)[np.newaxis, :]
-    infeasible = 2.0 + np.cos(n * (math.pi / 2.0)) * np.ones((32, 1))
-    base = np.concatenate(
-        [synthesize_trials([Source.far_field(bs), Source.far_field(ue)], GEOM, det, range(3))
-         for ue in MEMO_USERS]
-        + [infeasible[None], np.full((1, 32, 32), 4.0)])
-    stack = base[np.random.default_rng(9).permutation(np.tile(np.arange(len(base)), 3))]
+    order = np.random.default_rng(9).permutation(np.tile(np.arange(len(MEMO_BANK)), 3))
+    stack = MEMO_BANK[order]
     kw = dict(zero_pad_factor=2, disambiguation=policy, dc_guard=2, significance_threshold=2.0)
     got = localize_trials(stack, GEOM, bs, **kw)
     want = [_outcome(lambda: localize(Hologram(values=v, geometry=GEOM), bs, **kw))
@@ -463,25 +473,11 @@ def test_peaks_on_the_half_spectrum_match_the_full_spectrum(n_z, n_x, pad, guard
         assert math.isclose(ratio, want_ratio, rel_tol=1e-13)
 
 
-def _order_bank():
-    """Captures on the default panel whose peak bins recur: three users, three
-    trials each, a capture whose twins are both evanescent and a constant one."""
-    bs = AngularLocation(0.0, 0.0)
-    n = np.arange(32)[np.newaxis, :]
-    infeasible = 2.0 + np.cos(n * (math.pi / 2.0)) * np.ones((32, 1))
-    det = DetectorModel(noise_std=1.0, phase_jitter_std=0.2)
-    return np.concatenate(
-        [synthesize_trials([Source.far_field(bs), Source.far_field(ue)], GEOM, det, range(3))
-         for ue in MEMO_USERS]
-        + [infeasible[None], np.full((1, 32, 32), 4.0)])
-
-
-ORDER_BANK = _order_bank()
 ORDER_POLICIES = (None, OraclePolicy(truth=MEMO_USERS[1]),
                   SectorPolicy(theta_range_deg=(-5.0, 89.0), phi_range_deg=(-40.0, 89.0)))
 
 
-@given(picks=st.lists(st.integers(0, len(ORDER_BANK) - 1), min_size=1, max_size=8),
+@given(picks=st.lists(st.integers(0, len(MEMO_BANK) - 1), min_size=1, max_size=8),
        data=st.data(), policy=st.sampled_from(ORDER_POLICIES),
        pad_guard=st.sampled_from([(1, 0), (2, 2), (3, 1)]))
 @settings(max_examples=60, deadline=None)
@@ -489,7 +485,7 @@ def test_localize_trials_commutes_with_stack_order(picks, data, policy, pad_guar
     """A permuted stack gives the permuted outcomes, bit-exact, and each
     outcome is that of localize on its capture alone."""
     pad, guard = pad_guard
-    stack = ORDER_BANK[picks]
+    stack = MEMO_BANK[picks]
     perm = data.draw(st.permutations(range(len(picks))))
     kw = dict(zero_pad_factor=pad, disambiguation=policy, dc_guard=guard,
               significance_threshold=2.0)
