@@ -27,6 +27,7 @@ from .geometry import (
 from .localization import _dtft2
 from .wavefield import (
     Source,
+    _front_position,
     _read_matrix_file,
     _write_matrix_file,
     complex_field_at_array,
@@ -112,12 +113,10 @@ def nearfield_phase_profile(bs_pos, ue_pos, geom: ArrayGeometry) -> PhaseProfile
 
     phase(m, n) = k0 * (|bs_pos - p_mn| + |ue_pos - p_mn|), the conjugate
     of the spherical round-trip phase.  Converges to the far-field profile
-    (up to a constant) as both ranges grow.
+    (up to a constant) as both ranges grow.  Both points must be finite and
+    in front of the panel (y > 0), as a near-field ``Source`` must.
     """
-    bs_pos = np.asarray(bs_pos, dtype=float)
-    ue_pos = np.asarray(ue_pos, dtype=float)
-    if bs_pos.shape != (3,) or ue_pos.shape != (3,):
-        raise ValueError("positions must be 3-vectors")
+    bs_pos, ue_pos = _front_position(bs_pos), _front_position(ue_pos)
     pos = element_positions(geom)
     r_bs = np.linalg.norm(pos - bs_pos, axis=2)
     r_ue = np.linalg.norm(pos - ue_pos, axis=2)

@@ -13,8 +13,8 @@ file; 4 NoPeak / AllCandidatesInfeasible; 5 sector disambiguation failed
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -60,71 +60,36 @@ EXIT_SECTOR = 5
 SUITES = ("grid", "gain", "ber", "showcase")
 
 
-def _parse_angles(text: str, flag: str) -> AngularLocation:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{flag}: expected 'theta_deg,phi_deg', got {text!r}")
-    try:
-        return AngularLocation(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
+_SEPARATORS = re.compile("[,:]")
+_ANGLES = "theta_deg,phi_deg"
+_POSITION = "x_m,y_m,z_m"
 
 
-def _parse_position(text: str, flag: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"{flag}: expected 'x_m,y_m,z_m', got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{flag}: expected three numbers, got {text!r}") from None
+def _floats(text: str, flag: str, form: str) -> tuple:
+    """The numbers of a flag's ``text``, which has the ``,`` and ``:`` of ``form``.
 
-
-def _parse_sector(text: str) -> SectorPolicy:
-    """'plo:phi' bounds azimuth only; 'tlo:thi,plo:phi' bounds both axes."""
-
-    def _bounds(segment: str) -> tuple[float, float]:
-        bits = segment.split(":")
-        if len(bits) != 2:
-            raise ConfigError(f"--sector: expected 'lo:hi', got {segment!r}")
+    Only the form is checked here; the types the numbers build check their values.
+    """
+    if _SEPARATORS.findall(text) == _SEPARATORS.findall(form):
         try:
-            lo, hi = float(bits[0]), float(bits[1])
+            return tuple(float(part) for part in _SEPARATORS.split(text))
         except ValueError:
-            raise ConfigError(f"--sector: non-numeric bound in {segment!r}") from None
-        if lo > hi:
-            raise ConfigError(f"--sector: lo > hi in {segment!r}")
-        return lo, hi
-
-    parts = text.split(",")
-    if len(parts) == 1:
-        return SectorPolicy(phi_range_deg=_bounds(parts[0]))
-    if len(parts) == 2:
-        return SectorPolicy(
-            theta_range_deg=_bounds(parts[0]), phi_range_deg=_bounds(parts[1])
-        )
-    raise ConfigError("--sector: expected 'plo:phi' or 'tlo:thi,plo:phi'")
+            pass
+    raise ConfigError(f"{flag}: expected {form!r}, got {text!r}")
 
 
 def _db(power: float) -> float:
     return 10.0 * math.log10(power) if power > 0 else -math.inf
 
 
-def _check_seed(seed) -> None:
-    if seed is not None and seed < 0:
-        raise ConfigError("--seed: must be >= 0")
-
-
 def cmd_simulate(args) -> int:
-    _check_seed(args.seed)
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, seed=args.seed)
     exp = cfg.experiment
-    seed = exp.seed if args.seed is None else args.seed
     holos = synthesize_hologram(
-        list(cfg.sources), exp.geometry, detector=exp.detector, seed=seed
+        list(cfg.sources), exp.geometry, detector=exp.detector, seed=exp.seed
     )
     output = Path(args.output)
-    if output.parent and not output.parent.exists():
-        output.parent.mkdir(parents=True, exist_ok=True)
+    output.parent.mkdir(parents=True, exist_ok=True)
     if len(holos) == 1:
         paths = [output]
     else:
@@ -141,14 +106,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    if args.sector is not None and args.oracle_truth is not None:
-        raise ConfigError("--sector and --oracle-truth are mutually exclusive")
     policy: OraclePolicy | SectorPolicy | None = None
     if args.oracle_truth is not None:
-        policy = OraclePolicy(truth=_parse_angles(args.oracle_truth, "--oracle-truth"))
+        truth = _floats(args.oracle_truth, "--oracle-truth", _ANGLES)
+        policy = OraclePolicy(truth=AngularLocation(*truth))
     elif args.sector is not None:
-        policy = _parse_sector(args.sector)
-    bs = _parse_angles(args.bs, "--bs")
+        # 'plo:phi' bounds azimuth only; 'tlo:thi,plo:phi' bounds both axes
+        form = "tlo:thi,plo:phi" if "," in args.sector else "plo:phi"
+        bounds = _floats(args.sector, "--sector", form)
+        policy = SectorPolicy(theta_range_deg=bounds[:2] if len(bounds) == 4 else None,
+                              phi_range_deg=bounds[-2:])
+    bs = AngularLocation(*_floats(args.bs, "--bs", _ANGLES))
     holo = read_hologram_csv(args.hologram)
     result = localize(
         holo,
@@ -170,8 +138,8 @@ def cmd_codegen(args) -> int:
     if args.mode == "far":
         if args.bs is None or args.ue is None:
             raise ConfigError("far mode needs --bs and --ue angles")
-        bs = _parse_angles(args.bs, "--bs")
-        ue = _parse_angles(args.ue, "--ue")
+        bs = AngularLocation(*_floats(args.bs, "--bs", _ANGLES))
+        ue = AngularLocation(*_floats(args.ue, "--ue", _ANGLES))
         profile = farfield_phase_profile(bs, ue, geometry)
         bs_src = Source.far_field(bs)
         target = ue
@@ -179,26 +147,22 @@ def cmd_codegen(args) -> int:
         if args.bs_pos is not None or args.ue_pos is not None:
             if args.bs_pos is None or args.ue_pos is None:
                 raise ConfigError("near mode with positions needs both --bs-pos and --ue-pos")
-            bs_pos = _parse_position(args.bs_pos, "--bs-pos")
-            ue_pos = _parse_position(args.ue_pos, "--ue-pos")
-            if bs_pos[1] <= 0 or ue_pos[1] <= 0:
-                raise ConfigError("positions must lie in front of the panel (y > 0)")
+            bs_pos = _floats(args.bs_pos, "--bs-pos", _POSITION)
+            ue_pos = _floats(args.ue_pos, "--ue-pos", _POSITION)
         else:
             if args.bs is None or args.ue is None:
                 raise ConfigError("near mode needs --bs/--ue angles or --bs-pos/--ue-pos")
             if args.bs_range is None or args.ue_range is None:
                 raise ConfigError("near mode with angles needs --bs-range and --ue-range")
-            if args.bs_range <= 0 or args.ue_range <= 0:
-                raise ConfigError("ranges must be positive")
-            bs_pos = position_at(_parse_angles(args.bs, "--bs"), args.bs_range)
-            ue_pos = position_at(_parse_angles(args.ue, "--ue"), args.ue_range)
+            bs = AngularLocation(*_floats(args.bs, "--bs", _ANGLES))
+            ue = AngularLocation(*_floats(args.ue, "--ue", _ANGLES))
+            bs_pos, ue_pos = position_at(bs, args.bs_range), position_at(ue, args.ue_range)
         profile = nearfield_phase_profile(bs_pos, ue_pos, geometry)
         bs_src = Source.near_field(bs_pos)
         target = ue_pos
     coding = quantize_1bit(profile)
     output = Path(args.output)
-    if output.parent and not output.parent.exists():
-        output.parent.mkdir(parents=True, exist_ok=True)
+    output.parent.mkdir(parents=True, exist_ok=True)
     write_coding_file(output, coding)
     if not args.quiet:
         p_coding = received_power(coding, bs_src, target, geometry)
@@ -212,15 +176,8 @@ def cmd_codegen(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    _check_seed(args.seed)
-    cfg = load_config(args.config)
-    seed = cfg.experiment.seed if args.seed is None else args.seed
-    trials = cfg.experiment.trials if args.trials is None else args.trials
-    if trials < 1:
-        raise ConfigError("--trials: must be >= 1")
-    cfg = dataclasses.replace(
-        cfg, experiment=dataclasses.replace(cfg.experiment, seed=seed, trials=trials)
-    )
+    cfg = load_config(args.config, seed=args.seed, trials=args.trials)
+    seed = cfg.experiment.seed
     out_dir = Path(args.output_dir or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Manifest config reflects the numbers that produced the artifacts; the
@@ -288,18 +245,17 @@ def _run_suite(suite, cfg, out_dir: Path, artifacts: list) -> list:
             f"ber: modulation_order={order} gain_db={gain_db:g} "
             f"points={len(baseline)}"
         ]
-    if suite == "showcase":
-        samples = showcase_three_samples(exp, out_dir)
-        lines = []
-        for i, s in enumerate(samples, start=1):
-            artifacts.extend(Path(a) for a in s.artifacts)
-            lines.append(
-                f"showcase sample_{i}: bs=({s.bs.theta_deg:g},{s.bs.phi_deg:g}) "
-                f"ue=({s.ue.theta_deg:g},{s.ue.phi_deg:g}) "
-                f"error_deg={s.error_deg:.3f} gain_db={s.gain_db:.3f}"
-            )
-        return lines
-    raise ConfigError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
+    # showcase, the last of SUITES: argparse's choices admit no other suite
+    samples = showcase_three_samples(exp, out_dir)
+    lines = []
+    for i, s in enumerate(samples, start=1):
+        artifacts.extend(Path(a) for a in s.artifacts)
+        lines.append(
+            f"showcase sample_{i}: bs=({s.bs.theta_deg:g},{s.bs.phi_deg:g}) "
+            f"ue=({s.ue.theta_deg:g},{s.ue.phi_deg:g}) "
+            f"error_deg={s.error_deg:.3f} gain_db={s.gain_db:.3f}"
+        )
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,12 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=6.0,
         help="minimum peak/median ratio",
     )
-    p_loc.add_argument(
+    policy = p_loc.add_mutually_exclusive_group()
+    policy.add_argument(
         "--sector",
         default=None,
         help="admissible sector 'plo:phi' or 'tlo:thi,plo:phi' (degrees)",
     )
-    p_loc.add_argument(
+    policy.add_argument(
         "--oracle-truth",
         default=None,
         help="ground truth 'theta_deg,phi_deg' for oracle disambiguation",
@@ -397,10 +354,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NoPeak, AllCandidatesInfeasible) as exc:

@@ -160,6 +160,8 @@ def _modulation_order(value, path: str) -> int:
 
 
 # Each table lists its keys in read order: of several errors, the first met is reported.
+# The size bounds (n_z*n_x, zero_pad_factor, trials) run after their whole section is
+# read, and the trials bound after the --seed and --trials flags are applied.
 _GEOMETRY = (
     _Key("f_c_hz", partial(_float_int, minimum=1)),  # wavelength and wavenumber are floats
     _Key("n_z", int, 1),
@@ -237,8 +239,16 @@ def _parse_source(entry, path: str) -> Source:
     return _build(make, path, where, **_read(section, _SOURCE, path))
 
 
-def parse_config(document: dict) -> RunConfig:
-    """Validate a parsed JSON document into a RunConfig."""
+def parse_config(document: dict, *, seed=None, trials=None) -> RunConfig:
+    """Validate a parsed JSON document into a RunConfig.
+
+    ``seed`` and ``trials``, where not None, replace the experiment keys of
+    the same name and are read by the same rules, with the CLI flag
+    (``--seed``, ``--trials``) as their path.  Keys are read in table order;
+    the size bounds on ``n_z*n_x``, ``zero_pad_factor`` and ``trials`` run
+    after their whole section is read (for ``trials``, after the flags are
+    applied), so another error in that section is reported first.
+    """
     root = _expect_mapping(document, "config")
     _reject_unknown(root, ("geometry", "detector", "sources", "localization", "experiment"),
                     "config")
@@ -260,8 +270,12 @@ def parse_config(document: dict) -> RunConfig:
     _check_elements("localization.zero_pad_factor",
                     "(zero_pad_factor*n_z)*(zero_pad_factor*n_x)", pad * n_z * pad * n_x)
     values = _section(root, "experiment", _EXPERIMENT)
-    trials = values.get("trials", ExperimentConfig.trials)
-    _check_elements("experiment.trials", "trials*n_z*n_x", trials * n_z * n_x)
+    flags = {"seed": seed, "trials": trials}
+    values.update({key.name: _value(flags[key.name], f"--{key.name}", key.type,
+                                    key.minimum, key.strict)
+                   for key in _EXPERIMENT if flags.get(key.name) is not None})
+    _check_elements("experiment.trials" if trials is None else "--trials", "trials*n_z*n_x",
+                    values.get("trials", ExperimentConfig.trials) * n_z * n_x)
     run = {f.name: values.pop(f.name) for f in fields(RunConfig) if f.name in values}
     experiment = ExperimentConfig(
         geometry=geometry, detector=detector, **localization,
@@ -269,8 +283,8 @@ def parse_config(document: dict) -> RunConfig:
     return RunConfig(experiment=experiment, sources=sources, **run)
 
 
-def load_config(path) -> RunConfig:
-    """Read and validate a JSON configuration file."""
+def load_config(path, *, seed=None, trials=None) -> RunConfig:
+    """Read and validate a JSON configuration file; see ``parse_config``."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -280,7 +294,7 @@ def load_config(path) -> RunConfig:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: invalid JSON: {exc}") from None
-    return parse_config(document)
+    return parse_config(document, seed=seed, trials=trials)
 
 
 def _as_dict(owner, table) -> dict:

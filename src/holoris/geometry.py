@@ -138,8 +138,8 @@ def unit_direction(loc: AngularLocation) -> np.ndarray:
 
 def position_at(loc: AngularLocation, range_m: float) -> np.ndarray:
     """3D point at the given range along the direction of ``loc``."""
-    if range_m <= 0:
-        raise ValueError("range must be positive")
+    if not 0.0 < range_m < math.inf:
+        raise ValueError(f"range must be finite and > 0, got {range_m!r}")
     return range_m * unit_direction(loc)
 
 

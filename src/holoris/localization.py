@@ -64,11 +64,16 @@ class SectorPolicy:
     """Pick the unique candidate inside an admissible angular sector.
 
     Either range may be None, meaning that axis is unrestricted.  Bounds
-    are inclusive degrees (lo, hi).
+    are inclusive degrees (lo, hi) with lo <= hi; infinite bounds are valid.
     """
 
     theta_range_deg: tuple[float, float] | None = None
     phi_range_deg: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        for bounds in (self.theta_range_deg, self.phi_range_deg):
+            if bounds is not None and not bounds[0] <= bounds[1]:
+                raise ValueError(f"sector bounds must satisfy lo <= hi, got {bounds}")
 
     def contains(self, loc: AngularLocation) -> bool:
         if self.theta_range_deg is not None:

@@ -31,12 +31,22 @@ from .geometry import (
 _HOLOGRAM_MAGIC = "# holoris-hologram v1"
 
 
+def _front_position(position) -> np.ndarray:
+    """``position`` as a finite 3-vector in front of the panel (y > 0), meters."""
+    pos = np.asarray(position, dtype=float)
+    if pos.shape != (3,) or not np.isfinite(pos).all():
+        raise ValueError(f"position must be a finite 3-vector, got {position!r}")
+    if pos[1] <= 0:
+        raise ValueError("source must lie in front of the panel (y > 0)")
+    return pos
+
+
 @dataclass(frozen=True)
 class Source:
     """One coherent emitter illuminating the panel.
 
-    kind is "far_field" (direction only) or "near_field" (3D position with
-    y > 0, meters).  Sources interfere only with sources sharing their
+    kind is "far_field" (direction only) or "near_field" (finite 3D position
+    with y > 0, meters).  Sources interfere only with sources sharing their
     frequency_tag.
     """
 
@@ -55,12 +65,7 @@ class Source:
         if self.kind == "near_field":
             if self.position is None:
                 raise ValueError("near_field source requires a position")
-            pos = np.asarray(self.position, dtype=float)
-            if pos.shape != (3,):
-                raise ValueError("position must be a 3-vector")
-            if pos[1] <= 0:
-                raise ValueError("source must lie in front of the panel (y > 0)")
-            object.__setattr__(self, "position", pos)
+            object.__setattr__(self, "position", _front_position(self.position))
         if self.amplitude < 0:
             raise ValueError("amplitude must be non-negative")
         if self.frequency_tag < 0:
@@ -90,7 +95,7 @@ class Source:
     ) -> "Source":
         return Source(
             kind="near_field",
-            position=np.asarray(position, dtype=float),
+            position=position,
             amplitude=amplitude,
             phase_rad=phase_rad,
             frequency_tag=frequency_tag,

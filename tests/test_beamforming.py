@@ -156,6 +156,20 @@ def test_nearfield_profile_converges_to_farfield():
     assert abs(10.0 * math.log10(p_far / p_near)) < 0.5
 
 
+@pytest.mark.parametrize("bad, message", [
+    ((0.0, math.nan, 0.0), "finite 3-vector"),
+    ((math.inf, 2.0, 0.0), "finite 3-vector"),
+    ((0.0, 0.0, 1.0), "y > 0"),
+    ((0.0, -2.0, 0.0), "y > 0"),
+    ((0.0, 2.0), "finite 3-vector"),
+])
+def test_nearfield_profile_rejects_points_a_near_field_source_rejects(bad, message):
+    good = (0.5, 2.0, -0.3)
+    for bs_pos, ue_pos in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=message):
+            nearfield_phase_profile(bs_pos, ue_pos, GEOM)
+
+
 def test_baseline_floor_flag():
     # an on-bin user direction sits in an exact null of the all-zero panel
     kappa = 2.0 * math.pi * GEOM.d_x_m / GEOM.wavelength_m

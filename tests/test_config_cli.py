@@ -361,6 +361,17 @@ def test_array_size_beyond_numpy_exits_2(tmp_path, capsys, command, document, me
     assert not out.exists()
 
 
+def test_trials_flag_beyond_numpy_exits_2(tmp_path, capsys):
+    # the flag is read by the experiment.trials rule, bound included
+    cfg = write_config(tmp_path, {})
+    out = tmp_path / "out"
+    assert main(["experiment", "--suite", "grid", "--config", cfg, "--output-dir", str(out),
+                 "--trials", str(10**50)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --trials: trials*n_z*n_x must be at most {MAX_ELEMENTS} elements\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- localize
 
 @pytest.fixture()
@@ -395,6 +406,11 @@ def test_localize_sector_failures_exit_5(fixture_csv):
     # the  --sector=  form keeps argparse from reading "-90:90" as a flag
     assert main(["localize", fixture_csv, "--bs", "0,0", "--sector=-90:90"]) == 5
     assert main(["localize", fixture_csv, "--bs", "0,0", "--sector", "40:50"]) == 5
+
+
+def test_localize_infinite_sector_bounds_stay_valid(fixture_csv):
+    # both fixture twins lie in (-inf, inf): ambiguous, not a usage error
+    assert main(["localize", fixture_csv, "--bs", "0,0", "--sector=-inf:inf"]) == 5
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -499,6 +515,9 @@ def test_localize_overflowing_intensity_sum_exits_3(tmp_path, fixture_csv, capsy
     ("--dc-guard", "-40"),
     ("--significance-threshold", "nan"),
     ("--significance-threshold", "-3"),
+    ("--sector", "nan:1"),
+    ("--sector", "5:1"),
+    ("--sector", "0:90,nan:nan"),
 ])
 def test_localize_invalid_peak_parameters_exit_2(fixture_csv, capsys, flag, value):
     capsys.readouterr()
@@ -532,6 +551,20 @@ def test_codegen_near_requires_range_or_position(tmp_path):
     assert main(["codegen", "--mode", "near",
                  "--bs-pos", "0,-5,0", "--ue-pos", "1,2,0.5",
                  "--output", str(out)]) == 2
+
+
+@pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["", "quiet"])
+@pytest.mark.parametrize("where", [
+    ["--bs-pos", "nan,5,0", "--ue-pos", "1,2,0.5"],
+    ["--bs-pos", "0,5,0", "--ue-pos", "1,2,inf"],
+    ["--bs", "0,0", "--ue", "0,30", "--bs-range", "nan", "--ue-range", "2"],
+    ["--bs", "0,0", "--ue", "0,30", "--bs-range", "5", "--ue-range", "inf"],
+], ids=["bs-pos-nan", "ue-pos-inf", "bs-range-nan", "ue-range-inf"])
+def test_codegen_near_non_finite_exits_2(tmp_path, capsys, where, quiet):
+    out = tmp_path / "c.txt"
+    assert main(["codegen", "--mode", "near", *where, "--output", str(out), *quiet]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_codegen_far_requires_both_directions(tmp_path):

@@ -96,6 +96,9 @@ def test_position_at_scales_unit_direction():
     assert np.allclose(p, 3.5 * unit_direction(loc))
     with pytest.raises(ValueError):
         position_at(loc, 0.0)
+    for bad in (math.nan, math.inf):  # `<= 0` is false for both
+        with pytest.raises(ValueError, match="finite and > 0"):
+            position_at(loc, bad)
 
 
 def test_unit_direction_components():

@@ -263,6 +263,16 @@ def test_disambiguate_oracle_and_sector():
     assert disambiguate(c1, None, SectorPolicy(phi_range_deg=(0.0, 90.0))) is c1
 
 
+@pytest.mark.parametrize("bounds", [(5.0, 1.0), (math.nan, 1.0), (0.0, math.nan)])
+def test_sector_policy_rejects_reversed_or_nan_bounds(bounds):
+    with pytest.raises(ValueError, match="lo <= hi"):
+        SectorPolicy(phi_range_deg=bounds)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        SectorPolicy(theta_range_deg=bounds, phi_range_deg=(0.0, 90.0))
+    # infinite bounds and a single-point sector stay valid
+    SectorPolicy(theta_range_deg=(-math.inf, math.inf), phi_range_deg=(1.0, 1.0))
+
+
 def test_localize_sector_fixture():
     res = localize(fixture_hologram(), AngularLocation(0.0, 0.0),
                    disambiguation=SectorPolicy(phi_range_deg=(0.0, 90.0)))

@@ -436,6 +436,13 @@ def test_hologram_csv_truncated_header(tmp_path):
     assert exc.value.line_number == 4
 
 
+@pytest.mark.parametrize("position", [(math.nan, 1.0, 0.0), (0.0, math.nan, 0.0),
+                                      (0.0, math.inf, 0.0), (0.0, 1.0, -math.inf)])
+def test_near_field_source_rejects_non_finite_position(position):
+    with pytest.raises(ValueError, match="finite 3-vector"):
+        Source.near_field(position)
+
+
 def test_field_amplitude_attenuates_beyond_reference_range():
     """Spherical spreading follows 1/max(r/r_ref, 1) element by element."""
     src = Source.near_field(position=(0.0, 1.0, 0.0))

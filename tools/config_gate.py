@@ -9,7 +9,8 @@ rejected, or the name of any other exception that escapes.  The corpus
 holds every error path of every section, integers beyond the float range,
 NaN and infinities, ``null`` where it is accepted or not, valid
 non-default documents, and documents with several errors (the first one in
-read order is the one reported).  The program is imported from the
+read order is the one reported; the size bounds run after their whole
+section is read).  The program is imported from the
 ``src/`` directory of the checkout holding this script.  Run it in two
 checkouts and ``diff`` the outputs: a change that keeps the config's
 behaviour prints identical bytes.
@@ -229,6 +230,8 @@ CORPUS = [
     ("multi-geometry-f_c_hz-big-and-n_z", section("geometry", f_c_hz=BIG, n_z=0)),
     ("multi-geometry-f_c_hz-and-d_x_m", section("geometry", f_c_hz=0, d_x_m=-1)),
     ("multi-geometry-n_x-and-d_z_m", section("geometry", d_z_m="x", n_x=0)),
+    # a size bound runs after its whole section is read, so a later key's error comes first
+    ("multi-geometry-size-and-d_z_m", section("geometry", n_z=BIG, d_z_m=-1)),
     ("multi-geometry-then-detector", {"geometry": {"d_x_m": 0}, "detector": {"floor": -1}}),
     ("multi-detector-floor-and-noise", section("detector", floor=-1, noise_std=-1)),
     ("multi-detector-ceiling-and-jitter", section("detector", ceiling=0, phase_jitter_std=-1)),
@@ -250,6 +253,8 @@ CORPUS = [
                                          "localization": {"dc_guard": -1}}),
     ("multi-localization-pad-and-guard", section("localization", dc_guard=-1,
                                                  zero_pad_factor=0)),
+    ("multi-localization-pad-size-and-guard", section("localization", zero_pad_factor=BIG,
+                                                      dc_guard=-1)),
     ("multi-localization-then-experiment", {"localization": {"significance_threshold": -1},
                                             "experiment": {"trials": 0}}),
     ("multi-experiment-unknown-and-trials", section("experiment", trials=0, runs=2)),
@@ -266,6 +271,7 @@ CORPUS = [
     ("multi-experiment-output_dir-and-trials", section("experiment", trials=0,
                                                        output_dir=None)),
     ("multi-experiment-trials-and-seed", section("experiment", seed=-1, trials=0)),
+    ("multi-experiment-trials-size-and-seed", section("experiment", trials=10**50, seed=-1)),
     ("multi-experiment-seed-and-bs", section("experiment", bs_locations_deg=[],
                                              seed="x")),
     ("multi-experiment-bs-and-ue", section("experiment", ue_locations_deg=[],
