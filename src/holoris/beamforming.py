@@ -138,7 +138,7 @@ def _target_field(ue, geom: ArrayGeometry) -> np.ndarray:
     if isinstance(ue, AngularLocation):
         probe = Source.far_field(ue)
     else:
-        probe = Source.near_field(np.asarray(ue, dtype=float))
+        probe = Source.near_field(ue)
     return complex_field_at_array(probe, geom)
 
 

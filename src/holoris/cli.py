@@ -65,17 +65,38 @@ _ANGLES = "theta_deg,phi_deg"
 _POSITION = "x_m,y_m,z_m"
 
 
-def _floats(text: str, flag: str, form: str) -> tuple:
-    """The numbers of a flag's ``text``, which has the ``,`` and ``:`` of ``form``.
+def _floats(text: str, flag: str, form: str, make):
+    """``make`` of the numbers of a flag's ``text``, which has the ``,`` and ``:`` of ``form``.
 
-    Only the form is checked here; the types the numbers build check their values.
+    Only the form is checked here; ``make`` checks the values.
     """
     if _SEPARATORS.findall(text) == _SEPARATORS.findall(form):
         try:
-            return tuple(float(part) for part in _SEPARATORS.split(text))
+            numbers = [float(part) for part in _SEPARATORS.split(text)]
         except ValueError:
             pass
+        else:
+            return _flagged(flag, make, *numbers)
     raise ConfigError(f"{flag}: expected {form!r}, got {text!r}")
+
+
+def _flagged(flag: str, make, *values):
+    """``make(*values)``, with the ValueError it raises prefixed by ``flag``."""
+    try:
+        return make(*values)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
+def _sector(*bounds) -> SectorPolicy:
+    # 'plo:phi' bounds azimuth only; 'tlo:thi,plo:phi' bounds both axes
+    return SectorPolicy(theta_range_deg=bounds[:2] if len(bounds) == 4 else None,
+                        phi_range_deg=bounds[-2:])
+
+
+def _front_point(*xyz):
+    """The point as a near-field ``Source`` accepts it: finite, with y > 0."""
+    return Source.near_field(xyz).position
 
 
 def _db(power: float) -> float:
@@ -108,15 +129,12 @@ def cmd_simulate(args) -> int:
 def cmd_localize(args) -> int:
     policy: OraclePolicy | SectorPolicy | None = None
     if args.oracle_truth is not None:
-        truth = _floats(args.oracle_truth, "--oracle-truth", _ANGLES)
-        policy = OraclePolicy(truth=AngularLocation(*truth))
+        truth = _floats(args.oracle_truth, "--oracle-truth", _ANGLES, AngularLocation)
+        policy = OraclePolicy(truth=truth)
     elif args.sector is not None:
-        # 'plo:phi' bounds azimuth only; 'tlo:thi,plo:phi' bounds both axes
         form = "tlo:thi,plo:phi" if "," in args.sector else "plo:phi"
-        bounds = _floats(args.sector, "--sector", form)
-        policy = SectorPolicy(theta_range_deg=bounds[:2] if len(bounds) == 4 else None,
-                              phi_range_deg=bounds[-2:])
-    bs = AngularLocation(*_floats(args.bs, "--bs", _ANGLES))
+        policy = _floats(args.sector, "--sector", form, _sector)
+    bs = _floats(args.bs, "--bs", _ANGLES, AngularLocation)
     holo = read_hologram_csv(args.hologram)
     result = localize(
         holo,
@@ -138,8 +156,8 @@ def cmd_codegen(args) -> int:
     if args.mode == "far":
         if args.bs is None or args.ue is None:
             raise ConfigError("far mode needs --bs and --ue angles")
-        bs = AngularLocation(*_floats(args.bs, "--bs", _ANGLES))
-        ue = AngularLocation(*_floats(args.ue, "--ue", _ANGLES))
+        bs = _floats(args.bs, "--bs", _ANGLES, AngularLocation)
+        ue = _floats(args.ue, "--ue", _ANGLES, AngularLocation)
         profile = farfield_phase_profile(bs, ue, geometry)
         bs_src = Source.far_field(bs)
         target = ue
@@ -147,16 +165,17 @@ def cmd_codegen(args) -> int:
         if args.bs_pos is not None or args.ue_pos is not None:
             if args.bs_pos is None or args.ue_pos is None:
                 raise ConfigError("near mode with positions needs both --bs-pos and --ue-pos")
-            bs_pos = _floats(args.bs_pos, "--bs-pos", _POSITION)
-            ue_pos = _floats(args.ue_pos, "--ue-pos", _POSITION)
+            bs_pos = _floats(args.bs_pos, "--bs-pos", _POSITION, _front_point)
+            ue_pos = _floats(args.ue_pos, "--ue-pos", _POSITION, _front_point)
         else:
             if args.bs is None or args.ue is None:
                 raise ConfigError("near mode needs --bs/--ue angles or --bs-pos/--ue-pos")
             if args.bs_range is None or args.ue_range is None:
                 raise ConfigError("near mode with angles needs --bs-range and --ue-range")
-            bs = AngularLocation(*_floats(args.bs, "--bs", _ANGLES))
-            ue = AngularLocation(*_floats(args.ue, "--ue", _ANGLES))
-            bs_pos, ue_pos = position_at(bs, args.bs_range), position_at(ue, args.ue_range)
+            bs = _floats(args.bs, "--bs", _ANGLES, AngularLocation)
+            ue = _floats(args.ue, "--ue", _ANGLES, AngularLocation)
+            bs_pos = _flagged("--bs-range", position_at, bs, args.bs_range)
+            ue_pos = _flagged("--ue-range", position_at, ue, args.ue_range)
         profile = nearfield_phase_profile(bs_pos, ue_pos, geometry)
         bs_src = Source.near_field(bs_pos)
         target = ue_pos

@@ -247,7 +247,9 @@ def parse_config(document: dict, *, seed=None, trials=None) -> RunConfig:
     (``--seed``, ``--trials``) as their path.  Keys are read in table order;
     the size bounds on ``n_z*n_x``, ``zero_pad_factor`` and ``trials`` run
     after their whole section is read (for ``trials``, after the flags are
-    applied), so another error in that section is reported first.
+    applied), so another error in that section is reported first.  The flags
+    are read after the whole document, so an error anywhere in the document
+    is reported before one in a flag.
     """
     root = _expect_mapping(document, "config")
     _reject_unknown(root, ("geometry", "detector", "sources", "localization", "experiment"),

@@ -361,6 +361,17 @@ def test_array_size_beyond_numpy_exits_2(tmp_path, capsys, command, document, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--seed=-1", "--trials=0"])
+def test_config_errors_are_reported_before_flag_errors(tmp_path, capsys, flag):
+    # the flags are read after the whole document
+    cfg = write_config(tmp_path, {"geometry": {"d_z_m": -1}})
+    out = tmp_path / "out"
+    assert main(["experiment", "--suite", "grid", "--config", cfg, "--output-dir", str(out),
+                 flag]) == 2
+    assert capsys.readouterr().err == "error: geometry.d_z_m: must be > 0.0\n"
+    assert not out.exists()
+
+
 def test_trials_flag_beyond_numpy_exits_2(tmp_path, capsys):
     # the flag is read by the experiment.trials rule, bound included
     cfg = write_config(tmp_path, {})
@@ -554,16 +565,36 @@ def test_codegen_near_requires_range_or_position(tmp_path):
 
 
 @pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["", "quiet"])
-@pytest.mark.parametrize("where", [
-    ["--bs-pos", "nan,5,0", "--ue-pos", "1,2,0.5"],
-    ["--bs-pos", "0,5,0", "--ue-pos", "1,2,inf"],
-    ["--bs", "0,0", "--ue", "0,30", "--bs-range", "nan", "--ue-range", "2"],
-    ["--bs", "0,0", "--ue", "0,30", "--bs-range", "5", "--ue-range", "inf"],
+@pytest.mark.parametrize("flag, where", [
+    ("--bs-pos", ["--bs-pos", "nan,5,0", "--ue-pos", "1,2,0.5"]),
+    ("--ue-pos", ["--bs-pos", "0,5,0", "--ue-pos", "1,2,inf"]),
+    ("--bs-range", ["--bs", "0,0", "--ue", "0,30", "--bs-range", "nan", "--ue-range", "2"]),
+    ("--ue-range", ["--bs", "0,0", "--ue", "0,30", "--bs-range", "5", "--ue-range", "inf"]),
 ], ids=["bs-pos-nan", "ue-pos-inf", "bs-range-nan", "ue-range-inf"])
-def test_codegen_near_non_finite_exits_2(tmp_path, capsys, where, quiet):
+def test_codegen_near_non_finite_exits_2(tmp_path, capsys, flag, where, quiet):
     out = tmp_path / "c.txt"
     assert main(["codegen", "--mode", "near", *where, "--output", str(out), *quiet]) == 2
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["codegen", "--mode", "far", "--bs", "0,0", "--ue", "0,95"], "--ue"),
+    (["codegen", "--mode", "far", "--bs", "0,95", "--ue", "0,0"], "--bs"),
+    (["codegen", "--mode", "near", "--bs-pos", "0,5,0", "--ue-pos", "1,-2,0"], "--ue-pos"),
+    (["localize", "{csv}", "--bs", "0,0", "--oracle-truth", "0,95"], "--oracle-truth"),
+    (["localize", "{csv}", "--bs", "0,0", "--sector", "5:1"], "--sector"),
+], ids=["codegen-ue", "codegen-bs", "codegen-ue-pos", "localize-oracle", "localize-sector"])
+def test_value_errors_name_their_flag(fixture_csv, tmp_path, capsys, argv, flag):
+    # the library checks the value; the CLI says which flag carried it
+    out = tmp_path / "c.txt"
+    argv = [fixture_csv if a == "{csv}" else a for a in argv]
+    if argv[0] == "codegen":
+        argv += ["--output", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
     assert not out.exists()
 
 
