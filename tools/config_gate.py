@@ -78,6 +78,9 @@ CORPUS = [
     ("geometry-f_c_hz-zero", section("geometry", f_c_hz=0)),
     ("geometry-f_c_hz-big", section("geometry", f_c_hz=BIG)),
     ("geometry-f_c_hz-inf", section("geometry", f_c_hz=INF)),
+    ("geometry-size-tie", section("geometry", n_z=2**40, n_x=2**40)),
+    # a panel numpy can index whose spectrum, padded by the default factor, it cannot
+    ("geometry-spectrum-beyond-default-pad", section("geometry", n_z=2**31, n_x=2**31)),
     ("geometry-valid", section("geometry", n_z=16, n_x=24, d_z_m=0.015, d_x_m=1,
                                 f_c_hz=2_600_000_000)),
     # detector
@@ -94,9 +97,11 @@ CORPUS = [
     ("detector-ceiling-nan", section("detector", ceiling=NAN)),
     ("detector-ceiling-string", section("detector", ceiling="none")),
     ("detector-ceiling-not-above-floor", section("detector", floor=2.0, ceiling=2)),
+    ("detector-floor-above-ceiling", section("detector", floor=5.0, ceiling=3.0)),
     ("detector-agc-string", section("detector", agc_enabled="yes")),
     ("detector-agc-int", section("detector", agc_enabled=1)),
     ("detector-agc-unbounded", section("detector", agc_enabled=True)),
+    ("detector-agc-ceiling-null", section("detector", ceiling=None, agc_enabled=True)),
     ("detector-phase_jitter_std-negative", section("detector", phase_jitter_std=-0.1)),
     ("detector-phase_jitter_std-nan", section("detector", phase_jitter_std=NAN)),
     ("detector-valid", section("detector", noise_std=6.9, floor=0.5, ceiling=50,
@@ -202,6 +207,7 @@ CORPUS = [
     ("experiment-ber_gain-inf", section("experiment", ber_gain_db=INF)),
     ("experiment-order-32", section("experiment", ber_modulation_order=32)),
     ("experiment-order-2", section("experiment", ber_modulation_order=2)),
+    ("experiment-order-256", section("experiment", ber_modulation_order=256)),
     ("experiment-order-float", section("experiment", ber_modulation_order=16.0)),
     ("experiment-order-big", section("experiment", ber_modulation_order=BIG)),
     ("experiment-valid", section("experiment", trials=3, seed=11, output_dir="runs/a",
