@@ -38,7 +38,7 @@ _CODING_MAGIC = "# holoris-coding v1"
 
 @dataclass(frozen=True)
 class PhaseProfile:
-    """Continuous per-element reflection phases in radians."""
+    """Continuous per-element reflection phases in radians, each finite."""
 
     values: np.ndarray
 
@@ -46,6 +46,8 @@ class PhaseProfile:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("phase profile must be a 2D matrix")
+        if not np.isfinite(values).all():
+            raise ValueError("phase profile phases must be finite")
         object.__setattr__(self, "values", values)
 
 

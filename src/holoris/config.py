@@ -1,25 +1,24 @@
-"""Run configuration: a strict JSON schema over the pipeline knobs.
+"""Run configuration: a closed JSON schema over the pipeline knobs.
 
 A configuration document is a JSON object with optional sections
 geometry, detector, sources, localization, and experiment.  Each section's
 keys are listed once, in a table below, and read in table order; a key
 left out takes the default of the dataclass attribute it sets.  Unknown
 keys are rejected with the offending field path so typos never silently
-fall back to defaults, and every number must be finite.
+fall back to defaults, and every number must be finite.  Its bounds are
+the rules of the type a value is set on, reported at the key's path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConfigError
-from .experiments import ExperimentConfig
+from .experiments import ExperimentConfig, _check_modulation_order
 from .geometry import AngularLocation, default_geometry
 from .wavefield import DetectorModel, Source
 
@@ -41,20 +40,20 @@ class RunConfig:
     ber_gain_db: float = 16.4
     ber_modulation_order: int = 64
 
+    def __post_init__(self):
+        _check_modulation_order(self.ber_modulation_order)
+
 
 class _Key(NamedTuple):
     """One key of a section table; it is also the name of the attribute it sets.
 
     ``type`` is bool, int, float or str (non-empty), or a function
-    ``(value, path)`` that reads a key of another form.  A number below
-    ``minimum``, or equal to it when ``strict``, is rejected.  Where ``null``
-    is set, a JSON null means the default.
+    ``(value, path)`` that reads a key of another form.  Where ``null`` is
+    set, a JSON null means the default.
     """
 
     name: str
     type: object
-    minimum: float | None = None
-    strict: bool = False
     null: bool = False
 
 
@@ -93,8 +92,9 @@ def _float(value, path: str) -> float:
     return number
 
 
-def _value(value, path: str, kind, minimum=None, strict=False):
-    """``value`` read as ``kind``: the one reader of every table key."""
+def _value(value, path: str, kind):
+    """``value`` read as ``kind``, its JSON type and finiteness: the one reader
+    of every table key.  Its bounds are the rules of the type it is set on."""
     if kind not in _EXPECTED:
         return kind(value, path)
     if kind is bool:
@@ -106,21 +106,27 @@ def _value(value, path: str, kind, minimum=None, strict=False):
         valid = isinstance(value, accepted) and not isinstance(value, bool)
     if not valid:
         raise ConfigError(f"{path}: expected {_EXPECTED[kind]}")
-    if kind is float:
-        value = _float(value, path)
-    if minimum is not None and (value <= minimum if strict else value < minimum):
-        raise ConfigError(f"{path}: must be {'>' if strict else '>='} {minimum}")
-    return value
+    return _float(value, path) if kind is float else value
 
 
-def _read(section: dict, table, path: str) -> dict:
-    """The keys of ``table`` that ``section`` sets, read in table order."""
-    return {
-        key.name: _value(section[key.name], f"{path}.{key.name}", key.type,
-                         key.minimum, key.strict)
-        for key in table
-        if key.name in section and not (key.null and section[key.name] is None)
-    }
+def _set(owner, name: str, value, path: str):
+    """``owner`` with attribute ``name`` set to ``value``, by its type's rules; a
+    RunConfig sets the attributes it lacks on its experiment (without the unit
+    suffix: bs_locations_deg sets bs_locations)."""
+    if isinstance(owner, RunConfig) and not hasattr(owner, name):
+        return replace(owner, experiment=_set(owner.experiment, name.removesuffix("_deg"),
+                                              value, path))
+    return _build(replace, path, owner, **{name: value})
+
+
+def _read(owner, section: dict, table, prefix: str):
+    """``owner`` with each key of ``table`` that ``section`` sets read and set in
+    table order, at path ``prefix + name``."""
+    for key in table:
+        if key.name in section and not (key.null and section[key.name] is None):
+            path = prefix + key.name
+            owner = _set(owner, key.name, _value(section[key.name], path, key.type), path)
+    return owner
 
 
 def _numbers(value, path: str, expected: str, length=None) -> tuple:
@@ -145,46 +151,32 @@ def _locations(value, path: str) -> tuple:
     )
 
 
-def _float_int(value, path: str, minimum: int) -> int:
-    """An integer >= minimum that converts to a float."""
-    number = _value(value, path, int, minimum)
-    _float(number, path)
-    return number
-
-
-def _modulation_order(value, path: str) -> int:
-    order = _value(value, path, int, 4)
-    if order not in (4, 16, 64):
-        raise ConfigError(f"{path}: expected 4, 16, or 64")
-    return order
-
-
-# Each table lists its keys in read order: of several errors, the first met is reported.
-# The size bounds (n_z*n_x, zero_pad_factor, trials) run after their whole section is
-# read, and the trials bound after the --seed and --trials flags are applied.
+# Each table lists its keys in read order.  A key is set on a value whose
+# later keys still hold their defaults, and of several errors the first met is
+# reported: the detector's rules on one key come before those comparing two.
 _GEOMETRY = (
-    _Key("f_c_hz", partial(_float_int, minimum=1)),  # wavelength and wavenumber are floats
-    _Key("n_z", int, 1),
-    _Key("n_x", int, 1),
-    _Key("d_z_m", float, 0.0, strict=True),
-    _Key("d_x_m", float, 0.0, strict=True),
+    _Key("f_c_hz", int),
+    _Key("n_z", int),
+    _Key("n_x", int),
+    _Key("d_z_m", float),
+    _Key("d_x_m", float),
 )
 _DETECTOR = (
-    _Key("noise_std", float, 0.0),
-    _Key("floor", float, 0.0),
+    _Key("noise_std", float),
+    _Key("floor", float),
+    _Key("phase_jitter_std", float),
     _Key("ceiling", float, null=True),  # the default is unbounded
     _Key("agc_enabled", bool),
-    _Key("phase_jitter_std", float, 0.0),
 )
 _SOURCE = (  # the keys both source kinds take
-    _Key("amplitude", float, 0.0),
+    _Key("amplitude", float),
     _Key("phase_rad", float),
-    _Key("frequency_tag", partial(_float_int, minimum=0)),  # as Hologram requires
+    _Key("frequency_tag", int),
 )
 _LOCALIZATION = (
-    _Key("zero_pad_factor", int, 1),
-    _Key("dc_guard", int, 0),
-    _Key("significance_threshold", float, 0.0),
+    _Key("zero_pad_factor", int),
+    _Key("dc_guard", int),
+    _Key("significance_threshold", float),
 )
 # The experiment section sets RunConfig and ExperimentConfig attributes; its location
 # lists carry their unit in the key (bs_locations_deg sets bs_locations).
@@ -192,29 +184,24 @@ _EXPERIMENT = (
     _Key("output_dir", str),
     _Key("gain_phi_deg", partial(_numbers, expected="a list of degrees"), null=True),
     _Key("ber_snr_db", partial(_numbers, expected="a list of dB values"), null=True),
-    _Key("ber_modulation_order", _modulation_order),
-    _Key("trials", int, 1),
-    _Key("seed", int, 0),
+    _Key("ber_modulation_order", int),
+    _Key("trials", int),
+    _Key("seed", int),
     _Key("bs_locations_deg", _locations),
     _Key("ue_locations_deg", _locations),
     _Key("ber_gain_db", float),
 )
 
 
-# The most elements an array can have: numpy indexes with np.intp.
-_MAX_ELEMENTS = int(np.iinfo(np.intp).max)
-
-
-def _check_elements(path: str, what: str, count: int) -> None:
-    if count > _MAX_ELEMENTS:
-        raise ConfigError(f"{path}: {what} must be at most {_MAX_ELEMENTS} elements")
-
-
-def _section(root: dict, name: str, table) -> dict:
-    """Section ``name`` of the document, read by ``table``."""
+def _section(root: dict, name: str, table, owner):
+    """``owner`` with section ``name`` of the document read onto it by ``table``."""
     section = _expect_mapping(root.get(name, {}), name)
     _reject_unknown(section, [key.name for key in table], name)
-    return _read(section, table, name)
+    return _read(owner, section, table, f"{name}.")
+
+
+# A broadside reference: the default a source's keys are set on.
+_REFERENCE = Source.far_field(AngularLocation(0.0, 0.0))
 
 
 def _parse_source(entry, path: str) -> Source:
@@ -225,64 +212,48 @@ def _parse_source(entry, path: str) -> Source:
         _reject_unknown(section, ["kind", "theta_deg", "phi_deg", *shared], path)
         if "theta_deg" not in section or "phi_deg" not in section:
             raise ConfigError(f"{path}: far_field source needs theta_deg and phi_deg")
-        make = Source.far_field
-        where = _build(AngularLocation, path, *(
+        where = {"angles": _build(AngularLocation, path, *(
             _value(section[k], f"{path}.{k}", float) for k in ("theta_deg", "phi_deg")
-        ))
+        ))}
     elif kind == "near_field":
         _reject_unknown(section, ["kind", "position_m", *shared], path)
-        make = Source.near_field
-        where = _numbers(section.get("position_m"), f"{path}.position_m",
-                         "[x_m, y_m, z_m]", length=3)
+        where = {"kind": "near_field", "angles": None,
+                 "position": _numbers(section.get("position_m"), f"{path}.position_m",
+                                      "[x_m, y_m, z_m]", length=3)}
     else:
         raise ConfigError(f"{path}.kind: expected 'far_field' or 'near_field'")
-    return _build(make, path, where, **_read(section, _SOURCE, path))
+    # the shared keys are read before the position is held to the source's rules
+    return _build(replace, path, _read(_REFERENCE, section, _SOURCE, f"{path}."), **where)
 
 
 def parse_config(document: dict, *, seed=None, trials=None) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig.
 
-    ``seed`` and ``trials``, where not None, replace the experiment keys of
-    the same name and are read by the same rules, with the CLI flag
-    (``--seed``, ``--trials``) as their path.  Keys are read in table order;
-    the size bounds on ``n_z*n_x``, ``zero_pad_factor`` and ``trials`` run
-    after their whole section is read (for ``trials``, after the flags are
-    applied), so another error in that section is reported first.  The flags
-    are read after the whole document, so an error anywhere in the document
-    is reported before one in a flag.
+    Each section is set on the type that holds it one key at a time, in
+    table order, from that type's defaults; the first key its type rejects
+    is reported.  The geometry is set on the ExperimentConfig, at path
+    ``geometry``, before the localization keys.  ``seed`` and ``trials``,
+    where not None, are set after the whole document by the same rules, at
+    the CLI flag's name (``--seed``, ``--trials``).
     """
     root = _expect_mapping(document, "config")
     _reject_unknown(root, ("geometry", "detector", "sources", "localization", "experiment"),
                     "config")
-    geometry = _build(replace, "geometry", default_geometry(),
-                      **_section(root, "geometry", _GEOMETRY))
-    n_z, n_x = geometry.shape
-    _check_elements(f"geometry.{'n_z' if n_z >= n_x else 'n_x'}", "n_z*n_x", n_z * n_x)
-    detector = _build(DetectorModel, "detector", **_section(root, "detector", _DETECTOR))
+    geometry = _section(root, "geometry", _GEOMETRY, default_geometry())
+    detector = _section(root, "detector", _DETECTOR, DetectorModel())
     if "sources" in root:
         raw = root["sources"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("sources: expected a non-empty list")
         sources = tuple(_parse_source(entry, f"sources[{i}]") for i, entry in enumerate(raw))
     else:  # a broadside reference and a user at (0, 30)
-        sources = (Source.far_field(AngularLocation(0.0, 0.0)),
-                   Source.far_field(AngularLocation(0.0, 30.0)))
-    localization = _section(root, "localization", _LOCALIZATION)
-    pad = localization.get("zero_pad_factor", ExperimentConfig.zero_pad_factor)
-    _check_elements("localization.zero_pad_factor",
-                    "(zero_pad_factor*n_z)*(zero_pad_factor*n_x)", pad * n_z * pad * n_x)
-    values = _section(root, "experiment", _EXPERIMENT)
+        sources = (_REFERENCE, Source.far_field(AngularLocation(0.0, 30.0)))
+    experiment = _build(ExperimentConfig, "geometry", geometry=geometry, detector=detector)
+    experiment = _section(root, "localization", _LOCALIZATION, experiment)
+    run = _section(root, "experiment", _EXPERIMENT,
+                   RunConfig(experiment=experiment, sources=sources))
     flags = {"seed": seed, "trials": trials}
-    values.update({key.name: _value(flags[key.name], f"--{key.name}", key.type,
-                                    key.minimum, key.strict)
-                   for key in _EXPERIMENT if flags.get(key.name) is not None})
-    _check_elements("experiment.trials" if trials is None else "--trials", "trials*n_z*n_x",
-                    values.get("trials", ExperimentConfig.trials) * n_z * n_x)
-    run = {f.name: values.pop(f.name) for f in fields(RunConfig) if f.name in values}
-    experiment = ExperimentConfig(
-        geometry=geometry, detector=detector, **localization,
-        **{name.removesuffix("_deg"): value for name, value in values.items()})
-    return RunConfig(experiment=experiment, sources=sources, **run)
+    return _read(run, {k: v for k, v in flags.items() if v is not None}, _EXPERIMENT, "--")
 
 
 def load_config(path, *, seed=None, trials=None) -> RunConfig:

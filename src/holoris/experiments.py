@@ -28,12 +28,15 @@ from .errors import AllCandidatesInfeasible, DegenerateInterference, NoPeak
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
+    _check_elements,
+    _is_int,
     angular_distance_deg,
     default_geometry,
     wrap_degrees,
 )
 from .localization import (
     OraclePolicy,
+    _check_spectral_settings,
     fft2,
     format_report,
     localize_trials,
@@ -96,7 +99,8 @@ CALIBRATED_SIGNIFICANCE_THRESHOLD = 2.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Placement grids, imperfections, and reproducibility knobs."""
+    """Placement grids, imperfections, and reproducibility knobs: trials >= 1,
+    seed >= 0 and the spectral settings are checked on construction."""
 
     geometry: ArrayGeometry = field(default_factory=default_geometry)
     detector: DetectorModel = field(default_factory=DetectorModel.ideal)
@@ -113,8 +117,13 @@ class ExperimentConfig:
     significance_threshold: float = 6.0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not (_is_int(self.trials) and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _check_spectral_settings(self.geometry.shape, self.zero_pad_factor, self.dc_guard,
+                                 self.significance_threshold)
+        _check_elements("trials*n_z*n_x", self.trials * math.prod(self.geometry.shape))
 
 
 @dataclass(frozen=True)
@@ -238,14 +247,13 @@ def _capture_seeds(master: int, config_index, trial) -> tuple[np.ndarray, np.nda
     """The suites' per-capture seeding, for whole arrays of captures at once.
 
     Capture trial[j] of placement config_index[j] is seeded with
-    SeedSequence([master, config_index[j], trial[j]]).generate_state(1)[0],
-    and its generator starts from the PCG64 state np.random.default_rng
-    draws from that seed.  Both stages run SeedSequence's own arithmetic
-    over the arrays, broadcast together.  Returns (seeds, states): uint32 of
-    their shape S and uint64 of shape (*S, 4).
+    SeedSequence([master, config_index[j], trial[j]]).generate_state(1)[0]
+    (master, an ExperimentConfig seed, is >= 0), and its generator starts
+    from the PCG64 state np.random.default_rng draws from that seed.  Both
+    stages run SeedSequence's own arithmetic over the arrays, broadcast
+    together.  Returns (seeds, states): uint32 of their shape S and uint64
+    of shape (*S, 4).
     """
-    if master < 0:
-        raise ValueError(f"seed must be non-negative, got {master!r}")
     config_index, trial = np.broadcast_arrays(np.asarray(config_index),
                                               np.asarray(trial))
     if config_index.size and max(config_index.max(), trial.max()) > _MASK32:
@@ -432,12 +440,10 @@ def gain_sweep(cfg: ExperimentConfig, phi_range_deg) -> list[SweepPoint]:
 
 
 def _check_modulation_order(modulation_order: int) -> int:
-    side = math.isqrt(modulation_order)
-    if side * side != modulation_order or side < 2 or side & (side - 1):
-        raise ValueError(
-            "modulation_order must be a square power of four (4, 16, 64, ...)"
-        )
-    return side
+    """The constellation side of a supported square QAM order: 4, 16 or 64."""
+    if not (_is_int(modulation_order) and modulation_order in (4, 16, 64)):
+        raise ValueError("modulation_order must be 4, 16 or 64")
+    return math.isqrt(modulation_order)
 
 
 def qam_ber(snr_db: float, modulation_order: int) -> float:

@@ -30,6 +30,23 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless value is an integer >= minimum that converts to a float."""
+    if not (_is_int(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large to convert to a float") from None
+
+
+def _check_elements(what: str, count: int) -> None:
+    """Raise ValueError unless numpy, which indexes with np.intp, can index count elements."""
+    limit = int(np.iinfo(np.intp).max)
+    if count > limit:
+        raise ValueError(f"{what} must be at most {limit} elements")
+
+
 @dataclass(frozen=True)
 class AngularLocation:
     """Direction of a terminal as seen from the panel center.
@@ -55,8 +72,9 @@ class ArrayGeometry:
 
     n_z rows spaced d_z_m apart along z, n_x columns spaced d_x_m along x.
     The carrier f_c_hz fixes the wavelength used by every phase computation.
-    n_z, n_x and f_c_hz are integers (the hologram file stores them so);
-    the pitches are finite and > 0 (the hologram file reader requires it).
+    n_z, n_x and f_c_hz are integers >= 1 that convert to a float, with
+    n_z*n_x elements numpy can index; the pitches are finite and > 0 (the
+    hologram file reader requires it).
     """
 
     n_z: int
@@ -66,18 +84,16 @@ class ArrayGeometry:
     f_c_hz: int
 
     def __post_init__(self):
-        for name in ("n_z", "n_x", "f_c_hz"):
+        for name in ("n_z", "n_x"):  # beyond the float range, the size bound applies
             value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_z < 1 or self.n_x < 1:
-            raise ValueError("element counts must be at least 1")
+            if not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        _check_elements("n_z*n_x", self.n_z * self.n_x)
+        _check_integer("f_c_hz", self.f_c_hz, 1)
         for name in ("d_z_m", "d_x_m"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if self.f_c_hz <= 0:
-            raise ValueError("carrier frequency must be positive")
 
     @property
     def wavelength_m(self) -> float:
@@ -185,13 +201,7 @@ def angles_from_frequencies(
         )
     th = -math.asin(u_z)
     u_x = freqs.omega_x * lam / (2.0 * math.pi * geom.d_x_m)
-    cos_th = math.cos(th)
-    if cos_th == 0.0:
-        if u_x != 0.0:
-            raise InfeasibleFrequency("grazing elevation admits no azimuth component")
-        sin_ph = 0.0
-    else:
-        sin_ph = u_x / cos_th
+    sin_ph = u_x / math.cos(th)  # cos(asin(+-1)) is 6.1e-17, never 0
     if abs(sin_ph) > 1.0:
         raise InfeasibleFrequency(
             f"omega pair ({freqs.omega_z:.6g}, {freqs.omega_x:.6g}) is evanescent: "

@@ -32,7 +32,9 @@ from .geometry import (
     AngularLocation,
     ArrayGeometry,
     SpatialFrequencyPair,
+    _check_elements,
     _frequency_grid,
+    _is_int,
     angles_from_frequencies,
     angular_distance_deg,
     spatial_frequencies,
@@ -114,6 +116,20 @@ def regulate(x: float) -> float:
     return x - 2.0 * math.pi * r
 
 
+def _check_spectral_settings(shape=(1, 1), zero_pad_factor=1, dc_guard=0,
+                             significance_threshold=0.0) -> None:
+    """Raise ValueError unless zero_pad_factor is a positive integer padding an (n_z, n_x)
+    panel to a spectrum numpy can index, dc_guard an integer >= 0 and the threshold >= 0."""
+    if not (_is_int(zero_pad_factor) and zero_pad_factor >= 1):
+        raise ValueError("zero_pad_factor must be a positive integer")
+    _check_elements("(zero_pad_factor*n_z)*(zero_pad_factor*n_x)",
+                    zero_pad_factor**2 * math.prod(shape))
+    if not (_is_int(dc_guard) and dc_guard >= 0):
+        raise ValueError("dc_guard must be a non-negative integer")
+    if not significance_threshold >= 0:
+        raise ValueError("significance_threshold must be a number >= 0")
+
+
 def _transform(values: np.ndarray, zero_pad_factor: int, remove_mean: bool,
                full: bool = False) -> np.ndarray:
     """The half spectrum of every capture of a (T, n_z, n_x) stack: the rows
@@ -124,9 +140,8 @@ def _transform(values: np.ndarray, zero_pad_factor: int, remove_mean: bool,
     and the other rows only mirror these.  full=True returns all M_z rows,
     by a complex fft along z.
     """
-    if zero_pad_factor < 1:
-        raise ValueError("zero_pad_factor must be a positive integer")
     _, n_z, n_x = values.shape
+    _check_spectral_settings((n_z, n_x), zero_pad_factor)
     if n_z < 2 or n_x < 2:
         raise ValueError("spectral analysis needs at least a 2x2 hologram")
     if remove_mean:
@@ -206,10 +221,7 @@ def _peaks(mags: np.ndarray, m_z: int, dc_guard: int, significance_threshold: fl
 
     Returns per spectrum ((i_z, i_x), ratio) or the NoPeak it raises.
     """
-    if dc_guard < 0:
-        raise ValueError("dc_guard must be a non-negative integer")
-    if not significance_threshold >= 0:
-        raise ValueError("significance_threshold must be a number >= 0")
+    _check_spectral_settings(dc_guard=dc_guard, significance_threshold=significance_threshold)
     n, half, m_x = mags.shape
     outside, search = _peak_plan((m_z, m_x), dc_guard)
     if not search.size:

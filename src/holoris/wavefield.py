@@ -23,7 +23,7 @@ from .errors import DegenerateInterference, FileFormatError
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
-    _is_int,
+    _check_integer,
     element_positions,
     spatial_frequencies,
 )
@@ -46,8 +46,9 @@ class Source:
     """One coherent emitter illuminating the panel.
 
     kind is "far_field" (direction only) or "near_field" (finite 3D position
-    with y > 0, meters).  Sources interfere only with sources sharing their
-    frequency_tag.
+    with y > 0, meters).  amplitude is finite and >= 0, phase_rad finite, and
+    frequency_tag an integer >= 0 that converts to a float.  Sources
+    interfere only with sources sharing their frequency_tag.
     """
 
     kind: str
@@ -66,10 +67,11 @@ class Source:
             if self.position is None:
                 raise ValueError("near_field source requires a position")
             object.__setattr__(self, "position", _front_position(self.position))
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
-        if self.frequency_tag < 0:
-            raise ValueError("frequency_tag must be non-negative")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude!r}")
+        if not math.isfinite(self.phase_rad):
+            raise ValueError(f"phase_rad must be finite, got {self.phase_rad!r}")
+        _check_integer("frequency_tag", self.frequency_tag, 0)
 
     @staticmethod
     def far_field(
@@ -106,6 +108,7 @@ class Source:
 class DetectorModel:
     """Power-detector imperfections applied to ideal intensities.
 
+    noise_std, floor and phase_jitter_std are finite and >= 0.
     noise_std: std of additive Gaussian noise on intensity.
     floor/ceiling: reporting range; sub-floor values clamp to floor,
         values above ceiling saturate.
@@ -124,16 +127,14 @@ class DetectorModel:
     phase_jitter_std: float = 0.0
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        if self.floor < 0:
-            raise ValueError("floor must be non-negative")
+        for name in ("noise_std", "floor", "phase_jitter_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not self.ceiling > self.floor:
             raise ValueError("ceiling must exceed floor")
         if self.agc_enabled and not math.isfinite(self.ceiling):
             raise ValueError("agc_enabled requires a finite ceiling")
-        if self.phase_jitter_std < 0:
-            raise ValueError("phase_jitter_std must be non-negative")
 
     @staticmethod
     def ideal() -> "DetectorModel":
@@ -146,8 +147,7 @@ class Hologram:
 
     values is a read-only copy, so the checks made here hold for the
     hologram's lifetime and its users need not repeat them.  frequency_tag
-    must convert to a float, as read_hologram_csv requires of the tag it
-    reads back.
+    follows the rule of Source.frequency_tag.
     """
 
     values: np.ndarray
@@ -155,13 +155,7 @@ class Hologram:
     frequency_tag: int = 0
 
     def __post_init__(self):
-        tag = self.frequency_tag
-        if not (_is_int(tag) and tag >= 0):
-            raise ValueError(f"frequency_tag must be a non-negative integer, got {tag!r}")
-        try:
-            float(tag)
-        except OverflowError:
-            raise ValueError("frequency_tag is too large to convert to a float") from None
+        _check_integer("frequency_tag", self.frequency_tag, 0)
         values = np.array(self.values, dtype=float)
         if values.shape != self.geometry.shape:
             raise ValueError(
@@ -447,7 +441,6 @@ def read_hologram_csv(path) -> Hologram:
     )
     n_x = header["n_x"]
     rows = []
-    total = 0.0
     for lineno, line in numbered_rows:
         parts = line.split(",")
         if len(parts) != n_x:
@@ -462,11 +455,17 @@ def read_hologram_csv(path) -> Hologram:
             raise FileFormatError("non-finite intensity", lineno)
         if any(v < 0 for v in row):
             raise FileFormatError("negative intensity", lineno)
-        total += sum(row)
-        if not math.isfinite(total):
-            raise FileFormatError("intensity sum overflows the float range", lineno)
         rows.append(row)
+    values = np.array(rows)
+    try:
+        _intensity_sums(values)  # the rule Hologram holds its values to
+    except ValueError:  # the rows are finite and non-negative, so their sum overflows
+        with np.errstate(over="ignore"):
+            k = next(k for k in range(1, len(rows) + 1)
+                     if np.isinf(values[:k].sum(axis=(-2, -1))))
+        raise FileFormatError("intensity sum overflows the float range",
+                              numbered_rows[k - 1][0]) from None
     geom = ArrayGeometry(n_z=header["n_z"], n_x=n_x, d_z_m=header["d_z_m"],
                          d_x_m=header["d_x_m"], f_c_hz=header["f_c_hz"])
-    return Hologram(values=np.array(rows), geometry=geom,
+    return Hologram(values=values, geometry=geom,
                     frequency_tag=header["frequency_tag"])

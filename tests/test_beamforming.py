@@ -72,6 +72,10 @@ def test_quantize_rule_and_ties():
     states = quantize_1bit(prof).states
     # |wrapped| > pi/2 flips to state 1; the boundary itself stays 0
     assert states.tolist() == [[0, 0, 0, 1], [1, 1, 0, 0]]
+    # a phase that is no number has no state
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            quantize_1bit(PhaseProfile(values=np.full((2, 2), bad)))
 
 
 def test_reciprocity_and_zero_profile_for_retroreflection():

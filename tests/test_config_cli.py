@@ -8,6 +8,7 @@ disambiguation failures.
 import importlib.util
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,17 @@ from hypothesis import strategies as st
 
 from holoris.beamforming import read_coding_file
 from holoris.cli import main
-from holoris.config import config_as_dict, load_config, parse_config
+from holoris.config import (
+    _DETECTOR,
+    _EXPERIMENT,
+    _GEOMETRY,
+    _LOCALIZATION,
+    _SOURCE,
+    RunConfig,
+    config_as_dict,
+    load_config,
+    parse_config,
+)
 from holoris.errors import ConfigError
 from holoris.experiments import (
     ExperimentConfig,
@@ -27,8 +38,8 @@ from holoris.experiments import (
     write_grid_records_csv,
     write_statistics_txt,
 )
-from holoris.geometry import AngularLocation
-from holoris.wavefield import read_hologram_csv
+from holoris.geometry import AngularLocation, ArrayGeometry, default_geometry
+from holoris.wavefield import DetectorModel, Source, read_hologram_csv
 
 FIXTURE_PHI = "32.367221606087334"
 
@@ -217,6 +228,77 @@ def test_any_document_parses_and_round_trips_or_raises_config_error(document):
     assert_round_trips(cfg)
 
 
+def holder_error(section: str, key: str, value) -> str:
+    """The ValueError message of the type that holds ``section.key``, built from
+    its defaults with the key set to ``value``."""
+    holder = {"geometry": default_geometry(), "detector": DetectorModel(),
+              "sources": Source.far_field(AngularLocation(0.0, 0.0))}.get(section,
+                                                                           ExperimentConfig())
+    if not hasattr(holder, key):
+        holder = RunConfig(experiment=ExperimentConfig(), sources=())
+    with pytest.raises(ValueError) as exc:
+        replace(holder, **{key: value})
+    return str(exc.value)
+
+
+# An out-of-range value for every table key with a bound, as the config reads it
+# (a float where the key is a float).  The other keys take any value of their form.
+UNBOUNDED_KEYS = {"phase_rad", "output_dir", "gain_phi_deg", "ber_snr_db", "ber_gain_db"}
+OUT_OF_RANGE = [
+    ("geometry", "f_c_hz", 0), ("geometry", "f_c_hz", 10**400), ("geometry", "n_z", 0),
+    ("geometry", "n_z", 10**400), ("geometry", "n_x", 2**62), ("geometry", "d_z_m", 0.0),
+    ("geometry", "d_x_m", -1.0),
+    ("detector", "noise_std", -1.0), ("detector", "floor", -1.0),
+    ("detector", "phase_jitter_std", -1.0), ("detector", "ceiling", 0.0),
+    ("detector", "agc_enabled", True),
+    ("sources", "amplitude", -1.0), ("sources", "frequency_tag", -1),
+    ("sources", "frequency_tag", 10**400),
+    ("localization", "zero_pad_factor", 0), ("localization", "zero_pad_factor", 10**400),
+    ("localization", "dc_guard", -1), ("localization", "significance_threshold", -1.0),
+    ("experiment", "trials", 0), ("experiment", "trials", 10**50),
+    ("experiment", "seed", -1), ("experiment", "ber_modulation_order", 256),
+]
+
+
+@pytest.mark.parametrize("section, key, value", OUT_OF_RANGE,
+                         ids=[f"{s}.{k}={v if len(str(v)) < 20 else f'1e{len(str(v)) - 1}'}"
+                              for s, k, v in OUT_OF_RANGE])
+def test_a_rejected_value_carries_its_holding_types_own_message(section, key, value):
+    # one rule per value: the config reports the type's ValueError at the key's path
+    if section == "sources":
+        document, path = {"sources": [{"theta_deg": 0.0, "phi_deg": 0.0, key: value}]}, \
+            f"sources[0].{key}"
+    else:
+        document, path = {section: {key: value}}, f"{section}.{key}"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(document)
+    assert str(exc.value) == f"{path}: {holder_error(section, key, value)}"
+
+
+def test_the_values_of_several_keys_carry_their_holding_types_own_message():
+    # a geometry numpy can index whose spectrum, at the default padding, it cannot
+    geometry = ArrayGeometry(n_z=2**31, n_x=2**31, d_z_m=0.02, d_x_m=0.02,
+                             f_c_hz=3_500_000_000)
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig(geometry=geometry)
+    with pytest.raises(ConfigError, match="^geometry: ") as got:
+        parse_config({"geometry": {"n_z": 2**31, "n_x": 2**31}})
+    assert str(got.value) == f"geometry: {exc.value}"
+    # an angle pair is held to AngularLocation's rule at its index
+    with pytest.raises(ValueError) as exc:
+        AngularLocation(95.0, 0.0)
+    with pytest.raises(ConfigError) as got:
+        parse_config({"experiment": {"ue_locations_deg": [[0, 0], [95, 0]]}})
+    assert str(got.value) == f"experiment.ue_locations_deg[1]: {exc.value}"
+
+
+def test_every_bounded_table_key_has_an_out_of_range_case():
+    keys = {key.name for table in (_GEOMETRY, _DETECTOR, _SOURCE, _LOCALIZATION, _EXPERIMENT)
+            for key in table}
+    covered = {key for _, key, _ in OUT_OF_RANGE}
+    assert covered | UNBOUNDED_KEYS | {"bs_locations_deg", "ue_locations_deg"} == keys
+
+
 # ---------------------------------------------------------------- simulate
 
 def write_config(tmp_path, document, name="cfg.json"):
@@ -272,7 +354,7 @@ def test_simulate_tag_beyond_float_exits_2(tmp_path, capsys):
     out = tmp_path / "h.csv"
     assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: sources[0].frequency_tag: too large to convert to a float\n")
+        "error: sources[0].frequency_tag: frequency_tag is too large to convert to a float\n")
     assert not out.exists()
 
 
@@ -337,8 +419,9 @@ MAX_ELEMENTS = np.iinfo(np.intp).max  # the most elements numpy can index
 @pytest.mark.parametrize("command, document, message", [
     ("simulate", {"geometry": {"n_z": 10**400}},
      f"geometry.n_z: n_z*n_x must be at most {MAX_ELEMENTS} elements"),
+    # n_z alone fits beside the default n_x: the product fails at n_x
     ("simulate", {"geometry": {"n_z": 2**40, "n_x": 2**40}},
-     f"geometry.n_z: n_z*n_x must be at most {MAX_ELEMENTS} elements"),
+     f"geometry.n_x: n_z*n_x must be at most {MAX_ELEMENTS} elements"),
     ("showcase", {"localization": {"zero_pad_factor": 10**400}},
      "localization.zero_pad_factor: (zero_pad_factor*n_z)*(zero_pad_factor*n_x) "
      f"must be at most {MAX_ELEMENTS} elements"),
@@ -368,7 +451,8 @@ def test_config_errors_are_reported_before_flag_errors(tmp_path, capsys, flag):
     out = tmp_path / "out"
     assert main(["experiment", "--suite", "grid", "--config", cfg, "--output-dir", str(out),
                  flag]) == 2
-    assert capsys.readouterr().err == "error: geometry.d_z_m: must be > 0.0\n"
+    assert capsys.readouterr().err == (
+        "error: geometry.d_z_m: d_z_m must be finite and > 0, got -1.0\n")
     assert not out.exists()
 
 
@@ -650,7 +734,7 @@ def test_negative_seed_exits_2_before_writing(tmp_path, capsys, command):
     else:
         argv = ["experiment", "--suite", command, "--config", cfg]
     assert main(argv + ["--seed", "-1"]) == 2
-    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert "--seed: seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
     assert not (tmp_path / "run_out").exists()
 

@@ -483,8 +483,11 @@ def test_manifest_is_deterministic(tmp_path):
 
 
 def test_experiment_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(trials=0)
+    for bad in ({"trials": 0}, {"trials": 1.5}, {"seed": -1}, {"seed": 2.0},
+                {"zero_pad_factor": 0}, {"dc_guard": -1},
+                {"significance_threshold": math.nan}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ExperimentConfig(**bad)
     # the suites always pick each record's twin with its own truth, and the
     # output directory belongs to the caller: neither is a config field
     for removed in ("disambiguation", "output_dir"):

@@ -60,6 +60,19 @@ def test_geometry_rejects_non_integer_counts_and_carrier(field, bad):
     assert getattr(ArrayGeometry(**kwargs), field) == 4
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    # the hologram file reader reads the carrier back as a finite number
+    ("f_c_hz", 10**400, "f_c_hz is too large to convert to a float"),
+    # numpy indexes with np.intp
+    ("n_z", 10**400, r"n_z\*n_x must be at most"),
+])
+def test_geometry_rejects_carrier_beyond_float_and_size_beyond_numpy(field, bad, message):
+    kwargs = dict(n_z=32, n_x=32, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=message):
+        ArrayGeometry(**kwargs)
+
+
 @pytest.mark.parametrize("field", ["d_z_m", "d_x_m"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_geometry_rejects_non_finite_pitch(field, bad):
@@ -128,9 +141,12 @@ def test_inverse_mapping_rejects_evanescent():
         angles_from_frequencies(SpatialFrequencyPair(KAPPA * 1.01, 0.0), geom)
     with pytest.raises(InfeasibleFrequency):
         angles_from_frequencies(SpatialFrequencyPair(0.0, -KAPPA * 1.5), geom)
-    # |u| = 1 exactly sits on the array plane: not a usable direction either
-    with pytest.raises(InfeasibleFrequency):
-        angles_from_frequencies(SpatialFrequencyPair(-KAPPA, 0.0), geom)
+    # |u_z| = 1 exactly sits on the array plane: not a usable direction either,
+    # with or without an azimuth component (cos(asin(+-1)) is 6.1e-17, not 0)
+    for omega_z in (-KAPPA, KAPPA):
+        for omega_x in (0.0, 1e-20, 0.5):
+            with pytest.raises(InfeasibleFrequency):
+                angles_from_frequencies(SpatialFrequencyPair(omega_z, omega_x), geom)
 
 
 @settings(max_examples=300, deadline=None)

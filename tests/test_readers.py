@@ -2,10 +2,13 @@
 file either reads back as a file that round-trips bit-exactly, or raises
 FileFormatError naming a line of the mutated file."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from holoris.beamforming import CodingMatrix, read_coding_file, write_coding_file
 from holoris.errors import FileFormatError
@@ -89,3 +92,42 @@ def test_hologram_reader_on_mutated_line(workdir, hologram_lines, data):
 def test_coding_reader_on_mutated_line(workdir, coding_lines, data):
     _check_mutation(workdir / "mutated.txt", coding_lines, data, read_coding_file,
                     write_coding_file, _coding_fingerprint)
+
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+# 2**970 is half the spacing of floats at the top of the range: sums of
+# intensities near it round either to the float maximum or beyond it.
+_HALF_TOP_ULP = 2.0**970
+_intensities = st.one_of(
+    st.floats(0.0, _FLOAT_MAX),
+    st.floats(_FLOAT_MAX / 64, _FLOAT_MAX),
+    st.sampled_from([0.0, math.nextafter(_HALF_TOP_ULP, 0.0), _HALF_TOP_ULP, _FLOAT_MAX]),
+)
+_pitches = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=4),
+                  elements=_intensities),
+    pitches=st.tuples(_pitches, _pitches),
+    # carriers and tags up to and beyond the float range
+    f_c_hz=st.one_of(st.integers(1, 10**12), st.integers(1, 2**1100)),
+    tag=st.one_of(st.integers(0, 16), st.integers(0, 2**1100)),
+)
+# a sum that stays finite in numpy's order but not row by row
+@example(values=np.array([[_FLOAT_MAX, 0.0], [math.nextafter(_HALF_TOP_ULP, 0.0)] * 2]),
+         pitches=(0.02, 0.02), f_c_hz=3_500_000_000, tag=0)
+def test_every_hologram_survives_write_then_read(workdir, values, pitches, f_c_hz, tag):
+    """write_hologram_csv then read_hologram_csv gives back every Hologram that
+    constructs: the reader accepts whatever the types accept."""
+    try:
+        geom = ArrayGeometry(n_z=values.shape[0], n_x=values.shape[1], d_z_m=pitches[0],
+                             d_x_m=pitches[1], f_c_hz=f_c_hz)
+        holo = Hologram(values=values, geometry=geom, frequency_tag=tag)
+    except ValueError:
+        return  # not a hologram
+    path = workdir / "written.csv"
+    write_hologram_csv(path, holo)
+    assert _hologram_fingerprint(read_hologram_csv(path)) == _hologram_fingerprint(holo)

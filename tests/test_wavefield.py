@@ -281,7 +281,7 @@ def test_hologram_values_are_a_read_only_copy():
 
 @pytest.mark.parametrize("bad", [-1, 1.0, True, "1"])
 def test_hologram_rejects_non_integer_or_negative_tag(bad):
-    with pytest.raises(ValueError, match="frequency_tag must be a non-negative integer"):
+    with pytest.raises(ValueError, match="frequency_tag must be an integer >= 0"):
         Hologram(values=np.ones(GEOM.shape), geometry=GEOM, frequency_tag=bad)
 
 
@@ -434,6 +434,28 @@ def test_hologram_csv_truncated_header(tmp_path):
     with pytest.raises(FileFormatError, match="truncated header") as exc:
         read_hologram_csv(path)
     assert exc.value.line_number == 4
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"amplitude": math.nan}, "amplitude must be finite"),
+    ({"amplitude": math.inf}, "amplitude must be finite"),
+    ({"phase_rad": math.inf}, "phase_rad must be finite"),
+    ({"frequency_tag": 10**400}, "frequency_tag is too large to convert to a float"),
+    ({"frequency_tag": 1.5}, "frequency_tag must be an integer"),
+])
+def test_source_rejects_non_finite_or_non_integer_values(kwargs, message):
+    # a NaN amplitude would give link_gain a NaN gain and no error
+    with pytest.raises(ValueError, match=message):
+        Source.far_field(AngularLocation(0.0, 0.0), **kwargs)
+    with pytest.raises(ValueError, match=message):
+        Source.near_field((0.0, 1.0, 0.0), **kwargs)
+
+
+@pytest.mark.parametrize("field, bad", [("noise_std", math.nan), ("noise_std", math.inf),
+                                        ("phase_jitter_std", math.nan), ("floor", math.inf)])
+def test_detector_rejects_non_finite_values(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+        DetectorModel(**{field: bad})
 
 
 @pytest.mark.parametrize("position", [(math.nan, 1.0, 0.0), (0.0, math.nan, 0.0),

@@ -9,8 +9,7 @@ rejected, or the name of any other exception that escapes.  The corpus
 holds every error path of every section, integers beyond the float range,
 NaN and infinities, ``null`` where it is accepted or not, valid
 non-default documents, and documents with several errors (the first one in
-read order is the one reported; the size bounds run after their whole
-section is read).  The program is imported from the
+read order is the one reported).  The program is imported from the
 ``src/`` directory of the checkout holding this script.  Run it in two
 checkouts and ``diff`` the outputs: a change that keeps the config's
 behaviour prints identical bytes.
@@ -236,7 +235,7 @@ CORPUS = [
     ("multi-geometry-f_c_hz-big-and-n_z", section("geometry", f_c_hz=BIG, n_z=0)),
     ("multi-geometry-f_c_hz-and-d_x_m", section("geometry", f_c_hz=0, d_x_m=-1)),
     ("multi-geometry-n_x-and-d_z_m", section("geometry", d_z_m="x", n_x=0)),
-    # a size bound runs after its whole section is read, so a later key's error comes first
+    # a size bound is the rule of the key that makes the size: it comes before a later key's
     ("multi-geometry-size-and-d_z_m", section("geometry", n_z=BIG, d_z_m=-1)),
     ("multi-geometry-then-detector", {"geometry": {"d_x_m": 0}, "detector": {"floor": -1}}),
     ("multi-detector-floor-and-noise", section("detector", floor=-1, noise_std=-1)),
