@@ -47,7 +47,7 @@ class PhaseProfile:
         if values.ndim != 2:
             raise ValueError("phase profile must be a 2D matrix")
         if not np.isfinite(values).all():
-            raise ValueError("phase profile phases must be finite")
+            raise ValueError("phase profile must hold finite phases")
         object.__setattr__(self, "values", values)
 
 

@@ -84,7 +84,7 @@ class ArrayGeometry:
     f_c_hz: int
 
     def __post_init__(self):
-        for name in ("n_z", "n_x"):  # beyond the float range, the size bound applies
+        for name in ("n_z", "n_x"):  # not _check_integer: a huge count fails the size bound
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")

@@ -231,9 +231,9 @@ def test_any_document_parses_and_round_trips_or_raises_config_error(document):
 def holder_error(section: str, key: str, value) -> str:
     """The ValueError message of the type that holds ``section.key``, built from
     its defaults with the key set to ``value``."""
-    holder = {"geometry": default_geometry(), "detector": DetectorModel(),
-              "sources": Source.far_field(AngularLocation(0.0, 0.0))}.get(section,
-                                                                           ExperimentConfig())
+    holders = {"geometry": default_geometry(), "detector": DetectorModel(),
+               "sources": Source.far_field(AngularLocation(0.0, 0.0))}
+    holder = holders.get(section, ExperimentConfig())
     if not hasattr(holder, key):
         holder = RunConfig(experiment=ExperimentConfig(), sources=())
     with pytest.raises(ValueError) as exc:
@@ -266,8 +266,8 @@ OUT_OF_RANGE = [
 def test_a_rejected_value_carries_its_holding_types_own_message(section, key, value):
     # one rule per value: the config reports the type's ValueError at the key's path
     if section == "sources":
-        document, path = {"sources": [{"theta_deg": 0.0, "phi_deg": 0.0, key: value}]}, \
-            f"sources[0].{key}"
+        document = {"sources": [{"theta_deg": 0.0, "phi_deg": 0.0, key: value}]}
+        path = f"sources[0].{key}"
     else:
         document, path = {section: {key: value}}, f"{section}.{key}"
     with pytest.raises(ConfigError) as exc:

@@ -1,6 +1,7 @@
-"""Property test of the file readers: any single-line mutation of a valid
+"""Property tests of the file readers: any single-line mutation of a valid
 file either reads back as a file that round-trips bit-exactly, or raises
-FileFormatError naming a line of the mutated file."""
+FileFormatError naming a line of the mutated file; and the hologram reader
+reads back every Hologram the writer can be given."""
 
 import math
 
@@ -92,7 +93,6 @@ def test_hologram_reader_on_mutated_line(workdir, hologram_lines, data):
 def test_coding_reader_on_mutated_line(workdir, coding_lines, data):
     _check_mutation(workdir / "mutated.txt", coding_lines, data, read_coding_file,
                     write_coding_file, _coding_fingerprint)
-
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
