@@ -3,8 +3,8 @@
 tools/golden/<gate>.txt is the standard output of tools/<gate>.py under a
 first line naming the Python and numpy versions that made it:
 
-- manifest_gate: every suite's manifest at seeds 0 and 1, default and
-  canonical configs;
+- manifest_gate: every suite's manifest at seeds 0 and 1 under the default,
+  canonical and clipping-AGC detector configs;
 - refine_gate: the coarse and ml_refine angles and the steered beam of 576
   fixed placements;
 - config_gate: how parse_config reads a fixed corpus of documents.

@@ -3,13 +3,15 @@
     python3 tools/manifest_gate.py > manifests.txt
 
 Runs ``holoris experiment`` for the grid, gain, ber and showcase suites at
-seeds 0 and 1, once with the default configuration and once with the
-calibrated canonical one (calibrated detector, significance threshold 2.0,
-20 trials), and prints each run's whole manifest (suite, status, seed,
-config and every ``artifact=... sha256=...`` line) under a header naming the
-run.  The program is imported from the ``src/`` directory of the checkout
-holding this script.  Run it in two checkouts and ``diff`` the outputs: a
-change that keeps behaviour prints identical bytes.
+seeds 0 and 1 under three configurations: the default one, the calibrated
+canonical one (calibrated detector, significance threshold 2.0, 20 trials)
+and one whose detector clips at a floor and a ceiling and rescales each
+capture to the ceiling (AGC), so that the detector arithmetic is pinned too.
+It prints each run's whole manifest (suite, status, seed, config and every
+``artifact=... sha256=...`` line) under a header naming the run.  The
+program is imported from the ``src/`` directory of the checkout holding this
+script.  Run it in two checkouts and ``diff`` the outputs: a change that
+keeps behaviour prints identical bytes.
 Exits 1 when any run fails.
 """
 
@@ -35,6 +37,10 @@ CONFIGS = {
         "detector": {"noise_std": 6.9, "phase_jitter_std": 0.2},
         "localization": {"significance_threshold": 2.0},
         "experiment": {"trials": 20},
+    },
+    "detector": {
+        "detector": {"noise_std": 1.0, "floor": 0.5, "ceiling": 6.0, "agc_enabled": True,
+                     "phase_jitter_std": 0.1},
     },
 }
 
