@@ -179,37 +179,41 @@ def _guard_complement(shape: tuple[int, int], dc_guard: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _peak_plan(shape: tuple[int, int], dc_guard: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into the half spectrum (rows k <= M_z//2) of an (M_z, M_x)
-    spectrum: the median's population and the peak search.
+def _peak_plan(shape: tuple[int, int], dc_guard: int) -> tuple[np.ndarray, int, int, int]:
+    """How _peaks reads the half spectrum (rows k <= M_z//2) of an (M_z, M_x)
+    spectrum, as (guard, mirror_stop, masked, searched).
 
-    The search is every bin outside the DC guard, in row-major order.  The
-    population is the bins outside the guard of the whole spectrum: the DC
-    guard is symmetric under (k, l) -> (-k, -l), so row M_z - k outside it
-    holds the magnitudes of row k outside it, and the rows
-    1..ceil(M_z/2)-1, which have a mirror, are gathered twice.  Read-only, as
-    every caller shares them.
+    guard holds the flat indices of the half spectrum's bins inside the DC
+    guard, in row-major order, read-only as every caller shares it; the
+    search is the searched bins outside it.  The median's population is the
+    bins outside the guard of the whole spectrum.  The DC guard is symmetric
+    under (k, l) -> (-k, -l), so row M_z - k outside it holds the magnitudes
+    of row k outside it; the rows 1..ceil(M_z/2)-1, which have a mirror, are
+    the flat slice [M_x, mirror_stop) of the half spectrum, and the
+    population is the half spectrum followed by that slice, less the masked
+    guard bins the two hold.
     """
     m_z, m_x = shape
-    search = np.flatnonzero(_guard_complement(shape, dc_guard)[:m_z // 2 + 1])
-    mirrored = search[(search >= m_x) & (search < (m_z + 1) // 2 * m_x)]
-    plan = (np.concatenate([search, mirrored]), search)
-    for idx in plan:
-        idx.flags.writeable = False
-    return plan
+    guard = np.flatnonzero(~_guard_complement(shape, dc_guard)[:m_z // 2 + 1])
+    guard.flags.writeable = False
+    mirror_stop = (m_z + 1) // 2 * m_x
+    masked = guard.size + int(np.count_nonzero((guard >= m_x) & (guard < mirror_stop)))
+    return guard, mirror_stop, masked, (m_z // 2 + 1) * m_x - guard.size
 
 
-def _row_medians(a: np.ndarray) -> np.ndarray:
-    """np.median of each row of a 2D array, which is partitioned in place.
+def _row_medians(a: np.ndarray, skip: int) -> np.ndarray:
+    """np.median of each row of a 2D array without its skip smallest values,
+    its -inf entries; the array is partitioned in place.
 
-    One partition at K//2 places the upper middle value; for even K the
-    lower one is the maximum of the K//2 values before it, and the median is
-    their mean, as np.median computes it.
+    One partition at skip + K//2, for the K values left, places the upper
+    middle value; for even K the lower one is the maximum of the values
+    before it, and the median is their mean, as np.median computes it.
     """
-    half = a.shape[1] // 2
+    count = a.shape[1] - skip
+    half = skip + count // 2
     a.partition(half, axis=1)
     upper = a[:, half]
-    if a.shape[1] % 2:
+    if count % 2:
         return upper
     return (a[:, :half].max(axis=1) + upper) / 2
 
@@ -217,21 +221,24 @@ def _row_medians(a: np.ndarray) -> np.ndarray:
 def _peaks(mags: np.ndarray, m_z: int, dc_guard: int, significance_threshold: float,
            min_magnitudes) -> list:
     """find_peak over a (T, m_z//2 + 1, M_x) stack of half-spectrum magnitudes,
-    the spectra being m_z rows tall.
+    the spectra being m_z rows tall.  mags is overwritten: its DC-guard bins
+    are set to -inf.
 
     Returns per spectrum ((i_z, i_x), ratio) or the NoPeak it raises.
     """
     _check_spectral_settings(dc_guard=dc_guard, significance_threshold=significance_threshold)
     n, half, m_x = mags.shape
-    outside, search = _peak_plan((m_z, m_x), dc_guard)
-    if not search.size:
+    guard, mirror_stop, masked, searched = _peak_plan((m_z, m_x), dc_guard)
+    if not searched:
         return [NoPeak("search region is empty") for _ in range(n)]
     flat = mags.reshape(n, half * m_x)
-    searched = flat[:, search]
-    peak_mags = searched.max(axis=1)
-    medians = _row_medians(flat[:, outside])
+    # A masked bin is never a peak (-inf >= 0 is false) and sorts first in
+    # the median's population, so whole contiguous rows are searched.
+    flat[:, guard] = -np.inf
+    peak_mags = flat.max(axis=1)
     # The first tied bin in row-major order is the lexicographically smallest.
-    firsts = np.argmax(searched >= (peak_mags * (1.0 - _TIE_RTOL))[:, np.newaxis], axis=1)
+    firsts = np.argmax(flat >= (peak_mags * (1.0 - _TIE_RTOL))[:, np.newaxis], axis=1)
+    medians = _row_medians(np.concatenate([flat, flat[:, m_x:mirror_stop]], axis=1), masked)
     out = []
     for peak_mag, median, first, floor in zip(
         peak_mags.tolist(), medians.tolist(), firsts.tolist(), min_magnitudes
@@ -248,7 +255,7 @@ def _peaks(mags: np.ndarray, m_z: int, dc_guard: int, significance_threshold: fl
                 f"{significance_threshold:g}"
             ))
         else:
-            k, l = divmod(int(search[first]), m_x)
+            k, l = divmod(first, m_x)
             out.append(((k + 1, l + 1), ratio))
     return out
 
@@ -274,7 +281,8 @@ def find_peak(
     as that of a real hologram is, so each other row mirrors one of them.
     """
     m_z = spec.values.shape[0]
-    half = np.abs(spec.values[:m_z // 2 + 1])
+    # float64 magnitudes of any spectrum dtype, as _peaks masks them with -inf
+    half = np.abs(spec.values[:m_z // 2 + 1], dtype=float)
     peak = _peaks(half[np.newaxis], m_z, dc_guard, significance_threshold,
                   [min_magnitude])[0]
     if isinstance(peak, NoPeak):

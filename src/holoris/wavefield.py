@@ -251,13 +251,15 @@ def _capture_stack(tag_sources, geom: ArrayGeometry, detector: DetectorModel,
     for t, jitter in enumerate(jitters):
         last = fields[-1] * np.exp(1j * jitter) if jitter != 0.0 else fields[-1]
         np.add(head, last, out=total[t])
-    intensity = np.abs(total) ** 2
+    intensity = np.abs(total)
+    np.square(intensity, out=intensity)
     if detector.noise_std > 0:
         noise = np.empty_like(intensity)
         for rng, out in zip(rngs, noise):
             rng.standard_normal(out=out)
-        intensity += detector.noise_std * noise
-    intensity = np.clip(intensity, detector.floor, detector.ceiling)
+        noise *= detector.noise_std
+        intensity += noise
+    np.clip(intensity, detector.floor, detector.ceiling, out=intensity)
     if detector.agc_enabled:
         peaks = intensity.max(axis=(1, 2))
         for t in np.flatnonzero(peaks > 0):

@@ -205,6 +205,13 @@ def test_find_peak_significance_and_floor():
     assert find_peak(Spectrum(values=lifted)) == ((3, 4), 12.0)
 
 
+def test_find_peak_on_an_integer_spectrum():
+    # integer magnitudes are taken as floats, which hold the -inf guard mask
+    values = np.ones((16, 16), dtype=int)
+    values[2, 3] = 12
+    assert find_peak(Spectrum(values=values)) == ((3, 4), 12.0)
+
+
 def test_peak_to_median_ratio_on_fixture():
     _, ratio = find_peak(fft2(fixture_hologram(), remove_mean=True))
     assert math.isinf(ratio)
@@ -542,7 +549,106 @@ def test_overflowing_sums_and_bad_peak_parameters_are_rejected():
 def test_row_medians_match_np_median(k):
     rng = np.random.default_rng(k)
     rows = np.concatenate([rng.random((6, k)), rng.integers(0, 3, (6, k)).astype(float)])
-    assert _row_medians(rows.copy()).tolist() == np.median(rows, axis=1).tolist()
+    assert _row_medians(rows.copy(), 0).tolist() == np.median(rows, axis=1).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 29, 34, 35])
+@pytest.mark.parametrize("skip", [1, 4])
+def test_row_medians_leave_out_the_skipped_minus_inf_entries(k, skip):
+    rng = np.random.default_rng(k)
+    rows = np.concatenate([rng.random((6, k)), rng.integers(0, 3, (6, k)).astype(float)])
+    masked = np.full((len(rows), k + skip), -np.inf)
+    for row, values in zip(masked, rows):
+        row[np.sort(rng.permutation(k + skip)[:k])] = values
+    assert _row_medians(masked, skip).tolist() == np.median(rows, axis=1).tolist()
+
+
+def gather_peaks(mags, m_z, dc_guard, significance_threshold, min_magnitudes):
+    """The peak search by index gathers, as _peaks did it before it masked
+    the guard bins in place: the searched bins and the median's population
+    (the rows with a mirror gathered twice) are fancy-indexed copies, and the
+    median is np.median of the population.  mags is left as it is."""
+    n, half, m_x = mags.shape
+    search = np.flatnonzero(_guard_complement((m_z, m_x), dc_guard)[:m_z // 2 + 1])
+    if not search.size:
+        return [NoPeak("search region is empty") for _ in range(n)]
+    mirrored = search[(search >= m_x) & (search < (m_z + 1) // 2 * m_x)]
+    flat = mags.reshape(n, half * m_x)
+    searched = flat[:, search]
+    peak_mags = searched.max(axis=1)
+    medians = np.median(flat[:, np.concatenate([search, mirrored])], axis=1)
+    firsts = np.argmax(searched >= (peak_mags * (1.0 - 1e-12))[:, np.newaxis], axis=1)
+    out = []
+    for peak_mag, median, first, floor in zip(
+        peak_mags.tolist(), medians.tolist(), firsts.tolist(), min_magnitudes
+    ):
+        if median > 0:
+            ratio = peak_mag / median
+        else:
+            ratio = math.inf if peak_mag > 0 else 0.0
+        if peak_mag <= max(floor, 0.0):
+            out.append(NoPeak("no off-DC energy in the spectrum"))
+        elif ratio < significance_threshold:
+            out.append(NoPeak(
+                f"peak/median ratio {ratio:.3g} below significance threshold "
+                f"{significance_threshold:g}"
+            ))
+        else:
+            k, l = divmod(int(search[first]), m_x)
+            out.append(((k + 1, l + 1), ratio))
+    return out
+
+
+def _peak_bits(peak):
+    """A _peaks outcome, reduced to comparable bits."""
+    if isinstance(peak, NoPeak):
+        return str(peak)
+    peak_bin, ratio = peak
+    return peak_bin, ratio.hex()
+
+
+# Few distinct magnitudes make exact ties, near ties within _TIE_RTOL and
+# equal medians common.
+MAGNITUDES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.0 * (1.0 - 1e-14), 3.0, 7.25])
+
+
+@st.composite
+def _magnitude_spectrum(draw, size):
+    """One spectrum's magnitudes: all zero, all equal, drawn from MAGNITUDES
+    or uniform."""
+    kind = draw(st.sampled_from(["zero", "equal", "pool", "uniform"]))
+    if kind == "zero":
+        return [0.0] * size
+    if kind == "equal":
+        return [draw(MAGNITUDES)] * size
+    element = MAGNITUDES if kind == "pool" else st.floats(0.0, 1e3)
+    return draw(st.lists(element, min_size=size, max_size=size))
+
+
+@given(data=st.data(), m_z=st.integers(2, 9), m_x=st.integers(2, 9),
+       trials=st.integers(1, 4),
+       threshold=st.sampled_from([0.0, 1.0, 2.0, 6.0]))
+@settings(max_examples=300, deadline=None)
+def test_peaks_match_the_gather_search(data, m_z, m_x, trials, threshold):
+    """Bins, ratio bits and NoPeak messages are those of the index-gather
+    search, for odd and even heights and guards up to past the half width,
+    where the search region is empty."""
+    half = m_z // 2 + 1
+    guard = data.draw(st.integers(0, max(m_z, m_x) // 2 + 1), label="dc_guard")
+    mags = np.array([data.draw(_magnitude_spectrum(half * m_x), label="spectrum")
+                     for _ in range(trials)]).reshape(trials, half, m_x)
+    floors = data.draw(st.lists(st.sampled_from([0.0, 0.5, 3.0]),
+                                min_size=trials, max_size=trials), label="floors")
+    want = gather_peaks(mags, m_z, guard, threshold, floors)
+    got = _peaks(mags.copy(), m_z, guard, threshold, floors)
+    assert [_peak_bits(p) for p in got] == [_peak_bits(p) for p in want]
+
+
+@pytest.mark.parametrize("m_z, m_x, guard", [(4, 5, 2), (5, 3, 2), (2, 2, 1)])
+def test_peaks_on_an_empty_search_region(m_z, m_x, guard):
+    mags = np.ones((2, m_z // 2 + 1, m_x))
+    assert [str(p) for p in _peaks(mags, m_z, guard, 0.0, [0.0, 0.0])] == [
+        "search region is empty"] * 2
 
 
 @pytest.mark.parametrize("n_x", [6, 7])  # K = 29 and 34 bins outside the DC bin
