@@ -27,7 +27,9 @@ SPEED_OF_LIGHT = 299792458.0
 
 def _is_int(value) -> bool:
     """True for Python and numpy integers, False for bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # The exact type test spares the common case the abstract-class check.
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _check_integer(name: str, value, minimum: int) -> None:
@@ -40,11 +42,14 @@ def _check_integer(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} is too large to convert to a float") from None
 
 
+# The most elements numpy, which indexes with np.intp, can index.
+_MAX_ELEMENTS = int(np.iinfo(np.intp).max)
+
+
 def _check_elements(what: str, count: int) -> None:
-    """Raise ValueError unless numpy, which indexes with np.intp, can index count elements."""
-    limit = int(np.iinfo(np.intp).max)
-    if count > limit:
-        raise ValueError(f"{what} must be at most {limit} elements")
+    """Raise ValueError unless numpy can index count elements."""
+    if count > _MAX_ELEMENTS:
+        raise ValueError(f"{what} must be at most {_MAX_ELEMENTS} elements")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from holoris.geometry import (
     ArrayGeometry,
     SpatialFrequencyPair,
     angles_from_frequencies,
+    _is_int,
     angular_distance_deg,
     default_geometry,
     element_positions,
@@ -42,6 +43,21 @@ def test_geometry_validation():
         ArrayGeometry(n_z=32, n_x=32, d_z_m=-0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
     with pytest.raises(ValueError):
         ArrayGeometry(n_z=32, n_x=32, d_z_m=0.02, d_x_m=0.02, f_c_hz=0)
+
+
+@pytest.mark.parametrize("value, want", [
+    (3, True),
+    (10**400, True),         # Python integers have no width
+    (np.int64(3), True),
+    (np.uint8(3), True),
+    (True, False),           # bool is an int subclass, but never a count
+    (False, False),
+    (np.bool_(True), False),
+    (3.0, False),
+    ("3", False),
+])
+def test_is_int(value, want):
+    assert _is_int(value) is want
 
 
 @pytest.mark.parametrize("field, bad", [
