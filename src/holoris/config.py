@@ -259,13 +259,16 @@ def parse_config(document: dict, *, seed=None, trials=None) -> RunConfig:
 def load_config(path, *, seed=None, trials=None) -> RunConfig:
     """Read and validate a JSON configuration file; see ``parse_config``."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
+        document = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer literal beyond
+        # Python's digit limit; RecursionError: arrays or objects nested
+        # deeper than the decoder's recursion limit.
         raise ConfigError(f"config {path}: invalid JSON: {exc}") from None
     return parse_config(document, seed=seed, trials=trials)
 

@@ -377,6 +377,23 @@ def test_experiment_oversized_float_field_exits_2(tmp_path, capsys, suite, docum
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data", [
+    b'{"experiment": {"seed": ' + b"7" * 5000 + b"}}",   # past Python's digit limit
+    b"[" * 100000 + b"]" * 100000,                        # past the recursion limit
+    b"\xff\xfe",                                          # not UTF-8
+], ids=["5000-digit-seed", "nested-100000-deep", "not-utf-8"])
+def test_undecodable_config_exits_2(tmp_path, capsys, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["experiment", "--suite", "ber", "--config", str(cfg),
+                 "--output-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}: invalid JSON: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_infinite_pitch_exits_2(tmp_path, capsys):
     # json writes float("inf") as the literal Infinity, which json reads back
     cfg = write_config(tmp_path, {"geometry": {"d_z_m": float("inf")}})
