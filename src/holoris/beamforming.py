@@ -11,6 +11,7 @@ negating a profile leaves its 1-bit quantization unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .geometry import (
     element_positions,
     unit_direction,
 )
-from .localization import _dtft2
+from .localization import _horner
 from .wavefield import (
     Source,
     _front_position,
@@ -174,11 +175,16 @@ def received_power(
     unit-amplitude element, so a fully aligned n_z*n_x panel tops out at
     (n_z*n_x)^2.
     """
-    factor = _reflection(phase, geom)
+    return _received_powers((phase,), bs_src, ue, geom)[0]
+
+
+def _received_powers(phases, bs_src: Source, ue, geom: ArrayGeometry) -> list[float]:
+    """received_power of each phase on one link, whose incident field and
+    target propagation factor are built once for all of them."""
+    factors = [_reflection(phase, geom) for phase in phases]
     incident = complex_field_at_array(bs_src, geom)
     outgoing = _target_field(ue, geom)
-    total = np.sum(incident * factor * outgoing)
-    return float(np.abs(total) ** 2)
+    return [float(np.abs(np.sum(incident * factor * outgoing)) ** 2) for factor in factors]
 
 
 def _hpbw(axis_deg: np.ndarray, cut: np.ndarray) -> float:
@@ -203,6 +209,35 @@ def _hpbw(axis_deg: np.ndarray, cut: np.ndarray) -> float:
     return float(right - left)
 
 
+@functools.lru_cache(maxsize=8)
+def _pattern_plan(
+    geom: ArrayGeometry, theta_key: bytes, phi_key: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    """What pattern needs of a grid besides the excitation, as (e_z, z_x).
+
+    The keys are the float64 bytes of the 1-D theta (T,) and phi (P,)
+    grids.  e_z = exp(i*outer(w_z, m)) of shape (T, n_z) is the z-axis DTFT
+    factor and z_x = exp(i*w_x) of shape (T, P) the x-axis one, for the
+    grid's frequencies w_z (T,) and w_x (T, P); both are read-only, as every
+    call on the grid shares them.  A plan holds 16*T*(n_z + P) bytes, and
+    the cache at most 8 plans.  Raises ValueError naming the grid unless it
+    holds at least one angle and each is finite with |angle| < 90, so a grid
+    is checked once per plan.
+    """
+    theta, phi = np.frombuffer(theta_key), np.frombuffer(phi_key)
+    for name, grid in (("theta_grid_deg", theta), ("phi_grid_deg", phi)):
+        if not (grid.size and (np.abs(grid) < 90.0).all()):  # False for NaN
+            raise ValueError(
+                f"{name} must hold at least one angle, each finite with |angle| < 90 deg"
+            )
+    w_z, w_x = _frequency_grid(theta, phi, geom)
+    e_z = np.exp(1j * np.outer(w_z, np.arange(geom.n_z)))
+    z_x = np.exp(1j * w_x)
+    e_z.flags.writeable = False
+    z_x.flags.writeable = False
+    return e_z, z_x
+
+
 def pattern(
     coding: CodingMatrix | PhaseProfile,
     bs_src: Source,
@@ -216,17 +251,25 @@ def pattern(
     through the peak along each axis.
 
     The power over the whole grid is one 2D DTFT of the panel excitation,
-    |sum_{m,n} e[m, n]*exp(i*(m*w_z(theta) + n*w_x(theta, phi)))|^2,
-    evaluated by Horner's rule along x with no per-theta loop (see
-    localization._dtft2).  Like received_power, raises TypeError unless
-    coding is a CodingMatrix or PhaseProfile and ValueError unless its shape
-    is geom.shape.
+    |sum_{m,n} e[m, n]*exp(i*(m*w_z(theta) + n*w_x(theta, phi)))|^2: a
+    matrix product along z, then Horner's rule along x with no per-theta
+    loop.  Its exp factors depend only on the geometry and the grids, so
+    _pattern_plan builds them once per (geom, theta grid, phi grid) and
+    a call computes only what depends on the coding and the source.
+
+    Like received_power, raises TypeError unless coding is a CodingMatrix
+    or PhaseProfile and ValueError unless its shape is geom.shape.  Raises
+    ValueError naming theta_grid_deg or phi_grid_deg unless that grid is
+    1-D, non-empty and finite with every |angle| < 90.
     """
     excitation = complex_field_at_array(bs_src, geom) * _reflection(coding, geom)
     theta_grid_deg = np.asarray(theta_grid_deg, dtype=float)
     phi_grid_deg = np.asarray(phi_grid_deg, dtype=float)
-    w_z, w_x = _frequency_grid(theta_grid_deg, phi_grid_deg, geom)
-    power = np.abs(_dtft2(excitation, w_z, w_x)) ** 2
+    for name, grid in (("theta_grid_deg", theta_grid_deg), ("phi_grid_deg", phi_grid_deg)):
+        if grid.ndim != 1:  # the plan's key, the grid's bytes, drops its shape
+            raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
+    e_z, z_x = _pattern_plan(geom, theta_grid_deg.tobytes(), phi_grid_deg.tobytes())
+    power = np.abs(_horner(e_z @ excitation, z_x)) ** 2
     i, j = np.unravel_index(int(np.argmax(power)), power.shape)
     peak = AngularLocation(
         theta_deg=float(theta_grid_deg[i]), phi_deg=float(phi_grid_deg[j])
@@ -250,14 +293,15 @@ def link_gain(
 ) -> LinkGainResult:
     """Target-power gain of a coding over a baseline, in dB.
 
-    baseline None means the all-zero coding.  A baseline power below
-    1e-12 times the coding power is replaced by that floor and flagged,
-    keeping the dB ratio finite.
+    baseline None means the all-zero coding.  Both powers are those of
+    received_power, from one incident field and one target propagation
+    factor built for the pair.  A baseline power below 1e-12 times the
+    coding power is replaced by that floor and flagged, keeping the dB
+    ratio finite.
     """
     if baseline is None:
         baseline = CodingMatrix.all_zero(geom.shape)
-    p_coding = received_power(coding, bs_src, ue, geom)
-    p_baseline = received_power(baseline, bs_src, ue, geom)
+    p_coding, p_baseline = _received_powers((coding, baseline), bs_src, ue, geom)
     floor = 1e-12 * p_coding
     floored = False
     if p_baseline < floor:

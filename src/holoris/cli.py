@@ -20,10 +20,10 @@ from pathlib import Path
 
 from .beamforming import (
     CodingMatrix,
+    _received_powers,
     farfield_phase_profile,
     nearfield_phase_profile,
     quantize_1bit,
-    received_power,
     write_coding_file,
 )
 from .config import config_as_dict, load_config
@@ -184,9 +184,8 @@ def cmd_codegen(args) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     write_coding_file(output, coding)
     if not args.quiet:
-        p_coding = received_power(coding, bs_src, target, geometry)
-        p_zero = received_power(
-            CodingMatrix.all_zero(geometry.shape), bs_src, target, geometry
+        p_coding, p_zero = _received_powers(
+            (coding, CodingMatrix.all_zero(geometry.shape)), bs_src, target, geometry
         )
         print(f"wrote {output}")
         print(f"target_power_db={_db(p_coding):.3f}")

@@ -279,7 +279,11 @@ def find_peak(
 
     Only the rows k <= M_z/2 are read: the spectrum is taken to be Hermitian,
     as that of a real hologram is, so each other row mirrors one of them.
+    Raises ValueError for a spectrum holding a NaN or infinite value, which
+    no fft2 of a Hologram holds and for which no bin or ratio is meaningful.
     """
+    if not np.isfinite(spec.values).all():
+        raise ValueError("spectrum values must be finite")
     m_z = spec.values.shape[0]
     # float64 magnitudes of any spectrum dtype, as _peaks masks them with -inf
     half = np.abs(spec.values[:m_z // 2 + 1], dtype=float)
@@ -448,24 +452,14 @@ def localize(
     return out
 
 
-def _dtft2(x: np.ndarray, w_z: np.ndarray, w_x: np.ndarray) -> np.ndarray:
-    """sum_{m,n} x[m, n] * exp(i*(m*w_z[t] + n*w_x[t, p])) for every (t, p).
-
-    x is (n_z, n_x), w_z is (T,) and w_x is (T, P); returns (T, P).  The
-    z axis is one matrix product, y = exp(i*outer(w_z, m)) @ x of shape
-    (T, n_x); the x axis is the polynomial sum_n y[t, n]*z^n in
-    z = exp(i*w_x), evaluated by _horner.
-    """
-    y = np.exp(1j * np.outer(w_z, np.arange(x.shape[0]))) @ x
-    return _horner(y, np.exp(1j * w_x))
-
-
 def _horner(y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_n y[t, n] * z[t, p]**n for every (t, p), by Horner's rule.
 
     y is (T, N) and z is (T, P); one (T, P) multiply-add per column, so no
-    (T, N, P) intermediate is formed.  The x axis of _dtft2, taking z
-    precomputed so a caller can share it with other sums in the same z.
+    (T, N, P) intermediate is formed.  The x axis of a 2D DTFT whose z axis
+    is a matrix product, as in ml_refine and beamforming.pattern, taking z
+    precomputed so a caller can share it with other sums or calls in the
+    same z.
     """
     acc = np.repeat(y[:, -1:], z.shape[1], axis=1)
     for col in y[:, -2::-1].T:
@@ -546,7 +540,7 @@ def ml_refine(
 
     The whole grid is evaluated at once, with no per-theta loop: the
     projection of the hologram on exp(-i*Phi) is one 2D DTFT over the grid
-    (Horner's rule along x, see _dtft2), the sums of exp(-i*Phi) and
+    (a matrix product along z, then Horner's rule along x), the sums of exp(-i*Phi) and
     exp(-2i*Phi) are closed-form geometric sums sharing its one complex
     exp, and the 3x3 normal equations of every grid point are solved
     together in closed form.  Ties go to the first grid point in
@@ -581,7 +575,7 @@ def ml_refine(
     # (T, n_z) exp and the x-axis ones one (T, P) exp, shared by all three sums.
     e_z = np.exp(1j * np.outer(-dz, np.arange(n_z)))
     z_x = np.exp(1j * -dx_grid)
-    t = _horner(e_z @ I, z_x)  # projection of I on exp(-i*Phi), as in _dtft2
+    t = _horner(e_z @ I, z_x)  # projection of I on exp(-i*Phi)
     # The sums of exp(-i*Phi) and exp(-2i*Phi) over the panel are each a 1-D
     # sum along z times a geometric sum along x, in z_x and z_x**2.
     z_xn = _power(z_x, n_x)

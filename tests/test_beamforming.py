@@ -1,14 +1,18 @@
 """Phase profiles, 1-bit quantization, and reflected link power."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoris.errors import FileFormatError
 from holoris.geometry import (
     AngularLocation,
     ArrayGeometry,
+    _frequency_grid,
     default_geometry,
     element_positions,
     unit_direction,
@@ -16,6 +20,9 @@ from holoris.geometry import (
 from holoris.beamforming import (
     CodingMatrix,
     PhaseProfile,
+    _hpbw,
+    _pattern_plan,
+    _reflection,
     farfield_phase_profile,
     link_gain,
     nearfield_phase_profile,
@@ -25,7 +32,8 @@ from holoris.beamforming import (
     received_power,
     write_coding_file,
 )
-from holoris.wavefield import Source
+from holoris.localization import _horner
+from holoris.wavefield import Source, complex_field_at_array
 
 GEOM = default_geometry()
 BS = AngularLocation(0.0, 0.0)
@@ -308,6 +316,162 @@ def test_pattern_matches_per_element_field_sum(theta_grid):
 def test_phase_of_another_shape_or_kind_is_rejected(evaluate, phase, error, message):
     with pytest.raises(error, match=message):
         evaluate(phase)
+
+
+def inline_power(coding, bs_src, geom, theta_grid_deg, phi_grid_deg):
+    """pattern's power as computed before its plan: the 2D DTFT with both exp
+    factors built on every call, from the caller's grids."""
+    excitation = complex_field_at_array(bs_src, geom) * _reflection(coding, geom)
+    w_z, w_x = _frequency_grid(np.asarray(theta_grid_deg, dtype=float),
+                               np.asarray(phi_grid_deg, dtype=float), geom)
+    return np.abs(_horner(np.exp(1j * np.outer(w_z, np.arange(geom.n_z))) @ excitation,
+                          np.exp(1j * w_x))) ** 2
+
+
+ANGLE = st.floats(-89.99, 89.99)
+
+
+@given(n_z=st.integers(1, 9), n_x=st.integers(1, 9),
+       pitches=st.tuples(*[st.sampled_from((0.01, 0.02, 0.043))] * 2),
+       theta=st.lists(ANGLE, min_size=1, max_size=12),
+       phi=st.lists(ANGLE, min_size=1, max_size=12),
+       bs=st.tuples(ANGLE, ANGLE), profile=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_planned_pattern_is_the_inline_dtft_bit_for_bit(n_z, n_x, pitches, theta, phi, bs,
+                                                         profile, seed):
+    geom = ArrayGeometry(n_z=n_z, n_x=n_x, d_z_m=pitches[0], d_x_m=pitches[1],
+                         f_c_hz=3_500_000_000)
+    rng = np.random.default_rng(seed)
+    if profile:
+        coding = PhaseProfile(values=rng.uniform(-math.pi, math.pi, geom.shape))
+    else:
+        coding = CodingMatrix(states=rng.integers(0, 2, geom.shape))
+    src = Source.far_field(AngularLocation(*bs))
+    res = pattern(coding, src, geom, theta, phi)
+    want = inline_power(coding, src, geom, theta, phi)
+    assert np.array_equal(res.power, want)
+    i, j = np.unravel_index(int(np.argmax(want)), want.shape)
+    assert (res.peak.theta_deg.hex(), res.peak.phi_deg.hex()) == (theta[i].hex(), phi[j].hex())
+    assert res.hpbw_theta_deg.hex() == _hpbw(np.array(theta), want[:, j]).hex()
+    assert res.hpbw_phi_deg.hex() == _hpbw(np.array(phi), want[i, :]).hex()
+
+
+def test_pattern_plans_are_kept_apart_by_grid():
+    coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
+    src = Source.far_field(BS)
+    base = np.linspace(-40.0, 40.0, 9)
+    moved = base.copy()
+    moved[4] = 1.0
+    grids = [
+        (base, base),
+        (moved, base),                                   # one theta value
+        (base, moved),                                   # one phi value
+        (base[::-1], base),                              # order
+        (base[:3], np.concatenate([base[3:], base])),    # the same 18 values, split apart
+    ]
+    powers = [pattern(coding, src, GEOM, t, p).power for t, p in grids]
+    powers.append(pattern(coding, src, GEOM, base, base).power)  # from the cache
+    for (t, p), power in zip(grids + grids[:1], powers):
+        assert np.array_equal(power, inline_power(coding, src, GEOM, t, p))
+    for a in range(len(grids)):
+        for b in range(a):
+            assert powers[a].shape != powers[b].shape or not np.array_equal(powers[a],
+                                                                             powers[b])
+
+
+def test_pattern_plans_are_kept_apart_by_geometry_and_read_only():
+    key = np.linspace(-30.0, 30.0, 7).tobytes()
+    e_z, z_x = _pattern_plan(GEOM, key, key)
+    assert not e_z.flags.writeable and not z_x.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        e_z[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        z_x[0, 0] = 0.0
+    # an equal geometry shares the plan; another pitch along z or x does not
+    assert _pattern_plan(default_geometry(), key, key)[0] is e_z
+    e_z2, z_x2 = _pattern_plan(replace(GEOM, d_z_m=0.03), key, key)
+    assert not np.array_equal(e_z2, e_z) and np.array_equal(z_x2, z_x)
+    e_z3, z_x3 = _pattern_plan(replace(GEOM, d_x_m=0.03), key, key)
+    assert np.array_equal(e_z3, e_z) and not np.array_equal(z_x3, z_x)
+    grid = np.frombuffer(key)
+    coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
+    for geom in (GEOM, replace(GEOM, d_z_m=0.03), replace(GEOM, d_x_m=0.03)):
+        got = pattern(coding, Source.far_field(BS), geom, grid, grid).power
+        assert np.array_equal(got, inline_power(coding, Source.far_field(BS), geom, grid, grid))
+
+
+def test_pattern_after_the_caller_mutates_its_grid():
+    coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
+    src = Source.far_field(BS)
+    phi = np.linspace(-40.0, 40.0, 9)
+    theta = phi.copy()
+    first = pattern(coding, src, GEOM, theta, phi).power
+    assert np.array_equal(first, inline_power(coding, src, GEOM, theta, phi))
+    theta[2] = 5.0
+    after = pattern(coding, src, GEOM, theta, phi).power
+    assert np.array_equal(after, inline_power(coding, src, GEOM, theta, phi))
+    assert not np.array_equal(after, first)
+
+
+GRID_VALUES = r"must hold at least one angle, each finite with \|angle\| < 90 deg"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros((2, 3)), r"must be 1-D, got shape \(2, 3\)"),
+    ([], GRID_VALUES),
+    (12.5, r"must be 1-D, got shape \(\)"),
+    ([0.0, math.nan], GRID_VALUES),
+    ([0.0, 120.0], GRID_VALUES),
+    ([-90.0, 0.0], GRID_VALUES),
+], ids=["2-D", "empty", "scalar", "nan", "120", "-90"])
+@pytest.mark.parametrize("name", ["theta_grid_deg", "phi_grid_deg"])
+def test_pattern_rejects_a_grid_it_cannot_evaluate(name, bad, message):
+    grids = {"theta_grid_deg": [0.0, 10.0], "phi_grid_deg": [0.0, 30.0], name: bad}
+    coding = CodingMatrix.all_zero(GEOM.shape)
+    with pytest.raises(ValueError, match=f"^{name} {message}$"):
+        pattern(coding, Source.far_field(BS), GEOM, **grids)
+
+
+def two_call_gain(coding, baseline, bs_src, ue, geom):
+    """link_gain's rule on two received_power calls, each building its own fields."""
+    if baseline is None:
+        baseline = CodingMatrix.all_zero(geom.shape)
+    p_coding = received_power(coding, bs_src, ue, geom)
+    p_baseline = received_power(baseline, bs_src, ue, geom)
+    floor = 1e-12 * p_coding
+    floored = p_baseline < floor
+    if floored:
+        p_baseline = floor
+    if p_baseline == 0.0:
+        return 0.0, True
+    return 10.0 * math.log10(p_coding / p_baseline), floored
+
+
+def null_user():
+    """An on-bin direction in an exact null of the all-zero panel, as in
+    test_baseline_floor_flag."""
+    kappa = 2.0 * math.pi * GEOM.d_x_m / GEOM.wavelength_m
+    return AngularLocation(0.0, math.degrees(math.asin((2.0 * math.pi * 4 / 32) / kappa)))
+
+
+@pytest.mark.parametrize("case", ["far", "profile-over-coding", "near", "floored"])
+def test_link_gain_is_two_received_powers(case):
+    src, ue = Source.far_field(BS), UE
+    coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
+    baseline = None
+    if case == "profile-over-coding":
+        coding, baseline = farfield_phase_profile(BS, UE, GEOM), coding
+    elif case == "near":
+        bs_pos, ue = (0.5, 2.0, -0.3), (-0.4, 1.5, 0.2)
+        src = Source.near_field(bs_pos)
+        coding = quantize_1bit(nearfield_phase_profile(bs_pos, ue, GEOM))
+    elif case == "floored":
+        ue = null_user()
+        coding = quantize_1bit(farfield_phase_profile(BS, ue, GEOM))
+    res = link_gain(coding, baseline, src, ue, GEOM)
+    gain_db, floored = two_call_gain(coding, baseline, src, ue, GEOM)
+    assert (res.gain_db.hex(), res.baseline_floored) == (gain_db.hex(), floored)
+    assert res.baseline_floored == (case == "floored")
 
 
 def test_coding_matrix_validation():

@@ -649,6 +649,20 @@ def test_codegen_far(tmp_path, capsys):
     assert "target_power_db=" in text and "allzero_power_db=" in text
 
 
+@pytest.mark.parametrize("where, target_db, allzero_db", [
+    (["--mode", "far", "--bs", "0,0", "--ue", "0,30"], "56.047", "36.368"),
+    (["--mode", "near", "--bs", "0,0", "--ue", "0,30", "--bs-range", "5.0",
+      "--ue-range", "2.0"], "56.096", "35.864"),
+    (["--mode", "near", "--bs-pos", "0,5,0", "--ue-pos", "1,2,0.5"], "56.149", "27.814"),
+], ids=["far", "near-range", "near-position"])
+def test_codegen_prints_the_coding_and_all_zero_powers(tmp_path, capsys, where,
+                                                        target_db, allzero_db):
+    out = tmp_path / "coding.txt"
+    assert main(["codegen", *where, "--output", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {out}", f"target_power_db={target_db}", f"allzero_power_db={allzero_db}"]
+
+
 def test_codegen_near_requires_range_or_position(tmp_path):
     out = tmp_path / "c.txt"
     assert main(["codegen", "--mode", "near", "--bs", "0,0", "--ue", "0,30",

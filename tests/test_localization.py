@@ -34,9 +34,9 @@ from holoris.localization import (
     SectorPolicy,
     Spectrum,
     _clipped_axis,
-    _dtft2,
     _geometric_sum,
     _guard_complement,
+    _horner,
     _peaks,
     _power,
     _row_medians,
@@ -210,6 +210,21 @@ def test_find_peak_on_an_integer_spectrum():
     values = np.ones((16, 16), dtype=int)
     values[2, 3] = 12
     assert find_peak(Spectrum(values=values)) == ((3, 4), 12.0)
+
+
+@pytest.mark.parametrize("bad, where", [
+    (complex(math.nan, 0.0), (5, 6)),
+    (complex(math.inf, 0.0), (5, 6)),
+    (complex(0.0, -math.inf), (5, 6)),
+    (complex(math.nan, 0.0), (12, 3)),  # a row the search does not read
+], ids=["nan", "inf", "-inf-imag", "nan-upper-half"])
+def test_find_peak_rejects_a_non_finite_spectrum(bad, where):
+    # A NaN once gave the DC bin, ((1, 1), nan), and an inf ((6, 7), inf).
+    values = np.ones((16, 16), dtype=complex)
+    values[2, 3] = 12
+    values[where] = bad
+    with pytest.raises(ValueError, match="spectrum values must be finite"):
+        find_peak(Spectrum(values=values))
 
 
 def test_peak_to_median_ratio_on_fixture():
@@ -738,6 +753,17 @@ def test_ml_refine_matches_lstsq_grid_search(bs, ue, coarse):
     if abs(coarse.theta_deg) > 89:
         assert len(thetas) == 7  # the grid is clipped at |theta| < 90
     assert fine == best
+
+
+def _dtft2(x: np.ndarray, w_z: np.ndarray, w_x: np.ndarray) -> np.ndarray:
+    """sum_{m,n} x[m, n] * exp(i*(m*w_z[t] + n*w_x[t, p])) for every (t, p).
+
+    x is (n_z, n_x), w_z is (T,) and w_x is (T, P); returns (T, P): the z
+    axis as one matrix product, the x axis by _horner in z = exp(i*w_x).
+    The reference 2D DTFT of the ml_refine tests below.
+    """
+    y = np.exp(1j * np.outer(w_z, np.arange(x.shape[0]))) @ x
+    return _horner(y, np.exp(1j * w_x))
 
 
 def test_dtft2_matches_explicit_sum():
