@@ -540,10 +540,10 @@ def ml_refine(
 
     The whole grid is evaluated at once, with no per-theta loop: the
     projection of the hologram on exp(-i*Phi) is one 2D DTFT over the grid
-    (a matrix product along z, then Horner's rule along x), the sums of exp(-i*Phi) and
-    exp(-2i*Phi) are closed-form geometric sums sharing its one complex
-    exp, and the 3x3 normal equations of every grid point are solved
-    together in closed form.  Ties go to the first grid point in
+    (a matrix product along z, then Horner's rule along x), the sums of
+    exp(-i*Phi) and exp(-2i*Phi) are closed-form geometric sums sharing its
+    one complex exp, and the 3x3 normal equations of every grid point are
+    solved together in closed form.  Ties go to the first grid point in
     (theta, phi) row-major order.  Raises ValueError unless both
     search_halfwidth_deg and grid_step_deg are finite and > 0.
     """

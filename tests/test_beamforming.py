@@ -182,11 +182,14 @@ def test_nearfield_profile_rejects_points_a_near_field_source_rejects(bad, messa
             nearfield_phase_profile(bs_pos, ue_pos, GEOM)
 
 
-def test_baseline_floor_flag():
-    # an on-bin user direction sits in an exact null of the all-zero panel
+def null_user():
+    """An on-bin user direction, in an exact null of the all-zero panel."""
     kappa = 2.0 * math.pi * GEOM.d_x_m / GEOM.wavelength_m
-    sin_phi = (2.0 * math.pi * 4 / 32) / kappa
-    ue = AngularLocation(0.0, math.degrees(math.asin(sin_phi)))
+    return AngularLocation(0.0, math.degrees(math.asin((2.0 * math.pi * 4 / 32) / kappa)))
+
+
+def test_baseline_floor_flag():
+    ue = null_user()
     src = Source.far_field(BS)
     coding = quantize_1bit(farfield_phase_profile(BS, ue, GEOM))
     res = link_gain(coding, None, src, ue, GEOM)
@@ -445,13 +448,6 @@ def two_call_gain(coding, baseline, bs_src, ue, geom):
     if p_baseline == 0.0:
         return 0.0, True
     return 10.0 * math.log10(p_coding / p_baseline), floored
-
-
-def null_user():
-    """An on-bin direction in an exact null of the all-zero panel, as in
-    test_baseline_floor_flag."""
-    kappa = 2.0 * math.pi * GEOM.d_x_m / GEOM.wavelength_m
-    return AngularLocation(0.0, math.degrees(math.asin((2.0 * math.pi * 4 / 32) / kappa)))
 
 
 @pytest.mark.parametrize("case", ["far", "profile-over-coding", "near", "floored"])
