@@ -219,7 +219,6 @@ def test_find_peak_on_an_integer_spectrum():
     (complex(math.nan, 0.0), (12, 3)),  # a row the search does not read
 ], ids=["nan", "inf", "-inf-imag", "nan-upper-half"])
 def test_find_peak_rejects_a_non_finite_spectrum(bad, where):
-    # A NaN once gave the DC bin, ((1, 1), nan), and an inf ((6, 7), inf).
     values = np.ones((16, 16), dtype=complex)
     values[2, 3] = 12
     values[where] = bad
