@@ -54,7 +54,11 @@ class PhaseProfile:
 
 @dataclass(frozen=True)
 class CodingMatrix:
-    """Per-element 1-bit states; state s realizes phase pi*s."""
+    """Per-element 1-bit states; state s realizes phase pi*s.
+
+    states is an int8 copy of the given array, read-only so that every
+    state stays the 0 or 1 checked here.
+    """
 
     states: np.ndarray
 
@@ -64,7 +68,9 @@ class CodingMatrix:
             raise ValueError("coding matrix must be 2D")
         if not np.isin(states, (0, 1)).all():
             raise ValueError("states must be 0 or 1")
-        object.__setattr__(self, "states", states.astype(np.int8))
+        states = states.astype(np.int8)
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
 
     @staticmethod
     def all_zero(shape: tuple[int, int]) -> "CodingMatrix":
@@ -145,19 +151,28 @@ def _target_field(ue, geom: ArrayGeometry) -> np.ndarray:
     return complex_field_at_array(probe, geom)
 
 
+# exp(i*pi*s) for the states s = 0 and 1, the values np.exp gives for them.
+_STATE_FACTORS = np.exp(1j * math.pi * np.arange(2))
+_STATE_FACTORS.flags.writeable = False
+
+
 def _reflection(phase, geom: ArrayGeometry) -> np.ndarray:
     """exp(i*phase) per element of a CodingMatrix (phase pi*state) or PhaseProfile.
 
-    TypeError for any other phase, ValueError unless its shape is geom.shape.
+    A coding's factors are looked up per state in _STATE_FACTORS, bit for
+    bit np.exp(1j * (pi * states)) without an exp per element.  TypeError
+    for any other phase, ValueError unless its shape is geom.shape.
     """
     if isinstance(phase, CodingMatrix):
-        values = math.pi * phase.states
+        values = phase.states
     elif isinstance(phase, PhaseProfile):
         values = phase.values
     else:
         raise TypeError("phase must be a CodingMatrix or PhaseProfile")
     if values.shape != geom.shape:
         raise ValueError(f"phase shape {values.shape} does not match {geom.shape}")
+    if isinstance(phase, CodingMatrix):
+        return _STATE_FACTORS[values]
     return np.exp(1j * values)
 
 
@@ -260,7 +275,8 @@ def pattern(
     Like received_power, raises TypeError unless coding is a CodingMatrix
     or PhaseProfile and ValueError unless its shape is geom.shape.  Raises
     ValueError naming theta_grid_deg or phi_grid_deg unless that grid is
-    1-D, non-empty and finite with every |angle| < 90.
+    1-D, non-empty and finite with every |angle| < 90.  The result's
+    theta_deg and phi_deg are read-only float64 copies of the two grids.
     """
     excitation = complex_field_at_array(bs_src, geom) * _reflection(coding, geom)
     theta_grid_deg = np.asarray(theta_grid_deg, dtype=float)
@@ -268,7 +284,10 @@ def pattern(
     for name, grid in (("theta_grid_deg", theta_grid_deg), ("phi_grid_deg", phi_grid_deg)):
         if grid.ndim != 1:  # the plan's key, the grid's bytes, drops its shape
             raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
-    e_z, z_x = _pattern_plan(geom, theta_grid_deg.tobytes(), phi_grid_deg.tobytes())
+    theta_key, phi_key = theta_grid_deg.tobytes(), phi_grid_deg.tobytes()
+    e_z, z_x = _pattern_plan(geom, theta_key, phi_key)
+    # Views of the keys, which the caller cannot reach.
+    theta_grid_deg, phi_grid_deg = np.frombuffer(theta_key), np.frombuffer(phi_key)
     power = np.abs(_horner(e_z @ excitation, z_x)) ** 2
     i, j = np.unravel_index(int(np.argmax(power)), power.shape)
     peak = AngularLocation(

@@ -473,20 +473,31 @@ def _horner(y: np.ndarray, z: np.ndarray) -> np.ndarray:
 _NEAR_ONE = 1e-2
 
 
-def _power(z: np.ndarray, n: int) -> np.ndarray:
-    """z**n for an integer n >= 1 by repeated squaring."""
-    out = None
+def _power(z: np.ndarray, n: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """z**n for an integer n >= 1 by repeated squaring, written into out and returned.
+
+    The squares z**2, z**4, ... are formed in work, so z itself is only
+    read; for n = 1, out is a copy of z.
+    """
+    square = z
+    first = True
     while True:
         if n & 1:
-            out = z if out is None else out * z
+            if first:  # out = z
+                np.copyto(out, square)
+                first = False
+            else:  # out = out * z
+                np.multiply(out, square, out=out)
         n >>= 1
         if not n:
             return out
-        z = z * z
+        square = np.multiply(square, square, out=work)  # z = z * z
 
 
-def _geometric_sum(z: np.ndarray, z_n: np.ndarray, n: int) -> np.ndarray:
-    """sum_{k<n} z**k elementwise, for z on the unit circle and z_n = z**n.
+def _geometric_sum(z: np.ndarray, z_n: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """sum_{k<n} z**k elementwise, for z on the unit circle and z_n = z**n,
+    written into out and returned.  z is only read; z_n is overwritten
+    with 1 - z_n.
 
     The closed form (1 - z_n) / (1 - z), except where |1 - z| < _NEAR_ONE:
     there the quotient cancels (the sum tends to n at z = 1), and the sine
@@ -495,13 +506,13 @@ def _geometric_sum(z: np.ndarray, z_n: np.ndarray, n: int) -> np.ndarray:
     The absolute error stays below about n*eps/_NEAR_ONE + n**2*eps, eps
     the float64 epsilon.
     """
-    num = 1.0 - z_n
-    den = 1.0 - z
+    num = np.subtract(1.0, z_n, out=z_n)  # num = 1 - z_n
+    den = np.subtract(1.0, z, out=out)  # den = 1 - z
     near = den.real < 0.5 * _NEAR_ONE**2  # |1 - z|**2 = 2*(1 - Re z) on |z| = 1
     if not near.any():
-        return num / den
+        return np.divide(num, den, out=out)
     den[near] = 1.0
-    out = num / den
+    np.divide(num, den, out=out)
     w = np.angle(z[near])
     out[near] = np.exp(0.5j * (n - 1) * w) * (
         n * np.sinc(n * w / (2 * math.pi)) / np.sinc(w / (2 * math.pi)))
@@ -538,13 +549,9 @@ def ml_refine(
     the smallest residual wins.  The grid always contains the coarse point
     itself, so refinement never loses to the coarse estimate on-model.
 
-    The whole grid is evaluated at once, with no per-theta loop: the
-    projection of the hologram on exp(-i*Phi) is one 2D DTFT over the grid
-    (a matrix product along z, then Horner's rule along x), the sums of
-    exp(-i*Phi) and exp(-2i*Phi) are closed-form geometric sums sharing its
-    one complex exp, and the 3x3 normal equations of every grid point are
-    solved together in closed form.  Ties go to the first grid point in
-    (theta, phi) row-major order.  Raises ValueError unless both
+    The grid is scored by _refine_objective, all at once and with no
+    per-theta loop, and its maximum wins.  Ties go to the first grid point
+    in (theta, phi) row-major order.  Raises ValueError unless both
     search_halfwidth_deg and grid_step_deg are finite and > 0.
     """
     if not all(math.isfinite(v) and v > 0 for v in (search_halfwidth_deg, grid_step_deg)):
@@ -552,36 +559,71 @@ def ml_refine(
             "search_halfwidth_deg and grid_step_deg must be finite and > 0, got "
             f"{search_halfwidth_deg!r} and {grid_step_deg!r}"
         )
-    geom = holo.geometry
-    bs_freqs = spatial_frequencies(bs, geom)
     # No offset beyond +-180 deg survives the |angle| < 90 clip, so a wider
     # halfwidth gives the same grid.
     half_steps = round(min(search_halfwidth_deg / grid_step_deg,
                            math.ceil(180.0 / grid_step_deg)))
     thetas = _clipped_axis(coarse.theta_deg, grid_step_deg, half_steps)
     phis = _clipped_axis(coarse.phi_deg, grid_step_deg, half_steps)
+    explained = _refine_objective(holo, bs, thetas, phis)
+    a, p = np.unravel_index(int(np.argmax(explained)), explained.shape)
+    return AngularLocation(theta_deg=float(thetas[a]), phi_deg=float(phis[p]))
 
+
+def _halves(a: np.ndarray) -> np.ndarray:
+    """The memory of a C-contiguous complex (T, P) array as two contiguous
+    float64 (T, P) arrays, stacked as (2, T, P); writing them overwrites a."""
+    return a.view(np.float64).reshape((2,) + a.shape)
+
+
+def _refine_objective(holo: Hologram, bs: AngularLocation, thetas: np.ndarray,
+                      phis: np.ndarray) -> np.ndarray:
+    """ml_refine's score of every direction of the grid thetas (T,) by phis (P,),
+    as a (T, P) array: the energy of the hologram its fringe fit explains,
+    less a term the same at every direction.
+
+    The projection of the hologram on exp(-i*Phi) is one 2D DTFT over the
+    grid (a matrix product along z, then Horner's rule along x), the sums
+    of exp(-i*Phi) and exp(-2i*Phi) are closed-form geometric sums sharing
+    its one complex exp, and the 3x3 normal equations of every grid point
+    are solved together in closed form.
+
+    The (T, P) work is done in place, in five complex arrays and the float
+    grid of -dx; float intermediates go to the memory of complex arrays
+    already spent.  Each step is the out-of-place expression in the comment
+    beside it, the same operations on the same values in the same order, so
+    the score is bit for bit that of those expressions.
+    """
+    geom = holo.geometry
+    bs_freqs = spatial_frequencies(bs, geom)
     I = holo.values
     n_z, n_x = I.shape
     total = float(I.sum())
     n_el = n_z * n_x
 
     # Fringe frequencies for every grid direction relative to the reference.
-    omega_z, omega_x = _frequency_grid(thetas, phis, geom)
+    omega_z, dx = _frequency_grid(thetas, phis, geom)
     dz = omega_z - bs_freqs.omega_z
-    dx_grid = omega_x - bs_freqs.omega_x
+    np.subtract(dx, bs_freqs.omega_x, out=dx)  # dx = omega_x - bs_freqs.omega_x
+    neg_dx = np.negative(dx, out=dx)  # -dx
 
     # exp(-i*Phi) = e_z[t, m] * z_x[t, p]**n: the z-axis factors are one
     # (T, n_z) exp and the x-axis ones one (T, P) exp, shared by all three sums.
     e_z = np.exp(1j * np.outer(-dz, np.arange(n_z)))
-    z_x = np.exp(1j * -dx_grid)
+    z_x = np.multiply(1j, neg_dx, out=np.empty(neg_dx.shape, complex))
+    np.exp(z_x, out=z_x)  # z_x = exp(1j * -dx)
     t = _horner(e_z @ I, z_x)  # projection of I on exp(-i*Phi)
     # The sums of exp(-i*Phi) and exp(-2i*Phi) over the panel are each a 1-D
     # sum along z times a geometric sum along x, in z_x and z_x**2.
-    z_xn = _power(z_x, n_x)
-    s1 = e_z.sum(axis=1)[:, np.newaxis] * _geometric_sum(z_x, z_xn, n_x)
-    s2 = (e_z * e_z).sum(axis=1)[:, np.newaxis] * _geometric_sum(
-        z_x * z_x, z_xn * z_xn, n_x)
+    work = np.empty_like(z_x)
+    z_xn = _power(z_x, n_x, np.empty_like(z_x), work)  # z_xn = z_x**n_x
+    z_x2n = np.multiply(z_xn, z_xn, out=work)  # z_xn * z_xn
+    s1 = _geometric_sum(z_x, z_xn, n_x, np.empty_like(z_x))
+    np.multiply(e_z.sum(axis=1)[:, np.newaxis], s1, out=s1)  # s1 = e_z.sum(1) * s1
+    z_x2 = np.multiply(z_x, z_x, out=z_x)  # z_x * z_x, once the first sum has read z_x
+    s2 = _geometric_sum(z_x2, z_x2n, n_x, z_xn)
+    np.multiply((e_z * e_z).sum(axis=1)[:, np.newaxis], s2, out=s2)  # s2 = (e_z**2).sum(1) * s2
+
     # Normal equations G c = b for the basis [1, cos(Phi), sin(Phi)] at every
     # (theta, phi), G regularized by 1e-9*n_el on the diagonal.  The explained
     # energy b.G^-1.b is total^2/G00, the same at every point and dropped, plus
@@ -590,17 +632,35 @@ def ml_refine(
     reg = 1e-9 * n_el
     g00 = n_el + reg
     sc = s1.real
-    ss = -s1.imag
-    r_c = t.real - (total / g00) * sc
-    r_s = -t.imag - (total / g00) * ss
-    h_cc = 0.5 * (n_el + s2.real) + reg - sc * sc / g00
-    h_ss = 0.5 * (n_el - s2.real) + reg - ss * ss / g00
-    h_cs = -0.5 * s2.imag - sc * ss / g00
-    explained = (h_ss * r_c**2 - 2.0 * h_cs * r_c * r_s + h_cc * r_s**2) / (
-        h_cc * h_ss - h_cs**2
-    )
-    a, p = np.unravel_index(int(np.argmax(explained)), explained.shape)
-    return AngularLocation(theta_deg=float(thetas[a]), phi_deg=float(phis[p]))
+    a, b = _halves(z_x2)  # z_x2 and z_x2n are spent
+    c, d = _halves(z_x2n)
+    ss = np.negative(s1.imag, out=neg_dx)  # ss = -s1.imag
+    # r_c = t.real - (total / g00) * sc
+    r_c = np.subtract(t.real, np.multiply(total / g00, sc, out=a), out=a)
+    # r_s = -t.imag - (total / g00) * ss
+    r_s = np.subtract(np.negative(t.imag, out=b), np.multiply(total / g00, ss, out=c), out=b)
+    e, f = _halves(t)  # t is spent
+    # h_cc = 0.5 * (n_el + s2.real) + reg - sc * sc / g00
+    h_cc = np.multiply(0.5, np.add(n_el, s2.real, out=c), out=c)
+    np.add(h_cc, reg, out=h_cc)
+    np.subtract(h_cc, np.divide(np.multiply(sc, sc, out=d), g00, out=d), out=h_cc)
+    # h_ss = 0.5 * (n_el - s2.real) + reg - ss * ss / g00
+    h_ss = np.multiply(0.5, np.subtract(n_el, s2.real, out=d), out=d)
+    np.add(h_ss, reg, out=h_ss)
+    np.subtract(h_ss, np.divide(np.multiply(ss, ss, out=e), g00, out=e), out=h_ss)
+    # h_cs = -0.5 * s2.imag - sc * ss / g00
+    h_cs = np.subtract(np.multiply(-0.5, s2.imag, out=e),
+                       np.divide(np.multiply(sc, ss, out=f), g00, out=f), out=e)
+    # s1, s2 and ss are spent.
+    # explained = (h_ss * r_c**2 - 2.0 * h_cs * r_c * r_s + h_cc * r_s**2)
+    #             / (h_cc * h_ss - h_cs**2)
+    explained = np.multiply(h_ss, np.square(r_c, out=f), out=f)
+    cross = np.multiply(np.multiply(2.0, h_cs, out=neg_dx), r_c, out=neg_dx)
+    np.subtract(explained, np.multiply(cross, r_s, out=cross), out=explained)
+    np.add(explained, np.multiply(h_cc, np.square(r_s, out=cross), out=cross), out=explained)
+    det = np.multiply(h_cc, h_ss, out=h_cc)
+    np.subtract(det, np.square(h_cs, out=h_cs), out=det)
+    return np.divide(explained, det, out=explained)
 
 
 def multiuser_localize(

@@ -321,6 +321,24 @@ def test_phase_of_another_shape_or_kind_is_rejected(evaluate, phase, error, mess
         evaluate(phase)
 
 
+@given(shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       fill=st.sampled_from(("random", "all-zero", "all-one")), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_coding_reflection_is_the_exp_of_its_phases_bit_for_bit(shape, fill, seed):
+    if fill == "all-zero":
+        coding = CodingMatrix.all_zero(shape)
+    else:
+        states = np.random.default_rng(seed).integers(0, 2, shape) if fill == "random" \
+            else np.ones(shape, dtype=int)
+        coding = CodingMatrix(states=states)
+    geom = ArrayGeometry(n_z=shape[0], n_x=shape[1], d_z_m=0.02, d_x_m=0.02,
+                         f_c_hz=3_500_000_000)
+    got = _reflection(coding, geom)
+    want = np.exp(1j * (math.pi * coding.states))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def inline_power(coding, bs_src, geom, theta_grid_deg, phi_grid_deg):
     """pattern's power as computed before its plan: the 2D DTFT with both exp
     factors built on every call, from the caller's grids."""
@@ -408,12 +426,23 @@ def test_pattern_after_the_caller_mutates_its_grid():
     src = Source.far_field(BS)
     phi = np.linspace(-40.0, 40.0, 9)
     theta = phi.copy()
-    first = pattern(coding, src, GEOM, theta, phi).power
+    res = pattern(coding, src, GEOM, theta, phi)
+    first = res.power
     assert np.array_equal(first, inline_power(coding, src, GEOM, theta, phi))
     theta[2] = 5.0
     after = pattern(coding, src, GEOM, theta, phi).power
     assert np.array_equal(after, inline_power(coding, src, GEOM, theta, phi))
     assert not np.array_equal(after, first)
+    # The first result keeps the grids its power and peak were computed on:
+    # its own read-only copies, not the caller's arrays.
+    phi[:] = 0.0
+    want = np.linspace(-40.0, 40.0, 9)
+    assert res.theta_deg.tobytes() == want.tobytes() and res.phi_deg.tobytes() == want.tobytes()
+    assert res.peak.theta_deg in res.theta_deg and res.peak.phi_deg in res.phi_deg
+    for grid in (res.theta_deg, res.phi_deg):
+        assert grid.dtype == np.float64 and not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
 
 
 GRID_VALUES = r"must hold at least one angle, each finite with \|angle\| < 90 deg"
@@ -475,3 +504,10 @@ def test_coding_matrix_validation():
         CodingMatrix(states=np.array([[0, 2]]))
     with pytest.raises(ValueError):
         CodingMatrix(states=np.zeros(4))
+    # The states keep the values checked: they are a read-only copy.
+    given = np.zeros((2, 2))
+    coding = CodingMatrix(states=given)
+    with pytest.raises(ValueError):
+        coding.states[0, 0] = 2
+    given[0, 0] = 1
+    assert not coding.states.any()

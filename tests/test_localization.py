@@ -25,6 +25,7 @@ from holoris.geometry import (
     AngularLocation,
     ArrayGeometry,
     SpatialFrequencyPair,
+    _frequency_grid,
     default_geometry,
     spatial_frequencies,
 )
@@ -39,6 +40,7 @@ from holoris.localization import (
     _horner,
     _peaks,
     _power,
+    _refine_objective,
     _row_medians,
     _transform,
     candidate_frequencies,
@@ -56,8 +58,10 @@ from holoris.wavefield import (
     DetectorModel,
     Hologram,
     Source,
+    read_hologram_csv,
     synthesize_hologram,
     synthesize_trials,
+    write_hologram_csv,
 )
 
 GEOM = default_geometry()
@@ -842,8 +846,9 @@ def test_geometric_sum_matches_explicit_sum(n):
     w = np.array([2 * math.pi * k + d for k in (0, 1, -3) for d in NEAR_ZERO_OFFSETS])
     z = np.exp(1j * w).reshape(3, -1)
     own = np.array([sum(np.exp(1j * k * v) for k in range(n)) for v in w]).reshape(3, -1)
-    assert np.allclose(_geometric_sum(z, _power(z, n), n), own, rtol=0, atol=1e-12)
-    assert np.allclose(_power(z, n), np.exp(1j * n * w).reshape(3, -1), rtol=0, atol=1e-12)
+    z_n = _power(z, n, np.empty_like(z), np.empty_like(z))
+    assert np.allclose(z_n, np.exp(1j * n * w).reshape(3, -1), rtol=0, atol=1e-12)
+    assert np.allclose(_geometric_sum(z, z_n, n, np.empty_like(z)), own, rtol=0, atol=1e-12)
 
 
 def three_dtft_refine(holo, bs, coarse, halfwidth_deg=5.0, step_deg=0.1):
@@ -929,6 +934,127 @@ def test_ml_refine_matches_three_dtft_reference_on_small_panels(geom):
         assert ml_refine(holo, bs, coarse) == three_dtft_refine(holo, bs, coarse)
 
 
+def _power_out_of_place(z, n):
+    """z**n by repeated squaring, each product a new array."""
+    out = None
+    while True:
+        if n & 1:
+            out = z if out is None else out * z
+        n >>= 1
+        if not n:
+            return out
+        z = z * z
+
+
+def _geometric_sum_out_of_place(z, z_n, n):
+    """_geometric_sum with each (T, P) step a new array and z_n left as it is."""
+    num = 1.0 - z_n
+    den = 1.0 - z
+    near = den.real < 0.5 * 1e-2**2
+    if not near.any():
+        return num / den
+    den[near] = 1.0
+    out = num / den
+    w = np.angle(z[near])
+    out[near] = np.exp(0.5j * (n - 1) * w) * (
+        n * np.sinc(n * w / (2 * math.pi)) / np.sinc(w / (2 * math.pi)))
+    return out
+
+
+def out_of_place_objective(holo, bs, thetas, phis):
+    """ml_refine's grid score as closed-form expressions, each (T, P) step a
+    new array: the reference _refine_objective must equal bit for bit.
+    Also returns the grid's dx, to tell which near-one branches it takes."""
+    geom = holo.geometry
+    bs_freqs = spatial_frequencies(bs, geom)
+    I = holo.values
+    n_z, n_x = I.shape
+    total = float(I.sum())
+    n_el = n_z * n_x
+    omega_z, omega_x = _frequency_grid(thetas, phis, geom)
+    dz = omega_z - bs_freqs.omega_z
+    dx_grid = omega_x - bs_freqs.omega_x
+    e_z = np.exp(1j * np.outer(-dz, np.arange(n_z)))
+    z_x = np.exp(1j * -dx_grid)
+    t = _horner(e_z @ I, z_x)
+    z_xn = _power_out_of_place(z_x, n_x)
+    s1 = e_z.sum(axis=1)[:, np.newaxis] * _geometric_sum_out_of_place(z_x, z_xn, n_x)
+    s2 = (e_z * e_z).sum(axis=1)[:, np.newaxis] * _geometric_sum_out_of_place(
+        z_x * z_x, z_xn * z_xn, n_x)
+    reg = 1e-9 * n_el
+    g00 = n_el + reg
+    sc = s1.real
+    ss = -s1.imag
+    r_c = t.real - (total / g00) * sc
+    r_s = -t.imag - (total / g00) * ss
+    h_cc = 0.5 * (n_el + s2.real) + reg - sc * sc / g00
+    h_ss = 0.5 * (n_el - s2.real) + reg - ss * ss / g00
+    h_cs = -0.5 * s2.imag - sc * ss / g00
+    explained = (h_ss * r_c**2 - 2.0 * h_cs * r_c * r_s + h_cc * r_s**2) / (
+        h_cc * h_ss - h_cs**2
+    )
+    return explained, dx_grid
+
+
+def _crossing(geom, bs, theta, target):
+    """The direction at elevation theta whose dx is target (0 or +-pi), or None."""
+    factor_x = 2.0 * math.pi * geom.d_x_m / geom.wavelength_m
+    sin_phi = (target / factor_x + spatial_frequencies(bs, geom).omega_x / factor_x) / \
+        math.cos(math.radians(theta))
+    if not abs(sin_phi) < math.sin(math.radians(89.0)):
+        return None
+    return AngularLocation(theta, math.degrees(math.asin(sin_phi)))
+
+
+REFINE_PANELS = st.one_of(st.tuples(st.integers(1, 9), st.integers(1, 9)), st.just((32, 32)))
+# The grid passes through a point where the first geometric sum's z is 1
+# (dx = 0, both sums take the sine form) or the second's z**2 is (dx = +-pi,
+# only the second does), or lies anywhere.
+CROSSINGS = (None, 0.0, math.pi, -math.pi)
+
+
+def _refine_case(data, panel):
+    n_z, n_x = panel
+    geom = ArrayGeometry(n_z=n_z, n_x=n_x, d_z_m=data.draw(st.sampled_from((0.01, 0.02, 0.05))),
+                         d_x_m=data.draw(st.sampled_from((0.02, 0.05, 0.07))),
+                         f_c_hz=3_500_000_000)
+    bs = AngularLocation(data.draw(st.floats(-30.0, 30.0)), data.draw(st.floats(-40.0, 40.0)))
+    theta = data.draw(st.floats(-60.0, 60.0))
+    target = data.draw(st.sampled_from(CROSSINGS))
+    coarse = None if target is None else _crossing(geom, bs, theta, target)
+    if coarse is None:  # no such direction on this panel
+        target = None
+        coarse = AngularLocation(theta, data.draw(st.floats(-89.0, 89.0)))
+    halfwidth, step = data.draw(st.sampled_from(((5.0, 0.1), (1.0, 0.05), (2.0, 0.7), (0.3, 0.3))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    holo = Hologram(values=rng.uniform(0.0, 4.0, geom.shape), geometry=geom)
+    return holo, bs, coarse, halfwidth, step, target
+
+
+@given(data=st.data(), panels=st.tuples(REFINE_PANELS, REFINE_PANELS))
+@settings(max_examples=150, deadline=None)
+def test_refine_objective_is_the_out_of_place_expression_bit_for_bit(data, panels):
+    """_refine_objective equals the out-of-place expressions bit for bit, and
+    ml_refine takes the first maximum of it.  Two cases in a row, then the
+    first again, each give what they give alone: no call leaves state behind."""
+    cases = [_refine_case(data, panel) for panel in panels]
+    wants = []
+    for holo, bs, coarse, halfwidth, step, target in cases:
+        half_steps = round(min(halfwidth / step, math.ceil(180.0 / step)))
+        thetas = _clipped_axis(coarse.theta_deg, step, half_steps)
+        phis = _clipped_axis(coarse.phi_deg, step, half_steps)
+        want, dx = out_of_place_objective(holo, bs, thetas, phis)
+        if target is not None:
+            # The coarse point is on the grid, so the grid takes the branch.
+            assert np.min(np.abs(dx - target)) < 1e-9
+        a, p = np.unravel_index(int(np.argmax(want)), want.shape)
+        wants.append((thetas, phis, want, AngularLocation(float(thetas[a]), float(phis[p]))))
+    for (holo, bs, coarse, halfwidth, step, _), (thetas, phis, want, best) in zip(
+            cases + cases[:1], wants + wants[:1]):
+        assert np.array_equal(_refine_objective(holo, bs, thetas, phis), want)
+        assert ml_refine(holo, bs, coarse, halfwidth, step) == best
+
+
 # ---------------------------------------------------------------- multiuser
 
 def test_multiuser_isolates_failing_tag():
@@ -999,6 +1125,67 @@ def test_multiuser_localize_validation():
     for mixed in ([holos[0], other], {0: holos[0], 1: other}):
         with pytest.raises(ValueError, match="one geometry"):
             multiuser_localize(mixed, bs)
+
+
+# ---------------------------------------------------------- pipeline order
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip")
+
+
+@given(geom=st.sampled_from((GEOM, PANEL_6X9)),
+       bs=st.sampled_from((AngularLocation(0.0, 0.0), AngularLocation(10.0, -30.0))),
+       ue=st.tuples(st.floats(-40.0, 40.0), st.floats(-70.0, 70.0)),
+       detector=st.sampled_from((None, DetectorModel(noise_std=1.0),
+                                 DetectorModel(noise_std=0.5, phase_jitter_std=0.2))),
+       tag=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       kw=st.sampled_from(({}, dict(zero_pad_factor=2, dc_guard=2, significance_threshold=2.0),
+                           dict(zero_pad_factor=3, dc_guard=1,
+                                disambiguation=SectorPolicy(phi_range_deg=(0.0, 89.0))))))
+@settings(max_examples=60, deadline=None)
+def test_localize_after_a_hologram_csv_round_trip_is_bit_exact(round_trip_dir, geom, bs, ue,
+                                                                detector, tag, seed, kw):
+    """write_hologram_csv -> read_hologram_csv -> localize is localize on the
+    hologram written, to the last bit of its ratio, or the same error."""
+    sources = [Source.far_field(bs, frequency_tag=tag),
+               Source.far_field(AngularLocation(*ue), frequency_tag=tag)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInterference)
+        holo = synthesize_hologram(sources, geom, detector, seed=seed)[0]
+    path = round_trip_dir / "holo.csv"
+    write_hologram_csv(path, holo)
+    again = read_hologram_csv(path)
+    assert again.frequency_tag == tag
+    assert _outcome(lambda: localize(again, bs, **kw)) == _outcome(lambda: localize(holo, bs, **kw))
+
+
+@given(data=st.data(), picks=st.lists(st.integers(0, len(MEMO_BANK) - 1), min_size=1, max_size=7),
+       as_mapping=st.booleans(), policy=st.sampled_from(ORDER_POLICIES),
+       pad_guard=st.sampled_from([(1, 0), (2, 2)]))
+@settings(max_examples=60, deadline=None)
+def test_multiuser_localize_is_the_same_for_any_input_order(data, picks, as_mapping, policy,
+                                                            pad_guard):
+    """The same holograms in any order, as a sequence or as a mapping built
+    in that order, give the same results under the same tags, in ascending
+    tag order."""
+    tags = data.draw(st.lists(st.integers(0, 10**6), min_size=len(picks), max_size=len(picks),
+                              unique=True))
+    holos = [Hologram(values=MEMO_BANK[i], geometry=GEOM, frequency_tag=tag)
+             for i, tag in zip(picks, tags)]
+    pad, guard = pad_guard
+    kw = dict(zero_pad_factor=pad, dc_guard=guard, disambiguation=policy,
+              significance_threshold=2.0)
+
+    def outcomes(ordered):
+        given_holos = {h.frequency_tag: h for h in ordered} if as_mapping else ordered
+        out = multiuser_localize(given_holos, AngularLocation(0.0, 0.0), **kw)
+        return [(tag, _bits(result)) for tag, result in out.items()]
+
+    want = outcomes(sorted(holos, key=lambda h: h.frequency_tag))
+    assert [tag for tag, _ in want] == sorted(tags)
+    perm = data.draw(st.permutations(range(len(holos))))
+    assert outcomes([holos[i] for i in perm]) == want
 
 
 # ------------------------------------------------------------------- report
