@@ -151,28 +151,19 @@ def _target_field(ue, geom: ArrayGeometry) -> np.ndarray:
     return complex_field_at_array(probe, geom)
 
 
-# exp(i*pi*s) for the states s = 0 and 1, the values np.exp gives for them.
-_STATE_FACTORS = np.exp(1j * math.pi * np.arange(2))
-_STATE_FACTORS.flags.writeable = False
-
-
 def _reflection(phase, geom: ArrayGeometry) -> np.ndarray:
     """exp(i*phase) per element of a CodingMatrix (phase pi*state) or PhaseProfile.
 
-    A coding's factors are looked up per state in _STATE_FACTORS, bit for
-    bit np.exp(1j * (pi * states)) without an exp per element.  TypeError
-    for any other phase, ValueError unless its shape is geom.shape.
+    TypeError for any other phase, ValueError unless its shape is geom.shape.
     """
     if isinstance(phase, CodingMatrix):
-        values = phase.states
+        values = math.pi * phase.states
     elif isinstance(phase, PhaseProfile):
         values = phase.values
     else:
         raise TypeError("phase must be a CodingMatrix or PhaseProfile")
     if values.shape != geom.shape:
         raise ValueError(f"phase shape {values.shape} does not match {geom.shape}")
-    if isinstance(phase, CodingMatrix):
-        return _STATE_FACTORS[values]
     return np.exp(1j * values)
 
 

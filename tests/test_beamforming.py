@@ -321,24 +321,6 @@ def test_phase_of_another_shape_or_kind_is_rejected(evaluate, phase, error, mess
         evaluate(phase)
 
 
-@given(shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
-       fill=st.sampled_from(("random", "all-zero", "all-one")), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=100, deadline=None)
-def test_coding_reflection_is_the_exp_of_its_phases_bit_for_bit(shape, fill, seed):
-    if fill == "all-zero":
-        coding = CodingMatrix.all_zero(shape)
-    else:
-        states = np.random.default_rng(seed).integers(0, 2, shape) if fill == "random" \
-            else np.ones(shape, dtype=int)
-        coding = CodingMatrix(states=states)
-    geom = ArrayGeometry(n_z=shape[0], n_x=shape[1], d_z_m=0.02, d_x_m=0.02,
-                         f_c_hz=3_500_000_000)
-    got = _reflection(coding, geom)
-    want = np.exp(1j * (math.pi * coding.states))
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
 def inline_power(coding, bs_src, geom, theta_grid_deg, phi_grid_deg):
     """pattern's power as computed before its plan: the 2D DTFT with both exp
     factors built on every call, from the caller's grids."""
