@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
@@ -56,16 +55,16 @@ class PhaseProfile:
 class CodingMatrix:
     """Per-element 1-bit states; state s realizes phase pi*s.
 
-    states is an int8 copy of the given array, read-only so that every
-    state stays the 0 or 1 checked here.
+    states is a non-empty 2D int8 copy of the given array, read-only so
+    that every state stays the 0 or 1 checked here.
     """
 
     states: np.ndarray
 
     def __post_init__(self):
         states = np.asarray(self.states)
-        if states.ndim != 2:
-            raise ValueError("coding matrix must be 2D")
+        if states.ndim != 2 or states.size == 0:
+            raise ValueError("coding matrix must be 2D and non-empty")
         if not np.isin(states, (0, 1)).all():
             raise ValueError("states must be 0 or 1")
         states = states.astype(np.int8)
@@ -324,23 +323,20 @@ def link_gain(
     )
 
 
+# The coding header, (key, number form) in file order, as both
+# write_coding_file and read_coding_file follow it.
+_CODING_HEADER = (("n_x", int), ("n_z", int))
+
+
 def write_coding_file(path, coding: CodingMatrix) -> None:
     """Write a coding matrix in the v1 format: header plus 0/1 rows."""
     n_z, n_x = coding.states.shape
     rows = ("".join(str(int(s)) for s in row) for row in coding.states)
-    _write_matrix_file(path, _CODING_MAGIC, (("n_x", n_x), ("n_z", n_z)), rows)
+    _write_matrix_file(path, _CODING_MAGIC, _CODING_HEADER, {"n_x": n_x, "n_z": n_z}, rows)
 
 
 def read_coding_file(path) -> CodingMatrix:
     """Parse a v1 coding file; FileFormatError carries the line number."""
-    header, numbered_rows = _read_matrix_file(
-        path, _CODING_MAGIC, (("n_x", int), ("n_z", int))
-    )
-    n_x = header["n_x"]
-    for lineno, row in numbered_rows:
-        if len(row) != n_x or any(c not in "01" for c in row):
-            raise FileFormatError(
-                f"expected {n_x} characters of 0/1, got {row!r}", lineno
-            )
-    states = np.array([[int(c) for c in row] for _, row in numbered_rows], dtype=np.int8)
-    return CodingMatrix(states=states)
+    return _read_matrix_file(path, _CODING_MAGIC, _CODING_HEADER, "", int,
+                             lambda states, geom, fields: CodingMatrix(states=states),
+                             CodingMatrix)

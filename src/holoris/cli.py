@@ -26,7 +26,7 @@ from .beamforming import (
     quantize_1bit,
     write_coding_file,
 )
-from .config import config_as_dict, load_config
+from .config import _build, config_as_dict, load_config
 from .errors import (
     AllCandidatesInfeasible,
     ConfigError,
@@ -76,16 +76,8 @@ def _floats(text: str, flag: str, form: str, make):
         except ValueError:
             pass
         else:
-            return _flagged(flag, make, *numbers)
+            return _build(make, flag, *numbers)
     raise ConfigError(f"{flag}: expected {form!r}, got {text!r}")
-
-
-def _flagged(flag: str, make, *values):
-    """``make(*values)``, with the ValueError it raises prefixed by ``flag``."""
-    try:
-        return make(*values)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _sector(*bounds) -> SectorPolicy:
@@ -174,8 +166,8 @@ def cmd_codegen(args) -> int:
                 raise ConfigError("near mode with angles needs --bs-range and --ue-range")
             bs = _floats(args.bs, "--bs", _ANGLES, AngularLocation)
             ue = _floats(args.ue, "--ue", _ANGLES, AngularLocation)
-            bs_pos = _flagged("--bs-range", position_at, bs, args.bs_range)
-            ue_pos = _flagged("--ue-range", position_at, ue, args.ue_range)
+            bs_pos = _build(position_at, "--bs-range", bs, args.bs_range)
+            ue_pos = _build(position_at, "--ue-range", ue, args.ue_range)
         profile = nearfield_phase_profile(bs_pos, ue_pos, geometry)
         bs_src = Source.near_field(bs_pos)
         target = ue_pos

@@ -56,6 +56,7 @@ from .wavefield import (
 
 _MANIFEST_MAGIC = "# holoris-manifest v1"
 _SPECTRUM_MAGIC = "# holoris-spectrum v1"
+_SPECTRUM_HEADER = (("n_z", int), ("n_x", int), ("zero_pad_factor", int))
 
 
 def paper_bs_locations() -> tuple[AngularLocation, ...]:
@@ -514,9 +515,9 @@ def showcase_samples() -> tuple:
 def write_spectrum_csv(path, holo: Hologram, zero_pad_factor: int = 1) -> None:
     """Spectrum magnitudes as CSV with a small descriptive header."""
     mags = np.abs(fft2(holo, zero_pad_factor=zero_pad_factor).values)
-    header = (("n_z", mags.shape[0]), ("n_x", mags.shape[1]),
-              ("zero_pad_factor", zero_pad_factor))
-    _write_matrix_file(path, _SPECTRUM_MAGIC, header, _float_rows(mags))
+    n_z, n_x = mags.shape
+    fields = {"n_z": n_z, "n_x": n_x, "zero_pad_factor": zero_pad_factor}
+    _write_matrix_file(path, _SPECTRUM_MAGIC, _SPECTRUM_HEADER, fields, _float_rows(mags))
 
 
 def showcase_three_samples(cfg: ExperimentConfig, out_dir) -> list[ShowcaseSample]:

@@ -78,8 +78,7 @@ class ArrayGeometry:
     n_z rows spaced d_z_m apart along z, n_x columns spaced d_x_m along x.
     The carrier f_c_hz fixes the wavelength used by every phase computation.
     n_z, n_x and f_c_hz are integers >= 1 that convert to a float, with
-    n_z*n_x elements numpy can index; the pitches are finite and > 0 (the
-    hologram file reader requires it).
+    n_z*n_x elements numpy can index; the pitches are finite and > 0.
     """
 
     n_z: int

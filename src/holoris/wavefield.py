@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -344,13 +344,23 @@ def _float_rows(matrix: np.ndarray):
     return (",".join(map(repr, row.tolist())) for row in matrix)
 
 
-def _write_matrix_file(path, magic: str, header_pairs, rows) -> None:
-    """Write the magic line, one '# key=value' line per pair, then the rows.
+def _write_matrix_file(path, magic: str, header, fields, rows) -> None:
+    """Write the magic line, one '# key=value' line per header key, then the rows.
 
     The holoris text formats (hologram CSV, coding file, spectrum CSV) all
-    share this layout; rows are the already formatted data lines.
+    share this layout.  header is the format's table of (key, number form)
+    pairs in file order, and a key's value is its form of fields[key]; rows
+    are the already formatted data lines.
     """
-    _write_lines(path, [magic, *(f"# {key}={value}" for key, value in header_pairs), *rows])
+    _write_lines(path, [magic, *(f"# {key}={form(fields[key])}" for key, form in header),
+                        *rows])
+
+
+# The hologram header, (key, number form) in file order, as both
+# write_hologram_csv and read_hologram_csv follow it: the geometry's fields,
+# then the hologram's frequency_tag.
+_HOLOGRAM_HEADER = (("f_c_hz", int), ("d_x_m", float), ("d_z_m", float),
+                    ("n_x", int), ("n_z", int), ("frequency_tag", int))
 
 
 def write_hologram_csv(path, holo: Hologram) -> None:
@@ -360,16 +370,9 @@ def write_hologram_csv(path, holo: Hologram) -> None:
     comma-separated intensities in shortest round-trip decimal form, row
     index along z.
     """
-    geom = holo.geometry
-    header = (
-        ("f_c_hz", geom.f_c_hz),
-        ("d_x_m", float(geom.d_x_m)),
-        ("d_z_m", float(geom.d_z_m)),
-        ("n_x", geom.n_x),
-        ("n_z", geom.n_z),
-        ("frequency_tag", holo.frequency_tag),
-    )
-    _write_matrix_file(path, _HOLOGRAM_MAGIC, header, _float_rows(holo.values))
+    fields = {**vars(holo.geometry), "frequency_tag": holo.frequency_tag}
+    _write_matrix_file(path, _HOLOGRAM_MAGIC, _HOLOGRAM_HEADER, fields,
+                       _float_rows(holo.values))
 
 
 def _read_lines(path) -> list[str]:
@@ -385,89 +388,71 @@ def _read_lines(path) -> list[str]:
         raise FileFormatError(f"not UTF-8 text: {exc.reason}", lineno) from None
 
 
-def _parse_header(lines: list[str], key: str, lineno: int, parse,
-                  allow_zero: bool = False):
-    """parse() of the value of header line lineno (1-based), '# key=value'.
-
-    The value must be finite and > 0 (>= 0 with allow_zero).
-    """
-    if lineno > len(lines):
-        raise FileFormatError("truncated header", len(lines))
-    line = lines[lineno - 1]
-    prefix = f"# {key}="
-    if not line.startswith(prefix):
-        raise FileFormatError(f"expected header {prefix!r}, got {line!r}", lineno)
+def _at_line(make, lineno: int, *args, **kwargs):
+    """``make(*args, **kwargs)``, with its ValueError a FileFormatError at ``lineno``."""
     try:
-        value = parse(line[len(prefix):])
-        finite = math.isfinite(value)  # OverflowError for ints beyond float
-    except (ValueError, OverflowError) as exc:
+        return make(*args, **kwargs)
+    except ValueError as exc:
         raise FileFormatError(str(exc), lineno) from None
-    if not (finite and (value >= 0 if allow_zero else value > 0)):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise FileFormatError(f"{key} must be finite and {bound}, got {value!r}", lineno)
-    return value
 
 
-def _read_matrix_file(path, magic: str, fields, allow_zero=()):
-    """Read a file written by _write_matrix_file: (header, numbered_rows).
+# A 1x1 panel and a hologram on it: the references a file's header values are
+# set on, so that each is held to the rule of the type that holds it.
+_REFERENCE_PANEL = ArrayGeometry(n_z=1, n_x=1, d_z_m=1.0, d_x_m=1.0, f_c_hz=1)
+_REFERENCE_HOLOGRAM = Hologram(values=np.zeros((1, 1)), geometry=_REFERENCE_PANEL)
 
-    fields lists the header's (key, parse) pairs in file order; each value
-    must be finite and > 0, or >= 0 for the keys in allow_zero.  The header
-    must hold n_z, and n_z data lines must follow it.  numbered_rows pairs
-    each data line with its 1-based line number.  Every error is a
-    FileFormatError carrying the offending line.
+
+def _read_matrix_file(path, magic: str, header, sep: str, form, make, check):
+    """make(values, geometry, fields) of a file written by _write_matrix_file.
+
+    Only the layout is checked here: the magic line, one '# key=value' line
+    per (key, number form) pair of the header table, then n_z data lines of
+    n_x cells, split at sep ('' for one cell per character), each read by
+    form.  Each header value is set, in file order, on the 1x1 reference
+    panel, or the key a panel lacks on the reference hologram, so it is held
+    to its type's rule at its line; the panel so built is make's geometry.
+    When make rejects the values, the error is check's at the first row k
+    whose prefix values[:k] check rejects.  Every error is a FileFormatError
+    carrying its line.
     """
     lines = _read_lines(path)
     if not lines or lines[0] != magic:
         raise FileFormatError(f"missing magic header {magic!r}", 1)
-    header = {
-        key: _parse_header(lines, key, lineno, parse, allow_zero=key in allow_zero)
-        for lineno, (key, parse) in enumerate(fields, start=2)
-    }
-    data = lines[len(fields) + 1:]
-    if len(data) != header["n_z"]:
-        raise FileFormatError(
-            f"expected {header['n_z']} data rows, found {len(data)}", len(lines)
-        )
-    return header, list(enumerate(data, start=len(fields) + 2))
+    geom, fields = _REFERENCE_PANEL, {}
+    for lineno, (key, key_form) in enumerate(header, start=2):
+        if lineno > len(lines):
+            raise FileFormatError("truncated header", len(lines))
+        line, prefix = lines[lineno - 1], f"# {key}="
+        if not line.startswith(prefix):
+            raise FileFormatError(f"expected header {prefix!r}, got {line!r}", lineno)
+        fields[key] = value = _at_line(key_form, lineno, line[len(prefix):])
+        if hasattr(geom, key):
+            geom = _at_line(replace, lineno, geom, **{key: value})
+        else:
+            _at_line(replace, lineno, _REFERENCE_HOLOGRAM, **{key: value})
+    first = len(header) + 2
+    data = lines[first - 1:]
+    if len(data) != geom.n_z:
+        raise FileFormatError(f"expected {geom.n_z} data rows, found {len(data)}", len(lines))
+    rows = []
+    for lineno, line in enumerate(data, start=first):
+        cells = line.split(sep) if sep else line
+        if len(cells) != geom.n_x:
+            raise FileFormatError(f"expected {geom.n_x} values, found {len(cells)}", lineno)
+        rows.append(_at_line(list, lineno, map(form, cells)))
+    values = np.array(rows)
+    try:
+        return make(values, geom, fields)
+    except ValueError:
+        for k in range(1, len(values) + 1):
+            _at_line(check, first + k - 1, values[:k])
+        raise
 
 
 def read_hologram_csv(path) -> Hologram:
     """Parse a v1 hologram file; FileFormatError carries the line number."""
-    header, numbered_rows = _read_matrix_file(
-        path,
-        _HOLOGRAM_MAGIC,
-        (("f_c_hz", int), ("d_x_m", float), ("d_z_m", float), ("n_x", int),
-         ("n_z", int), ("frequency_tag", int)),
-        allow_zero=("frequency_tag",),
+    return _read_matrix_file(
+        path, _HOLOGRAM_MAGIC, _HOLOGRAM_HEADER, ",", float,
+        lambda values, geom, fields: Hologram(values, geom, fields["frequency_tag"]),
+        _intensity_sums,
     )
-    n_x = header["n_x"]
-    rows = []
-    for lineno, line in numbered_rows:
-        parts = line.split(",")
-        if len(parts) != n_x:
-            raise FileFormatError(
-                f"expected {n_x} comma-separated values, found {len(parts)}", lineno
-            )
-        try:
-            row = [float(p) for p in parts]
-        except ValueError as exc:
-            raise FileFormatError(str(exc), lineno) from None
-        if not all(map(math.isfinite, row)):
-            raise FileFormatError("non-finite intensity", lineno)
-        if any(v < 0 for v in row):
-            raise FileFormatError("negative intensity", lineno)
-        rows.append(row)
-    values = np.array(rows)
-    try:
-        _intensity_sums(values)  # the rule Hologram holds its values to
-    except ValueError:  # the rows are finite and non-negative, so their sum overflows
-        with np.errstate(over="ignore"):
-            k = next(k for k in range(1, len(rows) + 1)
-                     if np.isinf(values[:k].sum(axis=(-2, -1))))
-        raise FileFormatError("intensity sum overflows the float range",
-                              numbered_rows[k - 1][0]) from None
-    geom = ArrayGeometry(n_z=header["n_z"], n_x=n_x, d_z_m=header["d_z_m"],
-                         d_x_m=header["d_x_m"], f_c_hz=header["f_c_hz"])
-    return Hologram(values=values, geometry=geom,
-                    frequency_tag=header["frequency_tag"])

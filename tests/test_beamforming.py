@@ -237,6 +237,7 @@ def test_coding_file_round_trip(tmp_path):
     pytest.param(3, "n_z", "abc", id="3-n_z"),
     pytest.param(2, "n_x", "-2", id="2-n_x-negative"),
     pytest.param(3, "n_z", "0", id="3-n_z-zero"),
+    pytest.param(2, "n_x", str(np.iinfo(np.intp).max + 1), id="2-n_x-beyond-element-bound"),
 ])
 def test_coding_file_header_errors_carry_their_line(tmp_path, lineno, key, bad):
     path = tmp_path / "coding.txt"

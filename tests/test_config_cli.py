@@ -584,7 +584,7 @@ def test_localize_non_finite_intensity_exits_3(tmp_path, fixture_csv, capsys):
     capsys.readouterr()
     assert main(["localize", str(bad), "--bs", "0,0"]) == 3
     err = capsys.readouterr().err
-    assert f"line {data_start + 3}" in err and "non-finite" in err
+    assert f"line {data_start + 3}: hologram intensities must be finite" in err
 
 
 def test_localize_undecodable_bytes_exit_3(tmp_path, fixture_csv, capsys):
@@ -619,7 +619,7 @@ def test_localize_overflowing_intensity_sum_exits_3(tmp_path, fixture_csv, capsy
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["localize", str(bad), "--bs", "0,0"]) == 3
-    assert "line 13: intensity sum overflows" in capsys.readouterr().err
+    assert "line 13: hologram intensity sum overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [

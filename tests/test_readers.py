@@ -1,7 +1,7 @@
 """Property tests of the file readers: any single-line mutation of a valid
 file either reads back as a file that round-trips bit-exactly, or raises
-FileFormatError naming a line of the mutated file; and the hologram reader
-reads back every Hologram the writer can be given."""
+FileFormatError naming a line of the mutated file; and the readers read
+back every Hologram and CodingMatrix the writers can be given."""
 
 import math
 
@@ -131,3 +131,19 @@ def test_every_hologram_survives_write_then_read(workdir, values, pitches, f_c_h
     path = workdir / "written.csv"
     write_hologram_csv(path, holo)
     assert _hologram_fingerprint(read_hologram_csv(path)) == _hologram_fingerprint(holo)
+
+
+@settings(max_examples=400, deadline=None)
+@given(states=arrays(np.int8, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+                     elements=st.integers(-1, 2)))
+@example(states=np.zeros((0, 3), dtype=np.int8))  # an empty coding writes an n_z of 0
+def test_every_coding_survives_write_then_read(workdir, states):
+    """write_coding_file then read_coding_file gives back every CodingMatrix that
+    constructs: the reader accepts whatever the type accepts."""
+    try:
+        coding = CodingMatrix(states=states)
+    except ValueError:
+        return  # not a coding
+    path = workdir / "written.txt"
+    write_coding_file(path, coding)
+    assert _coding_fingerprint(read_coding_file(path)) == _coding_fingerprint(coding)

@@ -370,7 +370,7 @@ def test_hologram_csv_rejects_non_finite_intensity(tmp_path, bad):
     lines[row] = ",".join(cells)
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FileFormatError, match="non-finite") as exc:
+    with pytest.raises(FileFormatError, match="intensities must be finite") as exc:
         read_hologram_csv(path)
     assert exc.value.line_number == row + 1
 
@@ -391,6 +391,9 @@ def test_hologram_csv_rejects_non_finite_intensity(tmp_path, bad):
     (5, "n_x", "-2"),
     (6, "n_z", "0"),
     (7, "frequency_tag", "-1"),
+    pytest.param(4, "d_z_m", "1e400", id="4-d_z_m-parses-to-inf"),
+    pytest.param(5, "n_x", str(np.iinfo(np.intp).max + 1), id="5-n_x-beyond-element-bound"),
+    pytest.param(7, "frequency_tag", "1" + "0" * 400, id="7-frequency_tag-beyond-float"),
 ])
 def test_hologram_csv_header_errors_carry_their_line(tmp_path, lineno, key, bad):
     lines = write_fixture_csv(tmp_path)
