@@ -26,7 +26,7 @@ from .beamforming import (
     quantize_1bit,
     write_coding_file,
 )
-from .config import _build, config_as_dict, load_config
+from .config import _build, _value, config_as_dict, load_config
 from .errors import (
     AllCandidatesInfeasible,
     ConfigError,
@@ -48,7 +48,8 @@ from .experiments import (
     write_sweep_csv,
 )
 from .geometry import AngularLocation, default_geometry, position_at
-from .localization import OraclePolicy, SectorPolicy, format_report, localize
+from .localization import (OraclePolicy, SectorPolicy, _check_spectral_settings,
+                           format_report, localize)
 from .wavefield import Source, read_hologram_csv, synthesize_hologram, write_hologram_csv
 
 EXIT_OK = 0
@@ -56,9 +57,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NO_PEAK = 4
 EXIT_SECTOR = 5
-
-SUITES = ("grid", "gain", "ber", "showcase")
-
 
 _SEPARATORS = re.compile("[,:]")
 _ANGLES = "theta_deg,phi_deg"
@@ -128,6 +126,13 @@ def cmd_localize(args) -> int:
         policy = _floats(args.sector, "--sector", form, _sector)
     bs = _floats(args.bs, "--bs", _ANGLES, AngularLocation)
     holo = read_hologram_csv(args.hologram)
+    # the spectral flags are held to localize's rules after the file is read,
+    # so a bad file is reported first, and at their own names
+    _build(_check_spectral_settings, "--zero-pad", holo.geometry.shape,
+           zero_pad_factor=args.zero_pad)
+    _build(_check_spectral_settings, "--dc-guard", dc_guard=args.dc_guard)
+    _build(_check_spectral_settings, "--significance-threshold",
+           significance_threshold=args.significance_threshold)
     result = localize(
         holo,
         bs,
@@ -185,29 +190,74 @@ def cmd_codegen(args) -> int:
     return EXIT_OK
 
 
+def _grid_suite(cfg, out_dir: Path):
+    stats, records = run_localization_grid(cfg.experiment)
+    paths = [out_dir / "grid_records.csv", out_dir / "grid_statistics.txt",
+             out_dir / "grid_cdf.csv"]
+    write_grid_records_csv(paths[0], records)
+    write_statistics_txt(paths[1], stats)
+    write_cdf_csv(paths[2], stats)
+    return paths, [
+        f"grid: n_samples={stats.n_samples} n_failures={stats.n_failures} "
+        f"total_avg_deviation_deg={stats.total_avg_deviation_deg:.3f} "
+        f"fraction_within_9deg={stats.fraction_within_9deg:.4f}"
+    ]
+
+
+def _gain_suite(cfg, out_dir: Path):
+    points = gain_sweep(cfg.experiment, cfg.gain_phi_deg)
+    path = out_dir / "gain_sweep.csv"
+    write_sweep_csv(path, points)
+    ok = [p.gain_db for p in points if p.status == "ok"]
+    mean = sum(ok) / len(ok) if ok else math.nan
+    return [path], [f"gain: points={len(points)} ok={len(ok)} mean_gain_db={mean:.3f}"]
+
+
+def _ber_suite(cfg, out_dir: Path):
+    order = cfg.ber_modulation_order
+    gain_db = cfg.ber_gain_db
+    baseline = ber_curve(cfg.ber_snr_db, 0.0, order)
+    enhanced = ber_curve(cfg.ber_snr_db, gain_db, order)
+    path = out_dir / "ber_curves.csv"
+    write_ber_csv(path, baseline, enhanced, gain_db)
+    return [path], [
+        f"ber: modulation_order={order} gain_db={gain_db:g} points={len(baseline)}"
+    ]
+
+
+def _showcase_suite(cfg, out_dir: Path):
+    samples = showcase_three_samples(cfg.experiment, out_dir)
+    return [a for s in samples for a in s.artifacts], [
+        f"showcase sample_{i}: bs=({s.bs.theta_deg:g},{s.bs.phi_deg:g}) "
+        f"ue=({s.ue.theta_deg:g},{s.ue.phi_deg:g}) "
+        f"error_deg={s.error_deg:.3f} gain_db={s.gain_db:.3f}"
+        for i, s in enumerate(samples, start=1)
+    ]
+
+
+# The suites of `holoris experiment`, in help order.  Each writes its
+# artifacts into the output directory and returns (artifact paths, summary
+# lines); a suite that raises has recorded no artifact.
+SUITES = {"grid": _grid_suite, "gain": _gain_suite, "ber": _ber_suite,
+          "showcase": _showcase_suite}
+
+
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config, seed=args.seed, trials=args.trials)
     seed = cfg.experiment.seed
-    out_dir = Path(args.output_dir or cfg.output_dir)
+    out_dir = Path(cfg.output_dir if args.output_dir is None
+                   else _value(args.output_dir, "--output-dir", str))
     out_dir.mkdir(parents=True, exist_ok=True)
     # Manifest config reflects the numbers that produced the artifacts; the
     # output directory is pure redirection and stays as configured so reruns
     # into different directories stay byte-identical.
     cfg_dict = config_as_dict(cfg)
     manifest_path = out_dir / "manifest.txt"
-    artifacts: list[Path] = []
     try:
-        summary = _run_suite(args.suite, cfg, out_dir, artifacts)
+        artifacts, summary = SUITES[args.suite](cfg, out_dir)
     except Exception as exc:
-        write_manifest(
-            manifest_path,
-            args.suite,
-            seed,
-            cfg_dict,
-            [a for a in artifacts if a.exists()],
-            status="FAILED",
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        write_manifest(manifest_path, args.suite, seed, cfg_dict, [], status="FAILED",
+                       error=f"{type(exc).__name__}: {exc}")
         raise
     write_manifest(manifest_path, args.suite, seed, cfg_dict, artifacts)
     if not args.quiet:
@@ -215,57 +265,6 @@ def cmd_experiment(args) -> int:
             print(line)
         print(f"wrote {manifest_path}")
     return EXIT_OK
-
-
-def _run_suite(suite, cfg, out_dir: Path, artifacts: list) -> list:
-    exp = cfg.experiment
-    if suite == "grid":
-        stats, records = run_localization_grid(exp)
-        paths = (
-            out_dir / "grid_records.csv",
-            out_dir / "grid_statistics.txt",
-            out_dir / "grid_cdf.csv",
-        )
-        write_grid_records_csv(paths[0], records)
-        write_statistics_txt(paths[1], stats)
-        write_cdf_csv(paths[2], stats)
-        artifacts.extend(paths)
-        return [
-            f"grid: n_samples={stats.n_samples} n_failures={stats.n_failures} "
-            f"total_avg_deviation_deg={stats.total_avg_deviation_deg:.3f} "
-            f"fraction_within_9deg={stats.fraction_within_9deg:.4f}"
-        ]
-    if suite == "gain":
-        points = gain_sweep(exp, cfg.gain_phi_deg)
-        path = out_dir / "gain_sweep.csv"
-        write_sweep_csv(path, points)
-        artifacts.append(path)
-        ok = [p.gain_db for p in points if p.status == "ok"]
-        mean = sum(ok) / len(ok) if ok else math.nan
-        return [f"gain: points={len(points)} ok={len(ok)} mean_gain_db={mean:.3f}"]
-    if suite == "ber":
-        order = cfg.ber_modulation_order
-        gain_db = cfg.ber_gain_db
-        baseline = ber_curve(cfg.ber_snr_db, 0.0, order)
-        enhanced = ber_curve(cfg.ber_snr_db, gain_db, order)
-        path = out_dir / "ber_curves.csv"
-        write_ber_csv(path, baseline, enhanced, gain_db)
-        artifacts.append(path)
-        return [
-            f"ber: modulation_order={order} gain_db={gain_db:g} "
-            f"points={len(baseline)}"
-        ]
-    # showcase, the last of SUITES: argparse's choices admit no other suite
-    samples = showcase_three_samples(exp, out_dir)
-    lines = []
-    for i, s in enumerate(samples, start=1):
-        artifacts.extend(Path(a) for a in s.artifacts)
-        lines.append(
-            f"showcase sample_{i}: bs=({s.bs.theta_deg:g},{s.bs.phi_deg:g}) "
-            f"ue=({s.ue.theta_deg:g},{s.ue.phi_deg:g}) "
-            f"error_deg={s.error_deg:.3f} gain_db={s.gain_db:.3f}"
-        )
-    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:

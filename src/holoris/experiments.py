@@ -14,6 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -24,7 +25,7 @@ from .beamforming import (
     quantize_1bit,
     write_coding_file,
 )
-from .errors import AllCandidatesInfeasible, DegenerateInterference, NoPeak
+from .errors import DegenerateInterference
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
@@ -46,11 +47,11 @@ from .wavefield import (
     Hologram,
     Source,
     _MISSING,
-    _capture_stack,
     _float_rows,
     _number,
     _write_lines,
     _write_matrix_file,
+    synthesize_trials,
     write_hologram_csv,
 )
 
@@ -186,10 +187,6 @@ class ErrorStatistics:
         )
 
 
-def _coincident(a: AngularLocation, b: AngularLocation) -> bool:
-    return a.theta_deg == b.theta_deg and a.phi_deg == b.phi_deg
-
-
 # numpy's SeedSequence follows O'Neill's seed_seq design ("Developing a
 # seed_seq Alternative", pcg-random.org, 2015), and NEP 19 freezes its output:
 # a pool of four 32-bit words, hashed and mixed with these constants.
@@ -315,12 +312,13 @@ def _localize_pair(cfg: ExperimentConfig, bs: AngularLocation, ue: AngularLocati
                    rngs) -> tuple:
     """Capture the BS/UE pair once per generator and localize the captures.
 
-    The captures are synthesized and localized as one stack with the
-    configured spectral settings and the per-record oracle policy.  Returns
-    (captures, outcomes): the (T, n_z, n_x) stack and, per capture, its
-    LocalizationResult or localization error.
+    The captures are synthesized by synthesize_trials and localized as one
+    stack with the configured spectral settings and the per-record oracle
+    policy.  Returns (captures, outcomes): the (T, n_z, n_x) stack and, per
+    capture, its LocalizationResult or localization error, which under the
+    oracle policy is NoPeak or AllCandidatesInfeasible.
     """
-    captures = _capture_stack(
+    captures = synthesize_trials(
         [Source.far_field(bs), Source.far_field(ue)], cfg.geometry, cfg.detector, rngs
     )
     outcomes = localize_trials(
@@ -351,14 +349,13 @@ def run_localization_grid(cfg: ExperimentConfig):
     vectorized pass, and each placement's generators are built from them
     when it runs.
     """
-    pairs = [(bs, ue) for bs in cfg.bs_locations for ue in cfg.ue_locations
-             if not _coincident(bs, ue)]
+    pairs = [(bs, ue) for bs in cfg.bs_locations for ue in cfg.ue_locations if bs != ue]
     records = []
     for (bs, ue), rngs in zip(pairs, _placement_generators(cfg.seed, range(len(pairs)),
                                                            cfg.trials)):
         _, outcomes = _localize_pair(cfg, bs, ue, rngs)
         for trial, result in enumerate(outcomes):
-            if isinstance(result, (NoPeak, AllCandidatesInfeasible)):
+            if isinstance(result, Exception):
                 records.append(
                     GridRecord(
                         bs=bs,
@@ -419,7 +416,7 @@ def gain_sweep(cfg: ExperimentConfig, phi_range_deg) -> list[SweepPoint]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateInterference)
             _, (result,) = _localize_pair(cfg, bs, ue, rngs)
-        if isinstance(result, (NoPeak, AllCandidatesInfeasible)):
+        if isinstance(result, Exception):
             points.append(SweepPoint(phi_deg=float(phi), status=type(result).__name__))
             continue
         est = result.chosen
@@ -453,9 +450,13 @@ def qam_ber(snr_db: float, modulation_order: int) -> float:
     snr_db is the symbol SNR Es/N0.  Enumerates, per in-phase axis level
     and bit position, the Gaussian probability mass of every decision
     interval whose Gray label differs, which converges to 0.5 as the SNR
-    vanishes and covers both axes by symmetry.
+    vanishes and covers both axes by symmetry.  Beyond +/-3000 dB, where
+    10**(snr_db/10) leaves the float range, it returns the limits the curve
+    has already reached exactly: 0 at high SNR and 0.5 at low SNR.
     """
     side = _check_modulation_order(modulation_order)
+    if abs(snr_db) > 3000.0:
+        return 0.0 if snr_db > 0 else 0.5
     bits = side.bit_length() - 1
     levels = np.arange(side) * 2.0 - (side - 1)
     gray = np.arange(side) ^ (np.arange(side) >> 1)
@@ -527,8 +528,6 @@ def showcase_three_samples(cfg: ExperimentConfig, out_dir) -> list[ShowcaseSampl
     link gain of the estimate-derived coding over the all-zero baseline is
     evaluated at the true user direction.
     """
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     placements = showcase_samples()
@@ -640,8 +639,6 @@ def write_manifest(
     Artifact paths are stored relative to the manifest directory and
     sorted, so reruns with identical inputs produce identical bytes.
     """
-    from pathlib import Path
-
     base = Path(path).parent
     lines = [
         _MANIFEST_MAGIC,

@@ -275,7 +275,9 @@ def synthesize_trials(
 ) -> np.ndarray:
     """Captures of one frequency tag, one per seed, shape (T, n_z, n_x).
 
-    Capture t is bit-identical to the values of
+    Each of seeds is anything np.random.default_rng takes: a seed, or a
+    Generator, which capture t then draws from as it is.  For a seed,
+    capture t is bit-identical to the values of
     synthesize_hologram(sources, geom, detector, seed=seeds[t]).  All
     sources must share one frequency tag.
     """

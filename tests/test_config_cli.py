@@ -623,6 +623,7 @@ def test_localize_overflowing_intensity_sum_exits_3(tmp_path, fixture_csv, capsy
 
 
 @pytest.mark.parametrize("flag, value", [
+    ("--zero-pad", "0"),
     ("--dc-guard", "-1"),
     ("--dc-guard", "-40"),
     ("--significance-threshold", "nan"),
@@ -634,7 +635,14 @@ def test_localize_overflowing_intensity_sum_exits_3(tmp_path, fixture_csv, capsy
 def test_localize_invalid_peak_parameters_exit_2(fixture_csv, capsys, flag, value):
     capsys.readouterr()
     assert main(["localize", fixture_csv, "--bs", "0,0", f"{flag}={value}"]) == 2
-    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("flag", ["--zero-pad=0", "--dc-guard=-1", "--significance-threshold=nan"])
+def test_localize_reads_the_hologram_before_the_peak_flags(tmp_path, flag):
+    assert main(["localize", str(tmp_path / "nope.csv"), "--bs", "0,0", flag]) == 3
 
 
 # ----------------------------------------------------------------- codegen
@@ -803,6 +811,43 @@ def test_experiment_other_suites(tmp_path):
     assert main(["experiment", "--suite", "showcase", "--config", cfg, "--quiet"]) == 0
     assert (tmp_path / "show_out" / "sample_1" / "hologram.csv").exists()
     assert (tmp_path / "show_out" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("suite, code, error", [
+    ("showcase", 4, "error=NoPeak: "),
+    ("grid", 2, "error=ValueError: need at least two successful records"),
+])
+def test_failed_suite_writes_a_failed_manifest_without_artifacts(tmp_path, suite, code, error):
+    # no spectral peak is 1e9 times its median, so every localization fails
+    cfg = experiment_config(tmp_path, extra={"localization": {"significance_threshold": 1e9}})
+    assert main(["experiment", "--suite", suite, "--config", cfg, "--quiet"]) == code
+    lines = (tmp_path / "run_out" / "manifest.txt").read_text().splitlines()
+    assert lines[1:3] == [f"suite={suite}", "status=FAILED"]
+    assert [line for line in lines if line.startswith("error=")][0].startswith(error)
+    assert not [line for line in lines if line.startswith("artifact=")]
+
+
+def test_experiment_ber_suite_beyond_the_float_range_exits_0(tmp_path):
+    # 4000 dB over the proxy grid takes 10**(snr_db/10) beyond the float range
+    cfg = write_config(tmp_path, {"experiment": {"ber_gain_db": 4000}})
+    out = tmp_path / "out"
+    assert main(["experiment", "--suite", "ber", "--config", cfg, "--output-dir", str(out),
+                 "--quiet"]) == 0
+    rows = (out / "ber_curves.csv").read_text().splitlines()[2:]
+    assert rows and all(row.endswith(",0.0") for row in rows)
+
+
+def test_experiment_empty_output_dir_flag_exits_2_before_writing(tmp_path, capsys):
+    cfg = experiment_config(tmp_path)
+    assert main(["experiment", "--suite", "ber", "--config", cfg, "--output-dir", ""]) == 2
+    assert capsys.readouterr().err == "error: --output-dir: expected a non-empty string\n"
+    assert not (tmp_path / "run_out").exists()
+    # a redirected run still records the configured directory
+    other = tmp_path / "other"
+    assert main(["experiment", "--suite", "ber", "--config", cfg, "--output-dir", str(other),
+                 "--quiet"]) == 0
+    assert f'"output_dir": {json.dumps(str(tmp_path / "run_out"))}' in (
+        other / "manifest.txt").read_text()
 
 
 def test_experiment_unknown_suite_exits_2(tmp_path, capsys):

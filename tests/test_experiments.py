@@ -305,6 +305,17 @@ def test_qam_ber_frozen_values():
     assert qam_ber(-40.0, 64) == pytest.approx(0.49883916678660184, rel=1e-12)
 
 
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_qam_ber_beyond_the_float_range_is_the_curve_limit(order):
+    # 10**(snr_db/10) overflows at +4000 dB and underflows to 0 at -4000 dB
+    for snr_db in (4000.0, math.inf):
+        assert qam_ber(snr_db, order) == 0.0
+        assert qam_ber(-snr_db, order) == 0.5
+    # the limits the computed curve already reaches exactly
+    assert qam_ber(3000.0, order) == 0.0
+    assert qam_ber(-3000.0, order) == 0.5
+
+
 def test_qam_ber_matches_quadrature_oracle():
     """Integrate the noise density over every mis-labeled decision region.
 
