@@ -21,6 +21,7 @@ from .geometry import (
     AngularLocation,
     ArrayGeometry,
     _frequency_grid,
+    _real,
     element_positions,
     unit_direction,
 )
@@ -43,7 +44,7 @@ class PhaseProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(_real("PhaseProfile values", self.values), dtype=float)
         if values.ndim != 2:
             raise ValueError("phase profile must be a 2D matrix")
         if not np.isfinite(values).all():
@@ -269,8 +270,8 @@ def pattern(
     theta_deg and phi_deg are read-only float64 copies of the two grids.
     """
     excitation = complex_field_at_array(bs_src, geom) * _reflection(coding, geom)
-    theta_grid_deg = np.asarray(theta_grid_deg, dtype=float)
-    phi_grid_deg = np.asarray(phi_grid_deg, dtype=float)
+    theta_grid_deg = np.asarray(_real("theta_grid_deg", theta_grid_deg), dtype=float)
+    phi_grid_deg = np.asarray(_real("phi_grid_deg", phi_grid_deg), dtype=float)
     for name, grid in (("theta_grid_deg", theta_grid_deg), ("phi_grid_deg", phi_grid_deg)):
         if grid.ndim != 1:  # the plan's key, the grid's bytes, drops its shape
             raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")

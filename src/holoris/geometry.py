@@ -46,10 +46,19 @@ def _check_integer(name: str, value, minimum: int) -> None:
 _MAX_ELEMENTS = int(np.iinfo(np.intp).max)
 
 
-def _check_elements(what: str, count: int) -> None:
+def _check_elements(what: str, count: float) -> None:
     """Raise ValueError unless numpy can index count elements."""
     if count > _MAX_ELEMENTS:
         raise ValueError(f"{what} must be at most {_MAX_ELEMENTS} elements")
+
+
+def _real(name: str, value) -> np.ndarray:
+    """value as an array; ValueError naming it if the array is complex, which
+    a conversion to float would only warn about while dropping its imaginary part."""
+    array = np.asarray(value)
+    if np.iscomplexobj(array):
+        raise ValueError(f"{name} must be real, got dtype {array.dtype}")
+    return array
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .geometry import (
     _check_elements,
     _frequency_grid,
     _is_int,
+    _real,
     angles_from_frequencies,
     angular_distance_deg,
     spatial_frequencies,
@@ -355,26 +356,22 @@ def localize_trials(
 ) -> list:
     """Localize every capture of a (T, n_z, n_x) intensity stack.
 
-    All captures share the geometry, the reference and the policy.  The
-    stack is validated once (finite, non-negative, a finite sum per capture,
-    trailing shape geom.shape) and transformed with one FFT call per axis.
-    Returns, in stack order, one LocalizationResult per capture, or the
-    localization error (NoPeak, AllCandidatesInfeasible, SectorEmpty,
-    SectorAmbiguous) localize would raise on it.
+    The one localization path: localize and multiuser_localize are this
+    call on their holograms' stack.  All captures share the geometry, the
+    reference and the policy.  The stack is validated once (real, finite,
+    non-negative, a finite sum per capture, trailing shape geom.shape;
+    ValueError otherwise, a complex stack included) and transformed with
+    one FFT call per axis.  Returns, in stack order, one LocalizationResult
+    per capture, or the localization error (NoPeak, AllCandidatesInfeasible,
+    SectorEmpty, SectorAmbiguous) localize would raise on it.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(_real("localize_trials values", values), dtype=float)
     if values.ndim != 3 or values.shape[1:] != geom.shape:
         raise ValueError(
             f"expected a (T, {geom.n_z}, {geom.n_x}) stack of captures, "
             f"got shape {values.shape}"
         )
-    return _localize_stack(values, _intensity_sums(values), geom, bs, zero_pad_factor,
-                           disambiguation, dc_guard, significance_threshold)
-
-
-def _localize_stack(values, totals, geom, bs, zero_pad_factor, disambiguation,
-                    dc_guard, significance_threshold) -> list:
-    """localize_trials on a checked stack whose per-capture sums are totals."""
+    totals = _intensity_sums(values)
     bs_freqs = spatial_frequencies(bs, geom)
     padded_shape = (zero_pad_factor * geom.n_z, zero_pad_factor * geom.n_x)
     mags = np.abs(_transform(values, zero_pad_factor, remove_mean=True))
@@ -439,14 +436,13 @@ def localize(
     frequency candidates, discards any that violate the propagating-wave
     bound, converts the rest to angles, and applies the disambiguation
     policy.  Raises NoPeak (no significant fringe energy) or
-    AllCandidatesInfeasible (both candidates evanescent).  The one-capture
-    case of localize_trials.
+    AllCandidatesInfeasible (both candidates evanescent).  It is
+    localize_trials on the one-capture stack of holo, raising the outcome
+    when it is an error; the stack's check repeats the Hologram's (~12 us
+    on a 32x32 capture).
     """
-    # A Hologram has checked its intensities; only the sum is still needed.
-    values = holo.values[np.newaxis]
-    out = _localize_stack(values, values.sum(axis=(-2, -1)), holo.geometry, bs,
-                          zero_pad_factor, disambiguation, dc_guard,
-                          significance_threshold)[0]
+    out = localize_trials(holo.values[np.newaxis], holo.geometry, bs, zero_pad_factor,
+                          disambiguation, dc_guard, significance_threshold)[0]
     if isinstance(out, Exception):
         raise out
     return out
@@ -524,11 +520,15 @@ def _clipped_axis(center: float, step: float, half_steps: int) -> np.ndarray:
 
     Only the range of k that can pass the clip is built, widened by a few
     steps for rounding; the clip is then the same float comparison on the
-    same values, so the axis is that of the whole range, clipped.
+    same values, so the axis is that of the whole range, clipped.  The
+    quotients and the slack are capped at half_steps + 1 steps, past which
+    k is at its bound anyway, so a tiny step's inf quotient reaches no
+    floor or ceil.
     """
-    slack = 2 + math.ceil(1e-12 / step)
-    lo = max(-half_steps, math.floor((-90.0 - center) / step) - slack)
-    hi = min(half_steps, math.ceil((90.0 - center) / step) + slack)
+    edge = half_steps + 1
+    slack = 2 + math.ceil(min(1e-12 / step, edge))
+    lo = max(-half_steps, math.floor(max((-90.0 - center) / step, -edge)) - slack)
+    hi = min(half_steps, math.ceil(min((90.0 - center) / step, edge)) + slack)
     axis = center + step * np.arange(lo, hi + 1)
     return axis[np.abs(axis) < 90.0]
 
@@ -552,7 +552,8 @@ def ml_refine(
     The grid is scored by _refine_objective, all at once and with no
     per-theta loop, and its maximum wins.  Ties go to the first grid point
     in (theta, phi) row-major order.  Raises ValueError unless both
-    search_halfwidth_deg and grid_step_deg are finite and > 0.
+    search_halfwidth_deg and grid_step_deg are finite and > 0, and for a
+    grid of more points than numpy can index.
     """
     if not all(math.isfinite(v) and v > 0 for v in (search_halfwidth_deg, grid_step_deg)):
         raise ValueError(
@@ -560,9 +561,13 @@ def ml_refine(
             f"{search_halfwidth_deg!r} and {grid_step_deg!r}"
         )
     # No offset beyond +-180 deg survives the |angle| < 90 clip, so a wider
-    # halfwidth gives the same grid.
-    half_steps = round(min(search_halfwidth_deg / grid_step_deg,
-                           math.ceil(180.0 / grid_step_deg)))
+    # halfwidth gives the same grid, of about min(2*ratio, cap) + 1 points
+    # per axis.  Either quotient may be inf; once the grid is bounded,
+    # min(ratio, cap) is finite, and min(ratio, ceil(cap)) is the same value.
+    ratio, cap = search_halfwidth_deg / grid_step_deg, 180.0 / grid_step_deg
+    per_axis = min(2.0 * ratio, cap) + 1.0
+    _check_elements("ml_refine's (theta, phi) grid", per_axis * per_axis)
+    half_steps = round(min(ratio, math.ceil(min(ratio, cap))))
     thetas = _clipped_axis(coarse.theta_deg, grid_step_deg, half_steps)
     phis = _clipped_axis(coarse.phi_deg, grid_step_deg, half_steps)
     explained = _refine_objective(holo, bs, thetas, phis)
@@ -676,9 +681,9 @@ def multiuser_localize(
     holograms: a mapping tag -> Hologram, or a sequence of Holograms keyed
     by their frequency_tag.  Each tag appears once and every hologram has
     one geometry (ValueError otherwise); the captures are localized as one
-    stack.  Returns a dict, in ascending tag order, mapping each tag to its
-    LocalizationResult or to the localization error localize would raise
-    on it; one degenerate tag never affects the others.
+    stack, by localize_trials.  Returns a dict, in ascending tag order,
+    mapping each tag to its LocalizationResult or to the localization error
+    localize would raise on it; one degenerate tag never affects the others.
     """
     if isinstance(holograms, Mapping):
         items = list(holograms.items())
@@ -692,8 +697,7 @@ def multiuser_localize(
     geometries = {h.geometry for _, h in items}
     if len(geometries) != 1:
         raise ValueError("multiuser_localize takes holograms of one geometry")
-    values = np.stack([h.values for _, h in items])
-    outcomes = _localize_stack(values, values.sum(axis=(-2, -1)), geometries.pop(), bs,
+    outcomes = localize_trials(np.stack([h.values for _, h in items]), geometries.pop(), bs,
                                zero_pad_factor, disambiguation, dc_guard,
                                significance_threshold)
     return {tag: outcome for (tag, _), outcome in zip(items, outcomes)}

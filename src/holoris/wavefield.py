@@ -24,6 +24,7 @@ from .geometry import (
     AngularLocation,
     ArrayGeometry,
     _check_integer,
+    _real,
     element_positions,
     spatial_frequencies,
 )
@@ -33,7 +34,7 @@ _HOLOGRAM_MAGIC = "# holoris-hologram v1"
 
 def _front_position(position) -> np.ndarray:
     """``position`` as a finite 3-vector in front of the panel (y > 0), meters."""
-    pos = np.asarray(position, dtype=float)
+    pos = np.asarray(_real("position", position), dtype=float)
     if pos.shape != (3,) or not np.isfinite(pos).all():
         raise ValueError(f"position must be a finite 3-vector, got {position!r}")
     if pos[1] <= 0:
@@ -145,9 +146,10 @@ class DetectorModel:
 class Hologram:
     """Captured intensity matrix for one frequency tag.
 
-    values is a read-only copy, so the checks made here hold for the
-    hologram's lifetime and its users need not repeat them.  frequency_tag
-    follows the rule of Source.frequency_tag.
+    values is a read-only float copy, so the checks made here hold for the
+    hologram's lifetime; a complex array is a ValueError, not a warning that
+    drops its imaginary part.  frequency_tag follows the rule of
+    Source.frequency_tag.
     """
 
     values: np.ndarray
@@ -156,7 +158,7 @@ class Hologram:
 
     def __post_init__(self):
         _check_integer("frequency_tag", self.frequency_tag, 0)
-        values = np.array(self.values, dtype=float)
+        values = np.array(_real("Hologram values", self.values), dtype=float)
         if values.shape != self.geometry.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match geometry "
@@ -226,9 +228,13 @@ def _capture_stack(tag_sources, geom: ArrayGeometry, detector: DetectorModel,
     """Intensities of one tag's sources, one capture per generator.
 
     Returns shape (T, n_z, n_x) for T generators.  The source fields are
-    computed once; each capture draws from its own generator, jitter scalar
-    first and then the noise matrix, so a capture depends only on its own
-    generator's state.
+    computed once and the whole stack is formed by broadcasting: the sum of
+    all fields but the last, plus the last times each capture's
+    exp(1j*jitter) (1 without jitter, which at most flips the sign of a
+    zero that abs erases).  The only loops are the draws: each capture
+    draws from its own generator, jitter scalar first and then the noise
+    matrix, so a capture depends only on its own generator's state.  AGC
+    scales each capture by ceiling/max, an all-zero capture by 1.
     """
     signatures = {_tag_signature(s, geom) for s in tag_sources}
     if len(signatures) == 1:
@@ -242,15 +248,11 @@ def _capture_stack(tag_sources, geom: ArrayGeometry, detector: DetectorModel,
     head = np.zeros(geom.shape, dtype=complex)
     for fld in fields[:-1]:
         head += fld
-    jitters = [
-        detector.phase_jitter_std * rng.standard_normal()
-        if detector.phase_jitter_std > 0 else 0.0
-        for rng in rngs
-    ]
-    total = np.empty((len(rngs), *geom.shape), dtype=complex)
-    for t, jitter in enumerate(jitters):
-        last = fields[-1] * np.exp(1j * jitter) if jitter != 0.0 else fields[-1]
-        np.add(head, last, out=total[t])
+    jitters = np.zeros(len(rngs))
+    if detector.phase_jitter_std > 0:
+        jitters[:] = [detector.phase_jitter_std * rng.standard_normal() for rng in rngs]
+    total = np.multiply(fields[-1], np.exp(1j * jitters)[:, np.newaxis, np.newaxis])
+    total += head
     intensity = np.abs(total)
     np.square(intensity, out=intensity)
     if detector.noise_std > 0:
@@ -262,8 +264,8 @@ def _capture_stack(tag_sources, geom: ArrayGeometry, detector: DetectorModel,
     np.clip(intensity, detector.floor, detector.ceiling, out=intensity)
     if detector.agc_enabled:
         peaks = intensity.max(axis=(1, 2))
-        for t in np.flatnonzero(peaks > 0):
-            intensity[t] *= detector.ceiling / peaks[t]
+        peaks[peaks == 0] = detector.ceiling
+        intensity *= (detector.ceiling / peaks)[:, np.newaxis, np.newaxis]
     return intensity
 
 

@@ -86,6 +86,12 @@ def test_quantize_rule_and_ties():
             quantize_1bit(PhaseProfile(values=np.full((2, 2), bad)))
 
 
+def test_phase_profile_rejects_complex_phases():
+    # the imaginary part of a phase would otherwise be dropped with a warning
+    with pytest.raises(ValueError, match="^PhaseProfile values must be real, got dtype complex128$"):
+        PhaseProfile(values=np.zeros((2, 2)) + 0.5j)
+
+
 def test_reciprocity_and_zero_profile_for_retroreflection():
     a = farfield_phase_profile(BS, UE, GEOM)
     b = farfield_phase_profile(UE, BS, GEOM)
@@ -438,7 +444,8 @@ GRID_VALUES = r"must hold at least one angle, each finite with \|angle\| < 90 de
     ([0.0, math.nan], GRID_VALUES),
     ([0.0, 120.0], GRID_VALUES),
     ([-90.0, 0.0], GRID_VALUES),
-], ids=["2-D", "empty", "scalar", "nan", "120", "-90"])
+    ([0.0, 10.0 + 1j], "must be real, got dtype complex128"),
+], ids=["2-D", "empty", "scalar", "nan", "120", "-90", "complex"])
 @pytest.mark.parametrize("name", ["theta_grid_deg", "phi_grid_deg"])
 def test_pattern_rejects_a_grid_it_cannot_evaluate(name, bad, message):
     grids = {"theta_grid_deg": [0.0, 10.0], "phi_grid_deg": [0.0, 30.0], name: bad}

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from holoris.errors import (
@@ -548,6 +548,13 @@ def test_localize_trials_validation():
         localize_trials(good, GEOM, bs, zero_pad_factor=0)
 
 
+def test_localize_trials_rejects_complex_values():
+    # np.ones + 1j would otherwise be localized as all 1.0, to NoPeak
+    with pytest.raises(ValueError,
+                       match="^localize_trials values must be real, got dtype complex128$"):
+        localize_trials(np.ones((1, 32, 32)) + 1j, GEOM, AngularLocation(0.0, 0.0))
+
+
 def test_overflowing_sums_and_bad_peak_parameters_are_rejected():
     bs = AngularLocation(0.0, 0.0)
     good = np.ones((2, 32, 32))
@@ -797,6 +804,22 @@ def test_ml_refine_validation():
         with pytest.raises(ValueError, match="must be finite and > 0"):
             ml_refine(holo, AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
                       grid_step_deg=bad)
+
+
+@pytest.mark.parametrize("halfwidth, step", [(5.0, 1e-308), (1e308, 1e-300), (1.0, 1e-10)])
+def test_ml_refine_rejects_a_grid_numpy_cannot_index(halfwidth, step):
+    # 180/step overflows to inf, or the grid's point count passes np.intp
+    with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most"):
+        ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
+                  search_halfwidth_deg=halfwidth, grid_step_deg=step)
+
+
+def test_ml_refine_with_a_step_whose_180_quotient_overflows():
+    # 180/step is inf, but the grid is 201 points per axis, each the coarse
+    # angle itself in float64 (0.5 + 1e-306 == 0.5)
+    coarse = AngularLocation(0.5, 30.0)
+    assert ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), coarse,
+                     search_halfwidth_deg=1e-306, grid_step_deg=1e-308) == coarse
 
 
 def test_ml_refine_halfwidth_beyond_180_searches_the_180_grid():
@@ -1125,6 +1148,52 @@ def test_multiuser_localize_validation():
     for mixed in ([holos[0], other], {0: holos[0], 1: other}):
         with pytest.raises(ValueError, match="one geometry"):
             multiuser_localize(mixed, bs)
+
+
+# ---------------------------------------------------------- pipeline accuracy
+
+@given(panel=st.sampled_from(((GEOM, 0), (GEOM, 1), (GEOM, 2), (PANEL_6X9, 0))),
+       bs=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+       ue=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+       amplitude=st.floats(0.3, 3.0), pad=st.sampled_from([1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_noiseless_oracle_estimate_is_within_a_padded_bin_of_the_truth(panel, bs, ue, amplitude,
+                                                                       pad):
+    """A noiseless two-source capture gives an oracle estimate whose fringe
+    frequency is within one padded bin of the truth per axis, and within half
+    a bin on an axis where the tone lies within a quarter bin of a bin centre
+    (the conjugate twin's leakage can move the peak just past half a bin).
+
+    The placement is one whose tone lies beyond the DC guard, and whose
+    truth lies far enough inside the propagating disk that every candidate
+    within a padded bin per axis is feasible.  No significance threshold
+    applies: it decides whether there is a peak, not where it is.
+    """
+    geom, guard = panel
+    bs, ue = AngularLocation(*bs), AngularLocation(*ue)
+    padded = (pad * geom.n_z, pad * geom.n_x)
+    bs_f, ue_f = spatial_frequencies(bs, geom), spatial_frequencies(ue, geom)
+    # The tone in padded bins; the fringe is ue - bs, so its error is the estimate's.
+    tone = [(u - b) * m / (2 * math.pi)
+            for u, b, m in zip((ue_f.omega_z, ue_f.omega_x), (bs_f.omega_z, bs_f.omega_x), padded)]
+    assume(max(abs(t) for t in tone) > guard + 1)
+    # The truth's direction cosines, each moved a padded bin outward, inside
+    # the propagating disk u_z**2 + u_x**2 <= 1.
+    lam = geom.wavelength_m
+    reach = [abs(w) * lam / (2 * math.pi * d) + lam / (m * d)
+             for w, d, m in zip((ue_f.omega_z, ue_f.omega_x), (geom.d_z_m, geom.d_x_m), padded)]
+    assume(math.hypot(*reach) < 1.0)
+    holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue, amplitude=amplitude)],
+                               geom)[0]
+    est = localize(holo, bs, zero_pad_factor=pad, dc_guard=guard, significance_threshold=0.0,
+                   disambiguation=OraclePolicy(truth=ue)).chosen
+    est_f = spatial_frequencies(est, geom)
+    for t, e, w, m in zip(tone, (est_f.omega_z, est_f.omega_x), (ue_f.omega_z, ue_f.omega_x),
+                          padded):
+        error = abs(regulate(e - w)) * m / (2 * math.pi)
+        assert error <= 1.0 + 1e-9
+        if abs(t - round(t)) <= 0.25:
+            assert error <= 0.5 + 1e-9
 
 
 # ---------------------------------------------------------- pipeline order

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoris.errors import DegenerateInterference, FileFormatError
 from holoris.geometry import (
@@ -18,6 +20,7 @@ from holoris.wavefield import (
     DetectorModel,
     Hologram,
     Source,
+    _capture_stack,
     complex_field_at_array,
     read_hologram_csv,
     synthesize_hologram,
@@ -199,6 +202,90 @@ def test_synthesize_trials_matches_synthesize_hologram(detector, geom):
         assert capture.tobytes() == reference_capture(srcs, geom, detector, seed).tobytes()
 
 
+def loop_capture_stack(tag_sources, geom, detector, rngs):
+    """_capture_stack as a loop over the captures: the jitter applied to
+    the last field only when non-zero, each capture added into its own row,
+    AGC scaling only the captures whose maximum is positive."""
+    fields = [complex_field_at_array(s, geom) for s in tag_sources]
+    head = np.zeros(geom.shape, dtype=complex)
+    for fld in fields[:-1]:
+        head += fld
+    jitters = [
+        detector.phase_jitter_std * rng.standard_normal()
+        if detector.phase_jitter_std > 0 else 0.0
+        for rng in rngs
+    ]
+    total = np.empty((len(rngs), *geom.shape), dtype=complex)
+    for t, jitter in enumerate(jitters):
+        last = fields[-1] * np.exp(1j * jitter) if jitter != 0.0 else fields[-1]
+        np.add(head, last, out=total[t])
+    intensity = np.abs(total)
+    np.square(intensity, out=intensity)
+    if detector.noise_std > 0:
+        noise = np.empty_like(intensity)
+        for rng, out in zip(rngs, noise):
+            rng.standard_normal(out=out)
+        noise *= detector.noise_std
+        intensity += noise
+    np.clip(intensity, detector.floor, detector.ceiling, out=intensity)
+    if detector.agc_enabled:
+        peaks = intensity.max(axis=(1, 2))
+        for t in np.flatnonzero(peaks > 0):
+            intensity[t] *= detector.ceiling / peaks[t]
+    return intensity
+
+
+STACK_PANELS = st.sampled_from([GEOM, ArrayGeometry(n_z=5, n_x=7, d_z_m=0.02, d_x_m=0.02,
+                                                     f_c_hz=3_500_000_000),
+                                ArrayGeometry(n_z=1, n_x=3, d_z_m=0.05, d_x_m=0.01,
+                                              f_c_hz=2_400_000_000)])
+ANGLES = st.floats(-89.0, 89.0)
+AMPLITUDES = st.one_of(st.just(0.0), st.floats(0.1, 3.0))
+PHASES = st.floats(-math.pi, math.pi)
+STACK_SOURCES = st.one_of(
+    st.builds(Source.far_field, st.builds(AngularLocation, ANGLES, ANGLES), AMPLITUDES, PHASES),
+    st.builds(Source.near_field, st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 3.0),
+                                           st.floats(-2.0, 2.0)), AMPLITUDES, PHASES),
+)
+
+
+@st.composite
+def stack_detectors(draw):
+    """Detectors with and without noise and jitter, AGC on and off, each with
+    a floor and a ceiling (finite when AGC is on)."""
+    floor = draw(st.sampled_from([0.0, 0.3, 2.0]))
+    agc = draw(st.booleans())
+    ceilings = [floor + 0.5, floor + 8.0] if agc else [floor + 0.5, math.inf]
+    return DetectorModel(noise_std=draw(st.sampled_from([0.0, 0.4, 5.0])), floor=floor,
+                         ceiling=draw(st.sampled_from(ceilings)), agc_enabled=agc,
+                         phase_jitter_std=draw(st.sampled_from([0.0, 0.05, 2.0])))
+
+
+@given(geom=STACK_PANELS, sources=st.lists(STACK_SOURCES, min_size=1, max_size=4),
+       detector=stack_detectors(),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_capture_stack_equals_the_per_capture_loop(geom, sources, detector, seeds):
+    """The broadcast stack is bit for bit the per-capture loop, for every
+    generator count, with or without jitter, noise and AGC."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInterference)
+        got = _capture_stack(sources, geom, detector,
+                             [np.random.default_rng(s) for s in seeds])
+        want = loop_capture_stack(sources, geom, detector,
+                                  [np.random.default_rng(s) for s in seeds])
+    assert got.shape == (len(seeds), *geom.shape)
+    assert np.array_equal(got, want)
+
+
+def test_capture_stack_agc_leaves_an_all_zero_capture_zero():
+    dark = [Source.far_field(AngularLocation(0.0, 0.0), amplitude=0.0),
+            Source.far_field(AngularLocation(0.0, 30.0), amplitude=0.0)]
+    det = DetectorModel(ceiling=2.0, agc_enabled=True)
+    stack = _capture_stack(dark, GEOM, det, [np.random.default_rng(s) for s in range(3)])
+    assert stack.shape == (3, *GEOM.shape) and not stack.any()
+
+
 def test_synthesize_trials_validation():
     pair = [Source.far_field(AngularLocation(0.0, 0.0)),
             Source.far_field(AngularLocation(0.0, 30.0))]
@@ -330,6 +417,12 @@ def test_hologram_csv_rejects_corruption(tmp_path):
     bad3.write_text("\n".join(broken) + "\n")
     with pytest.raises(FileFormatError):
         read_hologram_csv(bad3)
+
+
+def test_hologram_rejects_complex_values():
+    # np.ones + 1j would otherwise be accepted as all 1.0, with a warning
+    with pytest.raises(ValueError, match="^Hologram values must be real, got dtype complex128$"):
+        Hologram(values=np.ones(GEOM.shape) + 1j, geometry=GEOM)
 
 
 def test_hologram_shape_validation():
@@ -466,6 +559,12 @@ def test_detector_rejects_non_finite_values(field, bad):
 def test_near_field_source_rejects_non_finite_position(position):
     with pytest.raises(ValueError, match="finite 3-vector"):
         Source.near_field(position)
+
+
+def test_near_field_position_rejects_complex_coordinates():
+    # y = 2 + 1j would otherwise be kept as y = 2.0, with a warning
+    with pytest.raises(ValueError, match="^position must be real, got dtype complex128$"):
+        Source.near_field(np.array([0.1, 2 + 1j, 0.3]))
 
 
 def test_field_amplitude_attenuates_beyond_reference_range():
