@@ -63,10 +63,10 @@ class CodingMatrix:
     states: np.ndarray
 
     def __post_init__(self):
-        states = np.asarray(self.states)
+        states = _real("CodingMatrix states", self.states)
         if states.ndim != 2 or states.size == 0:
             raise ValueError("coding matrix must be 2D and non-empty")
-        if not np.isin(states, (0, 1)).all():
+        if not ((states == 0) | (states == 1)).all():
             raise ValueError("states must be 0 or 1")
         states = states.astype(np.int8)
         states.flags.writeable = False

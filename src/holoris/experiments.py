@@ -403,9 +403,10 @@ def gain_sweep(cfg: ExperimentConfig, phi_range_deg) -> list[SweepPoint]:
     For each azimuth a fresh hologram is captured, the user localized, a
     1-bit far-field coding generated from the estimate (never the truth),
     and the link gain over the all-zero baseline evaluated at the true
-    user direction.  The gain of the truth-derived coding is kept for
-    comparison.  Degenerate azimuths (user at the reference direction) are
-    flagged and skipped, not fatal.
+    user direction.  The estimate's twin, though, is picked by the truth:
+    OraclePolicy(truth=ue), as in every suite.  The gain of the
+    truth-derived coding is kept for comparison.  Degenerate azimuths (user
+    at the reference direction) are flagged and skipped, not fatal.
     """
     bs = cfg.bs_locations[0]
     bs_src = Source.far_field(bs)

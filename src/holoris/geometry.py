@@ -52,6 +52,11 @@ def _check_elements(what: str, count: float) -> None:
         raise ValueError(f"{what} must be at most {_MAX_ELEMENTS} elements")
 
 
+# The most bytes one computation's work arrays may take, so that a size numpy
+# can index but memory cannot hold is refused before anything is allocated.
+_MAX_BYTES = 2**31
+
+
 def _real(name: str, value) -> np.ndarray:
     """value as an array; ValueError naming it if the array is complex, which
     a conversion to float would only warn about while dropping its imaginary part."""

@@ -32,6 +32,7 @@ from .geometry import (
     AngularLocation,
     ArrayGeometry,
     SpatialFrequencyPair,
+    _MAX_BYTES,
     _check_elements,
     _frequency_grid,
     _is_int,
@@ -515,24 +516,6 @@ def _geometric_sum(z: np.ndarray, z_n: np.ndarray, n: int, out: np.ndarray) -> n
     return out
 
 
-def _clipped_axis(center: float, step: float, half_steps: int) -> np.ndarray:
-    """center + step*k for the integers |k| <= half_steps with |angle| < 90.
-
-    Only the range of k that can pass the clip is built, widened by a few
-    steps for rounding; the clip is then the same float comparison on the
-    same values, so the axis is that of the whole range, clipped.  The
-    quotients and the slack are capped at half_steps + 1 steps, past which
-    k is at its bound anyway, so a tiny step's inf quotient reaches no
-    floor or ceil.
-    """
-    edge = half_steps + 1
-    slack = 2 + math.ceil(min(1e-12 / step, edge))
-    lo = max(-half_steps, math.floor(max((-90.0 - center) / step, -edge)) - slack)
-    hi = min(half_steps, math.ceil(min((90.0 - center) / step, edge)) + slack)
-    axis = center + step * np.arange(lo, hi + 1)
-    return axis[np.abs(axis) < 90.0]
-
-
 def ml_refine(
     holo: Hologram,
     bs: AngularLocation,
@@ -552,8 +535,8 @@ def ml_refine(
     The grid is scored by _refine_objective, all at once and with no
     per-theta loop, and its maximum wins.  Ties go to the first grid point
     in (theta, phi) row-major order.  Raises ValueError unless both
-    search_halfwidth_deg and grid_step_deg are finite and > 0, and for a
-    grid of more points than numpy can index.
+    search_halfwidth_deg and grid_step_deg are finite and > 0, and, before
+    any array is built, for a grid whose work arrays pass _MAX_BYTES.
     """
     if not all(math.isfinite(v) and v > 0 for v in (search_halfwidth_deg, grid_step_deg)):
         raise ValueError(
@@ -566,10 +549,15 @@ def ml_refine(
     # min(ratio, cap) is finite, and min(ratio, ceil(cap)) is the same value.
     ratio, cap = search_halfwidth_deg / grid_step_deg, 180.0 / grid_step_deg
     per_axis = min(2.0 * ratio, cap) + 1.0
-    _check_elements("ml_refine's (theta, phi) grid", per_axis * per_axis)
+    if per_axis * per_axis * _REFINE_POINT_BYTES > _MAX_BYTES:
+        raise ValueError(
+            f"ml_refine's (theta, phi) grid must be at most {_MAX_BYTES} bytes "
+            f"at {_REFINE_POINT_BYTES} bytes a point, got {per_axis:.0f} points per axis"
+        )
     half_steps = round(min(ratio, math.ceil(min(ratio, cap))))
-    thetas = _clipped_axis(coarse.theta_deg, grid_step_deg, half_steps)
-    phis = _clipped_axis(coarse.phi_deg, grid_step_deg, half_steps)
+    offsets = grid_step_deg * np.arange(-half_steps, half_steps + 1)
+    thetas, phis = (axis[np.abs(axis) < 90.0]
+                    for axis in (coarse.theta_deg + offsets, coarse.phi_deg + offsets))
     explained = _refine_objective(holo, bs, thetas, phis)
     a, p = np.unravel_index(int(np.argmax(explained)), explained.shape)
     return AngularLocation(theta_deg=float(thetas[a]), phi_deg=float(phis[p]))
@@ -579,6 +567,11 @@ def _halves(a: np.ndarray) -> np.ndarray:
     """The memory of a C-contiguous complex (T, P) array as two contiguous
     float64 (T, P) arrays, stacked as (2, T, P); writing them overwrites a."""
     return a.view(np.float64).reshape((2,) + a.shape)
+
+
+# The bytes a grid point takes in _refine_objective's work arrays: five
+# complex (T, P) arrays and the float grid of -dx.
+_REFINE_POINT_BYTES = 5 * 16 + 8
 
 
 def _refine_objective(holo: Hologram, bs: AngularLocation, thetas: np.ndarray,

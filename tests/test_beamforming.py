@@ -501,3 +501,10 @@ def test_coding_matrix_validation():
         coding.states[0, 0] = 2
     given[0, 0] = 1
     assert not coding.states.any()
+
+
+def test_coding_matrix_rejects_complex_states():
+    # 0 and 1 with imaginary parts 0 would pass the 0/1 check and warn in the
+    # conversion to int8
+    with pytest.raises(ValueError, match="^CodingMatrix states must be real, got dtype complex128$"):
+        CodingMatrix(states=np.ones((2, 2)) + 0j)

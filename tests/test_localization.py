@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from holoris import localization
 from holoris.errors import (
     AllCandidatesInfeasible,
     DegenerateInterference,
@@ -34,7 +35,6 @@ from holoris.localization import (
     OraclePolicy,
     SectorPolicy,
     Spectrum,
-    _clipped_axis,
     _geometric_sum,
     _guard_complement,
     _horner,
@@ -814,6 +814,42 @@ def test_ml_refine_rejects_a_grid_numpy_cannot_index(halfwidth, step):
                   search_halfwidth_deg=halfwidth, grid_step_deg=step)
 
 
+@pytest.mark.parametrize("step", [1e-3, 1e-5])
+def test_ml_refine_rejects_a_grid_memory_cannot_hold(monkeypatch, step):
+    # At the default +-5 deg these steps ask for 1e8 and 1e12 grid points,
+    # ~8.8 GB and ~88 TB of work arrays, which numpy could index.  Should
+    # the check let one through, reaching the objective fails before its
+    # work arrays are built.
+    def reached(*args):
+        raise AssertionError("the grid reached _refine_objective")
+    monkeypatch.setattr(localization, "_refine_objective", reached)
+    with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most"):
+        ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
+                  grid_step_deg=step)
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-5])
+def test_ml_refine_rejects_a_grid_over_a_lowered_budget(monkeypatch, step):
+    # The same steps over +-50 steps: 101**2 points at 88 bytes, ~0.9 MB,
+    # against a budget of 2**19 bytes.  A broken check computes this small
+    # grid, never an oversized one.
+    monkeypatch.setattr(localization, "_MAX_BYTES", 2**19)
+    with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most 524288 "):
+        ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
+                  search_halfwidth_deg=50 * step, grid_step_deg=step)
+
+
+def test_ml_refine_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
+    # +-25 deg in steps of 0.5 is exactly 101 points per axis: 897,688 bytes.
+    holo, bs, coarse = fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0)
+    want = ml_refine(holo, bs, coarse, search_halfwidth_deg=25.0, grid_step_deg=0.5)
+    monkeypatch.setattr(localization, "_MAX_BYTES", 101 * 101 * 88)
+    assert ml_refine(holo, bs, coarse, search_halfwidth_deg=25.0, grid_step_deg=0.5) == want
+    monkeypatch.setattr(localization, "_MAX_BYTES", 101 * 101 * 88 - 1)
+    with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most"):
+        ml_refine(holo, bs, coarse, search_halfwidth_deg=25.0, grid_step_deg=0.5)
+
+
 def test_ml_refine_with_a_step_whose_180_quotient_overflows():
     # 180/step is inf, but the grid is 201 points per axis, each the coarse
     # angle itself in float64 (0.5 + 1e-306 == 0.5)
@@ -838,23 +874,13 @@ def test_ml_refine_halfwidth_beyond_180_searches_the_180_grid():
      ("0x1.c199999999998p+5", "0x1.2333333333334p+5")),
 ])
 def test_ml_refine_near_90_with_huge_halfwidth_keeps_its_grid(bs, ue, coarse, want):
-    # Only the offsets that can pass the |angle| < 90 clip are built; the
-    # result is the one of building all 2*half_steps+1 and clipping them,
-    # written here as float.hex.
+    # The grid is all 2*half_steps+1 offsets, clipped at |angle| < 90; the
+    # result is written here as float.hex.
     bs, ue, coarse = AngularLocation(*bs), AngularLocation(*ue), AngularLocation(*coarse)
     holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)], PANEL_6X9,
                                DetectorModel(noise_std=0.3), seed=4)[0]
     fine = ml_refine(holo, bs, coarse, search_halfwidth_deg=1e300, grid_step_deg=0.7)
     assert (fine.theta_deg.hex(), fine.phi_deg.hex()) == want
-
-
-@given(center=st.floats(-90.0, 90.0), step=st.floats(1e-3, 400.0),
-       half_steps=st.integers(0, 3000))
-@settings(max_examples=300, deadline=None)
-def test_clipped_axis_is_the_whole_range_clipped(center, step, half_steps):
-    whole = center + step * (np.arange(2 * half_steps + 1) - half_steps)
-    want = whole[np.abs(whole) < 90.0]
-    assert _clipped_axis(center, step, half_steps).tobytes() == want.tobytes()
 
 
 # Offsets from a multiple of 2*pi, down to where 1 - z vanishes in float64.
@@ -1064,8 +1090,9 @@ def test_refine_objective_is_the_out_of_place_expression_bit_for_bit(data, panel
     wants = []
     for holo, bs, coarse, halfwidth, step, target in cases:
         half_steps = round(min(halfwidth / step, math.ceil(180.0 / step)))
-        thetas = _clipped_axis(coarse.theta_deg, step, half_steps)
-        phis = _clipped_axis(coarse.phi_deg, step, half_steps)
+        offsets = step * (np.arange(2 * half_steps + 1) - half_steps)
+        thetas, phis = (axis[np.abs(axis) < 90.0]
+                        for axis in (coarse.theta_deg + offsets, coarse.phi_deg + offsets))
         want, dx = out_of_place_objective(holo, bs, thetas, phis)
         if target is not None:
             # The coarse point is on the grid, so the grid takes the branch.
@@ -1152,6 +1179,24 @@ def test_multiuser_localize_validation():
 
 # ---------------------------------------------------------- pipeline accuracy
 
+def _tone_bins(geom, bs, ue, pad):
+    """The fringe frequency ue - bs per axis (z, x), in bins of the pad-times
+    padded transform."""
+    bs_f, ue_f = spatial_frequencies(bs, geom), spatial_frequencies(ue, geom)
+    return [(u - b) * (pad * n) / (2 * math.pi)
+            for u, b, n in zip((ue_f.omega_z, ue_f.omega_x), (bs_f.omega_z, bs_f.omega_x),
+                               geom.shape)]
+
+
+def _error_bins(geom, ue, est, pad):
+    """The estimate's frequency error per axis (z, x), in padded bins; the
+    fringe is ue - bs, so its error is the estimate's."""
+    ue_f, est_f = spatial_frequencies(ue, geom), spatial_frequencies(est, geom)
+    return [abs(regulate(e - u)) * (pad * n) / (2 * math.pi)
+            for e, u, n in zip((est_f.omega_z, est_f.omega_x), (ue_f.omega_z, ue_f.omega_x),
+                               geom.shape)]
+
+
 @given(panel=st.sampled_from(((GEOM, 0), (GEOM, 1), (GEOM, 2), (PANEL_6X9, 0))),
        bs=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
        ue=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
@@ -1160,9 +1205,19 @@ def test_multiuser_localize_validation():
 def test_noiseless_oracle_estimate_is_within_a_padded_bin_of_the_truth(panel, bs, ue, amplitude,
                                                                        pad):
     """A noiseless two-source capture gives an oracle estimate whose fringe
-    frequency is within one padded bin of the truth per axis, and within half
-    a bin on an axis where the tone lies within a quarter bin of a bin centre
-    (the conjugate twin's leakage can move the peak just past half a bin).
+    frequency is within one padded bin of the truth per axis.  It is within
+    half a bin on an axis where the tone lies within a quarter bin of a bin
+    centre, if on some axis the tone lies at least two unpadded bins
+    (2*pad padded bins) from both DC and the Nyquist frequency.
+
+    That second condition is on the input, and has a reason: the capture
+    also holds the conjugate twin at -tone, which lies 2*|tone| from the
+    tone around the circle of the transform, so close to the tone when the
+    tone is near DC or Nyquist.  Through the aperture's sidelobes the twin
+    adds to the tone's bins, and on a small panel it can move the peak
+    just past half a bin, to where the spectrum has its maximum (see the
+    explicit-DFT test below).  Random draws put such failures within 1.41
+    unpadded bins of DC or Nyquist on both axes, none at two or more.
 
     The placement is one whose tone lies beyond the DC guard, and whose
     truth lies far enough inside the propagating disk that every candidate
@@ -1172,10 +1227,8 @@ def test_noiseless_oracle_estimate_is_within_a_padded_bin_of_the_truth(panel, bs
     geom, guard = panel
     bs, ue = AngularLocation(*bs), AngularLocation(*ue)
     padded = (pad * geom.n_z, pad * geom.n_x)
-    bs_f, ue_f = spatial_frequencies(bs, geom), spatial_frequencies(ue, geom)
-    # The tone in padded bins; the fringe is ue - bs, so its error is the estimate's.
-    tone = [(u - b) * m / (2 * math.pi)
-            for u, b, m in zip((ue_f.omega_z, ue_f.omega_x), (bs_f.omega_z, bs_f.omega_x), padded)]
+    ue_f = spatial_frequencies(ue, geom)
+    tone = _tone_bins(geom, bs, ue, pad)
     assume(max(abs(t) for t in tone) > guard + 1)
     # The truth's direction cosines, each moved a padded bin outward, inside
     # the propagating disk u_z**2 + u_x**2 <= 1.
@@ -1187,13 +1240,33 @@ def test_noiseless_oracle_estimate_is_within_a_padded_bin_of_the_truth(panel, bs
                                geom)[0]
     est = localize(holo, bs, zero_pad_factor=pad, dc_guard=guard, significance_threshold=0.0,
                    disambiguation=OraclePolicy(truth=ue)).chosen
-    est_f = spatial_frequencies(est, geom)
-    for t, e, w, m in zip(tone, (est_f.omega_z, est_f.omega_x), (ue_f.omega_z, ue_f.omega_x),
-                          padded):
-        error = abs(regulate(e - w)) * m / (2 * math.pi)
+    # Per axis, the tone's distance from the nearer of DC and Nyquist.
+    clear = max(min(abs(t) % (m / 2), m / 2 - abs(t) % (m / 2)) for t, m in zip(tone, padded))
+    for t, error in zip(tone, _error_bins(geom, ue, est, pad)):
         assert error <= 1.0 + 1e-9
-        if abs(t - round(t)) <= 0.25:
+        if abs(t - round(t)) <= 0.25 and clear >= 2 * pad:
             assert error <= 0.5 + 1e-9
+
+
+def test_a_tone_near_dc_peaks_where_the_explicit_dft_does():
+    """On the 6x9 panel at pad 2, an x tone 1.23 padded bins out (0.23 from
+    a bin centre) is estimated 0.77 bin off, with the z tone at 0.63 bin:
+    both lie within two unpadded bins of DC.  The peak is where an explicit
+    matrix DFT of the mean-removed capture has its maximum, so the twin
+    moves it, not the program."""
+    bs, ue = AngularLocation(0.0, -12.5), AngularLocation(-13.0, 1.0)
+    holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)], PANEL_6X9)[0]
+    res = localize(holo, bs, zero_pad_factor=2, dc_guard=0, significance_threshold=0.0,
+                   disambiguation=OraclePolicy(truth=ue))
+    tone, error = _tone_bins(PANEL_6X9, bs, ue, 2), _error_bins(PANEL_6X9, ue, res.chosen, 2)
+    assert np.round(tone + error, 2).tolist() == [0.63, 1.23, 0.37, 0.77]
+    (n_z, n_x), (m_z, m_x) = PANEL_6X9.shape, (12, 18)
+    centred = holo.values - holo.values.mean()
+    dft_z = np.exp(-2j * math.pi * np.outer(np.arange(m_z // 2 + 1), np.arange(n_z)) / m_z)
+    dft_x = np.exp(-2j * math.pi * np.outer(np.arange(n_x), np.arange(m_x)) / m_x)
+    mags = np.abs(dft_z @ centred @ dft_x)  # the half spectrum, rows k <= m_z // 2
+    peak = np.unravel_index(int(np.argmax(mags)), mags.shape)
+    assert res.peak_bin == (peak[0] + 1, peak[1] + 1) == (2, 3)
 
 
 # ---------------------------------------------------------- pipeline order
