@@ -20,6 +20,7 @@ import numpy as np
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
+    _check_bytes,
     _frequency_grid,
     _real,
     element_positions,
@@ -35,6 +36,7 @@ from .wavefield import (
 )
 
 _CODING_MAGIC = "# holoris-coding v1"
+_PATTERN_BYTES = 16 + 16 + 8 + 8  # pattern's complex z_x and Horner sum, float |sum| and power
 
 
 @dataclass(frozen=True)
@@ -227,8 +229,9 @@ def _pattern_plan(
     grid's frequencies w_z (T,) and w_x (T, P); both are read-only, as every
     call on the grid shares them.  A plan holds 16*T*(n_z + P) bytes, and
     the cache at most 8 plans.  Raises ValueError naming the grid unless it
-    holds at least one angle and each is finite with |angle| < 90, so a grid
-    is checked once per plan.
+    holds at least one angle and each is finite with |angle| < 90, and, before
+    any exp, unless _check_bytes admits T*(P + n_z + n_x) points at
+    _PATTERN_BYTES each, so a grid is checked once per plan.
     """
     theta, phi = np.frombuffer(theta_key), np.frombuffer(phi_key)
     for name, grid in (("theta_grid_deg", theta), ("phi_grid_deg", phi)):
@@ -236,6 +239,7 @@ def _pattern_plan(
             raise ValueError(
                 f"{name} must hold at least one angle, each finite with |angle| < 90 deg"
             )
+    _check_bytes("pattern's grid", theta.size * (phi.size + geom.n_z + geom.n_x), _PATTERN_BYTES)
     w_z, w_x = _frequency_grid(theta, phi, geom)
     e_z = np.exp(1j * np.outer(w_z, np.arange(geom.n_z)))
     z_x = np.exp(1j * w_x)

@@ -29,7 +29,8 @@ class RunConfig:
 
     ``experiment`` is the ExperimentConfig the suites take: the geometry,
     detector, localization section and the suite keys of the experiment
-    section.  The other fields are what single commands need beside it.
+    section.  The other fields are what single commands need beside it; each
+    gain_phi_deg azimuth is a user direction at theta 0, an AngularLocation.
     """
 
     experiment: ExperimentConfig
@@ -41,6 +42,8 @@ class RunConfig:
     ber_modulation_order: int = 64
 
     def __post_init__(self):
+        for phi in self.gain_phi_deg:
+            AngularLocation(0.0, phi)
         _check_modulation_order(self.ber_modulation_order)
 
 

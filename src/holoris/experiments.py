@@ -29,7 +29,6 @@ from .errors import DegenerateInterference
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
-    _check_elements,
     _is_int,
     angular_distance_deg,
     default_geometry,
@@ -101,8 +100,9 @@ CALIBRATED_SIGNIFICANCE_THRESHOLD = 2.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Placement grids, imperfections, and reproducibility knobs: trials >= 1,
-    seed >= 0 and the spectral settings are checked on construction."""
+    """Placement grids, imperfections, and reproducibility knobs, checked on construction:
+    trials >= 1, seed >= 0, and the spectral settings of a stack of trials captures,
+    whose size rule is the tightest a run meets."""
 
     geometry: ArrayGeometry = field(default_factory=default_geometry)
     detector: DetectorModel = field(default_factory=DetectorModel.ideal)
@@ -123,9 +123,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        _check_spectral_settings(self.geometry.shape, self.zero_pad_factor, self.dc_guard,
-                                 self.significance_threshold)
-        _check_elements("trials*n_z*n_x", self.trials * math.prod(self.geometry.shape))
+        _check_spectral_settings((self.trials, *self.geometry.shape), self.zero_pad_factor,
+                                 self.dc_guard, self.significance_threshold)
 
 
 @dataclass(frozen=True)

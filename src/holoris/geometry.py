@@ -42,26 +42,24 @@ def _check_integer(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} is too large to convert to a float") from None
 
 
-# The most elements numpy, which indexes with np.intp, can index.
-_MAX_ELEMENTS = int(np.iinfo(np.intp).max)
-
-
-def _check_elements(what: str, count: float) -> None:
-    """Raise ValueError unless numpy can index count elements."""
-    if count > _MAX_ELEMENTS:
-        raise ValueError(f"{what} must be at most {_MAX_ELEMENTS} elements")
-
-
-# The most bytes one computation's work arrays may take, so that a size numpy
-# can index but memory cannot hold is refused before anything is allocated.
+# The most bytes one computation's work arrays may take, so that a size memory
+# cannot hold is refused before anything is allocated.
 _MAX_BYTES = 2**31
+_POSITION_BYTES = 3 * 8  # element_positions' float64 (n_z, n_x, 3): a panel's largest array
+
+
+def _check_bytes(what: str, count, item_bytes: int) -> None:
+    """The one size rule: ValueError unless count items of item_bytes bytes fit _MAX_BYTES."""
+    if count * item_bytes > _MAX_BYTES:
+        raise ValueError(f"{what} must be at most {_MAX_BYTES} bytes at {item_bytes} bytes each")
 
 
 def _real(name: str, value) -> np.ndarray:
-    """value as an array; ValueError naming it if the array is complex, which
-    a conversion to float would only warn about while dropping its imaginary part."""
+    """value as an array; ValueError naming it if the array is complex, or of object dtype
+    holding a complex value, which a conversion to float would drop or raise TypeError on."""
     array = np.asarray(value)
-    if np.iscomplexobj(array):
+    if np.iscomplexobj(array) or (array.dtype == object and any(
+            isinstance(v, (complex, np.complexfloating)) for v in array.flat)):
         raise ValueError(f"{name} must be real, got dtype {array.dtype}")
     return array
 
@@ -92,7 +90,7 @@ class ArrayGeometry:
     n_z rows spaced d_z_m apart along z, n_x columns spaced d_x_m along x.
     The carrier f_c_hz fixes the wavelength used by every phase computation.
     n_z, n_x and f_c_hz are integers >= 1 that convert to a float, with
-    n_z*n_x elements numpy can index; the pitches are finite and > 0.
+    n_z*n_x elements held to _check_bytes; the pitches are finite and > 0.
     """
 
     n_z: int
@@ -106,7 +104,7 @@ class ArrayGeometry:
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        _check_elements("n_z*n_x", self.n_z * self.n_x)
+        _check_bytes("n_z*n_x", self.n_z * self.n_x, _POSITION_BYTES)
         _check_integer("f_c_hz", self.f_c_hz, 1)
         for name in ("d_z_m", "d_x_m"):
             value = getattr(self, name)

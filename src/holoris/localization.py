@@ -32,8 +32,7 @@ from .geometry import (
     AngularLocation,
     ArrayGeometry,
     SpatialFrequencyPair,
-    _MAX_BYTES,
-    _check_elements,
+    _check_bytes,
     _frequency_grid,
     _is_int,
     _real,
@@ -47,6 +46,7 @@ from .wavefield import Hologram, _intensity_sums, _number
 # treated as tied, so conjugate-symmetric near-ties resolve to the
 # lexicographically smallest bin instead of floating-point noise.
 _TIE_RTOL = 1e-12
+_SPECTRUM_BIN_BYTES = 2 * 16  # _transform's complex spectra and z pass, as large at pad 1
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,12 @@ def regulate(x: float) -> float:
 
 def _check_spectral_settings(shape=(1, 1), zero_pad_factor=1, dc_guard=0,
                              significance_threshold=0.0) -> None:
-    """Raise ValueError unless zero_pad_factor is a positive integer padding an (n_z, n_x)
-    panel to a spectrum numpy can index, dc_guard an integer >= 0 and the threshold >= 0."""
+    """Raise ValueError unless zero_pad_factor is a positive integer padding a (T, n_z,
+    n_x) stack to spectra _check_bytes admits, dc_guard an integer >= 0 and the threshold >= 0."""
     if not (_is_int(zero_pad_factor) and zero_pad_factor >= 1):
         raise ValueError("zero_pad_factor must be a positive integer")
-    _check_elements("(zero_pad_factor*n_z)*(zero_pad_factor*n_x)",
-                    zero_pad_factor**2 * math.prod(shape))
+    _check_bytes("trials*(zero_pad_factor*n_z)*(zero_pad_factor*n_x)",
+                 zero_pad_factor**2 * math.prod(shape), _SPECTRUM_BIN_BYTES)
     if not (_is_int(dc_guard) and dc_guard >= 0):
         raise ValueError("dc_guard must be a non-negative integer")
     if not significance_threshold >= 0:
@@ -143,7 +143,7 @@ def _transform(values: np.ndarray, zero_pad_factor: int, remove_mean: bool,
     by a complex fft along z.
     """
     _, n_z, n_x = values.shape
-    _check_spectral_settings((n_z, n_x), zero_pad_factor)
+    _check_spectral_settings(values.shape, zero_pad_factor)
     if n_z < 2 or n_x < 2:
         raise ValueError("spectral analysis needs at least a 2x2 hologram")
     if remove_mean:
@@ -549,11 +549,7 @@ def ml_refine(
     # min(ratio, cap) is finite, and min(ratio, ceil(cap)) is the same value.
     ratio, cap = search_halfwidth_deg / grid_step_deg, 180.0 / grid_step_deg
     per_axis = min(2.0 * ratio, cap) + 1.0
-    if per_axis * per_axis * _REFINE_POINT_BYTES > _MAX_BYTES:
-        raise ValueError(
-            f"ml_refine's (theta, phi) grid must be at most {_MAX_BYTES} bytes "
-            f"at {_REFINE_POINT_BYTES} bytes a point, got {per_axis:.0f} points per axis"
-        )
+    _check_bytes("ml_refine's (theta, phi) grid", per_axis * per_axis, _REFINE_POINT_BYTES)
     half_steps = round(min(ratio, math.ceil(min(ratio, cap))))
     offsets = grid_step_deg * np.arange(-half_steps, half_steps + 1)
     thetas, phis = (axis[np.abs(axis) < 90.0]

@@ -23,6 +23,7 @@ from .errors import DegenerateInterference, FileFormatError
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
+    _check_bytes,
     _check_integer,
     _real,
     element_positions,
@@ -30,6 +31,7 @@ from .geometry import (
 )
 
 _HOLOGRAM_MAGIC = "# holoris-hologram v1"
+_CAPTURE_BYTES = 16 + 8 + 8  # _capture_stack's complex total, intensity and noise
 
 
 def _front_position(position) -> np.ndarray:
@@ -281,7 +283,8 @@ def synthesize_trials(
     Generator, which capture t then draws from as it is.  For a seed,
     capture t is bit-identical to the values of
     synthesize_hologram(sources, geom, detector, seed=seeds[t]).  All
-    sources must share one frequency tag.
+    sources must share one frequency tag.  The stack is held to _check_bytes
+    at _CAPTURE_BYTES an element before any generator is built.
     """
     if detector is None:
         detector = DetectorModel.ideal()
@@ -290,6 +293,7 @@ def synthesize_trials(
         raise ValueError("at least one source is required")
     if len({s.frequency_tag for s in sources}) != 1:
         raise ValueError("synthesize_trials takes the sources of one frequency tag")
+    _check_bytes("trials*n_z*n_x", len(seeds) * math.prod(geom.shape), _CAPTURE_BYTES)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     return _capture_stack(sources, geom, detector, rngs)
 

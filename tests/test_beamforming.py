@@ -90,6 +90,9 @@ def test_phase_profile_rejects_complex_phases():
     # the imaginary part of a phase would otherwise be dropped with a warning
     with pytest.raises(ValueError, match="^PhaseProfile values must be real, got dtype complex128$"):
         PhaseProfile(values=np.zeros((2, 2)) + 0.5j)
+    # in an object array the conversion to float raises TypeError instead
+    with pytest.raises(ValueError, match="^PhaseProfile values must be real, got dtype object$"):
+        PhaseProfile(values=np.array([[1 + 0j, 1], [1, 1]], dtype=object))
 
 
 def test_reciprocity_and_zero_profile_for_retroreflection():
@@ -445,13 +448,43 @@ GRID_VALUES = r"must hold at least one angle, each finite with \|angle\| < 90 de
     ([0.0, 120.0], GRID_VALUES),
     ([-90.0, 0.0], GRID_VALUES),
     ([0.0, 10.0 + 1j], "must be real, got dtype complex128"),
-], ids=["2-D", "empty", "scalar", "nan", "120", "-90", "complex"])
+    (np.array([0.0, 10.0 + 0j], dtype=object), "must be real, got dtype object"),
+], ids=["2-D", "empty", "scalar", "nan", "120", "-90", "complex", "complex-object"])
 @pytest.mark.parametrize("name", ["theta_grid_deg", "phi_grid_deg"])
 def test_pattern_rejects_a_grid_it_cannot_evaluate(name, bad, message):
     grids = {"theta_grid_deg": [0.0, 10.0], "phi_grid_deg": [0.0, 30.0], name: bad}
     coding = CodingMatrix.all_zero(GEOM.shape)
     with pytest.raises(ValueError, match=f"^{name} {message}$"):
         pattern(coding, Source.far_field(BS), GEOM, **grids)
+
+
+def test_pattern_grid_memory_cannot_hold_fails_before_any_exp(monkeypatch):
+    # 10**5 by 10**5 directions would take ~480 GB of work arrays.  Should the
+    # check let them through, reaching the frequency grid fails before any
+    # array of the grid's size is built.
+    def reached(*args):
+        raise AssertionError("the grid reached _frequency_grid")
+    monkeypatch.setattr("holoris.beamforming._frequency_grid", reached)
+    grid = np.linspace(-80.0, 80.0, 10**5)
+    with pytest.raises(ValueError, match="^pattern's grid must be at most 2147483648 bytes "
+                                         "at 48 bytes each$"):
+        pattern(CodingMatrix.all_zero(GEOM.shape), Source.far_field(BS), GEOM, grid, grid)
+
+
+def test_pattern_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
+    # 3 thetas by 5 phis on the 32x32 panel: 3*(5 + 32 + 32) points at 48 bytes.
+    # Each call clears the plan cache, since a cached plan is not checked again.
+    thetas, phis = np.linspace(-10.0, 10.0, 3), np.linspace(-20.0, 20.0, 5)
+    coding, src = quantize_1bit(farfield_phase_profile(BS, UE, GEOM)), Source.far_field(BS)
+    _pattern_plan.cache_clear()
+    want = pattern(coding, src, GEOM, thetas, phis)
+    _pattern_plan.cache_clear()
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 3 * 69 * 48)
+    assert np.array_equal(pattern(coding, src, GEOM, thetas, phis).power, want.power)
+    _pattern_plan.cache_clear()
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 3 * 69 * 48 - 1)
+    with pytest.raises(ValueError, match="^pattern's grid must be at most 9935 bytes "):
+        pattern(coding, src, GEOM, thetas, phis)
 
 
 def two_call_gain(coding, baseline, bs_src, ue, geom):
@@ -508,3 +541,6 @@ def test_coding_matrix_rejects_complex_states():
     # conversion to int8
     with pytest.raises(ValueError, match="^CodingMatrix states must be real, got dtype complex128$"):
         CodingMatrix(states=np.ones((2, 2)) + 0j)
+    # in an object array they would pass it and fail the conversion with TypeError
+    with pytest.raises(ValueError, match="^CodingMatrix states must be real, got dtype object$"):
+        CodingMatrix(states=np.array([[1 + 0j, 1], [1, 1]], dtype=object))

@@ -243,7 +243,7 @@ def holder_error(section: str, key: str, value) -> str:
 
 # An out-of-range value for every table key with a bound, as the config reads it
 # (a float where the key is a float).  The other keys take any value of their form.
-UNBOUNDED_KEYS = {"phase_rad", "output_dir", "gain_phi_deg", "ber_snr_db", "ber_gain_db"}
+UNBOUNDED_KEYS = {"phase_rad", "output_dir", "ber_snr_db", "ber_gain_db"}
 OUT_OF_RANGE = [
     ("geometry", "f_c_hz", 0), ("geometry", "f_c_hz", 10**400), ("geometry", "n_z", 0),
     ("geometry", "n_z", 10**400), ("geometry", "n_x", 2**62), ("geometry", "d_z_m", 0.0),
@@ -257,6 +257,7 @@ OUT_OF_RANGE = [
     ("localization", "dc_guard", -1), ("localization", "significance_threshold", -1.0),
     ("experiment", "trials", 0), ("experiment", "trials", 10**50),
     ("experiment", "seed", -1), ("experiment", "ber_modulation_order", 256),
+    ("experiment", "gain_phi_deg", [0.0, 95.0]), ("experiment", "gain_phi_deg", [-90.0]),
 ]
 
 
@@ -276,13 +277,14 @@ def test_a_rejected_value_carries_its_holding_types_own_message(section, key, va
 
 
 def test_the_values_of_several_keys_carry_their_holding_types_own_message():
-    # a geometry numpy can index whose spectrum, at the default padding, it cannot
-    geometry = ArrayGeometry(n_z=2**31, n_x=2**31, d_z_m=0.02, d_x_m=0.02,
+    # a panel within its own byte budget whose spectrum, at the default
+    # padding, is past it
+    geometry = ArrayGeometry(n_z=6000, n_x=6000, d_z_m=0.02, d_x_m=0.02,
                              f_c_hz=3_500_000_000)
     with pytest.raises(ValueError) as exc:
         ExperimentConfig(geometry=geometry)
     with pytest.raises(ConfigError, match="^geometry: ") as got:
-        parse_config({"geometry": {"n_z": 2**31, "n_x": 2**31}})
+        parse_config({"geometry": {"n_z": 6000, "n_x": 6000}})
     assert str(got.value) == f"geometry: {exc.value}"
     # an angle pair is held to AngularLocation's rule at its index
     with pytest.raises(ValueError) as exc:
@@ -430,26 +432,31 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, command, document, m
     assert not out.exists()
 
 
-MAX_ELEMENTS = np.iinfo(np.intp).max  # the most elements numpy can index
+# The size rule's message at each figure: a panel's, a stack's padded spectra's.
+PANEL_BYTES = "n_z*n_x must be at most 2147483648 bytes at 24 bytes each"
+SPECTRA_BYTES = ("trials*(zero_pad_factor*n_z)*(zero_pad_factor*n_x) must be at most "
+                 "2147483648 bytes at 32 bytes each")
 
 
 @pytest.mark.parametrize("command, document, message", [
-    ("simulate", {"geometry": {"n_z": 10**400}},
-     f"geometry.n_z: n_z*n_x must be at most {MAX_ELEMENTS} elements"),
-    # n_z alone fits beside the default n_x: the product fails at n_x
-    ("simulate", {"geometry": {"n_z": 2**40, "n_x": 2**40}},
-     f"geometry.n_x: n_z*n_x must be at most {MAX_ELEMENTS} elements"),
+    ("simulate", {"geometry": {"n_z": 10**400}}, f"geometry.n_z: {PANEL_BYTES}"),
+    # beside the default n_x, n_z = 2**40 alone is past the panel's budget
+    ("simulate", {"geometry": {"n_z": 2**40, "n_x": 2**40}}, f"geometry.n_z: {PANEL_BYTES}"),
+    # n_z = 2**20 fits beside the default n_x: the product fails at n_x
+    ("simulate", {"geometry": {"n_z": 2**20, "n_x": 2**20}}, f"geometry.n_x: {PANEL_BYTES}"),
+    # a panel within its budget whose spectrum at the default padding is not
+    ("simulate", {"geometry": {"n_z": 6000, "n_x": 6000}}, f"geometry: {SPECTRA_BYTES}"),
     ("showcase", {"localization": {"zero_pad_factor": 10**400}},
-     "localization.zero_pad_factor: (zero_pad_factor*n_z)*(zero_pad_factor*n_x) "
-     f"must be at most {MAX_ELEMENTS} elements"),
-    ("grid", {"experiment": {"trials": 10**50}},
-     f"experiment.trials: trials*n_z*n_x must be at most {MAX_ELEMENTS} elements"),
+     f"localization.zero_pad_factor: {SPECTRA_BYTES}"),
+    ("grid", {"experiment": {"trials": 10**50}}, f"experiment.trials: {SPECTRA_BYTES}"),
+    # the panel is past its budget before the trials are read
     ("grid", {"geometry": {"n_z": 2**20, "n_x": 2**20}, "experiment": {"trials": 2**23}},
-     f"experiment.trials: trials*n_z*n_x must be at most {MAX_ELEMENTS} elements"),
-], ids=["n_z-10**400", "n_z-n_x-2**40", "zero_pad_factor-10**400", "trials-10**50",
-        "trials-n_z-n_x-2**63"])
+     f"geometry.n_x: {PANEL_BYTES}"),
+    ("grid", {"experiment": {"trials": 2**14 + 1}}, f"experiment.trials: {SPECTRA_BYTES}"),
+], ids=["n_z-10**400", "n_z-n_x-2**40", "n_z-n_x-2**20", "spectrum-6000x6000",
+        "zero_pad_factor-10**400", "trials-10**50", "trials-n_z-n_x-2**63", "trials-2**14+1"])
 def test_array_size_beyond_numpy_exits_2(tmp_path, capsys, command, document, message):
-    # a size numpy cannot index fails at its field, before any array is built
+    # a size past the byte budget fails at its field, before any array is built
     cfg = write_config(tmp_path, document)
     out = tmp_path / "out"
     if command == "simulate":
@@ -479,8 +486,7 @@ def test_trials_flag_beyond_numpy_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["experiment", "--suite", "grid", "--config", cfg, "--output-dir", str(out),
                  "--trials", str(10**50)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: --trials: trials*n_z*n_x must be at most {MAX_ELEMENTS} elements\n")
+    assert capsys.readouterr().err == f"error: --trials: {SPECTRA_BYTES}\n"
     assert not out.exists()
 
 

@@ -493,6 +493,18 @@ def test_manifest_is_deterministic(tmp_path):
     assert "status=FAILED" in man_f.read_text()
 
 
+def test_experiment_config_is_held_to_the_byte_budget(monkeypatch):
+    with pytest.raises(ValueError):
+        ExperimentConfig(trials=10**9)
+    # At the default padding a 32x32 capture's spectrum takes 64*64*32 bytes,
+    # 2**17: a budget of 2**20 holds 8 captures, not 9.
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 2**20)
+    assert ExperimentConfig(trials=8).trials == 8
+    spectra = r"^trials\*\(zero_pad_factor\*n_z\)\*\(zero_pad_factor\*n_x\) must be at most "
+    with pytest.raises(ValueError, match=spectra + "1048576 bytes at 32 bytes each$"):
+        ExperimentConfig(trials=9)
+
+
 def test_experiment_config_validation():
     for bad in ({"trials": 0}, {"trials": 1.5}, {"seed": -1}, {"seed": 2.0},
                 {"zero_pad_factor": 0}, {"dc_guard": -1},

@@ -79,14 +79,24 @@ def test_geometry_rejects_non_integer_counts_and_carrier(field, bad):
 @pytest.mark.parametrize("field, bad, message", [
     # the hologram file reader reads the carrier back as a finite number
     ("f_c_hz", 10**400, "f_c_hz is too large to convert to a float"),
-    # numpy indexes with np.intp
-    ("n_z", 10**400, r"n_z\*n_x must be at most"),
+    # past the byte budget at element_positions' 24 bytes an element
+    ("n_z", 10**400, r"n_z\*n_x must be at most 2147483648 bytes at 24 bytes each"),
 ])
 def test_geometry_rejects_carrier_beyond_float_and_size_beyond_numpy(field, bad, message):
     kwargs = dict(n_z=32, n_x=32, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
     kwargs[field] = bad
     with pytest.raises(ValueError, match=message):
         ArrayGeometry(**kwargs)
+
+
+def test_geometry_is_held_to_the_byte_budget(monkeypatch):
+    # a 32x32 panel takes 32*32*24 bytes in element_positions
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 24)
+    assert default_geometry().shape == (32, 32)
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 24 - 1)
+    with pytest.raises(ValueError,
+                       match=r"^n_z\*n_x must be at most 24575 bytes at 24 bytes each$"):
+        default_geometry()
 
 
 @pytest.mark.parametrize("field", ["d_z_m", "d_x_m"])

@@ -553,6 +553,28 @@ def test_localize_trials_rejects_complex_values():
     with pytest.raises(ValueError,
                        match="^localize_trials values must be real, got dtype complex128$"):
         localize_trials(np.ones((1, 32, 32)) + 1j, GEOM, AngularLocation(0.0, 0.0))
+    # an object stack holding a complex value, whose conversion raises TypeError
+    stack = np.ones((1, 32, 32), dtype=object)
+    stack[0, 5, 7] = 1 + 0j
+    with pytest.raises(ValueError, match="^localize_trials values must be real, got dtype object$"):
+        localize_trials(stack, GEOM, AngularLocation(0.0, 0.0))
+
+
+SPECTRA_BYTES = r"^trials\*\(zero_pad_factor\*n_z\)\*\(zero_pad_factor\*n_x\) must be at most "
+
+
+def test_spectra_are_held_to_the_byte_budget(monkeypatch):
+    # A 32x32 capture padded twice is 64*64 bins at 32 bytes: 131,072 bytes.
+    # The budget holds one such capture, not two, nor one padded three times.
+    holo, bs = fixture_hologram(), AngularLocation(0.0, 0.0)
+    stack = np.stack([holo.values] * 2)
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 2 * 64 * 64 * 32 - 1)
+    assert len(localize_trials(stack[:1], GEOM, bs, zero_pad_factor=2)) == 1
+    assert fft2(holo, zero_pad_factor=2).values.shape == (64, 64)
+    with pytest.raises(ValueError, match=SPECTRA_BYTES + "262143 bytes at 32 bytes each$"):
+        localize_trials(stack, GEOM, bs, zero_pad_factor=2)
+    with pytest.raises(ValueError, match=SPECTRA_BYTES):
+        fft2(holo, zero_pad_factor=3)
 
 
 def test_overflowing_sums_and_bad_peak_parameters_are_rejected():
@@ -808,7 +830,8 @@ def test_ml_refine_validation():
 
 @pytest.mark.parametrize("halfwidth, step", [(5.0, 1e-308), (1e308, 1e-300), (1.0, 1e-10)])
 def test_ml_refine_rejects_a_grid_numpy_cannot_index(halfwidth, step):
-    # 180/step overflows to inf, or the grid's point count passes np.intp
+    # 180/step overflows to inf, or the grid's point count passes np.intp:
+    # both are far past the byte budget
     with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most"):
         ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
                   search_halfwidth_deg=halfwidth, grid_step_deg=step)
@@ -833,7 +856,7 @@ def test_ml_refine_rejects_a_grid_over_a_lowered_budget(monkeypatch, step):
     # The same steps over +-50 steps: 101**2 points at 88 bytes, ~0.9 MB,
     # against a budget of 2**19 bytes.  A broken check computes this small
     # grid, never an oversized one.
-    monkeypatch.setattr(localization, "_MAX_BYTES", 2**19)
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 2**19)
     with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most 524288 "):
         ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
                   search_halfwidth_deg=50 * step, grid_step_deg=step)
@@ -843,9 +866,9 @@ def test_ml_refine_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
     # +-25 deg in steps of 0.5 is exactly 101 points per axis: 897,688 bytes.
     holo, bs, coarse = fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0)
     want = ml_refine(holo, bs, coarse, search_halfwidth_deg=25.0, grid_step_deg=0.5)
-    monkeypatch.setattr(localization, "_MAX_BYTES", 101 * 101 * 88)
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 101 * 101 * 88)
     assert ml_refine(holo, bs, coarse, search_halfwidth_deg=25.0, grid_step_deg=0.5) == want
-    monkeypatch.setattr(localization, "_MAX_BYTES", 101 * 101 * 88 - 1)
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 101 * 101 * 88 - 1)
     with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most"):
         ml_refine(holo, bs, coarse, search_halfwidth_deg=25.0, grid_step_deg=0.5)
 

@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holoris.errors import DegenerateInterference, FileFormatError
+from holoris.experiments import ExperimentConfig
 from holoris.geometry import (
     AngularLocation,
     ArrayGeometry,
@@ -16,6 +17,7 @@ from holoris.geometry import (
     element_positions,
     spatial_frequencies,
 )
+from holoris.localization import _check_spectral_settings
 from holoris.wavefield import (
     DetectorModel,
     Hologram,
@@ -297,6 +299,58 @@ def test_synthesize_trials_validation():
         synthesize_trials([], GEOM, None, [0])
 
 
+class Unbuilt(Exception):
+    """Raised where synthesize_trials starts to build its generators."""
+
+
+class UnbuiltSeeds:
+    """A sequence of n seeds whose generators are never built: iterating it raises."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        raise Unbuilt
+
+
+PAIR = [Source.far_field(AngularLocation(0.0, 0.0)), Source.far_field(AngularLocation(0.0, 30.0))]
+STACK_BYTES = r"^trials\*n_z\*n_x must be at most "
+
+
+def test_synthesize_trials_is_held_to_the_byte_budget_before_any_generator(monkeypatch):
+    # 10**9 captures of a 32x32 panel would take ~33 TB
+    with pytest.raises(ValueError, match=STACK_BYTES + "2147483648 bytes at 32 bytes each$"):
+        synthesize_trials(PAIR, GEOM, None, UnbuiltSeeds(10**9))
+    # a budget of 4 captures at 32*32*32 bytes each
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 4 * 32 * 32 * 32)
+    with pytest.raises(Unbuilt):
+        synthesize_trials(PAIR, GEOM, None, UnbuiltSeeds(4))
+    with pytest.raises(ValueError, match=STACK_BYTES + "131072 bytes at 32 bytes each$"):
+        synthesize_trials(PAIR, GEOM, None, UnbuiltSeeds(5))
+
+
+SIZES = st.integers(0, 30).flatmap(lambda e: st.integers(1, 2**e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trials=SIZES, n_z=SIZES, n_x=SIZES, pad=st.integers(1, 16))
+@example(trials=2**14, n_z=32, n_x=32, pad=2)   # the default panel's spectra at the budget
+@example(trials=2**26, n_z=1, n_x=1, pad=1)     # both figures at the budget
+def test_an_accepted_experiment_config_passes_the_size_checks_of_a_run(trials, n_z, n_x, pad):
+    # Each check is called on the config's stack; no array is built.
+    try:
+        geom = ArrayGeometry(n_z=n_z, n_x=n_x, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+        ExperimentConfig(geometry=geom, trials=trials, zero_pad_factor=pad)
+    except ValueError:
+        return
+    with pytest.raises(Unbuilt):
+        synthesize_trials(PAIR, geom, None, UnbuiltSeeds(trials))
+    _check_spectral_settings((trials, n_z, n_x), pad)  # _transform's check of the stack
+
+
 def test_frequency_tags_do_not_interfere():
     """Each tag's hologram equals the hologram of that tag's sources alone."""
     pair0 = [Source.far_field(AngularLocation(0.0, 0.0), frequency_tag=0),
@@ -423,6 +477,14 @@ def test_hologram_rejects_complex_values():
     # np.ones + 1j would otherwise be accepted as all 1.0, with a warning
     with pytest.raises(ValueError, match="^Hologram values must be real, got dtype complex128$"):
         Hologram(values=np.ones(GEOM.shape) + 1j, geometry=GEOM)
+    # an object array holding a complex value, whose conversion raises TypeError
+    values = np.ones(GEOM.shape, dtype=object)
+    values[3, 4] = np.complex64(1)
+    with pytest.raises(ValueError, match="^Hologram values must be real, got dtype object$"):
+        Hologram(values=values, geometry=GEOM)
+    # an object array of real numbers converts as before
+    values[3, 4] = 1
+    assert np.array_equal(Hologram(values=values, geometry=GEOM).values, np.ones(GEOM.shape))
 
 
 def test_hologram_shape_validation():
@@ -565,6 +627,8 @@ def test_near_field_position_rejects_complex_coordinates():
     # y = 2 + 1j would otherwise be kept as y = 2.0, with a warning
     with pytest.raises(ValueError, match="^position must be real, got dtype complex128$"):
         Source.near_field(np.array([0.1, 2 + 1j, 0.3]))
+    with pytest.raises(ValueError, match="^position must be real, got dtype object$"):
+        Source.near_field(np.array([0.1, 2 + 0j, 0.3], dtype=object))
 
 
 def test_field_amplitude_attenuates_beyond_reference_range():

@@ -77,9 +77,14 @@ CORPUS = [
     ("geometry-f_c_hz-zero", section("geometry", f_c_hz=0)),
     ("geometry-f_c_hz-big", section("geometry", f_c_hz=BIG)),
     ("geometry-f_c_hz-inf", section("geometry", f_c_hz=INF)),
+    # beside the default n_x, n_z = 2**40 alone is past the panel's byte budget
     ("geometry-size-tie", section("geometry", n_z=2**40, n_x=2**40)),
-    # a panel numpy can index whose spectrum, padded by the default factor, it cannot
+    # n_z = 2**20 fits beside the default n_x: the product fails at n_x
+    ("geometry-size-at-n_x", section("geometry", n_z=2**20, n_x=2**20)),
+    # n_z = 2**31 alone is past the panel's byte budget, before any spectrum
     ("geometry-spectrum-beyond-default-pad", section("geometry", n_z=2**31, n_x=2**31)),
+    # a panel within its byte budget whose spectrum, at the default padding, is not
+    ("geometry-spectrum-6000", section("geometry", n_z=6000, n_x=6000)),
     ("geometry-valid", section("geometry", n_z=16, n_x=24, d_z_m=0.015, d_x_m=1,
                                 f_c_hz=2_600_000_000)),
     # detector
@@ -174,6 +179,8 @@ CORPUS = [
     ("experiment-trials-zero", section("experiment", trials=0)),
     ("experiment-trials-float", section("experiment", trials=2.0)),
     ("experiment-trials-big", section("experiment", trials=BIG)),
+    # the default panel's padded spectra hold 2**14 captures in the byte budget
+    ("experiment-trials-past-budget", section("experiment", trials=2**14 + 1)),
     ("experiment-seed-negative", section("experiment", seed=-1)),
     ("experiment-seed-null", section("experiment", seed=None)),
     ("experiment-seed-big", section("experiment", seed=BIG)),
@@ -196,6 +203,7 @@ CORPUS = [
     ("experiment-gain_phi-big", section("experiment", gain_phi_deg=[0.0, BIG])),
     ("experiment-gain_phi-inf", section("experiment", gain_phi_deg=[INF])),
     ("experiment-gain_phi-nan", section("experiment", gain_phi_deg=[0, NAN])),
+    ("experiment-gain_phi-out-of-range", section("experiment", gain_phi_deg=[0.0, 95.0])),
     ("experiment-ber_snr-null", section("experiment", ber_snr_db=None)),
     ("experiment-ber_snr-empty", section("experiment", ber_snr_db=[])),
     ("experiment-ber_snr--inf", section("experiment", ber_snr_db=[-INF, 0])),
