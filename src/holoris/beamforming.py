@@ -217,7 +217,7 @@ def _hpbw(axis_deg: np.ndarray, cut: np.ndarray) -> float:
     return float(right - left)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _pattern_plan(
     geom: ArrayGeometry, theta_key: bytes, phi_key: bytes
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +228,7 @@ def _pattern_plan(
     factor and z_x = exp(i*w_x) of shape (T, P) the x-axis one, for the
     grid's frequencies w_z (T,) and w_x (T, P); both are read-only, as every
     call on the grid shares them.  A plan holds 16*T*(n_z + P) bytes, and
-    the cache at most 8 plans.  Raises ValueError naming the grid unless it
+    the cache one plan, the last grid's.  Raises ValueError naming the grid unless it
     holds at least one angle and each is finite with |angle| < 90, and, before
     any exp, unless _check_bytes admits T*(P + n_z + n_x) points at
     _PATTERN_BYTES each, so a grid is checked once per plan.

@@ -29,6 +29,7 @@ from .errors import DegenerateInterference
 from .geometry import (
     AngularLocation,
     ArrayGeometry,
+    _check_bytes,
     _is_int,
     angular_distance_deg,
     default_geometry,
@@ -46,6 +47,7 @@ from .wavefield import (
     Hologram,
     Source,
     _MISSING,
+    _check_synthesis,
     _float_rows,
     _number,
     _write_lines,
@@ -101,8 +103,8 @@ CALIBRATED_SIGNIFICANCE_THRESHOLD = 2.0
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Placement grids, imperfections, and reproducibility knobs, checked on construction:
-    trials >= 1, seed >= 0, and the spectral settings of a stack of trials captures,
-    whose size rule is the tightest a run meets."""
+    trials >= 1, seed >= 0, and each size rule a run meets: the spectra and synthesis of
+    a stack of trials captures, and the grid's seeds and generators."""
 
     geometry: ArrayGeometry = field(default_factory=default_geometry)
     detector: DetectorModel = field(default_factory=DetectorModel.ideal)
@@ -125,6 +127,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         _check_spectral_settings((self.trials, *self.geometry.shape), self.zero_pad_factor,
                                  self.dc_guard, self.significance_threshold)
+        _check_synthesis(self.geometry.shape, self.trials, 2)  # the suites' BS and UE
+        _check_seeds(self.seed, len(self.bs_locations) * len(self.ue_locations), self.trials)
 
 
 @dataclass(frozen=True)
@@ -294,13 +298,26 @@ class _PCG64State(ISeedSequence):
         return self.state
 
 
+_STATE_BYTES = 4 + 8 * 4 + 8 * 4  # _capture_seeds' seed, its 8 state words and PCG64 state
+_GENERATOR_BYTES = 800  # a Generator over PCG64, 781 bytes by tracemalloc
+
+
+def _check_seeds(master: int, placements: int, trials: int) -> None:
+    """Raise ValueError unless _check_bytes admits placements*trials captures' seeds, at
+    4 bytes per entropy word plus _STATE_BYTES, and one placement's trials generators."""
+    _check_bytes("placements*trials seeds", placements * trials,
+                 4 * (int(master).bit_length() // 32 + 3) + _STATE_BYTES)
+    _check_bytes("trials generators", trials, _GENERATOR_BYTES)
+
+
 def _placement_generators(master: int, indices, trials: int = 1):
     """Per placement index, the generators of its captures 0 .. trials-1.
 
     The seeds and states of all placements come from one _capture_seeds
-    pass; each placement's generators are built when the iteration reaches
-    it, so one placement's are alive at a time.
+    pass, held to _check_seeds first; each placement's generators are built
+    when the iteration reaches it, so one placement's are alive at a time.
     """
+    _check_seeds(master, len(indices), trials)
     _, states = _capture_seeds(master, np.asarray(indices)[:, np.newaxis],
                                np.arange(trials))
     for placement in states:
@@ -355,14 +372,8 @@ def run_localization_grid(cfg: ExperimentConfig):
         _, outcomes = _localize_pair(cfg, bs, ue, rngs)
         for trial, result in enumerate(outcomes):
             if isinstance(result, Exception):
-                records.append(
-                    GridRecord(
-                        bs=bs,
-                        ue=ue,
-                        trial=trial,
-                        status=type(result).__name__,
-                    )
-                )
+                records.append(GridRecord(bs=bs, ue=ue, trial=trial,
+                                          status=type(result).__name__))
                 continue
             est = result.chosen
             err_t = wrap_degrees(est.theta_deg - ue.theta_deg)

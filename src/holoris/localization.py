@@ -170,17 +170,14 @@ def fft2(holo: Hologram, zero_pad_factor: int = 1, remove_mean: bool = False) ->
 
 
 def _guard_complement(shape: tuple[int, int], dc_guard: int) -> np.ndarray:
-    """True outside the (2g+1)^2 torus neighborhood of the DC bin."""
+    """True outside the (2g+1)^2 torus neighborhood of the DC bin: where the row
+    or the column lies more than g bins from 0 around its axis."""
     m_z, m_x = shape
-    mask = np.ones(shape, dtype=bool)
-    g = dc_guard
-    rows = np.arange(-g, g + 1) % m_z
-    cols = np.arange(-g, g + 1) % m_x
-    mask[np.ix_(rows, cols)] = False
-    return mask
+    k_z, k_x = np.ogrid[:m_z, :m_x]
+    return (np.minimum(k_z, m_z - k_z) > dc_guard) | (np.minimum(k_x, m_x - k_x) > dc_guard)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)
 def _peak_plan(shape: tuple[int, int], dc_guard: int) -> tuple[np.ndarray, int, int, int]:
     """How _peaks reads the half spectrum (rows k <= M_z//2) of an (M_z, M_x)
     spectrum, as (guard, mirror_stop, masked, searched).

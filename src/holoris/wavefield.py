@@ -31,7 +31,11 @@ from .geometry import (
 )
 
 _HOLOGRAM_MAGIC = "# holoris-hologram v1"
-_CAPTURE_BYTES = 16 + 8 + 8  # _capture_stack's complex total, intensity and noise
+# synthesize_trials' work arrays, in bytes per panel element
+_FIELD_BYTES = 16  # a complex source field, or the sum of all fields but the last
+_CAPTURE_BYTES = 16 + 8 + 8  # per capture: its complex total, intensity and noise
+# a near field's float64 positions, their offsets and squares, the summed squares and roots
+_NEAR_FIELD_BYTES = 3 * 24 + 2 * 8
 
 
 def _front_position(position) -> np.ndarray:
@@ -225,28 +229,56 @@ def _tag_signature(source: Source, geom: ArrayGeometry):
     return ("near_field", *source.position.tolist())
 
 
-def _capture_stack(tag_sources, geom: ArrayGeometry, detector: DetectorModel,
-                   rngs) -> np.ndarray:
-    """Intensities of one tag's sources, one capture per generator.
+def _check_synthesis(shape, trials: int, n_sources: int, near_field: bool = False) -> None:
+    """Raise ValueError unless _check_bytes admits synthesize_trials' work arrays
+    on a panel of shape: n_sources + 1 fields, trials captures and, with a near
+    field, its temporaries, per element."""
+    _check_bytes("synthesis of n_z*n_x", math.prod(shape),
+                 _FIELD_BYTES * (n_sources + 1) + _CAPTURE_BYTES * trials
+                 + _NEAR_FIELD_BYTES * near_field)
 
-    Returns shape (T, n_z, n_x) for T generators.  The source fields are
-    computed once and the whole stack is formed by broadcasting: the sum of
-    all fields but the last, plus the last times each capture's
-    exp(1j*jitter) (1 without jitter, which at most flips the sign of a
-    zero that abs erases).  The only loops are the draws: each capture
-    draws from its own generator, jitter scalar first and then the noise
-    matrix, so a capture depends only on its own generator's state.  AGC
-    scales each capture by ceiling/max, an all-zero capture by 1.
+
+def synthesize_trials(
+    sources,
+    geom: ArrayGeometry,
+    detector: DetectorModel | None,
+    seeds,
+) -> np.ndarray:
+    """Captures of one frequency tag, one per seed, shape (T, n_z, n_x).
+
+    Each of seeds is anything np.random.default_rng takes: a seed, or a
+    Generator, which capture t then draws from as it is.  All sources must
+    share one frequency tag; the work arrays are held to _check_synthesis
+    before any generator is built.  The source fields are computed once and
+    the stack formed by broadcasting: the sum of all fields but the last,
+    plus the last times each capture's exp(1j*jitter) (1 without jitter,
+    which at most flips the sign of a zero that abs erases).  The detector
+    then adds Gaussian noise, clamps to [floor, ceiling] and optionally
+    scales each capture by ceiling/max (an all-zero capture by 1).  Each
+    capture draws from its own generator, jitter scalar first and then the
+    noise matrix, so it depends only on that generator's state.
+
+    Emits DegenerateInterference when all sources share one spatial
+    signature (the captures then carry no fringes).
     """
-    signatures = {_tag_signature(s, geom) for s in tag_sources}
-    if len(signatures) == 1:
+    if detector is None:
+        detector = DetectorModel.ideal()
+    sources = list(sources)
+    if not sources:
+        raise ValueError("at least one source is required")
+    if len({s.frequency_tag for s in sources}) != 1:
+        raise ValueError("synthesize_trials takes the sources of one frequency tag")
+    _check_synthesis(geom.shape, len(seeds), len(sources),
+                     any(s.kind == "near_field" for s in sources))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if len({_tag_signature(s, geom) for s in sources}) == 1:
         warnings.warn(
-            f"tag {tag_sources[0].frequency_tag}: all sources share one spatial "
+            f"tag {sources[0].frequency_tag}: all sources share one spatial "
             "signature; hologram carries no interference fringes",
             DegenerateInterference,
-            stacklevel=3,
+            stacklevel=2,
         )
-    fields = [complex_field_at_array(s, geom) for s in tag_sources]
+    fields = [complex_field_at_array(s, geom) for s in sources]
     head = np.zeros(geom.shape, dtype=complex)
     for fld in fields[:-1]:
         head += fld
@@ -271,66 +303,24 @@ def _capture_stack(tag_sources, geom: ArrayGeometry, detector: DetectorModel,
     return intensity
 
 
-def synthesize_trials(
-    sources,
-    geom: ArrayGeometry,
-    detector: DetectorModel | None,
-    seeds,
-) -> np.ndarray:
-    """Captures of one frequency tag, one per seed, shape (T, n_z, n_x).
-
-    Each of seeds is anything np.random.default_rng takes: a seed, or a
-    Generator, which capture t then draws from as it is.  For a seed,
-    capture t is bit-identical to the values of
-    synthesize_hologram(sources, geom, detector, seed=seeds[t]).  All
-    sources must share one frequency tag.  The stack is held to _check_bytes
-    at _CAPTURE_BYTES an element before any generator is built.
-    """
-    if detector is None:
-        detector = DetectorModel.ideal()
-    sources = list(sources)
-    if not sources:
-        raise ValueError("at least one source is required")
-    if len({s.frequency_tag for s in sources}) != 1:
-        raise ValueError("synthesize_trials takes the sources of one frequency tag")
-    _check_bytes("trials*n_z*n_x", len(seeds) * math.prod(geom.shape), _CAPTURE_BYTES)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    return _capture_stack(sources, geom, detector, rngs)
-
-
 def synthesize_hologram(
     sources,
     geom: ArrayGeometry,
     detector: DetectorModel | None = None,
     seed: int = 0,
 ) -> list[Hologram]:
-    """Capture one hologram per distinct frequency tag.
+    """Capture one hologram per distinct frequency tag, sorted by tag.
 
-    For each tag the coherent sum of its sources is squared into intensity,
-    then the detector model is applied: Gaussian noise, clamping to
-    [floor, ceiling], and optionally AGC rescaling the matrix maximum to the
-    ceiling.  When phase_jitter_std > 0 a single Gaussian phase offset is
-    added to the last source of the tag before summation.  One generator
-    seeded with seed serves the tags in ascending order.
-
-    Emits a DegenerateInterference warning for any tag whose sources all
-    share one spatial signature (the hologram then carries no fringes).
-    Identical inputs and seed yield bit-identical holograms.
-
-    Returns holograms sorted by tag.
+    Each tag, in ascending order, is synthesize_trials of its sources, with
+    its checks and warning, on one generator seeded with seed, which serves
+    the tags in turn; identical inputs and seed yield bit-identical holograms.
     """
-    if detector is None:
-        detector = DetectorModel.ideal()
     sources = list(sources)
-    if not sources:
-        raise ValueError("at least one source is required")
     rng = np.random.default_rng(seed)
-    holograms = []
-    for tag in sorted({s.frequency_tag for s in sources}):
-        tag_sources = [s for s in sources if s.frequency_tag == tag]
-        intensity = _capture_stack(tag_sources, geom, detector, [rng])[0]
-        holograms.append(Hologram(values=intensity, geometry=geom, frequency_tag=tag))
-    return holograms
+    # no tag at all still reaches synthesize_trials, which rejects an empty source list
+    tags = sorted({s.frequency_tag for s in sources}) or [0]
+    return [Hologram(synthesize_trials([s for s in sources if s.frequency_tag == tag], geom,
+                                       detector, [rng])[0], geom, tag) for tag in tags]
 
 
 def _write_lines(path, lines) -> None:

@@ -383,13 +383,20 @@ def test_pattern_plans_are_kept_apart_by_grid():
         (base[:3], np.concatenate([base[3:], base])),    # the same 18 values, split apart
     ]
     powers = [pattern(coding, src, GEOM, t, p).power for t, p in grids]
-    powers.append(pattern(coding, src, GEOM, base, base).power)  # from the cache
+    powers.append(pattern(coding, src, GEOM, base, base).power)  # its plan built again
     for (t, p), power in zip(grids + grids[:1], powers):
         assert np.array_equal(power, inline_power(coding, src, GEOM, t, p))
     for a in range(len(grids)):
         for b in range(a):
             assert powers[a].shape != powers[b].shape or not np.array_equal(powers[a],
                                                                              powers[b])
+
+
+def test_pattern_plan_cache_keeps_one_plan():
+    coding, src = quantize_1bit(farfield_phase_profile(BS, UE, GEOM)), Source.far_field(BS)
+    pattern(coding, src, GEOM, np.linspace(-40.0, 40.0, 9), np.linspace(-40.0, 40.0, 9))
+    pattern(coding, src, GEOM, np.linspace(-30.0, 30.0, 7), np.linspace(-20.0, 20.0, 5))
+    assert _pattern_plan.cache_info().currsize == 1
 
 
 def test_pattern_plans_are_kept_apart_by_geometry_and_read_only():

@@ -8,6 +8,7 @@ disambiguation failures.
 import importlib.util
 import json
 import math
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -436,6 +437,9 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, command, document, m
 PANEL_BYTES = "n_z*n_x must be at most 2147483648 bytes at 24 bytes each"
 SPECTRA_BYTES = ("trials*(zero_pad_factor*n_z)*(zero_pad_factor*n_x) must be at most "
                  "2147483648 bytes at 32 bytes each")
+SYNTHESIS_BYTES = "synthesis of n_z*n_x must be at most 2147483648 bytes at {} bytes each"
+SEEDS_BYTES = "placements*trials seeds must be at most 2147483648 bytes at 80 bytes each"
+PAD_1 = {"zero_pad_factor": 1}
 
 
 @pytest.mark.parametrize("command, document, message", [
@@ -453,8 +457,21 @@ SPECTRA_BYTES = ("trials*(zero_pad_factor*n_z)*(zero_pad_factor*n_x) must be at 
     ("grid", {"geometry": {"n_z": 2**20, "n_x": 2**20}, "experiment": {"trials": 2**23}},
      f"geometry.n_x: {PANEL_BYTES}"),
     ("grid", {"experiment": {"trials": 2**14 + 1}}, f"experiment.trials: {SPECTRA_BYTES}"),
+    # at pad 1 the spectra of 4 captures fit; the synthesis of the suites' pair does not
+    ("grid", {"geometry": {"n_z": 4096, "n_x": 4096}, "localization": PAD_1,
+              "experiment": {"trials": 4}}, f"experiment.trials: {SYNTHESIS_BYTES.format(176)}"),
+    # 2**24 captures of a 2x2 panel at two placements: the synthesis, then ~13 GB of
+    # generators, are past the budget
+    ("grid", {"geometry": {"n_z": 2, "n_x": 2}, "localization": PAD_1,
+              "experiment": {"trials": 2**24, "bs_locations_deg": [[0.0, 0.0]],
+                             "ue_locations_deg": [[0.0, 30.0], [0.0, -30.0]]}},
+     f"experiment.trials: {SYNTHESIS_BYTES.format(536870960)}"),
+    # the seeds of the default 4x27 grid's 2**20 captures each take ~9 GB
+    ("grid", {"geometry": {"n_z": 2, "n_x": 2}, "localization": PAD_1,
+              "experiment": {"trials": 2**20}}, f"experiment.trials: {SEEDS_BYTES}"),
 ], ids=["n_z-10**400", "n_z-n_x-2**40", "n_z-n_x-2**20", "spectrum-6000x6000",
-        "zero_pad_factor-10**400", "trials-10**50", "trials-n_z-n_x-2**63", "trials-2**14+1"])
+        "zero_pad_factor-10**400", "trials-10**50", "trials-n_z-n_x-2**63", "trials-2**14+1",
+        "synthesis-4096x4096-pad-1", "trials-2**24-2x2-pad-1", "seeds-2**20-2x2-pad-1"])
 def test_array_size_beyond_numpy_exits_2(tmp_path, capsys, command, document, message):
     # a size past the byte budget fails at its field, before any array is built
     cfg = write_config(tmp_path, document)
@@ -565,6 +582,29 @@ def test_localize_no_peak_exits_4(tmp_path):
     out = tmp_path / "flat.csv"
     assert main(["simulate", "--config", cfg, "--output", str(out), "--quiet"]) == 0
     assert main(["localize", str(out), "--bs", "0,0"]) == 4
+
+
+def test_localize_guard_past_the_spectrum_exits_4_at_once(fixture_csv, capsys):
+    # the guard's mask is built per axis, so a guard of 10**9 bins costs what one of 2 does
+    start = time.perf_counter()
+    assert main(["localize", fixture_csv, "--bs", "0,0", "--dc-guard", "1000000000"]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: NoPeak: search region is empty\n"
+
+
+def test_simulate_past_the_synthesis_budget_exits_2_before_any_field(tmp_path, capsys,
+                                                                       monkeypatch):
+    def built(*args):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr("holoris.wavefield.complex_field_at_array", built)
+    # the config's 4096x4096 panel holds the suites' pair; its 20 sources take ~6.2 GB
+    sources = [{"kind": "far_field", "theta_deg": 0.0, "phi_deg": float(phi)}
+               for phi in range(20)]
+    cfg = write_config(tmp_path, {"geometry": {"n_z": 4096, "n_x": 4096}, "sources": sources})
+    out = tmp_path / "out" / "h.csv"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {SYNTHESIS_BYTES.format(368)}\n"
+    assert not out.parent.exists()
 
 
 def test_localize_io_errors_exit_3(tmp_path, fixture_csv, capsys):

@@ -40,7 +40,7 @@ from holoris.experiments import (
     write_statistics_txt,
     write_sweep_csv,
 )
-from holoris.geometry import AngularLocation
+from holoris.geometry import AngularLocation, ArrayGeometry
 
 pytestmark = pytest.mark.filterwarnings("ignore::holoris.errors.DegenerateInterference")
 
@@ -503,6 +503,51 @@ def test_experiment_config_is_held_to_the_byte_budget(monkeypatch):
     spectra = r"^trials\*\(zero_pad_factor\*n_z\)\*\(zero_pad_factor\*n_x\) must be at most "
     with pytest.raises(ValueError, match=spectra + "1048576 bytes at 32 bytes each$"):
         ExperimentConfig(trials=9)
+
+
+SEEDS = r"^placements\*trials seeds must be at most "
+GENERATORS = r"^trials generators must be at most "
+PANEL_2X2 = ArrayGeometry(n_z=2, n_x=2, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+
+
+def test_the_grid_seeds_and_generators_are_held_to_the_byte_budget(monkeypatch):
+    def built(*args):
+        raise AssertionError("_capture_seeds ran")
+    monkeypatch.setattr("holoris.experiments._capture_seeds", built)
+    # one placement's 2**24 generators would take ~13 GB
+    with pytest.raises(ValueError, match=GENERATORS + "2147483648 bytes at 800 bytes each$"):
+        next(_placement_generators(0, range(1), 2**24))
+    # a capture's seed takes 80 bytes below a 2**32 master and 4 more per word above
+    with pytest.raises(ValueError, match=SEEDS + "2147483648 bytes at 80 bytes each$"):
+        next(_placement_generators(0, range(104), 2**20))
+    with pytest.raises(ValueError, match=SEEDS + "2147483648 bytes at 84 bytes each$"):
+        next(_placement_generators(2**32, range(104), 2**20))
+
+
+def test_experiment_config_charges_the_seeds_of_its_whole_grid(monkeypatch):
+    assert ExperimentConfig(seed=np.int64(2**40)).seed == 2**40  # a numpy seed's words
+    # the default grid is 4 BS by 27 UE placements, 3 trials each
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 4 * 27 * 3 * 80)
+    assert ExperimentConfig(geometry=PANEL_2X2, trials=3, zero_pad_factor=1).trials == 3
+    with pytest.raises(ValueError, match=SEEDS + "25920 bytes at 80 bytes each$"):
+        ExperimentConfig(geometry=PANEL_2X2, trials=4, zero_pad_factor=1)
+    with pytest.raises(ValueError, match=SEEDS + "25920 bytes at 84 bytes each$"):
+        ExperimentConfig(geometry=PANEL_2X2, trials=3, zero_pad_factor=1, seed=2**32)
+    one = {"bs_locations": (AngularLocation(0.0, 0.0),),
+           "ue_locations": (AngularLocation(0.0, 30.0),)}
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 3 * 800)
+    assert ExperimentConfig(geometry=PANEL_2X2, trials=3, zero_pad_factor=1, **one).trials == 3
+    with pytest.raises(ValueError, match=GENERATORS + "2400 bytes at 800 bytes each$"):
+        ExperimentConfig(geometry=PANEL_2X2, trials=4, zero_pad_factor=1, **one)
+
+
+def test_experiment_config_charges_the_synthesis_of_the_suites_pair():
+    # at pad 1 the spectra of 4 captures of a 4096x4096 panel fit the budget
+    # exactly; the pair's 3 fields and 4 captures take 176 bytes an element
+    panel = ArrayGeometry(n_z=4096, n_x=4096, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    with pytest.raises(ValueError, match=r"^synthesis of n_z\*n_x must be at most "
+                                         "2147483648 bytes at 176 bytes each$"):
+        ExperimentConfig(geometry=panel, trials=4, zero_pad_factor=1)
 
 
 def test_experiment_config_validation():

@@ -38,6 +38,7 @@ from holoris.localization import (
     _geometric_sum,
     _guard_complement,
     _horner,
+    _peak_plan,
     _peaks,
     _power,
     _refine_objective,
@@ -610,13 +611,38 @@ def test_row_medians_leave_out_the_skipped_minus_inf_entries(k, skip):
     assert _row_medians(masked, skip).tolist() == np.median(rows, axis=1).tolist()
 
 
+def ix_guard_complement(shape, dc_guard):
+    """True outside the (2g+1)^2 torus neighborhood of the DC bin, by assigning
+    False at every one of its (2g+1)^2 index pairs."""
+    m_z, m_x = shape
+    mask = np.ones(shape, dtype=bool)
+    rows = np.arange(-dc_guard, dc_guard + 1) % m_z
+    cols = np.arange(-dc_guard, dc_guard + 1) % m_x
+    mask[np.ix_(rows, cols)] = False
+    return mask
+
+
+def test_guard_complement_is_the_torus_neighborhood_of_dc():
+    for m_z in range(1, 14):
+        for m_x in range(1, 14):
+            for guard in range(16):
+                assert np.array_equal(_guard_complement((m_z, m_x), guard),
+                                      ix_guard_complement((m_z, m_x), guard))
+
+
+def test_peak_plan_cache_keeps_one_plan():
+    _peak_plan((8, 8), 1)
+    _peak_plan((8, 10), 2)
+    assert _peak_plan.cache_info().currsize == 1
+
+
 def gather_peaks(mags, m_z, dc_guard, significance_threshold, min_magnitudes):
     """The peak search by index gathers, as _peaks did it before it masked
     the guard bins in place: the searched bins and the median's population
     (the rows with a mirror gathered twice) are fancy-indexed copies, and the
     median is np.median of the population.  mags is left as it is."""
     n, half, m_x = mags.shape
-    search = np.flatnonzero(_guard_complement((m_z, m_x), dc_guard)[:m_z // 2 + 1])
+    search = np.flatnonzero(ix_guard_complement((m_z, m_x), dc_guard)[:m_z // 2 + 1])
     if not search.size:
         return [NoPeak("search region is empty") for _ in range(n)]
     mirrored = search[(search >= m_x) & (search < (m_z + 1) // 2 * m_x)]

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holoris.errors import DegenerateInterference, FileFormatError
-from holoris.experiments import ExperimentConfig
+from holoris.experiments import ExperimentConfig, _placement_generators
 from holoris.geometry import (
     AngularLocation,
     ArrayGeometry,
@@ -22,7 +23,6 @@ from holoris.wavefield import (
     DetectorModel,
     Hologram,
     Source,
-    _capture_stack,
     complex_field_at_array,
     read_hologram_csv,
     synthesize_hologram,
@@ -111,8 +111,13 @@ def test_single_source_carries_no_fringes():
 
 def test_degenerate_pair_warns():
     src = Source.far_field(AngularLocation(10.0, 10.0))
-    with pytest.warns(DegenerateInterference):
+    with pytest.warns(DegenerateInterference) as caught:
         synthesize_hologram([src, src], GEOM)
+    # synthesize_trials warns at its caller's frame, here synthesize_hologram's
+    assert caught[0].filename.endswith("wavefield.py")
+    with pytest.warns(DegenerateInterference) as caught:
+        synthesize_trials([src, src], GEOM, None, [0])
+    assert caught[0].filename == __file__
 
 
 def test_fringe_frequency_lands_on_expected_bin():
@@ -205,7 +210,7 @@ def test_synthesize_trials_matches_synthesize_hologram(detector, geom):
 
 
 def loop_capture_stack(tag_sources, geom, detector, rngs):
-    """_capture_stack as a loop over the captures: the jitter applied to
+    """synthesize_trials' stack as a loop over the captures: the jitter applied to
     the last field only when non-zero, each capture added into its own row,
     AGC scaling only the captures whose maximum is positive."""
     fields = [complex_field_at_array(s, geom) for s in tag_sources]
@@ -272,8 +277,8 @@ def test_capture_stack_equals_the_per_capture_loop(geom, sources, detector, seed
     generator count, with or without jitter, noise and AGC."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateInterference)
-        got = _capture_stack(sources, geom, detector,
-                             [np.random.default_rng(s) for s in seeds])
+        got = synthesize_trials(sources, geom, detector,
+                                [np.random.default_rng(s) for s in seeds])
         want = loop_capture_stack(sources, geom, detector,
                                   [np.random.default_rng(s) for s in seeds])
     assert got.shape == (len(seeds), *geom.shape)
@@ -284,7 +289,7 @@ def test_capture_stack_agc_leaves_an_all_zero_capture_zero():
     dark = [Source.far_field(AngularLocation(0.0, 0.0), amplitude=0.0),
             Source.far_field(AngularLocation(0.0, 30.0), amplitude=0.0)]
     det = DetectorModel(ceiling=2.0, agc_enabled=True)
-    stack = _capture_stack(dark, GEOM, det, [np.random.default_rng(s) for s in range(3)])
+    stack = synthesize_trials(dark, GEOM, det, [np.random.default_rng(s) for s in range(3)])
     assert stack.shape == (3, *GEOM.shape) and not stack.any()
 
 
@@ -317,19 +322,60 @@ class UnbuiltSeeds:
 
 
 PAIR = [Source.far_field(AngularLocation(0.0, 0.0)), Source.far_field(AngularLocation(0.0, 30.0))]
-STACK_BYTES = r"^trials\*n_z\*n_x must be at most "
+SYNTHESIS_BYTES = r"^synthesis of n_z\*n_x must be at most "
 
 
 def test_synthesize_trials_is_held_to_the_byte_budget_before_any_generator(monkeypatch):
-    # 10**9 captures of a 32x32 panel would take ~33 TB
-    with pytest.raises(ValueError, match=STACK_BYTES + "2147483648 bytes at 32 bytes each$"):
+    # 10**9 captures of a 32x32 panel would take ~33 TB: 3 fields and 10**9
+    # captures of 16 + 32 bytes each per element
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES
+                       + "2147483648 bytes at 32000000048 bytes each$"):
         synthesize_trials(PAIR, GEOM, None, UnbuiltSeeds(10**9))
-    # a budget of 4 captures at 32*32*32 bytes each
-    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 4 * 32 * 32 * 32)
+    # a budget of the pair's 3 fields and 4 captures: 32*32*(3*16 + 4*32) bytes
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 176)
     with pytest.raises(Unbuilt):
         synthesize_trials(PAIR, GEOM, None, UnbuiltSeeds(4))
-    with pytest.raises(ValueError, match=STACK_BYTES + "131072 bytes at 32 bytes each$"):
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "180224 bytes at 208 bytes each$"):
         synthesize_trials(PAIR, GEOM, None, UnbuiltSeeds(5))
+    # 4 sources take two more fields; a near field adds the temporaries of its build
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "180224 bytes at 208 bytes each$"):
+        synthesize_trials(PAIR * 2, GEOM, None, UnbuiltSeeds(4))
+    near = [PAIR[0], Source.near_field((0.1, 2.0, 0.3))]
+    with pytest.raises(Unbuilt):
+        synthesize_trials(near, GEOM, None, UnbuiltSeeds(1))
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "180224 bytes at 200 bytes each$"):
+        synthesize_trials(near, GEOM, None, UnbuiltSeeds(2))
+
+
+def test_synthesize_hologram_is_held_to_the_byte_budget_before_any_field(monkeypatch):
+    def built(*args):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr("holoris.wavefield.complex_field_at_array", built)
+    # an 8000x8000 panel holds a pair's synthesis in ~5.1 GB
+    big = ArrayGeometry(n_z=8000, n_x=8000, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "2147483648 bytes at 80 bytes each$"):
+        synthesize_hologram(PAIR, big)
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 80 - 1)
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "81919 bytes at 80 bytes each$"):
+        synthesize_hologram(PAIR, GEOM)
+
+
+def test_synthesize_hologram_is_synthesize_trials_per_tag_on_one_generator():
+    det = DetectorModel(noise_std=0.7, phase_jitter_std=0.3)
+    tag1 = [Source.far_field(AngularLocation(-5.0, 10.0), frequency_tag=1),
+            Source.near_field((0.3, 1.2, 0.1), amplitude=0.6, frequency_tag=1)]
+    tag0 = [Source.far_field(AngularLocation(0.0, 0.0)),
+            Source.far_field(AngularLocation(12.0, -33.0), amplitude=1.4)]
+    holos = synthesize_hologram([tag1[0], *tag0, tag1[1]], GEOM, det, seed=17)
+    rng = np.random.default_rng(17)
+    want = [synthesize_trials(tag, GEOM, det, [rng])[0] for tag in (tag0, tag1)]
+    assert [h.frequency_tag for h in holos] == [0, 1]
+    assert [h.values.tobytes() for h in holos] == [w.tobytes() for w in want]
+
+
+def test_synthesize_hologram_rejects_an_empty_source_list():
+    with pytest.raises(ValueError, match="^at least one source is required$"):
+        synthesize_hologram([], GEOM)
 
 
 SIZES = st.integers(0, 30).flatmap(lambda e: st.integers(1, 2**e))
@@ -338,17 +384,23 @@ SIZES = st.integers(0, 30).flatmap(lambda e: st.integers(1, 2**e))
 @settings(max_examples=300, deadline=None)
 @given(trials=SIZES, n_z=SIZES, n_x=SIZES, pad=st.integers(1, 16))
 @example(trials=2**14, n_z=32, n_x=32, pad=2)   # the default panel's spectra at the budget
-@example(trials=2**26, n_z=1, n_x=1, pad=1)     # both figures at the budget
+@example(trials=2**26, n_z=1, n_x=1, pad=1)     # the spectra at the budget, the synthesis past it
+@example(trials=248_551, n_z=1, n_x=1, pad=1)   # the default grid's seeds at the budget
+@example(trials=2**20, n_z=2, n_x=2, pad=1)     # the synthesis within the budget, the seeds past it
 def test_an_accepted_experiment_config_passes_the_size_checks_of_a_run(trials, n_z, n_x, pad):
-    # Each check is called on the config's stack; no array is built.
+    # Each check is called on the config's stack and grid; no array is built.
     try:
         geom = ArrayGeometry(n_z=n_z, n_x=n_x, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
-        ExperimentConfig(geometry=geom, trials=trials, zero_pad_factor=pad)
+        cfg = ExperimentConfig(geometry=geom, trials=trials, zero_pad_factor=pad)
     except ValueError:
         return
     with pytest.raises(Unbuilt):
         synthesize_trials(PAIR, geom, None, UnbuiltSeeds(trials))
     _check_spectral_settings((trials, n_z, n_x), pad)  # _transform's check of the stack
+    placements = range(len(cfg.bs_locations) * len(cfg.ue_locations))
+    with mock.patch("holoris.experiments._capture_seeds", side_effect=Unbuilt), \
+            pytest.raises(Unbuilt):
+        next(_placement_generators(cfg.seed, placements, trials))
 
 
 def test_frequency_tags_do_not_interfere():

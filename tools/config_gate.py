@@ -181,6 +181,16 @@ CORPUS = [
     ("experiment-trials-big", section("experiment", trials=BIG)),
     # the default panel's padded spectra hold 2**14 captures in the byte budget
     ("experiment-trials-past-budget", section("experiment", trials=2**14 + 1)),
+    # at pad 1 the spectra of 4 captures of a 4096x4096 panel fit the byte budget, and
+    # the synthesis of the suites' pair of sources does not
+    ("experiment-synthesis-past-budget", {"geometry": {"n_z": 4096, "n_x": 4096},
+                                          "localization": {"zero_pad_factor": 1},
+                                          "experiment": {"trials": 4}}),
+    # on a 2x2 panel at pad 1, 2**20 captures fit as spectra and synthesis, and their
+    # seeds over the default grid's 4x27 placements do not
+    ("experiment-seeds-past-budget", {"geometry": {"n_z": 2, "n_x": 2},
+                                      "localization": {"zero_pad_factor": 1},
+                                      "experiment": {"trials": 2**20}}),
     ("experiment-seed-negative", section("experiment", seed=-1)),
     ("experiment-seed-null", section("experiment", seed=None)),
     ("experiment-seed-big", section("experiment", seed=BIG)),
