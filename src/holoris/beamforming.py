@@ -228,10 +228,10 @@ def _pattern_plan(
     factor and z_x = exp(i*w_x) of shape (T, P) the x-axis one, for the
     grid's frequencies w_z (T,) and w_x (T, P); both are read-only, as every
     call on the grid shares them.  A plan holds 16*T*(n_z + P) bytes, and
-    the cache one plan, the last grid's.  Raises ValueError naming the grid unless it
-    holds at least one angle and each is finite with |angle| < 90, and, before
-    any exp, unless _check_bytes admits T*(P + n_z + n_x) points at
-    _PATTERN_BYTES each, so a grid is checked once per plan.
+    the cache one plan, the last grid's.  Raises ValueError naming the grid
+    unless it holds at least one angle and each is finite with |angle| < 90,
+    and, before any exp, unless _check_bytes admits T*(P + n_z + n_x) points
+    at _PATTERN_BYTES each, so a grid is checked once per plan.
     """
     theta, phi = np.frombuffer(theta_key), np.frombuffer(phi_key)
     for name, grid in (("theta_grid_deg", theta), ("phi_grid_deg", phi)):

@@ -386,7 +386,7 @@ SIZES = st.integers(0, 30).flatmap(lambda e: st.integers(1, 2**e))
 @example(trials=2**14, n_z=32, n_x=32, pad=2)   # the default panel's spectra at the budget
 @example(trials=2**26, n_z=1, n_x=1, pad=1)     # the spectra at the budget, the synthesis past it
 @example(trials=248_551, n_z=1, n_x=1, pad=1)   # the default grid's seeds at the budget
-@example(trials=2**20, n_z=2, n_x=2, pad=1)     # the synthesis within the budget, the seeds past it
+@example(trials=2**20, n_z=2, n_x=2, pad=1)     # the synthesis fits, the seeds are past it
 def test_an_accepted_experiment_config_passes_the_size_checks_of_a_run(trials, n_z, n_x, pad):
     # Each check is called on the config's stack and grid; no array is built.
     try:
