@@ -446,16 +446,21 @@ def localize(
     return out
 
 
-def _horner(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _horner(y: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_n y[t, n] * z[t, p]**n for every (t, p), by Horner's rule.
 
     y is (T, N) and z is (T, P); one (T, P) multiply-add per column, so no
     (T, N, P) intermediate is formed.  The x axis of a 2D DTFT whose z axis
     is a matrix product, as in ml_refine and beamforming.pattern, taking z
     precomputed so a caller can share it with other sums or calls in the
-    same z.
+    same z.  The sum is accumulated in out, a complex (T, P) array, if
+    given, else in a new array; either is returned.
     """
-    acc = np.repeat(y[:, -1:], z.shape[1], axis=1)
+    if out is None:
+        acc = np.repeat(y[:, -1:], z.shape[1], axis=1)
+    else:
+        acc = out
+        np.copyto(acc, y[:, -1:])
     for col in y[:, -2::-1].T:
         acc *= z
         acc += col[:, np.newaxis]
@@ -534,6 +539,11 @@ def ml_refine(
     in (theta, phi) row-major order.  Raises ValueError unless both
     search_halfwidth_deg and grid_step_deg are finite and > 0, and, before
     any array is built, for a grid whose work arrays pass _MAX_BYTES.
+
+    The complex work arrays of a call are the rows of one block, which
+    glibc's allocator then keeps on the heap from call to call instead of
+    returning it to the kernel and faulting it back in on the next call
+    (see _REFINE_POINT_BYTES).
     """
     if not all(math.isfinite(v) and v > 0 for v in (search_halfwidth_deg, grid_step_deg)):
         raise ValueError(
@@ -562,8 +572,14 @@ def _halves(a: np.ndarray) -> np.ndarray:
     return a.view(np.float64).reshape((2,) + a.shape)
 
 
-# The bytes a grid point takes in _refine_objective's work arrays: five
-# complex (T, P) arrays and the float grid of -dx.
+# The bytes a grid point takes in _refine_objective's work arrays: one
+# block of five complex (T, P) rows and the float grid of -dx.  One block,
+# not five arrays, because of glibc's dynamic thresholds (mallopt(3)): the
+# block (~800 KB on a 101x101 grid) is served by mmap once, and freeing it
+# raises the mmap threshold to its size and the trim threshold to twice
+# that.  Everything else a call holds is then smaller than the block, so
+# its memory stays below the trim threshold, later calls reuse the same
+# heap pages, and none is returned to the kernel and faulted back in.
 _REFINE_POINT_BYTES = 5 * 16 + 8
 
 
@@ -579,11 +595,11 @@ def _refine_objective(holo: Hologram, bs: AngularLocation, thetas: np.ndarray,
     its one complex exp, and the 3x3 normal equations of every grid point
     are solved together in closed form.
 
-    The (T, P) work is done in place, in five complex arrays and the float
-    grid of -dx; float intermediates go to the memory of complex arrays
-    already spent.  Each step is the out-of-place expression in the comment
-    beside it, the same operations on the same values in the same order, so
-    the score is bit for bit that of those expressions.
+    The (T, P) work is done in place, in the five complex rows of one block
+    and the float grid of -dx; float intermediates go to the memory of
+    complex rows already spent.  Each step is the out-of-place expression in
+    the comment beside it, the same operations on the same values in the
+    same order, so the score is bit for bit that of those expressions.
     """
     geom = holo.geometry
     bs_freqs = spatial_frequencies(bs, geom)
@@ -601,15 +617,17 @@ def _refine_objective(holo: Hologram, bs: AngularLocation, thetas: np.ndarray,
     # exp(-i*Phi) = e_z[t, m] * z_x[t, p]**n: the z-axis factors are one
     # (T, n_z) exp and the x-axis ones one (T, P) exp, shared by all three sums.
     e_z = np.exp(1j * np.outer(-dz, np.arange(n_z)))
-    z_x = np.multiply(1j, neg_dx, out=np.empty(neg_dx.shape, complex))
+    # The five complex (T, P) work arrays are the rows of one block, see
+    # _REFINE_POINT_BYTES.
+    z_x, work, z_xn, s1, t = np.empty((5,) + neg_dx.shape, complex)
+    np.multiply(1j, neg_dx, out=z_x)
     np.exp(z_x, out=z_x)  # z_x = exp(1j * -dx)
-    t = _horner(e_z @ I, z_x)  # projection of I on exp(-i*Phi)
+    t = _horner(e_z @ I, z_x, out=t)  # projection of I on exp(-i*Phi)
     # The sums of exp(-i*Phi) and exp(-2i*Phi) over the panel are each a 1-D
     # sum along z times a geometric sum along x, in z_x and z_x**2.
-    work = np.empty_like(z_x)
-    z_xn = _power(z_x, n_x, np.empty_like(z_x), work)  # z_xn = z_x**n_x
+    z_xn = _power(z_x, n_x, z_xn, work)  # z_xn = z_x**n_x
     z_x2n = np.multiply(z_xn, z_xn, out=work)  # z_xn * z_xn
-    s1 = _geometric_sum(z_x, z_xn, n_x, np.empty_like(z_x))
+    s1 = _geometric_sum(z_x, z_xn, n_x, s1)
     np.multiply(e_z.sum(axis=1)[:, np.newaxis], s1, out=s1)  # s1 = e_z.sum(1) * s1
     z_x2 = np.multiply(z_x, z_x, out=z_x)  # z_x * z_x, once the first sum has read z_x
     s2 = _geometric_sum(z_x2, z_x2n, n_x, z_xn)

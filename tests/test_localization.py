@@ -7,7 +7,12 @@ azimuth candidates are +/-32.367221606087334 degrees.
 """
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1152,6 +1157,48 @@ def test_refine_objective_is_the_out_of_place_expression_bit_for_bit(data, panel
             cases + cases[:1], wants + wants[:1]):
         assert np.array_equal(_refine_objective(holo, bs, thetas, phis), want)
         assert ml_refine(holo, bs, coarse, halfwidth, step) == best
+
+
+def test_horner_into_out_is_the_new_array_bit_for_bit():
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))
+    z = np.exp(1j * rng.uniform(-math.pi, math.pi, size=(4, 5)))
+    out = np.full((4, 5), np.nan + 0j)
+    assert _horner(y, z, out=out) is out
+    assert np.array_equal(out, _horner(y, z))
+
+
+# Run in a fresh interpreter, so the allocator starts from a heap no other
+# test has shaped.  Warm-up calls set glibc's dynamic thresholds; the calls
+# after them must take no page faults.
+_REFINE_FAULTS = """
+import resource, sys
+from holoris.geometry import AngularLocation, default_geometry
+from holoris.localization import ml_refine
+from holoris.wavefield import Source, synthesize_hologram
+
+step = float(sys.argv[1])
+bs = AngularLocation(0.0, 0.0)
+holo = synthesize_hologram([Source.far_field(bs), Source.far_field(AngularLocation(0.0, 30.0))],
+                           default_geometry())[0]
+coarse = AngularLocation(1.0, 31.0)
+for _ in range(3):
+    ml_refine(holo, bs, coarse, grid_step_deg=step)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    ml_refine(holo, bs, coarse, grid_step_deg=step)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+@pytest.mark.parametrize("step", [0.1, 0.05])  # 101x101 and 201x201 grids
+def test_ml_refine_takes_no_page_faults_once_warm(step):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _REFINE_FAULTS, str(step)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert float(done.stdout) < 5
 
 
 # ---------------------------------------------------------------- multiuser
