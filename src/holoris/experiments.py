@@ -50,6 +50,7 @@ from .wavefield import (
     _check_synthesis,
     _float_rows,
     _number,
+    _synthesis_bytes,
     _write_lines,
     _write_matrix_file,
     synthesize_trials,
@@ -127,7 +128,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         _check_spectral_settings((self.trials, *self.geometry.shape), self.zero_pad_factor,
                                  self.dc_guard, self.significance_threshold)
-        _check_synthesis(self.geometry.shape, self.trials, 2)  # the suites' BS and UE
+        _check_synthesis(self.geometry.shape,  # the suites' BS and UE
+                         _synthesis_bytes(self.trials, ("far_field", "far_field")))
         _check_seeds(self.seed, len(self.bs_locations) * len(self.ue_locations), self.trials)
 
 

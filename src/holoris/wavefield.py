@@ -36,6 +36,7 @@ _FIELD_BYTES = 16  # a complex source field, or the sum of all fields but the la
 _CAPTURE_BYTES = 16 + 8 + 8  # per capture: its complex total, intensity and noise
 # a near field's float64 positions, their offsets and squares, the summed squares and roots
 _NEAR_FIELD_BYTES = 3 * 24 + 2 * 8
+_HOLOGRAM_BYTES = 8  # a Hologram's float64 values, per panel element
 
 
 def _front_position(position) -> np.ndarray:
@@ -229,13 +230,18 @@ def _tag_signature(source: Source, geom: ArrayGeometry):
     return ("near_field", *source.position.tolist())
 
 
-def _check_synthesis(shape, trials: int, n_sources: int, near_field: bool = False) -> None:
-    """Raise ValueError unless _check_bytes admits synthesize_trials' work arrays
-    on a panel of shape: n_sources + 1 fields, trials captures and, with a near
-    field, its temporaries, per element."""
-    _check_bytes("synthesis of n_z*n_x", math.prod(shape),
-                 _FIELD_BYTES * (n_sources + 1) + _CAPTURE_BYTES * trials
-                 + _NEAR_FIELD_BYTES * near_field)
+def _synthesis_bytes(trials: int, kinds) -> int:
+    """synthesize_trials' work arrays in bytes per panel element, for sources of
+    the given kinds: a field per source and their sum, trials captures and,
+    with a near field, its temporaries."""
+    kinds = list(kinds)
+    return (_FIELD_BYTES * (len(kinds) + 1) + _CAPTURE_BYTES * trials
+            + _NEAR_FIELD_BYTES * ("near_field" in kinds))
+
+
+def _check_synthesis(shape, item_bytes: int) -> None:
+    """Raise ValueError unless _check_bytes admits item_bytes per element of a panel of shape."""
+    _check_bytes("synthesis of n_z*n_x", math.prod(shape), item_bytes)
 
 
 def synthesize_trials(
@@ -268,8 +274,7 @@ def synthesize_trials(
         raise ValueError("at least one source is required")
     if len({s.frequency_tag for s in sources}) != 1:
         raise ValueError("synthesize_trials takes the sources of one frequency tag")
-    _check_synthesis(geom.shape, len(seeds), len(sources),
-                     any(s.kind == "near_field" for s in sources))
+    _check_synthesis(geom.shape, _synthesis_bytes(len(seeds), (s.kind for s in sources)))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     if len({_tag_signature(s, geom) for s in sources}) == 1:
         warnings.warn(
@@ -314,13 +319,18 @@ def synthesize_hologram(
     Each tag, in ascending order, is synthesize_trials of its sources, with
     its checks and warning, on one generator seeded with seed, which serves
     the tags in turn; identical inputs and seed yield bit-identical holograms.
+    Before any generator or field is built, the holograms returned and the
+    largest tag's work arrays are held to _check_synthesis together.
     """
     sources = list(sources)
-    rng = np.random.default_rng(seed)
     # no tag at all still reaches synthesize_trials, which rejects an empty source list
     tags = sorted({s.frequency_tag for s in sources}) or [0]
-    return [Hologram(synthesize_trials([s for s in sources if s.frequency_tag == tag], geom,
-                                       detector, [rng])[0], geom, tag) for tag in tags]
+    groups = [[s for s in sources if s.frequency_tag == tag] for tag in tags]
+    _check_synthesis(geom.shape, _HOLOGRAM_BYTES * len(tags)
+                     + max(_synthesis_bytes(1, (s.kind for s in group)) for group in groups))
+    rng = np.random.default_rng(seed)
+    return [Hologram(synthesize_trials(group, geom, detector, [rng])[0], geom, tag)
+            for tag, group in zip(tags, groups)]
 
 
 def _write_lines(path, lines) -> None:
