@@ -188,10 +188,10 @@ _EXPERIMENT = (
     _Key("gain_phi_deg", partial(_numbers, expected="a list of degrees"), null=True),
     _Key("ber_snr_db", partial(_numbers, expected="a list of dB values"), null=True),
     _Key("ber_modulation_order", int),
-    _Key("trials", int),
     _Key("seed", int),
     _Key("bs_locations_deg", _locations),
     _Key("ue_locations_deg", _locations),
+    _Key("trials", int),  # after the grid its seeds are counted for
     _Key("ber_gain_db", float),
 )
 

@@ -485,6 +485,17 @@ def test_array_size_beyond_numpy_exits_2(tmp_path, capsys, command, document, me
     assert not out.exists()
 
 
+def test_trials_are_counted_over_the_documents_own_grid():
+    # experiment.trials is read after the location lists, so the seeds check counts
+    # the document's 1x1 grid (300,000 seeds, 24 MB), not the default 4x27 (~2.6 GB)
+    cfg = parse_config({"geometry": {"n_z": 2, "n_x": 2}, "localization": PAD_1,
+                        "experiment": {"trials": 300000, "bs_locations_deg": [[0, 0]],
+                                       "ue_locations_deg": [[0, 30]]}})
+    assert cfg.experiment.trials == 300000
+    assert cfg.experiment.bs_locations == (AngularLocation(0.0, 0.0),)
+    assert cfg.experiment.ue_locations == (AngularLocation(0.0, 30.0),)
+
+
 @pytest.mark.parametrize("flag", ["--seed=-1", "--trials=0"])
 def test_config_errors_are_reported_before_flag_errors(tmp_path, capsys, flag):
     # the flags are read after the whole document

@@ -191,6 +191,13 @@ CORPUS = [
     ("experiment-seeds-past-budget", {"geometry": {"n_z": 2, "n_x": 2},
                                       "localization": {"zero_pad_factor": 1},
                                       "experiment": {"trials": 2**20}}),
+    # trials is read after the location lists, so the seeds of the document's own
+    # 1x1 grid are counted: 300,000 of them fit
+    ("experiment-seeds-of-its-own-grid", {"geometry": {"n_z": 2, "n_x": 2},
+                                          "localization": {"zero_pad_factor": 1},
+                                          "experiment": {"trials": 300000,
+                                                         "bs_locations_deg": [[0, 0]],
+                                                         "ue_locations_deg": [[0, 30]]}}),
     ("experiment-seed-negative", section("experiment", seed=-1)),
     ("experiment-seed-null", section("experiment", seed=None)),
     ("experiment-seed-big", section("experiment", seed=BIG)),
