@@ -259,15 +259,29 @@ def parse_config(document: dict, *, seed=None, trials=None) -> RunConfig:
     return _read(run, {k: v for k, v in flags.items() if v is not None}, _EXPERIMENT, "--")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; ConfigError if a key repeats, as json
+    would otherwise keep only its last value."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ConfigError(f"duplicate key {key!r}")
+        document[key] = value
+    return document
+
+
 def load_config(path, *, seed=None, trials=None) -> RunConfig:
-    """Read and validate a JSON configuration file; see ``parse_config``."""
+    """Read and validate a JSON configuration file; see ``parse_config``.
+    An object that repeats a key is a ConfigError."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        document = json.loads(data.decode("utf-8"))
+        document = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:
         # ValueError: not UTF-8, not JSON, or an integer literal beyond
         # Python's digit limit; RecursionError: arrays or objects nested

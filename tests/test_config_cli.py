@@ -397,6 +397,22 @@ def test_undecodable_config_exits_2(tmp_path, capsys, data):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"geometry": {"n_z": 16, "n_z": 32}}', "n_z"),
+    ('{"experiment": {"trials": 2}, "experiment": {"trials": 3}}', "experiment"),
+    ('{"sources": [{"kind": "far_field", "theta_deg": 0, "phi_deg": 0, "phi_deg": 30}]}',
+     "phi_deg"),
+], ids=["geometry-n_z", "experiment-section", "source-phi_deg"])
+def test_duplicate_config_key_exits_2(tmp_path, capsys, text, key):
+    # json keeps only a repeated key's last value; the config would then ignore the first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out" / "h.csv"
+    assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config {cfg}: duplicate key {key!r}\n"
+    assert not out.parent.exists()
+
+
 def test_simulate_infinite_pitch_exits_2(tmp_path, capsys):
     # json writes float("inf") as the literal Infinity, which json reads back
     cfg = write_config(tmp_path, {"geometry": {"d_z_m": float("inf")}})
