@@ -127,10 +127,15 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class SpatialFrequencyPair:
-    """Per-index phase increments (radians/sample) along z and x."""
+    """Per-index phase increments (radians/sample) along z and x, both finite."""
 
     omega_z: float
     omega_x: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.omega_z) and math.isfinite(self.omega_x)):
+            raise ValueError(f"spatial frequencies must be finite, got "
+                             f"({self.omega_z!r}, {self.omega_x!r})")
 
 
 def default_geometry() -> ArrayGeometry:

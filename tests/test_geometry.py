@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoris.errors import InfeasibleFrequency
+from holoris.localization import candidate_frequencies
 from holoris.geometry import (
     AngularLocation,
     ArrayGeometry,
@@ -173,6 +174,22 @@ def test_inverse_mapping_rejects_evanescent():
         for omega_x in (0.0, 1e-20, 0.5):
             with pytest.raises(InfeasibleFrequency):
                 angles_from_frequencies(SpatialFrequencyPair(omega_z, omega_x), geom)
+
+
+@pytest.mark.parametrize("omega_z, omega_x", [
+    (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
+def test_spatial_frequency_pair_is_finite(omega_z, omega_x):
+    with pytest.raises(ValueError, match="spatial frequencies must be finite"):
+        SpatialFrequencyPair(omega_z, omega_x)
+
+
+def test_non_finite_frequencies_reach_neither_inverse_map_nor_candidates():
+    # a NaN pair used to read as "on the array plane", an infinite one to
+    # overflow in regulate; neither pair is built now
+    with pytest.raises(ValueError, match="must be finite"):
+        angles_from_frequencies(SpatialFrequencyPair(math.nan, 0.0), default_geometry())
+    with pytest.raises(ValueError, match="must be finite"):
+        candidate_frequencies(SpatialFrequencyPair(math.inf, 0.0), (2, 3), (64, 64))
 
 
 @settings(max_examples=300, deadline=None)
