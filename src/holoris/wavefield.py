@@ -319,14 +319,16 @@ def synthesize_hologram(
     Each tag, in ascending order, is synthesize_trials of its sources, with
     its checks and warning, on one generator seeded with seed, which serves
     the tags in turn; identical inputs and seed yield bit-identical holograms.
-    Before any generator or field is built, the holograms returned and the
-    largest tag's work arrays are held to _check_synthesis together.
+    Before any generator or field is built, the holograms of all tags but the
+    last, which are alive while a later tag is synthesized, and the largest
+    tag's work arrays are held to _check_synthesis together; the last tag's
+    intensity is already in that work.
     """
     sources = list(sources)
     # no tag at all still reaches synthesize_trials, which rejects an empty source list
     tags = sorted({s.frequency_tag for s in sources}) or [0]
     groups = [[s for s in sources if s.frequency_tag == tag] for tag in tags]
-    _check_synthesis(geom.shape, _HOLOGRAM_BYTES * len(tags)
+    _check_synthesis(geom.shape, _HOLOGRAM_BYTES * (len(tags) - 1)
                      + max(_synthesis_bytes(1, (s.kind for s in group)) for group in groups))
     rng = np.random.default_rng(seed)
     return [Hologram(synthesize_trials(group, geom, detector, [rng])[0], geom, tag)

@@ -624,13 +624,13 @@ def test_simulate_past_the_synthesis_budget_exits_2_before_any_field(tmp_path, c
     def built(*args):
         raise AssertionError("a field was built")
     monkeypatch.setattr("holoris.wavefield.complex_field_at_array", built)
-    # the config's 4096x4096 panel holds the suites' pair; its 20 sources take ~6.3 GB
+    # the config's 4096x4096 panel holds the suites' pair; its 20 sources take ~6.2 GB
     sources = [{"kind": "far_field", "theta_deg": 0.0, "phi_deg": float(phi)}
                for phi in range(20)]
     cfg = write_config(tmp_path, {"geometry": {"n_z": 4096, "n_x": 4096}, "sources": sources})
     out = tmp_path / "out" / "h.csv"
     assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {SYNTHESIS_BYTES.format(376)}\n"
+    assert capsys.readouterr().err == f"error: {SYNTHESIS_BYTES.format(368)}\n"
     assert not out.parent.exists()
 
 
@@ -639,14 +639,15 @@ def test_simulate_past_the_budget_in_holograms_exits_2_before_any_field(tmp_path
     def built(*args):
         raise AssertionError("a field was built")
     monkeypatch.setattr("holoris.wavefield.complex_field_at_array", built)
-    # each of 100 two-source tags fits alone (~1.3 GB on 4096x4096), but the 100
-    # holograms returned take 8 bytes an element each beside the largest tag's 80
+    # each of 100 two-source tags fits alone (~1.3 GB on 4096x4096), but the 99
+    # holograms alive while the last tag is synthesized take 8 bytes an element each
+    # beside the largest tag's 80
     sources = [{"kind": "far_field", "theta_deg": 0.0, "phi_deg": phi, "frequency_tag": tag}
                for tag in range(100) for phi in (0.0, 30.0)]
     cfg = write_config(tmp_path, {"geometry": {"n_z": 4096, "n_x": 4096}, "sources": sources})
     out = tmp_path / "out" / "h.csv"
     assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {SYNTHESIS_BYTES.format(880)}\n"
+    assert capsys.readouterr().err == f"error: {SYNTHESIS_BYTES.format(872)}\n"
     assert not out.parent.exists()
 
 

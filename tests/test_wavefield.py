@@ -351,34 +351,36 @@ def test_synthesize_hologram_is_held_to_the_byte_budget_before_any_field(monkeyp
     def built(*args):
         raise AssertionError("a field was built")
     monkeypatch.setattr("holoris.wavefield.complex_field_at_array", built)
-    # an 8000x8000 panel holds a pair's synthesis and its hologram in ~5.6 GB
+    # an 8000x8000 panel holds a pair's synthesis in ~5.1 GB
     big = ArrayGeometry(n_z=8000, n_x=8000, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
-    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "2147483648 bytes at 88 bytes each$"):
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "2147483648 bytes at 80 bytes each$"):
         synthesize_hologram(PAIR, big)
-    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 88 - 1)
-    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "90111 bytes at 88 bytes each$"):
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 80 - 1)
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "81919 bytes at 80 bytes each$"):
         synthesize_hologram(PAIR, GEOM)
 
 
-def test_synthesize_hologram_charges_every_hologram_it_returns(monkeypatch):
+def test_synthesize_hologram_charges_the_holograms_held_beside_a_tag(monkeypatch):
     def built(*args):
         raise AssertionError("a field was built")
     monkeypatch.setattr("holoris.wavefield.complex_field_at_array", built)
     # 100 tags of a pair on a 4096x4096 panel: each tag's synthesis fits in ~1.3 GB
-    # (80 bytes an element), but the 100 holograms returned take 800 bytes more
+    # (80 bytes an element), but the 99 holograms alive while the last tag is
+    # synthesized take 792 bytes more
     big = ArrayGeometry(n_z=4096, n_x=4096, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
     tagged = [Source.far_field(AngularLocation(0.0, phi), frequency_tag=tag)
               for tag in range(100) for phi in (0.0, 30.0)]
-    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "2147483648 bytes at 880 bytes each$"):
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "2147483648 bytes at 872 bytes each$"):
         synthesize_hologram(tagged, big)
-    # two holograms beside the larger tag's work: a near-field pair's 3*16 + 32 + 88 bytes
+    # the first tag's hologram beside the larger tag's work, a near-field pair's
+    # 3*16 + 32 + 88 bytes
     mixed = [*PAIR, Source.far_field(AngularLocation(0.0, 0.0), frequency_tag=1),
              Source.near_field((0.1, 2.0, 0.3), frequency_tag=1)]
-    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 184)
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 176)
     with pytest.raises(AssertionError, match="a field was built"):
         synthesize_hologram(mixed, GEOM)
-    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 184 - 1)
-    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "188415 bytes at 184 bytes each$"):
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 176 - 1)
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "180223 bytes at 176 bytes each$"):
         synthesize_hologram(mixed, GEOM)
 
 
