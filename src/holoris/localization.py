@@ -454,13 +454,10 @@ def _horner(y: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.n
     is a matrix product, as in ml_refine and beamforming.pattern, taking z
     precomputed so a caller can share it with other sums or calls in the
     same z.  The sum is accumulated in out, a complex (T, P) array, if
-    given, else in a new array; either is returned.
+    given, else in a new one; either is returned.
     """
-    if out is None:
-        acc = np.repeat(y[:, -1:], z.shape[1], axis=1)
-    else:
-        acc = out
-        np.copyto(acc, y[:, -1:])
+    acc = np.empty(z.shape, complex) if out is None else out
+    np.copyto(acc, y[:, -1:])
     for col in y[:, -2::-1].T:
         acc *= z
         acc += col[:, np.newaxis]
