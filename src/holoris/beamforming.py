@@ -26,7 +26,6 @@ from .geometry import (
     element_positions,
     unit_direction,
 )
-from .localization import _horner
 from .wavefield import (
     Source,
     _front_position,
@@ -215,6 +214,22 @@ def _hpbw(axis_deg: np.ndarray, cut: np.ndarray) -> float:
             right = axis_deg[j] + frac * (axis_deg[j + 1] - axis_deg[j])
             break
     return float(right - left)
+
+
+def _horner(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_n y[t, n] * z[t, p]**n for every (t, p), by Horner's rule.
+
+    y is (T, N) and z is (T, P); one (T, P) multiply-add per column, so no
+    (T, N, P) intermediate is formed.  The x axis of pattern's 2D DTFT, whose
+    z axis is a matrix product, taking z precomputed so calls on one grid
+    can share it.
+    """
+    acc = np.empty(z.shape, complex)
+    np.copyto(acc, y[:, -1:])
+    for col in y[:, -2::-1].T:
+        acc *= z
+        acc += col[:, np.newaxis]
+    return acc
 
 
 @functools.lru_cache(maxsize=1)

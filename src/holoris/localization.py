@@ -33,7 +33,6 @@ from .geometry import (
     ArrayGeometry,
     SpatialFrequencyPair,
     _check_bytes,
-    _frequency_grid,
     _is_int,
     _real,
     angles_from_frequencies,
@@ -446,75 +445,6 @@ def localize(
     return out
 
 
-def _horner(y: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_n y[t, n] * z[t, p]**n for every (t, p), by Horner's rule.
-
-    y is (T, N) and z is (T, P); one (T, P) multiply-add per column, so no
-    (T, N, P) intermediate is formed.  The x axis of a 2D DTFT whose z axis
-    is a matrix product, as in ml_refine and beamforming.pattern, taking z
-    precomputed so a caller can share it with other sums or calls in the
-    same z.  The sum is accumulated in out, a complex (T, P) array, if
-    given, else in a new one; either is returned.
-    """
-    acc = np.empty(z.shape, complex) if out is None else out
-    np.copyto(acc, y[:, -1:])
-    for col in y[:, -2::-1].T:
-        acc *= z
-        acc += col[:, np.newaxis]
-    return acc
-
-
-# Where |1 - z| is below this, _geometric_sum leaves the quotient, whose
-# absolute error grows as ~n*eps/|1 - z|, for the sine form.
-_NEAR_ONE = 1e-2
-
-
-def _power(z: np.ndarray, n: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """z**n for an integer n >= 1 by repeated squaring, written into out and returned.
-
-    The squares z**2, z**4, ... are formed in work, so z itself is only
-    read; for n = 1, out is a copy of z.
-    """
-    square = z
-    first = True
-    while True:
-        if n & 1:
-            if first:  # out = z
-                np.copyto(out, square)
-                first = False
-            else:  # out = out * z
-                np.multiply(out, square, out=out)
-        n >>= 1
-        if not n:
-            return out
-        square = np.multiply(square, square, out=work)  # z = z * z
-
-
-def _geometric_sum(z: np.ndarray, z_n: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """sum_{k<n} z**k elementwise, for z on the unit circle and z_n = z**n,
-    written into out and returned.  z is only read; z_n is overwritten
-    with 1 - z_n.
-
-    The closed form (1 - z_n) / (1 - z), except where |1 - z| < _NEAR_ONE:
-    there the quotient cancels (the sum tends to n at z = 1), and the sine
-    form exp(i*(n-1)*w/2) * sin(n*w/2) / sin(w/2) in w = angle(z) is taken
-    instead, as n * sinc(n*w/2pi) / sinc(w/2pi) so that w = 0 gives n.
-    The absolute error stays below about n*eps/_NEAR_ONE + n**2*eps, eps
-    the float64 epsilon.
-    """
-    num = np.subtract(1.0, z_n, out=z_n)  # num = 1 - z_n
-    den = np.subtract(1.0, z, out=out)  # den = 1 - z
-    near = den.real < 0.5 * _NEAR_ONE**2  # |1 - z|**2 = 2*(1 - Re z) on |z| = 1
-    if not near.any():
-        return np.divide(num, den, out=out)
-    den[near] = 1.0
-    np.divide(num, den, out=out)
-    w = np.angle(z[near])
-    out[near] = np.exp(0.5j * (n - 1) * w) * (
-        n * np.sinc(n * w / (2 * math.pi)) / np.sinc(w / (2 * math.pi)))
-    return out
-
-
 def ml_refine(
     holo: Hologram,
     bs: AngularLocation,
@@ -524,148 +454,123 @@ def ml_refine(
 ) -> AngularLocation:
     """Grid-search refinement of a coarse estimate.
 
-    For every direction on a (2*halfwidth/step + 1)^2 grid centered on the
-    coarse estimate, the fringe model A + B*cos(Phi) + C*sin(Phi) with
-    Phi(m, n) = m*dz + n*dx is fitted to the hologram by linear least
-    squares (amplitude and phase concentrated out), and the direction with
-    the smallest residual wins.  The grid always contains the coarse point
-    itself, so refinement never loses to the coarse estimate on-model.
+    The grid is uniform in the spatial frequencies and centred on the
+    coarse estimate's; one step is grid_step_deg in theta along z and in
+    phi along x at the coarse point, about 2*halfwidth/step + 1 points per
+    axis (at most 360/step + 1).  At every point the fringe model A +
+    B*cos(Phi) + C*sin(Phi), Phi(m, n) = m*dz + n*dx, is fitted by linear
+    least squares (_refine_objective), and the smallest residual wins.
+    Points outside the propagating disk, (omega_z/k_z)**2 +
+    (omega_x/k_x)**2 >= 1 with k = 2*pi*d/lambda, get no score.  The centre
+    is the coarse point: it is always scored and wins ties, so refinement
+    never loses to the coarse estimate on-model, and it is then returned as
+    given.  Otherwise the first best point in row-major order goes through
+    angles_from_frequencies.
 
-    The grid is scored by _refine_objective, all at once and with no
-    per-theta loop, and its maximum wins.  Ties go to the first grid point
-    in (theta, phi) row-major order.  Raises ValueError unless both
-    search_halfwidth_deg and grid_step_deg are finite and > 0, and, before
-    any array is built, for a grid whose work arrays pass _MAX_BYTES.
-
-    The complex work arrays of a call are the rows of one block, which
-    glibc's allocator then keeps on the heap from call to call instead of
-    returning it to the kernel and faulting it back in on the next call
-    (see _REFINE_POINT_BYTES).
+    Raises ValueError unless search_halfwidth_deg and grid_step_deg are
+    finite and > 0, and, before any array is built, for a grid whose work
+    arrays, one block of memory (see _REFINE_POINT_BYTES), pass _MAX_BYTES.
     """
     if not all(math.isfinite(v) and v > 0 for v in (search_halfwidth_deg, grid_step_deg)):
         raise ValueError(
             "search_halfwidth_deg and grid_step_deg must be finite and > 0, got "
             f"{search_halfwidth_deg!r} and {grid_step_deg!r}"
         )
-    # No offset beyond +-180 deg survives the |angle| < 90 clip, so a wider
-    # halfwidth gives the same grid, of about min(2*ratio, cap) + 1 points
-    # per axis.  Either quotient may be inf; once the grid is bounded,
+    # At most 180 deg of steps either side, about min(2*ratio, cap) + 1
+    # points per axis.  Either quotient may be inf; once the grid is bounded,
     # min(ratio, cap) is finite, and min(ratio, ceil(cap)) is the same value.
     ratio, cap = search_halfwidth_deg / grid_step_deg, 180.0 / grid_step_deg
     per_axis = min(2.0 * ratio, cap) + 1.0
     _check_bytes("ml_refine's (theta, phi) grid", per_axis * per_axis, _REFINE_POINT_BYTES)
     half_steps = round(min(ratio, math.ceil(min(ratio, cap))))
-    offsets = grid_step_deg * np.arange(-half_steps, half_steps + 1)
-    thetas, phis = (axis[np.abs(axis) < 90.0]
-                    for axis in (coarse.theta_deg + offsets, coarse.phi_deg + offsets))
-    explained = _refine_objective(holo, bs, thetas, phis)
-    a, p = np.unravel_index(int(np.argmax(explained)), explained.shape)
-    return AngularLocation(theta_deg=float(thetas[a]), phi_deg=float(phis[p]))
-
-
-def _halves(a: np.ndarray) -> np.ndarray:
-    """The memory of a C-contiguous complex (T, P) array as two contiguous
-    float64 (T, P) arrays, stacked as (2, T, P); writing them overwrites a."""
-    return a.view(np.float64).reshape((2,) + a.shape)
-
-
-# The bytes a grid point takes in _refine_objective's work arrays: one
-# block of five complex (T, P) rows and the float grid of -dx.  One block,
-# not five arrays, because of glibc's dynamic thresholds (mallopt(3)): the
-# block (~800 KB on a 101x101 grid) is served by mmap once, and freeing it
-# raises the mmap threshold to its size and the trim threshold to twice
-# that.  Everything else a call holds is then smaller than the block, so
-# its memory stays below the trim threshold, later calls reuse the same
-# heap pages, and none is returned to the kernel and faulted back in.
-_REFINE_POINT_BYTES = 5 * 16 + 8
-
-
-def _refine_objective(holo: Hologram, bs: AngularLocation, thetas: np.ndarray,
-                      phis: np.ndarray) -> np.ndarray:
-    """ml_refine's score of every direction of the grid thetas (T,) by phis (P,),
-    as a (T, P) array: the energy of the hologram its fringe fit explains,
-    less a term the same at every direction.
-
-    The projection of the hologram on exp(-i*Phi) is one 2D DTFT over the
-    grid (a matrix product along z, then Horner's rule along x), the sums
-    of exp(-i*Phi) and exp(-2i*Phi) are closed-form geometric sums sharing
-    its one complex exp, and the 3x3 normal equations of every grid point
-    are solved together in closed form.
-
-    The (T, P) work is done in place, in the five complex rows of one block
-    and the float grid of -dx; float intermediates go to the memory of
-    complex rows already spent.  Each step is the out-of-place expression in
-    the comment beside it, the same operations on the same values in the
-    same order, so the score is bit for bit that of those expressions.
-    """
     geom = holo.geometry
-    bs_freqs = spatial_frequencies(bs, geom)
+    centre = spatial_frequencies(coarse, geom)
+    k_z, k_x = (2.0 * math.pi * d / geom.wavelength_m for d in (geom.d_z_m, geom.d_x_m))
+    cos_theta = math.cos(math.radians(coarse.theta_deg))
+    steps = math.radians(grid_step_deg) * np.arange(-half_steps, half_steps + 1)
+    # Offsets in units of k: d(omega_z)/d(theta) = -k_z*cos(theta) and
+    # d(omega_x)/d(phi) = k_x*cos(theta)*cos(phi).  As |omega/k| <= 1 at the
+    # centre, offsets of 2 or more leave the propagating disk; dropping them
+    # keeps the centre in the middle and k*offset finite for a huge step.
+    w_z, w_x = (omega + k * offsets[np.abs(offsets) < 2.0] for omega, k, offsets in (
+        (centre.omega_z, k_z, cos_theta * steps),
+        (centre.omega_x, k_x, cos_theta * math.cos(math.radians(coarse.phi_deg)) * steps)))
+    c_z, c_x = w_z.size // 2, w_x.size // 2
+    score = _refine_objective(holo, bs, w_z, w_x)
+    # (w_z/k_z)**2 + (w_x/k_x)**2 >= 1 as (w_x/k_x)**2 >= 1 - (w_z/k_z)**2
+    outside = np.less_equal.outer(1.0 - (w_z / k_z) ** 2, (w_x / k_x) ** 2)
+    outside[c_z, c_x] = False
+    score[outside] = -np.inf
+    best = int(np.argmax(score))
+    if not score.flat[best] > score[c_z, c_x]:
+        return coarse
+    a, b = divmod(best, w_x.size)
+    return angles_from_frequencies(SpatialFrequencyPair(float(w_z[a]), float(w_x[b])), geom)
+
+
+# The bytes a grid point takes in ml_refine: one block of five complex
+# (T, P) rows, and the bool mask of the points outside the propagating disk.
+# One block, not five arrays, because of glibc's dynamic thresholds
+# (mallopt(3)): the block (~800 KB on a 101x101 grid) is served by mmap
+# once, and freeing it raises the mmap threshold to its size and the trim
+# threshold to twice that.  All else a call holds then stays below the trim
+# threshold, so later calls reuse the same heap pages instead of faulting
+# them back in.  Fewer rows left the heap top close enough to it to fault.
+_REFINE_POINT_BYTES = 5 * 16 + 1
+
+
+def _refine_objective(holo: Hologram, bs: AngularLocation, w_z: np.ndarray,
+                      w_x: np.ndarray) -> np.ndarray:
+    """ml_refine's score of every point of the frequency grid w_z (T,) by
+    w_x (P,), as a (T, P) array: the energy of the hologram its fringe fit
+    explains, less a term the same at every point.
+
+    On the grid exp(-i*Phi) is e_z[a, m]*e_x[n, b], so the projection of
+    the hologram I on it is t = (e_z @ I) @ e_x, and the sums of exp(-i*Phi)
+    and exp(-2i*Phi) over the panel are s1 = outer(sum e_z, sum e_x) and
+    s2 = outer(sum e_z**2, sum e_x**2).  The normal equations of the basis
+    [1, cos(Phi), sin(Phi)], regularized by reg = 1e-9*n_el on the
+    diagonal, explain total**2/g00 (dropped) plus r.H^-1.r, with H the 2x2
+    Schur complement of g00 = n_el + reg and r the cos/sin part of the
+    right-hand side with the constant eliminated.  Write H = p*I + [[d, e],
+    [e, -d]], d = (h_cc - h_ss)/2 and e = h_cs; then w = d + i*e = conj(v)/2
+    and r_c + i*r_s = conj(u), for u = t - (total/g00)*s1, v = s2 -
+    s1**2/g00 and p = n_el/2 + reg - |s1|**2/(2*g00), and
+
+        r.H^-1.r = (p*|u|**2 - Re(v*conj(u)**2)/2) / (p**2 - |v|**2/4).
+
+    The (T, P) work is done in place in the block of _REFINE_POINT_BYTES:
+    u, v and a work row are complex, the other two four float rows.
+    """
+    bs_freqs = spatial_frequencies(bs, holo.geometry)
     I = holo.values
     n_z, n_x = I.shape
     total = float(I.sum())
     n_el = n_z * n_x
-
-    # Fringe frequencies for every grid direction relative to the reference.
-    omega_z, dx = _frequency_grid(thetas, phis, geom)
-    dz = omega_z - bs_freqs.omega_z
-    np.subtract(dx, bs_freqs.omega_x, out=dx)  # dx = omega_x - bs_freqs.omega_x
-    neg_dx = np.negative(dx, out=dx)  # -dx
-
-    # exp(-i*Phi) = e_z[t, m] * z_x[t, p]**n: the z-axis factors are one
-    # (T, n_z) exp and the x-axis ones one (T, P) exp, shared by all three sums.
-    e_z = np.exp(1j * np.outer(-dz, np.arange(n_z)))
-    # The five complex (T, P) work arrays are the rows of one block, see
-    # _REFINE_POINT_BYTES.
-    z_x, work, z_xn, s1, t = np.empty((5,) + neg_dx.shape, complex)
-    np.multiply(1j, neg_dx, out=z_x)
-    np.exp(z_x, out=z_x)  # z_x = exp(1j * -dx)
-    t = _horner(e_z @ I, z_x, out=t)  # projection of I on exp(-i*Phi)
-    # The sums of exp(-i*Phi) and exp(-2i*Phi) over the panel are each a 1-D
-    # sum along z times a geometric sum along x, in z_x and z_x**2.
-    z_xn = _power(z_x, n_x, z_xn, work)  # z_xn = z_x**n_x
-    z_x2n = np.multiply(z_xn, z_xn, out=work)  # z_xn * z_xn
-    s1 = _geometric_sum(z_x, z_xn, n_x, s1)
-    np.multiply(e_z.sum(axis=1)[:, np.newaxis], s1, out=s1)  # s1 = e_z.sum(1) * s1
-    z_x2 = np.multiply(z_x, z_x, out=z_x)  # z_x * z_x, once the first sum has read z_x
-    s2 = _geometric_sum(z_x2, z_x2n, n_x, z_xn)
-    np.multiply((e_z * e_z).sum(axis=1)[:, np.newaxis], s2, out=s2)  # s2 = (e_z**2).sum(1) * s2
-
-    # Normal equations G c = b for the basis [1, cos(Phi), sin(Phi)] at every
-    # (theta, phi), G regularized by 1e-9*n_el on the diagonal.  The explained
-    # energy b.G^-1.b is total^2/G00, the same at every point and dropped, plus
-    # r.H^-1.r: H is the 2x2 Schur complement of G00 and r the cos/sin part
-    # of b after eliminating the constant term.
     reg = 1e-9 * n_el
     g00 = n_el + reg
-    sc = s1.real
-    a, b = _halves(z_x2)  # z_x2 and z_x2n are spent
-    c, d = _halves(z_x2n)
-    ss = np.negative(s1.imag, out=neg_dx)  # ss = -s1.imag
-    # r_c = t.real - (total / g00) * sc
-    r_c = np.subtract(t.real, np.multiply(total / g00, sc, out=a), out=a)
-    # r_s = -t.imag - (total / g00) * ss
-    r_s = np.subtract(np.negative(t.imag, out=b), np.multiply(total / g00, ss, out=c), out=b)
-    e, f = _halves(t)  # t is spent
-    # h_cc = 0.5 * (n_el + s2.real) + reg - sc * sc / g00
-    h_cc = np.multiply(0.5, np.add(n_el, s2.real, out=c), out=c)
-    np.add(h_cc, reg, out=h_cc)
-    np.subtract(h_cc, np.divide(np.multiply(sc, sc, out=d), g00, out=d), out=h_cc)
-    # h_ss = 0.5 * (n_el - s2.real) + reg - ss * ss / g00
-    h_ss = np.multiply(0.5, np.subtract(n_el, s2.real, out=d), out=d)
-    np.add(h_ss, reg, out=h_ss)
-    np.subtract(h_ss, np.divide(np.multiply(ss, ss, out=e), g00, out=e), out=h_ss)
-    # h_cs = -0.5 * s2.imag - sc * ss / g00
-    h_cs = np.subtract(np.multiply(-0.5, s2.imag, out=e),
-                       np.divide(np.multiply(sc, ss, out=f), g00, out=f), out=e)
-    # s1, s2 and ss are spent.
-    # explained = (h_ss * r_c**2 - 2.0 * h_cs * r_c * r_s + h_cc * r_s**2)
-    #             / (h_cc * h_ss - h_cs**2)
-    explained = np.multiply(h_ss, np.square(r_c, out=f), out=f)
-    cross = np.multiply(np.multiply(2.0, h_cs, out=neg_dx), r_c, out=neg_dx)
-    np.subtract(explained, np.multiply(cross, r_s, out=cross), out=explained)
-    np.add(explained, np.multiply(h_cc, np.square(r_s, out=cross), out=cross), out=explained)
-    det = np.multiply(h_cc, h_ss, out=h_cc)
-    np.subtract(det, np.square(h_cs, out=h_cs), out=det)
+
+    e_z = np.exp(-1j * np.outer(w_z - bs_freqs.omega_z, np.arange(n_z)))  # (T, n_z)
+    e_x = np.exp(-1j * np.outer(np.arange(n_x), w_x - bs_freqs.omega_x))  # (n_x, P)
+    block = np.empty((5, w_z.size, w_x.size), complex)
+    u, v, work = block[:3]
+    p, u_abs2, cross, v_abs2 = block[3:].view(np.float64).reshape((4,) + u.shape)
+
+    np.matmul(e_z @ I, e_x, out=u)  # t
+    s1 = np.outer(e_z.sum(axis=1), e_x.sum(axis=0), out=work)
+    np.subtract(u, np.multiply(total / g00, s1, out=v), out=u)  # u = t - (total/g00)*s1
+    np.square(np.abs(s1, out=p), out=p)  # p = n_el/2 + reg - |s1|**2/(2*g00)
+    np.add(n_el / 2 + reg, np.multiply(-0.5 / g00, p, out=p), out=p)
+    s1_sq = np.square(s1, out=work)  # v = s2 - s1**2/g00
+    np.outer((e_z * e_z).sum(axis=1), (e_x * e_x).sum(axis=0), out=v)
+    np.subtract(v, np.divide(s1_sq, g00, out=s1_sq), out=v)
+
+    np.square(np.abs(u, out=u_abs2), out=u_abs2)
+    vu2 = np.multiply(v, np.square(np.conjugate(u, out=work), out=work), out=work)
+    np.multiply(0.5, vu2.real, out=cross)  # Re(v*conj(u)**2)/2
+    np.square(np.abs(v, out=v_abs2), out=v_abs2)
+    explained = np.subtract(np.multiply(p, u_abs2, out=u_abs2), cross, out=u_abs2)
+    det = np.subtract(np.square(p, out=p), np.multiply(0.25, v_abs2, out=v_abs2), out=p)
     return np.divide(explained, det, out=explained)
 
 

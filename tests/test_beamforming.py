@@ -32,7 +32,7 @@ from holoris.beamforming import (
     received_power,
     write_coding_file,
 )
-from holoris.localization import _horner
+from holoris.beamforming import _horner
 from holoris.wavefield import Source, complex_field_at_array
 
 GEOM = default_geometry()
