@@ -85,8 +85,14 @@ def _sector(*bounds) -> SectorPolicy:
 
 
 def _front_point(*xyz):
-    """The point as a near-field ``Source`` accepts it: finite, with y > 0."""
+    """The point as a near-field ``Source`` accepts it: finite, with y > 0,
+    at a distance from the panel centre ``_front_position`` admits."""
     return Source.near_field(xyz).position
+
+
+def _point_at(loc: AngularLocation, range_m: float):
+    """``position_at``'s point, held to the same rules as ``_front_point``."""
+    return _front_point(*position_at(loc, range_m).tolist())
 
 
 def _db(power: float) -> float:
@@ -171,8 +177,8 @@ def cmd_codegen(args) -> int:
                 raise ConfigError("near mode with angles needs --bs-range and --ue-range")
             bs = _floats(args.bs, "--bs", _ANGLES, AngularLocation)
             ue = _floats(args.ue, "--ue", _ANGLES, AngularLocation)
-            bs_pos = _build(position_at, "--bs-range", bs, args.bs_range)
-            ue_pos = _build(position_at, "--ue-range", ue, args.ue_range)
+            bs_pos = _build(_point_at, "--bs-range", bs, args.bs_range)
+            ue_pos = _build(_point_at, "--ue-range", ue, args.ue_range)
         profile = nearfield_phase_profile(bs_pos, ue_pos, geometry)
         bs_src = Source.near_field(bs_pos)
         target = ue_pos

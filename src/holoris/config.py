@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .errors import ConfigError
 from .experiments import ExperimentConfig, _check_modulation_order
 from .geometry import AngularLocation, default_geometry
-from .wavefield import DetectorModel, Source
+from .wavefield import DetectorModel, Source, _front_position
 
 
 @dataclass(frozen=True)
@@ -220,13 +220,16 @@ def _parse_source(entry, path: str) -> Source:
         ))}
     elif kind == "near_field":
         _reject_unknown(section, ["kind", "position_m", *shared], path)
-        where = {"kind": "near_field", "angles": None,
-                 "position": _numbers(section.get("position_m"), f"{path}.position_m",
-                                      "[x_m, y_m, z_m]", length=3)}
+        position = _numbers(section.get("position_m"), f"{path}.position_m",
+                            "[x_m, y_m, z_m]", length=3)
+        where = {"kind": "near_field", "angles": None}
     else:
         raise ConfigError(f"{path}.kind: expected 'far_field' or 'near_field'")
     # the shared keys are read before the position is held to the source's rules
-    return _build(replace, path, _read(_REFERENCE, section, _SOURCE, f"{path}."), **where)
+    source = _read(_REFERENCE, section, _SOURCE, f"{path}.")
+    if kind == "near_field":
+        where["position"] = _build(_front_position, f"{path}.position_m", position)
+    return _build(replace, path, source, **where)
 
 
 def parse_config(document: dict, *, seed=None, trials=None) -> RunConfig:

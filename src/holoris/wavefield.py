@@ -39,14 +39,33 @@ _NEAR_FIELD_BYTES = 3 * 24 + 2 * 8
 _HOLOGRAM_BYTES = 8  # a Hologram's float64 values, per panel element
 
 
+# A near-field point's distance from the panel centre, in meters.  Beyond
+# 1e9 m float64 distances are spaced 1.2e-7 m, so the phase k0*r keeps no
+# more than ~1e-5 rad at 3.5 GHz (~2.5e-3 rad at 1 THz), and a farther point
+# has no phase its direction lacks.  The spreading r/|position| divides by
+# the distance, whose square underflows below ~1e-154 m; 1e-9 m is far
+# nearer than any point the spherical model is meant for.
+_MIN_RANGE_M, _MAX_RANGE_M = 1e-9, 1e9
+
+
 def _front_position(position) -> np.ndarray:
-    """``position`` as a finite 3-vector in front of the panel (y > 0), meters."""
+    """``position`` as a finite 3-vector in front of the panel (y > 0), meters,
+    _MIN_RANGE_M to _MAX_RANGE_M from its centre."""
     pos = np.asarray(_real("position", position), dtype=float)
     if pos.shape != (3,) or not np.isfinite(pos).all():
         raise ValueError(f"position must be a finite 3-vector, got {position!r}")
     if pos[1] <= 0:
         raise ValueError("source must lie in front of the panel (y > 0)")
+    if not _MIN_RANGE_M <= math.hypot(*pos) <= _MAX_RANGE_M:
+        raise ValueError(f"position must lie {_MIN_RANGE_M:g} to {_MAX_RANGE_M:g} m from "
+                         f"the panel centre, got {position!r}")
     return pos
+
+
+# A received power is |the sum of one source's field over the panel|**2, at
+# most (amplitude*n_z*n_x)**2: this bound keeps it below the float range,
+# (1e146 * 2**31/24)**2 ~ 8e307, over the largest panel _check_bytes admits.
+_MAX_AMPLITUDE = 1e146
 
 
 @dataclass(frozen=True)
@@ -54,7 +73,8 @@ class Source:
     """One coherent emitter illuminating the panel.
 
     kind is "far_field" (direction only) or "near_field" (finite 3D position
-    with y > 0, meters).  amplitude is finite and >= 0, phase_rad finite, and
+    with y > 0, meters, held to _front_position).  amplitude is finite, >= 0
+    and at most _MAX_AMPLITUDE, phase_rad finite, and
     frequency_tag an integer >= 0 that converts to a float.  Sources
     interfere only with sources sharing their frequency_tag.
     """
@@ -77,6 +97,9 @@ class Source:
             object.__setattr__(self, "position", _front_position(self.position))
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude!r}")
+        if self.amplitude > _MAX_AMPLITUDE:
+            raise ValueError(f"amplitude must be at most {_MAX_AMPLITUDE:g}, "
+                             f"got {self.amplitude!r}")
         if not math.isfinite(self.phase_rad):
             raise ValueError(f"phase_rad must be finite, got {self.phase_rad!r}")
         _check_integer("frequency_tag", self.frequency_tag, 0)

@@ -1,6 +1,7 @@
 """Phase profiles, 1-bit quantization, and reflected link power."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,8 @@ from holoris.errors import FileFormatError
 from holoris.geometry import (
     AngularLocation,
     ArrayGeometry,
+    _MAX_BYTES,
+    _POSITION_BYTES,
     _frequency_grid,
     default_geometry,
     element_positions,
@@ -20,6 +23,7 @@ from holoris.geometry import (
 from holoris.beamforming import (
     CodingMatrix,
     PhaseProfile,
+    _horner,
     _hpbw,
     _pattern_plan,
     _reflection,
@@ -32,8 +36,7 @@ from holoris.beamforming import (
     received_power,
     write_coding_file,
 )
-from holoris.beamforming import _horner
-from holoris.wavefield import Source, complex_field_at_array
+from holoris.wavefield import _MAX_AMPLITUDE, Source, complex_field_at_array
 
 GEOM = default_geometry()
 BS = AngularLocation(0.0, 0.0)
@@ -551,3 +554,22 @@ def test_coding_matrix_rejects_complex_states():
     # in an object array they would pass it and fail the conversion with TypeError
     with pytest.raises(ValueError, match="^CodingMatrix states must be real, got dtype object$"):
         CodingMatrix(states=np.array([[1 + 0j, 1], [1, 1]], dtype=object))
+
+
+def test_the_amplitude_bound_keeps_a_power_finite_on_the_largest_panel():
+    # the largest panel _check_bytes admits; its power tops out at (amplitude*n)**2
+    assert (_MAX_AMPLITUDE * (_MAX_BYTES // _POSITION_BYTES)) ** 2 < sys.float_info.max
+
+
+@pytest.mark.parametrize("bs_src, ue", [
+    (Source.far_field(BS, amplitude=_MAX_AMPLITUDE), UE),
+    (Source.near_field((0.0, 1e9, 0.0), amplitude=_MAX_AMPLITUDE), (0.0, 1e-9, 0.0)),
+    (Source.near_field((0.0, 1e-9, 0.0), amplitude=_MAX_AMPLITUDE), (1e9, 0.5, 0.0)),
+], ids=["far", "near-far-bs", "near-near-bs"])
+def test_link_gain_is_finite_at_the_bounds_of_its_inputs(bs_src, ue):
+    # link_gain gave nan for an amplitude of 1e200 and for a user at 1e170 m
+    coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        gain = link_gain(coding, None, bs_src, ue, GEOM).gain_db
+        power = received_power(coding, bs_src, ue, GEOM)
+    assert math.isfinite(gain) and math.isfinite(power) and power > 0

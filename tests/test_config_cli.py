@@ -5,16 +5,19 @@ format errors, 4 no significant peak / no feasible candidate, 5 sector
 disambiguation failures.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holoris.beamforming import read_coding_file
@@ -798,7 +801,13 @@ def test_codegen_near_non_finite_exits_2(tmp_path, capsys, flag, where, quiet):
     (["codegen", "--mode", "near", "--bs-pos", "0,5,0", "--ue-pos", "1,-2,0"], "--ue-pos"),
     (["localize", "{csv}", "--bs", "0,0", "--oracle-truth", "0,95"], "--oracle-truth"),
     (["localize", "{csv}", "--bs", "0,0", "--sector", "5:1"], "--sector"),
-], ids=["codegen-ue", "codegen-bs", "codegen-ue-pos", "localize-oracle", "localize-sector"])
+    # a point 1e-9 to 1e9 m from the panel centre, by position or by range
+    (["codegen", "--mode", "near", "--bs-pos", "0,1,0", "--ue-pos", "0,1e170,0"], "--ue-pos"),
+    (["codegen", "--mode", "near", "--bs-pos", "0,1e-200,0", "--ue-pos", "0,1,0"], "--bs-pos"),
+    (["codegen", "--mode", "near", "--bs", "0,0", "--ue", "0,30", "--bs-range", "5",
+      "--ue-range", "1e170"], "--ue-range"),
+], ids=["codegen-ue", "codegen-bs", "codegen-ue-pos", "localize-oracle", "localize-sector",
+        "codegen-ue-pos-far", "codegen-bs-pos-near", "codegen-ue-range-far"])
 def test_value_errors_name_their_flag(fixture_csv, tmp_path, capsys, argv, flag):
     # the library checks the value; the CLI says which flag carried it
     out = tmp_path / "c.txt"
@@ -809,6 +818,94 @@ def test_value_errors_name_their_flag(fixture_csv, tmp_path, capsys, argv, flag)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding the fixture hologram, for the flag property."""
+    path = tmp_path_factory.mktemp("flags")
+    cfg = write_config(path, {})
+    assert main(["simulate", "--config", cfg, "--output", str(path / "fixture.csv"),
+                 "--quiet"]) == 0
+    return path
+
+
+# Flag values as a user may type them: modest and extreme floats, integers
+# past the float range, non-finite spellings, and empty and junk strings.
+_NUMBER = st.one_of(st.floats(-100.0, 100.0).map(repr), st.floats().map(repr),
+                    st.integers(-10**400, 10**400).map(str),
+                    st.sampled_from(["nan", "inf", "-inf", "1e170", "1e-200", "-0.0"]))
+_ANY = st.one_of(_NUMBER, st.just(""), st.text(max_size=6))
+
+
+def _numbers(count, sep=","):
+    """Mostly the text of count numbers joined by sep, else any text."""
+    joined = st.lists(_NUMBER, min_size=count, max_size=count).map(sep.join)
+    return st.one_of(joined, joined, joined, _ANY)
+
+
+# Each optional flag and what may follow it.  The flags argparse types take
+# values of that type (an integer, or any number for a float), so every argv
+# reaches holoris' own checks rather than argparse's usage message.
+_LOCALIZE_FLAGS = {
+    "--zero-pad": st.integers(-10**400, 10**400).map(str),
+    "--dc-guard": st.integers(-10**400, 10**400).map(str),
+    "--significance-threshold": _NUMBER,
+    "--sector": st.one_of(_numbers(2, ":"),
+                          st.tuples(_numbers(2, ":"), _numbers(2, ":")).map(",".join)),
+    "--oracle-truth": _numbers(2),
+}
+_CODEGEN_FLAGS = {
+    "--bs": _numbers(2), "--ue": _numbers(2), "--bs-range": _NUMBER, "--ue-range": _NUMBER,
+    "--bs-pos": _numbers(3), "--ue-pos": _numbers(3), "--quiet": st.none(),
+}
+# The flags of each way codegen takes its points, one of which is always drawn.
+_CODEGEN_POINTS = (("--bs", "--ue"), ("--bs-pos", "--ue-pos"),
+                   ("--bs", "--ue", "--bs-range", "--ue-range"))
+
+
+@st.composite
+def _argv(draw):
+    """A localize or codegen argv; {dir} stands for the directory of fuzz_dir."""
+    if draw(st.booleans()):
+        argv = ["localize", "{dir}/fixture.csv", "--bs=" + draw(_numbers(2))]
+        flags = _LOCALIZE_FLAGS
+        chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+        if "--oracle-truth" in chosen and "--sector" in chosen:
+            chosen.remove("--sector")  # argparse takes one disambiguation flag
+    else:
+        argv = ["codegen", "--mode=" + draw(st.sampled_from(["far", "near"])),
+                "--output={dir}/coding.txt"]
+        flags = _CODEGEN_FLAGS
+        chosen = sorted(set(draw(st.sampled_from(_CODEGEN_POINTS))) | set(
+            draw(st.lists(st.sampled_from(sorted(flags))))))
+    for flag in chosen:
+        value = draw(flags[flag])
+        argv.append(flag if value is None else f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+# Points whose distance from the panel centre overflowed or underflowed the
+# near-field arithmetic, with numpy warnings, before they were bounded.
+@example(argv=["codegen", "--mode=near", "--output={dir}/coding.txt", "--bs-pos=0,1,0",
+               "--ue-pos=0,1e170,0"])
+@example(argv=["codegen", "--mode=near", "--output={dir}/coding.txt", "--bs-pos=0,1e-200,0",
+               "--ue-pos=0,1,0"])
+def test_localize_and_codegen_flags_exit_by_the_contract(fuzz_dir, argv):
+    """Over drawn localize and codegen flag values: the exit code is one of
+    the contract's, stderr is empty or one error line, and no warning is raised."""
+    argv = [a.replace("{dir}", str(fuzz_dir)) for a in argv]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+    assert [str(w.message) for w in caught] == []
 
 
 def test_codegen_far_requires_both_directions(tmp_path):

@@ -685,6 +685,29 @@ def test_source_rejects_non_finite_or_non_integer_values(kwargs, message):
         Source.near_field((0.0, 1.0, 0.0), **kwargs)
 
 
+@pytest.mark.parametrize("amplitude", [1.0000000000000001e146, 1e147, 1e200])
+def test_source_rejects_an_amplitude_past_its_bound(amplitude):
+    # at 1e200 a received power overflows: link_gain returned nan
+    for make in (lambda: Source.far_field(AngularLocation(0.0, 0.0), amplitude=amplitude),
+                 lambda: Source.near_field((0.0, 1.0, 0.0), amplitude=amplitude)):
+        with pytest.raises(ValueError, match="^amplitude must be at most 1e\\+146, got "):
+            make()
+    assert Source.far_field(AngularLocation(0.0, 0.0), amplitude=1e146).amplitude == 1e146
+
+
+@pytest.mark.parametrize("position", [(0.0, 1e170, 0.0), (0.0, 1.0000001e9, 0.0),
+                                      (6e8, 8.1e8, 0.0), (0.0, 9.9e-10, 0.0),
+                                      (0.0, 1e-200, 0.0), (0.0, 5e-324, 0.0)])
+def test_near_field_source_rejects_a_point_beyond_its_range_bound(position):
+    with pytest.raises(ValueError, match="^position must lie 1e-09 to 1e\\+09 m from the panel "):
+        Source.near_field(position)
+
+
+@pytest.mark.parametrize("position", [(0.0, 1e9, 0.0), (0.0, 1e-9, 0.0), (6e8, 8e8, 0.0)])
+def test_near_field_source_takes_a_point_at_its_range_bound(position):
+    assert np.array_equal(Source.near_field(position).position, position)
+
+
 @pytest.mark.parametrize("field, bad", [("noise_std", math.nan), ("noise_std", math.inf),
                                         ("phase_jitter_std", math.nan), ("floor", math.inf)])
 def test_detector_rejects_non_finite_values(field, bad):

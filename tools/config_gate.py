@@ -132,6 +132,7 @@ CORPUS = [
     ("far-amplitude-inf", far(amplitude=INF)),
     ("far-amplitude-nan", far(amplitude=NAN)),
     ("far-amplitude-big", far(amplitude=BIG)),
+    ("far-amplitude-huge", far(amplitude=1e200)),  # a finite power needs <= 1e146
     ("far-phase-string", far(phase_rad="pi")),
     ("far-phase-nan", far(phase_rad=NAN)),
     ("far-phase--inf", far(phase_rad=-INF)),
@@ -150,6 +151,8 @@ CORPUS = [
     ("near-position-big", near(position_m=[0.0, BIG, 0.0])),
     ("near-position-inf", near(position_m=[0.0, INF, 0.0])),
     ("near-position-nan", near(position_m=[NAN, 1.0, 0.0])),
+    ("near-position-far", near(position_m=[0.0, 1e170, 0.0])),  # 1e-9 to 1e9 m
+    ("near-position-near", near(position_m=[0.0, 1e-200, 0.0])),
     ("near-amplitude-negative", near(amplitude=-0.5)),
     ("near-phase-inf", near(phase_rad=INF)),
     ("near-tag-negative", near(frequency_tag=-2)),
