@@ -557,12 +557,14 @@ def _refine_objective(holo: Hologram, bs: AngularLocation, w_z: np.ndarray,
     p, u_abs2, cross, v_abs2 = block[3:].view(np.float64).reshape((4,) + u.shape)
 
     np.matmul(e_z @ I, e_x, out=u)  # t
-    s1 = np.outer(e_z.sum(axis=1), e_x.sum(axis=0), out=work)
+    # Outer products as (T, 1) @ (1, P) products: np.outer would take two
+    # ~128 KB ufunc buffers for its broadcast operands.
+    s1 = np.matmul(e_z.sum(axis=1)[:, None], e_x.sum(axis=0)[None, :], out=work)
     np.subtract(u, np.multiply(total / g00, s1, out=v), out=u)  # u = t - (total/g00)*s1
     np.square(np.abs(s1, out=p), out=p)  # p = n_el/2 + reg - |s1|**2/(2*g00)
     np.add(n_el / 2 + reg, np.multiply(-0.5 / g00, p, out=p), out=p)
     s1_sq = np.square(s1, out=work)  # v = s2 - s1**2/g00
-    np.outer((e_z * e_z).sum(axis=1), (e_x * e_x).sum(axis=0), out=v)
+    np.matmul((e_z * e_z).sum(axis=1)[:, None], (e_x * e_x).sum(axis=0)[None, :], out=v)
     np.subtract(v, np.divide(s1_sq, g00, out=s1_sq), out=v)
 
     np.square(np.abs(u, out=u_abs2), out=u_abs2)
