@@ -938,28 +938,45 @@ def test_ml_refine_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
         ml_refine(holo, bs, coarse, search_halfwidth_deg=25.0, grid_step_deg=0.5)
 
 
+def test_ml_refine_with_a_step_whose_180_quotient_overflows():
+    # 180/step is inf, but the grid is 201 points per axis, each the coarse
+    # point itself in float64, so all tie and the centre wins
+    coarse = AngularLocation(0.5, 30.0)
+    assert ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), coarse,
+                     search_halfwidth_deg=1e-306, grid_step_deg=1e-308) == coarse
+
+
+def test_ml_refine_halfwidth_beyond_180_searches_the_180_grid():
+    # A huge halfwidth (whose step count overflows an integer) is the
+    # 180 deg search: at most 180 deg of steps either side.
+    holo = fixture_hologram()
+    bs, coarse = AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0)
+    wide = ml_refine(holo, bs, coarse, search_halfwidth_deg=180.0, grid_step_deg=0.5)
+    assert ml_refine(holo, bs, coarse, search_halfwidth_deg=1e300, grid_step_deg=0.5) == wide
+
+
 def test_ml_refine_charges_the_bytes_a_grid_point_takes():
     """_REFINE_POINT_BYTES against tracemalloc's peak over a call, on grids of
-    601**2 and 801**2 points on a 2x2 panel.
+    201**2 and 401**2 points on a 2x2 panel.
 
     The slope of the peak per grid point, less 64 bytes an axis point for
-    the 1-D arrays of both axes (~50 measured), is at most the charge (no
-    undercharge) and at least the charge less 1 byte (no overcharge).  Both
-    grids are past ~290,000 points, beyond which the block and the disk
-    mask, not the objective's fixed ~280 KB of ufunc buffers, set the peak.
+    the 1-D arrays of both axes (~40 measured), is at most the charge (no
+    undercharge) and at least the charge less 1 byte (no overcharge).  The
+    peak is the block and the disk mask, over ~140 KB that do not grow with
+    the grid (a ufunc buffer among them).
     """
     geom = ArrayGeometry(n_z=2, n_x=2, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
     bs, coarse = AngularLocation(0.0, 0.0), AngularLocation(5.0, 30.0)
     holo = synthesize_hologram([Source.far_field(bs), Source.far_field(coarse)], geom)[0]
     peaks = []
-    for halfwidth in (15.0, 20.0):  # 601 and 801 points per axis at 0.05 deg
+    for halfwidth in (5.0, 10.0):  # 201 and 401 points per axis at 0.05 deg
         tracemalloc.start()
         try:
             ml_refine(holo, bs, coarse, search_halfwidth_deg=halfwidth, grid_step_deg=0.05)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    slope = (peaks[1] - peaks[0] - 64 * (801 - 601)) / (801**2 - 601**2)
+    slope = (peaks[1] - peaks[0] - 64 * (401 - 201)) / (401**2 - 201**2)
     assert slope <= localization._REFINE_POINT_BYTES <= slope + 1
 
 
@@ -1063,23 +1080,6 @@ def test_ml_refine_matches_three_dtft_reference_on_small_panels(geom):
         _matches_three_dtft_reference(holo, bs, coarse)
 
 
-def test_ml_refine_with_a_step_whose_180_quotient_overflows():
-    # 180/step is inf, but the grid is 201 points per axis, each the coarse
-    # point itself in float64, so all tie and the centre wins
-    coarse = AngularLocation(0.5, 30.0)
-    assert ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), coarse,
-                     search_halfwidth_deg=1e-306, grid_step_deg=1e-308) == coarse
-
-
-def test_ml_refine_halfwidth_beyond_180_searches_the_180_grid():
-    # A huge halfwidth (whose step count overflows an integer) is the
-    # 180 deg search: at most 180 deg of steps either side.
-    holo = fixture_hologram()
-    bs, coarse = AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0)
-    wide = ml_refine(holo, bs, coarse, search_halfwidth_deg=180.0, grid_step_deg=0.5)
-    assert ml_refine(holo, bs, coarse, search_halfwidth_deg=1e300, grid_step_deg=0.5) == wide
-
-
 @pytest.mark.parametrize("bs, ue, coarse, want", [
     ((5.0, 10.0), (88.6, -87.9), (89.3, -88.7),
      ("0x1.57e9809d35125p+6", "-0x1.582172a4cb8f0p+3")),
@@ -1134,8 +1134,9 @@ def test_noiseless_refinement_is_within_a_grid_step_of_the_truth(placement):
     # basis [1, cos(Phi), sin(Phi)] is far from degenerate.
     assume(any(abs(f) * n >= 2 * math.pi for f, n in zip(fringe, geom.shape)))
     # The twin, the fringe's conjugate, fits as well: it must lie off the grid,
-    # more than the window's width away from the truth on some axis.
-    assume(any(abs(2 * f) > 2 * half_width for f, half_width in
+    # more than the window's width from the truth on some axis, its frequency
+    # 2*fringe away taken modulo 2*pi as the panel samples it.
+    assume(any(abs(regulate(2 * f)) > 2 * half_width for f, half_width in
                zip(fringe, (s * halfwidth / step for s in steps))))
     holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)], geom)[0]
     est = spatial_frequencies(ml_refine(holo, bs, coarse, halfwidth, step), geom)
