@@ -48,9 +48,10 @@ _MAX_BYTES = 2**31
 _POSITION_BYTES = 3 * 8  # element_positions' float64 (n_z, n_x, 3): a panel's largest array
 
 
-def _check_bytes(what: str, count, item_bytes: int) -> None:
-    """The one size rule: ValueError unless count items of item_bytes bytes fit _MAX_BYTES."""
-    if count * item_bytes > _MAX_BYTES:
+def _check_bytes(what: str, count, item_bytes: int, extra_bytes=0) -> None:
+    """The one size rule: ValueError unless count items of item_bytes bytes, and
+    extra_bytes more, fit _MAX_BYTES."""
+    if count * item_bytes + extra_bytes > _MAX_BYTES:
         raise ValueError(f"{what} must be at most {_MAX_BYTES} bytes at {item_bytes} bytes each")
 
 

@@ -469,7 +469,7 @@ def ml_refine(
 
     Raises ValueError unless search_halfwidth_deg and grid_step_deg are
     finite and > 0, and, before any array is built, for a grid whose work
-    arrays, one block of memory (see _REFINE_POINT_BYTES), pass _MAX_BYTES.
+    arrays (see _REFINE_POINT_BYTES), factors and copy of I pass _MAX_BYTES.
     """
     if not all(math.isfinite(v) and v > 0 for v in (search_halfwidth_deg, grid_step_deg)):
         raise ValueError(
@@ -481,9 +481,11 @@ def ml_refine(
     # min(ratio, cap) is finite, and min(ratio, ceil(cap)) is the same value.
     ratio, cap = search_halfwidth_deg / grid_step_deg, 180.0 / grid_step_deg
     per_axis = min(2.0 * ratio, cap) + 1.0
-    _check_bytes("ml_refine's (theta, phi) grid", per_axis * per_axis, _REFINE_POINT_BYTES)
-    half_steps = round(min(ratio, math.ceil(min(ratio, cap))))
     geom = holo.geometry
+    # Plus 16 B an element of e_z and e_x, of a transient as large as each, and of I's copy.
+    _check_bytes("ml_refine's (theta, phi) grid", per_axis * per_axis, _REFINE_POINT_BYTES,
+                 16 * (2 * per_axis * sum(geom.shape) + holo.values.size))
+    half_steps = round(min(ratio, math.ceil(min(ratio, cap))))
     centre = spatial_frequencies(coarse, geom)
     k_z, k_x = (2.0 * math.pi * d / geom.wavelength_m for d in (geom.d_z_m, geom.d_x_m))
     cos_theta = math.cos(math.radians(coarse.theta_deg))
