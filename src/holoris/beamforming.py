@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -197,23 +197,20 @@ def _received_powers(phases, bs_src: Source, ue, geom: ArrayGeometry) -> list[fl
 def _hpbw(axis_deg: np.ndarray, cut: np.ndarray) -> float:
     """Half-power beamwidth along one cut, linear interpolation at -3 dB.
 
-    NaN when either half-power crossing lies outside the sampled grid.
+    Each edge interpolates towards the first sample below half power from
+    the peak.  NaN when either half-power crossing lies outside the grid.
     """
     i = int(np.argmax(cut))
     half = cut[i] / 2.0
-    left = np.nan
-    for j in range(i, 0, -1):
-        if cut[j - 1] < half <= cut[j]:
-            frac = (half - cut[j - 1]) / (cut[j] - cut[j - 1])
-            left = axis_deg[j - 1] + frac * (axis_deg[j] - axis_deg[j - 1])
-            break
-    right = np.nan
-    for j in range(i, len(cut) - 1):
-        if cut[j + 1] < half <= cut[j]:
-            frac = (cut[j] - half) / (cut[j] - cut[j + 1])
-            right = axis_deg[j] + frac * (axis_deg[j + 1] - axis_deg[j])
-            break
-    return float(right - left)
+    edges = [np.nan, np.nan]
+    for side, scan in enumerate((range(i - 1, -1, -1), range(i + 1, len(cut)))):
+        for j in scan:
+            if cut[j] < half:
+                lo, hi = (j, j + 1) if side == 0 else (j - 1, j)
+                frac = (half - cut[lo]) / (cut[hi] - cut[lo])
+                edges[side] = axis_deg[lo] + frac * (axis_deg[hi] - axis_deg[lo])
+                break
+    return float(edges[1] - edges[0])
 
 
 def _horner(y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -324,23 +321,25 @@ def link_gain(
 
     baseline None means the all-zero coding.  Both powers are those of
     received_power, from one incident field and one target propagation
-    factor built for the pair.  A baseline power below 1e-12 times the
-    coding power is replaced by that floor and flagged, keeping the dB
-    ratio finite.
+    factor built for the pair, with bs_src at unit amplitude: the gain does
+    not depend on it, and a tiny amplitude would underflow the powers.  A
+    baseline power below 1e-12 times the coding power is replaced by that
+    floor and flagged.  A ratio below the least positive float, as for a
+    coding power of exactly 0, is taken at that float (about -3233 dB), and
+    two powers of 0 give 0.0 dB, flagged, so the gain is always finite.
     """
     if baseline is None:
         baseline = CodingMatrix.all_zero(geom.shape)
-    p_coding, p_baseline = _received_powers((coding, baseline), bs_src, ue, geom)
+    unit_src = replace(bs_src, amplitude=1.0)
+    p_coding, p_baseline = _received_powers((coding, baseline), unit_src, ue, geom)
     floor = 1e-12 * p_coding
-    floored = False
-    if p_baseline < floor:
-        floored = True
+    floored = p_baseline < floor
+    if floored:
         p_baseline = floor
     if p_baseline == 0.0:
         return LinkGainResult(gain_db=0.0, baseline_floored=True)
-    return LinkGainResult(
-        gain_db=10.0 * math.log10(p_coding / p_baseline), baseline_floored=floored
-    )
+    gain_db = 10.0 * math.log10(max(p_coding / p_baseline, math.ulp(0.0)))
+    return LinkGainResult(gain_db=gain_db, baseline_floored=floored)
 
 
 # The coding header, (key, number form) in file order, as both

@@ -482,7 +482,7 @@ def ml_refine(
     ratio, cap = search_halfwidth_deg / grid_step_deg, 180.0 / grid_step_deg
     per_axis = min(2.0 * ratio, cap) + 1.0
     geom = holo.geometry
-    # Plus 16 B an element of e_z and e_x, of a transient as large as each, and of I's copy.
+    # Plus 16 B an element of e_z, e_x, a transient as large as each, and complex I - total/g00.
     _check_bytes("ml_refine's (theta, phi) grid", per_axis * per_axis, _REFINE_POINT_BYTES,
                  16 * (2 * per_axis * sum(geom.shape) + holo.values.size))
     half_steps = round(min(ratio, math.ceil(min(ratio, cap))))
@@ -527,22 +527,25 @@ def _refine_objective(holo: Hologram, bs: AngularLocation, w_z: np.ndarray,
     w_x (P,), as a (T, P) array: the energy of the hologram its fringe fit
     explains, less a term the same at every point.
 
-    On the grid exp(-i*Phi) is e_z[a, m]*e_x[n, b], so the projection of
-    the hologram I on it is t = (e_z @ I) @ e_x, and the sums of exp(-i*Phi)
-    and exp(-2i*Phi) over the panel are s1 = outer(sum e_z, sum e_x) and
-    s2 = outer(sum e_z**2, sum e_x**2).  The normal equations of the basis
-    [1, cos(Phi), sin(Phi)], regularized by reg = 1e-9*n_el on the
-    diagonal, explain total**2/g00 (dropped) plus r.H^-1.r, with H the 2x2
-    Schur complement of g00 = n_el + reg and r the cos/sin part of the
+    On the grid exp(-i*Phi) is e_z[t, m]*e_x[n, q], so the projection of
+    the hologram I on it is (e_z @ I) @ e_x, and the sums of exp(-i*Phi) and
+    exp(-2i*Phi) over the panel are s1 = outer(a, b), for a = sum e_z and b
+    = sum e_x, and s2 = outer(sum e_z**2, sum e_x**2).  The normal equations
+    of the basis [1, cos(Phi), sin(Phi)], regularized by reg = 1e-9*n_el on
+    the diagonal, explain total**2/g00 (dropped) plus r.H^-1.r, with H the
+    2x2 Schur complement of g00 = n_el + reg and r the cos/sin part of the
     right-hand side with the constant eliminated.  Write H = p*I + [[d, e],
     [e, -d]], d = (h_cc - h_ss)/2 and e = h_cs; then w = d + i*e = conj(v)/2
-    and r_c + i*r_s = conj(u), for u = t - (total/g00)*s1, v = s2 -
-    s1**2/g00 and p = n_el/2 + reg - |s1|**2/(2*g00), and
+    and r_c + i*r_s = conj(u), and
 
-        r.H^-1.r = (p*|u|**2 - Re(v*conj(u)**2)/2) / (p**2 - |v|**2/4).
+        r.H^-1.r = (p*|u|**2 - Re(v*conj(u)**2)/2) / (p**2 - |v|**2/4),
 
-    The (T, P) work is done in place in the block of _REFINE_POINT_BYTES:
-    u, v and a work row are complex, the other two four float rows.
+    for u the projection of the complex I - total/g00 (a projection is
+    linear in I), and v = s2 - s1**2/g00 and p = n_el/2 + reg -
+    |s1|**2/(2*g00), each one rank-two (T, 2) @ (2, P) product, so no
+    (T, P) s1 is formed.  The (T, P) work is done in place in the block of
+    _REFINE_POINT_BYTES: u, v and a work row are complex, the other two
+    four float rows.
     """
     bs_freqs = spatial_frequencies(bs, holo.geometry)
     I = holo.values
@@ -558,16 +561,12 @@ def _refine_objective(holo: Hologram, bs: AngularLocation, w_z: np.ndarray,
     u, v, work = block[:3]
     p, u_abs2, cross, v_abs2 = block[3:].view(np.float64).reshape((4,) + u.shape)
 
-    np.matmul(e_z @ I, e_x, out=u)  # t
-    # Outer products as (T, 1) @ (1, P) products: np.outer would take two
-    # ~128 KB ufunc buffers for its broadcast operands.
-    s1 = np.matmul(e_z.sum(axis=1)[:, None], e_x.sum(axis=0)[None, :], out=work)
-    np.subtract(u, np.multiply(total / g00, s1, out=v), out=u)  # u = t - (total/g00)*s1
-    np.square(np.abs(s1, out=p), out=p)  # p = n_el/2 + reg - |s1|**2/(2*g00)
-    np.add(n_el / 2 + reg, np.multiply(-0.5 / g00, p, out=p), out=p)
-    s1_sq = np.square(s1, out=work)  # v = s2 - s1**2/g00
-    np.matmul((e_z * e_z).sum(axis=1)[:, None], (e_x * e_x).sum(axis=0)[None, :], out=v)
-    np.subtract(v, np.divide(s1_sq, g00, out=s1_sq), out=v)
+    a, b = e_z.sum(axis=1), e_x.sum(axis=0)  # s1 = outer(a, b)
+    np.matmul(e_z @ np.subtract(I, total / g00, dtype=complex), e_x, out=u)
+    np.matmul(np.stack([(e_z * e_z).sum(axis=1), -a * a / g00], axis=1),
+              np.stack([(e_x * e_x).sum(axis=0), b * b]), out=v)
+    np.matmul(np.stack([np.full(a.size, n_el / 2 + reg), np.abs(a) ** 2 / (-2 * g00)], axis=1),
+              np.stack([np.ones(b.size), np.abs(b) ** 2]), out=p)
 
     np.square(np.abs(u, out=u_abs2), out=u_abs2)
     vu2 = np.multiply(v, np.square(np.conjugate(u, out=work), out=work), out=work)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holoris.errors import FileFormatError
@@ -22,6 +22,7 @@ from holoris.geometry import (
 )
 from holoris.beamforming import (
     CodingMatrix,
+    LinkGainResult,
     PhaseProfile,
     _horner,
     _hpbw,
@@ -96,6 +97,12 @@ def test_phase_profile_rejects_complex_phases():
     # in an object array the conversion to float raises TypeError instead
     with pytest.raises(ValueError, match="^PhaseProfile values must be real, got dtype object$"):
         PhaseProfile(values=np.array([[1 + 0j, 1], [1, 1]], dtype=object))
+
+
+@pytest.mark.parametrize("values", [np.zeros(4), np.zeros((2, 2, 2)), 0.5])
+def test_phase_profile_must_be_a_2d_matrix(values):
+    with pytest.raises(ValueError, match="^phase profile must be a 2D matrix$"):
+        PhaseProfile(values=values)
 
 
 def test_reciprocity_and_zero_profile_for_retroreflection():
@@ -344,6 +351,30 @@ def inline_power(coding, bs_src, geom, theta_grid_deg, phi_grid_deg):
                           np.exp(1j * w_x))) ** 2
 
 
+def _dtft2(x: np.ndarray, w_z: np.ndarray, w_x: np.ndarray) -> np.ndarray:
+    """sum_{m,n} x[m, n] * exp(i*(m*w_z[t] + n*w_x[t, p])) for every (t, p).
+
+    x is (n_z, n_x), w_z is (T,) and w_x is (T, P); returns (T, P): the z
+    axis as one matrix product, the x axis by _horner in z = exp(i*w_x),
+    as beamforming.pattern takes it.
+    """
+    y = np.exp(1j * np.outer(w_z, np.arange(x.shape[0]))) @ x
+    return _horner(y, np.exp(1j * w_x))
+
+
+def test_dtft2_matches_explicit_sum():
+    rng = np.random.default_rng(2)
+    for n_z, n_x in ((3, 5), (4, 1), (1, 6)):
+        x = rng.normal(size=(n_z, n_x)) + 1j * rng.normal(size=(n_z, n_x))
+        w_z = rng.uniform(-4, 4, 3)
+        w_x = rng.uniform(-4, 4, (3, 2))
+        own = np.array([[
+            sum(x[m, n] * np.exp(1j * (m * w_z[t] + n * w_x[t, p]))
+                for m in range(n_z) for n in range(n_x))
+            for p in range(2)] for t in range(3)])
+        assert np.allclose(_dtft2(x, w_z, w_x), own, rtol=0, atol=1e-12)
+
+
 ANGLE = st.floats(-89.99, 89.99)
 
 
@@ -509,7 +540,7 @@ def two_call_gain(coding, baseline, bs_src, ue, geom):
         p_baseline = floor
     if p_baseline == 0.0:
         return 0.0, True
-    return 10.0 * math.log10(p_coding / p_baseline), floored
+    return 10.0 * math.log10(max(p_coding / p_baseline, 5e-324)), floored
 
 
 @pytest.mark.parametrize("case", ["far", "profile-over-coding", "near", "floored"])
@@ -573,3 +604,72 @@ def test_link_gain_is_finite_at_the_bounds_of_its_inputs(bs_src, ue):
         gain = link_gain(coding, None, bs_src, ue, GEOM).gain_db
         power = received_power(coding, bs_src, ue, GEOM)
     assert math.isfinite(gain) and math.isfinite(power) and power > 0
+
+
+PANEL_1X2 = ArrayGeometry(n_z=1, n_x=2, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 1e-150, 1e146])
+def test_link_gain_does_not_depend_on_the_source_amplitude(amplitude):
+    # At 1e-150 the 1x2 coding's power underflowed to 0 and the baseline's
+    # (4e-300) did not, so math.log10(0) raised; at 0 both powers were 0 and
+    # the gain read 0.0 dB, flagged as floored.
+    fixture = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
+    for coding, src, ue, geom in [
+        (CodingMatrix(states=[[0, 1]]), Source.far_field(BS), BS, PANEL_1X2),
+        (fixture, Source.far_field(BS), UE, GEOM),
+        (fixture, Source.near_field((0.5, 2.0, -0.3)), (-0.4, 1.5, 0.2), GEOM),
+    ]:
+        want = link_gain(coding, None, src, ue, geom)
+        assert link_gain(coding, None, replace(src, amplitude=amplitude), ue, geom) == want
+    on_1x2 = link_gain(CodingMatrix(states=[[0, 1]]), None, Source.far_field(BS), BS, PANEL_1X2)
+    assert on_1x2.gain_db == pytest.approx(-324.26, abs=0.01) and not on_1x2.baseline_floored
+
+
+def test_link_gain_of_a_coding_whose_terms_cancel_exactly():
+    # Both broadside fields are exactly 1 on every element, and
+    # 1 + 1 + exp(i*pi) + exp(-i*pi) is exactly 0.
+    panel = ArrayGeometry(n_z=1, n_x=4, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    cancelling = PhaseProfile(values=[[0.0, 0.0, math.pi, -math.pi]])
+    src = Source.far_field(BS)
+    assert received_power(cancelling, src, BS, panel) == 0.0
+    # the ratio 0 is taken at the least positive float, 5e-324
+    assert link_gain(cancelling, None, src, BS, panel) == LinkGainResult(
+        10.0 * math.log10(5e-324), False)
+    assert link_gain(cancelling, cancelling, src, BS, panel) == LinkGainResult(0.0, True)
+
+
+ANGLES = st.builds(AngularLocation, ANGLE, ANGLE)
+# A point in front of the panel, 1e-9 to 1e9 m from its centre.
+POINTS = st.builds(lambda exponent, u: tuple(10.0 ** exponent * unit_direction(u)),
+                   st.floats(-9.0, 9.0), ANGLES).filter(
+                       lambda p: 1e-9 <= math.hypot(*p) <= 1e9)
+SOURCE_TERMS = {"amplitude": st.floats(0.0, _MAX_AMPLITUDE),
+                "phase_rad": st.floats(allow_nan=False, allow_infinity=False)}
+SOURCES = (st.builds(Source.far_field, ANGLES, **SOURCE_TERMS)
+           | st.builds(Source.near_field, POINTS, **SOURCE_TERMS))
+
+
+@given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       pitches=st.tuples(*[st.sampled_from((0.01, 0.02, 0.043))] * 2),
+       bs_src=SOURCES, ue=st.one_of(ANGLES, POINTS), bits=st.integers(0, 2**144 - 1),
+       theta=st.lists(ANGLE, min_size=1, max_size=4),
+       phi=st.lists(ANGLE, min_size=1, max_size=4))
+@example(shape=(1, 2), pitches=(0.02, 0.02), bs_src=Source.far_field(BS, amplitude=1e-150),
+         ue=BS, bits=0b10, theta=[0.0], phi=[0.0])
+# a source in the plane z = 0 gives both rows one field: the coding's power is exactly 0
+@example(shape=(2, 2), pitches=(0.01, 0.02),
+         bs_src=Source.near_field(unit_direction(AngularLocation(0.0, -41.0))),
+         ue=AngularLocation(0.0, -23.0), bits=0b1001, theta=[0.0], phi=[0.0])
+@settings(max_examples=300, deadline=None)
+def test_powers_and_gains_are_finite_for_every_input_the_types_accept(
+        shape, pitches, bs_src, ue, bits, theta, phi):
+    # Underflow is left out: a tiny amplitude's power underflows by design.
+    geom = ArrayGeometry(*shape, *pitches, f_c_hz=3_500_000_000)
+    states = [(bits >> k) & 1 for k in range(geom.n_z * geom.n_x)]
+    coding = CodingMatrix(states=np.reshape(states, shape))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        power = received_power(coding, bs_src, ue, geom)
+        gain = link_gain(coding, None, bs_src, ue, geom).gain_db
+        beam = pattern(coding, bs_src, geom, theta, phi).power
+    assert math.isfinite(power) and math.isfinite(gain) and np.isfinite(beam).all()

@@ -764,8 +764,12 @@ def test_codegen_prints_the_coding_and_all_zero_powers(tmp_path, capsys, where,
         f"wrote {out}", f"target_power_db={target_db}", f"allzero_power_db={allzero_db}"]
 
 
-def test_codegen_near_requires_range_or_position(tmp_path):
+def test_codegen_near_requires_range_or_position(tmp_path, capsys):
     out = tmp_path / "c.txt"
+    for where in ([], ["--bs", "0,0"]):  # no position, and not both angles
+        assert main(["codegen", "--mode", "near", *where, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: near mode needs --bs/--ue angles or --bs-pos/--ue-pos\n")
     assert main(["codegen", "--mode", "near", "--bs", "0,0", "--ue", "0,30",
                  "--bs-range", "5.0", "--output", str(out)]) == 2  # no --ue-range
     assert main(["codegen", "--mode", "near", "--bs", "0,0", "--ue", "0,30",

@@ -190,6 +190,14 @@ def test_capture_seeds_match_seed_sequence():
         _capture_seeds(0, [2**32], 0)
 
 
+@pytest.mark.parametrize("request_args", [(4,), (8, np.uint64), (4, np.uint32), (2, np.uint64)])
+def test_pcg64_state_hands_out_only_4_uint64_words(request_args):
+    state = _pcg64_states(np.zeros(1, dtype=np.uint32))[0]
+    assert np.array_equal(_PCG64State(state).generate_state(4, np.uint64), state)
+    with pytest.raises(ValueError, match="^holds a PCG64 state only: 4 uint64 words$"):
+        _PCG64State(state).generate_state(*request_args)
+
+
 def test_placement_generators_draw_as_default_rng():
     """The suites' generators draw what np.random.default_rng(seed) draws, for
     derived seeds and for seed 0."""

@@ -21,7 +21,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from holoris import localization
-from holoris.beamforming import _horner
 from holoris.errors import (
     AllCandidatesInfeasible,
     DegenerateInterference,
@@ -293,6 +292,8 @@ def test_disambiguate_oracle_and_sector():
         disambiguate(c1, c2, SectorPolicy(phi_range_deg=(40.0, 50.0)))
     # a single surviving candidate passes a sector test on its own
     assert disambiguate(c1, None, SectorPolicy(phi_range_deg=(0.0, 90.0))) is c1
+    with pytest.raises(TypeError, match="^unknown disambiguation policy 'sector'$"):
+        disambiguate(c1, c2, "sector")
 
 
 @pytest.mark.parametrize("bounds", [(5.0, 1.0), (math.nan, 1.0), (0.0, math.nan)])
@@ -851,30 +852,6 @@ def test_ml_refine_matches_lstsq_grid_search(bs, ue, coarse):
     # near theta = +-90 deg part of the grid lies outside the propagating disk
     assert np.isinf(residuals).any() == (abs(coarse.theta_deg) > 89)
     assert fine == best
-
-
-def _dtft2(x: np.ndarray, w_z: np.ndarray, w_x: np.ndarray) -> np.ndarray:
-    """sum_{m,n} x[m, n] * exp(i*(m*w_z[t] + n*w_x[t, p])) for every (t, p).
-
-    x is (n_z, n_x), w_z is (T,) and w_x is (T, P); returns (T, P): the z
-    axis as one matrix product, the x axis by _horner in z = exp(i*w_x),
-    as beamforming.pattern takes it.
-    """
-    y = np.exp(1j * np.outer(w_z, np.arange(x.shape[0]))) @ x
-    return _horner(y, np.exp(1j * w_x))
-
-
-def test_dtft2_matches_explicit_sum():
-    rng = np.random.default_rng(2)
-    for n_z, n_x in ((3, 5), (4, 1), (1, 6)):
-        x = rng.normal(size=(n_z, n_x)) + 1j * rng.normal(size=(n_z, n_x))
-        w_z = rng.uniform(-4, 4, 3)
-        w_x = rng.uniform(-4, 4, (3, 2))
-        own = np.array([[
-            sum(x[m, n] * np.exp(1j * (m * w_z[t] + n * w_x[t, p]))
-                for m in range(n_z) for n in range(n_x))
-            for p in range(2)] for t in range(3)])
-        assert np.allclose(_dtft2(x, w_z, w_x), own, rtol=0, atol=1e-12)
 
 
 def test_ml_refine_validation():

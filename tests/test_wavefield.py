@@ -685,6 +685,18 @@ def test_source_rejects_non_finite_or_non_integer_values(kwargs, message):
         Source.near_field((0.0, 1.0, 0.0), **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "plane_wave", "angles": AngularLocation(0.0, 0.0)},
+     "^unknown source kind 'plane_wave'$"),
+    ({"kind": "far_field", "position": (0.0, 1.0, 0.0)}, "^far_field source requires angles$"),
+    ({"kind": "near_field", "angles": AngularLocation(0.0, 0.0)},
+     "^near_field source requires a position$"),
+], ids=["unknown-kind", "far-without-angles", "near-without-position"])
+def test_source_requires_a_known_kind_and_its_location(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        Source(**kwargs)
+
+
 @pytest.mark.parametrize("amplitude", [1.0000000000000001e146, 1e147, 1e200])
 def test_source_rejects_an_amplitude_past_its_bound(amplitude):
     # at 1e200 a received power overflows: link_gain returned nan
