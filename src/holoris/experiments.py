@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -104,8 +105,8 @@ CALIBRATED_SIGNIFICANCE_THRESHOLD = 2.0
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Placement grids, imperfections, and reproducibility knobs, checked on construction:
-    trials >= 1, seed >= 0, and each size rule a run meets: the spectra and synthesis of
-    a stack of trials captures, and the grid's seeds and generators."""
+    trials >= 1, seed >= 0, placements non-empty sequences of AngularLocation, and each size
+    rule a run meets: the spectra and synthesis of trials captures, the seeds and generators."""
 
     geometry: ArrayGeometry = field(default_factory=default_geometry)
     detector: DetectorModel = field(default_factory=DetectorModel.ideal)
@@ -130,6 +131,11 @@ class ExperimentConfig:
                                  self.dc_guard, self.significance_threshold)
         _check_synthesis(self.geometry.shape,  # the suites' BS and UE
                          _synthesis_bytes(self.trials, ("far_field", "far_field")))
+        for name in ("bs_locations", "ue_locations"):
+            locations = getattr(self, name)
+            if not (isinstance(locations, Sequence) and locations
+                    and all(isinstance(loc, AngularLocation) for loc in locations)):
+                raise ValueError(f"{name} must be a non-empty sequence of AngularLocation")
         _check_seeds(self.seed, len(self.bs_locations) * len(self.ue_locations), self.trials)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -61,21 +62,31 @@ class OraclePolicy:
 
     truth: AngularLocation
 
+    def __post_init__(self):
+        if not isinstance(self.truth, AngularLocation):
+            raise TypeError(f"truth must be an AngularLocation, got {self.truth!r}")
+
 
 @dataclass(frozen=True)
 class SectorPolicy:
     """Pick the unique candidate inside an admissible angular sector.
 
-    Either range may be None, meaning that axis is unrestricted.  Bounds
-    are inclusive degrees (lo, hi) with lo <= hi; infinite bounds are valid.
+    Either range may be None, meaning that axis is unrestricted.  Bounds are
+    a pair (lo, hi) of real inclusive degrees, lo <= hi; infinite ones are valid.
     """
 
     theta_range_deg: tuple[float, float] | None = None
     phi_range_deg: tuple[float, float] | None = None
 
     def __post_init__(self):
-        for bounds in (self.theta_range_deg, self.phi_range_deg):
-            if bounds is not None and not bounds[0] <= bounds[1]:
+        for name in ("theta_range_deg", "phi_range_deg"):
+            bounds = getattr(self, name)
+            if bounds is None:
+                continue
+            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in bounds)):
+                raise ValueError(f"{name} must be a pair of real numbers (lo, hi), got {bounds!r}")
+            if not bounds[0] <= bounds[1]:
                 raise ValueError(f"sector bounds must satisfy lo <= hi, got {bounds}")
 
     def contains(self, loc: AngularLocation) -> bool:
@@ -445,68 +456,50 @@ def localize(
     return out
 
 
-def ml_refine(
-    holo: Hologram,
-    bs: AngularLocation,
-    coarse: AngularLocation,
-    search_halfwidth_deg: float = 5.0,
-    grid_step_deg: float = 0.1,
-) -> AngularLocation:
+_REFINE_HALF_STEPS, _REFINE_STEP_DEG = 50, 0.1  # ml_refine's grid: 101 points an axis
+
+
+def ml_refine(holo: Hologram, bs: AngularLocation, coarse: AngularLocation) -> AngularLocation:
     """Grid-search refinement of a coarse estimate.
 
     The grid is uniform in the spatial frequencies and centred on the
-    coarse estimate's; one step is grid_step_deg in theta along z and in
-    phi along x at the coarse point, about 2*halfwidth/step + 1 points per
-    axis (at most 360/step + 1).  At every point the fringe model A +
-    B*cos(Phi) + C*sin(Phi), Phi(m, n) = m*dz + n*dx, is fitted by linear
-    least squares (_refine_objective), and the smallest residual wins.
-    Points outside the propagating disk, (omega_z/k_z)**2 +
+    coarse estimate's: 50 steps either side, a step being 0.1 deg in theta
+    along z and in phi along x at the coarse point.  At every point the
+    fringe model A + B*cos(Phi) + C*sin(Phi), Phi(m, n) = m*dz + n*dx, is
+    fitted by linear least squares (_refine_objective), and the smallest
+    residual wins.  Points outside the propagating disk, (omega_z/k_z)**2 +
     (omega_x/k_x)**2 >= 1 with k = 2*pi*d/lambda, get no score.  The centre
     is the coarse point: it is always scored and wins ties, so refinement
     never loses to the coarse estimate on-model, and it is then returned as
     given.  Otherwise the first best point in row-major order goes through
-    angles_from_frequencies.
+    angles_from_frequencies.  A coarse estimate further than the window
+    (about 5 deg) from the truth is refined at most to the window's edge.
 
-    Raises ValueError unless search_halfwidth_deg and grid_step_deg are
-    finite and > 0, and, before any array is built, for a grid whose work
+    Raises ValueError, before any array is built, for a panel whose grid work
     arrays (see _REFINE_POINT_BYTES), factors and copy of I pass _MAX_BYTES.
     """
-    if not all(math.isfinite(v) and v > 0 for v in (search_halfwidth_deg, grid_step_deg)):
-        raise ValueError(
-            "search_halfwidth_deg and grid_step_deg must be finite and > 0, got "
-            f"{search_halfwidth_deg!r} and {grid_step_deg!r}"
-        )
-    # At most 180 deg of steps either side, about min(2*ratio, cap) + 1
-    # points per axis.  Either quotient may be inf; once the grid is bounded,
-    # min(ratio, cap) is finite, and min(ratio, ceil(cap)) is the same value.
-    ratio, cap = search_halfwidth_deg / grid_step_deg, 180.0 / grid_step_deg
-    per_axis = min(2.0 * ratio, cap) + 1.0
     geom = holo.geometry
+    c = _REFINE_HALF_STEPS  # the centre's index on both axes
+    per_axis = 2 * c + 1
     # Plus 16 B an element of e_z, e_x, a transient as large as each, and complex I - total/g00.
     _check_bytes("ml_refine's (theta, phi) grid", per_axis * per_axis, _REFINE_POINT_BYTES,
                  16 * (2 * per_axis * sum(geom.shape) + holo.values.size))
-    half_steps = round(min(ratio, math.ceil(min(ratio, cap))))
     centre = spatial_frequencies(coarse, geom)
     k_z, k_x = (2.0 * math.pi * d / geom.wavelength_m for d in (geom.d_z_m, geom.d_x_m))
     cos_theta = math.cos(math.radians(coarse.theta_deg))
-    steps = math.radians(grid_step_deg) * np.arange(-half_steps, half_steps + 1)
-    # Offsets in units of k: d(omega_z)/d(theta) = -k_z*cos(theta) and
-    # d(omega_x)/d(phi) = k_x*cos(theta)*cos(phi).  As |omega/k| <= 1 at the
-    # centre, offsets of 2 or more leave the propagating disk; dropping them
-    # keeps the centre in the middle and k*offset finite for a huge step.
-    w_z, w_x = (omega + k * offsets[np.abs(offsets) < 2.0] for omega, k, offsets in (
-        (centre.omega_z, k_z, cos_theta * steps),
-        (centre.omega_x, k_x, cos_theta * math.cos(math.radians(coarse.phi_deg)) * steps)))
-    c_z, c_x = w_z.size // 2, w_x.size // 2
+    steps = math.radians(_REFINE_STEP_DEG) * np.arange(-c, c + 1)
+    # d(omega_z)/d(theta) = -k_z*cos(theta), d(omega_x)/d(phi) = k_x*cos(theta)*cos(phi)
+    w_z = centre.omega_z + k_z * (cos_theta * steps)
+    w_x = centre.omega_x + k_x * (cos_theta * math.cos(math.radians(coarse.phi_deg)) * steps)
     score = _refine_objective(holo, bs, w_z, w_x)
     # (w_z/k_z)**2 + (w_x/k_x)**2 >= 1 as (w_x/k_x)**2 >= 1 - (w_z/k_z)**2
     outside = np.less_equal.outer(1.0 - (w_z / k_z) ** 2, (w_x / k_x) ** 2)
-    outside[c_z, c_x] = False
+    outside[c, c] = False
     score[outside] = -np.inf
     best = int(np.argmax(score))
-    if not score.flat[best] > score[c_z, c_x]:
+    if not score.flat[best] > score[c, c]:
         return coarse
-    a, b = divmod(best, w_x.size)
+    a, b = divmod(best, per_axis)
     return angles_from_frequencies(SpatialFrequencyPair(float(w_z[a]), float(w_x[b])), geom)
 
 

@@ -324,7 +324,7 @@ def test_criterion_08_ml_dominance():
         holo = pair_hologram(bs, ue)
         res = localize(holo, bs, disambiguation=OraclePolicy(truth=ue))
         coarse = total_error_deg(res.chosen, ue)
-        fine = total_error_deg(ml_refine(holo, bs, res.chosen, grid_step_deg=0.1), ue)
+        fine = total_error_deg(ml_refine(holo, bs, res.chosen), ue)
         worst_fine = max(worst_fine, fine)
         dominated = dominated and fine <= coarse + 1e-12
     ok = dominated and worst_fine <= 0.1

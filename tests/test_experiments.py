@@ -561,9 +561,15 @@ def test_experiment_config_charges_the_synthesis_of_the_suites_pair():
 def test_experiment_config_validation():
     for bad in ({"trials": 0}, {"trials": 1.5}, {"seed": -1}, {"seed": 2.0},
                 {"zero_pad_factor": 0}, {"dc_guard": -1},
-                {"significance_threshold": math.nan}):
+                {"significance_threshold": math.nan},
+                # placements are checked before the seeds are charged, so no
+                # IndexError or AttributeError surfaces later in a suite
+                {"bs_locations": ()}, {"bs_locations": ((0.0, 0.0),)}, {"bs_locations": None},
+                {"ue_locations": []}, {"ue_locations": (AngularLocation(0.0, 0.0), None)},
+                {"ue_locations": AngularLocation(0.0, 0.0)}, {"ue_locations": "ab"}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             ExperimentConfig(**bad)
+    ExperimentConfig(bs_locations=[AngularLocation(0.0, 0.0)])
     # the suites always pick each record's twin with its own truth, and the
     # output directory belongs to the caller: neither is a config field
     for removed in ("disambiguation", "output_dir"):

@@ -302,8 +302,21 @@ def test_sector_policy_rejects_reversed_or_nan_bounds(bounds):
         SectorPolicy(phi_range_deg=bounds)
     with pytest.raises(ValueError, match="lo <= hi"):
         SectorPolicy(theta_range_deg=bounds, phi_range_deg=(0.0, 90.0))
-    # infinite bounds and a single-point sector stay valid
+    # a range that is not a pair of real numbers is named
+    for bad in ((0.0,), (0.0, 1.0, 2.0), "ab", (0.0, "1"), (False, True), (0.0, 1j), 5.0):
+        with pytest.raises(ValueError, match="^phi_range_deg must be a pair of real numbers"):
+            SectorPolicy(phi_range_deg=bad)
+        with pytest.raises(ValueError, match="^theta_range_deg must be a pair of real numbers"):
+            SectorPolicy(theta_range_deg=bad, phi_range_deg=(0.0, 90.0))
+    # infinite bounds, a single-point sector, integers, numpy floats and a list stay valid
     SectorPolicy(theta_range_deg=(-math.inf, math.inf), phi_range_deg=(1.0, 1.0))
+    SectorPolicy(theta_range_deg=(0, 30), phi_range_deg=[np.float64(-1.0), np.float32(1.0)])
+
+
+@pytest.mark.parametrize("truth", [(0, 30), None, "0,30"])
+def test_oracle_policy_rejects_a_truth_that_is_not_an_angular_location(truth):
+    with pytest.raises(TypeError, match="^truth must be an AngularLocation"):
+        OraclePolicy(truth=truth)
 
 
 def test_localize_sector_fixture():
@@ -773,21 +786,24 @@ def test_ml_refine_keeps_exact_on_grid_coarse():
     assert fine.theta_deg == pytest.approx(0.0, abs=1e-9)
 
 
-def refine_grid(geom, coarse, halfwidth_deg, step_deg):
+REFINE_HALF_STEPS, REFINE_STEP_DEG = 50, 0.1  # ml_refine's grid, restated
+
+
+def refine_grid(geom, coarse):
     """ml_refine's grid, restated: the frequencies (w_z, w_x) of the grid's
     rows and columns, each a list, and the index of the centre in both.
 
-    One step is step_deg in theta along z and in phi along x at the coarse
-    point; the grid is not clipped, so it may hold points outside the
-    propagating disk (see scored).
+    One step is REFINE_STEP_DEG in theta along z and in phi along x at the
+    coarse point, REFINE_HALF_STEPS of them either side; the grid is not
+    clipped, so it may hold points outside the propagating disk (see scored).
     """
-    half = int(round(halfwidth_deg / step_deg))
+    half = REFINE_HALF_STEPS
     centre = spatial_frequencies(coarse, geom)
     k_z = 2.0 * math.pi * geom.d_z_m / geom.wavelength_m
     k_x = 2.0 * math.pi * geom.d_x_m / geom.wavelength_m
     cos_t = math.cos(math.radians(coarse.theta_deg))
     cos_p = math.cos(math.radians(coarse.phi_deg))
-    step = math.radians(step_deg)
+    step = math.radians(REFINE_STEP_DEG)
     w_z = [centre.omega_z + k_z * (cos_t * (step * j)) for j in range(-half, half + 1)]
     w_x = [centre.omega_x + k_x * ((cos_t * cos_p) * (step * j)) for j in range(-half, half + 1)]
     return w_z, w_x, half
@@ -810,7 +826,7 @@ def grid_choice(geom, coarse, w_z, w_x, centre, score):
     return angles_from_frequencies(SpatialFrequencyPair(w_z[a], w_x[b]), geom)
 
 
-def lstsq_refine(holo, bs, coarse, halfwidth_deg, step_deg):
+def lstsq_refine(holo, bs, coarse):
     """Independent oracle: per-grid-point lstsq fit of [1, cos Phi, sin Phi].
 
     Returns the residuals over the restated grid, inf where a point gets no
@@ -818,7 +834,7 @@ def lstsq_refine(holo, bs, coarse, halfwidth_deg, step_deg):
     order, or coarse where the centre ties it.
     """
     geom = holo.geometry
-    w_z, w_x, centre = refine_grid(geom, coarse, halfwidth_deg, step_deg)
+    w_z, w_x, centre = refine_grid(geom, coarse)
     w_bs = spatial_frequencies(bs, geom)
     m = np.arange(geom.n_z)[:, None]
     n = np.arange(geom.n_x)[None, :]
@@ -846,99 +862,54 @@ def test_ml_refine_matches_lstsq_grid_search(bs, ue, coarse):
         [Source.far_field(bs), Source.far_field(ue)], PANEL_6X9,
         detector=DetectorModel(noise_std=0.3), seed=4,
     )[0]
-    fine = ml_refine(holo, bs, coarse, search_halfwidth_deg=0.5, grid_step_deg=0.1)
-    residuals, best = lstsq_refine(holo, bs, coarse, 0.5, 0.1)
-    assert residuals.shape == (11, 11)
+    fine = ml_refine(holo, bs, coarse)
+    residuals, best = lstsq_refine(holo, bs, coarse)
+    assert residuals.shape == (101, 101)
     # near theta = +-90 deg part of the grid lies outside the propagating disk
     assert np.isinf(residuals).any() == (abs(coarse.theta_deg) > 89)
     assert fine == best
 
 
-def test_ml_refine_validation():
-    holo = fixture_hologram()
-    with pytest.raises(ValueError):
-        ml_refine(holo, AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
-                  grid_step_deg=0.0)
-    with pytest.raises(ValueError):
-        ml_refine(holo, AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
-                  search_halfwidth_deg=-1.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="must be finite and > 0"):
-            ml_refine(holo, AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
-                      search_halfwidth_deg=bad)
-        with pytest.raises(ValueError, match="must be finite and > 0"):
-            ml_refine(holo, AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
-                      grid_step_deg=bad)
-
-
-@pytest.mark.parametrize("halfwidth, step", [(5.0, 1e-308), (1e308, 1e-300), (1.0, 1e-10)])
-def test_ml_refine_rejects_a_grid_numpy_cannot_index(halfwidth, step):
-    # 180/step overflows to inf, or the grid's point count passes np.intp:
-    # both are far past the byte budget
-    with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most"):
-        ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
-                  search_halfwidth_deg=halfwidth, grid_step_deg=step)
-
-
-@pytest.mark.parametrize("step", [1e-3, 1e-5])
-def test_ml_refine_rejects_a_grid_memory_cannot_hold(monkeypatch, step):
-    # At the default +-5 deg these steps ask for 1e8 and 1e12 grid points,
-    # ~8.1 GB and ~81 TB of work arrays, which numpy could index.  Should
-    # the check let one through, reaching the objective fails before its
-    # work arrays are built.
+def test_ml_refine_rejects_a_panel_memory_cannot_hold(monkeypatch):
+    # On a 2x700,000 panel the factor arrays and the hologram's complex copy
+    # take 16*(202*700,002 + 1,400,000) bytes, ~2.29 GB, beside the grid's
+    # ~0.8 MB.  Should the check let it through, reaching the objective fails
+    # before its work arrays are built.
     def reached(*args):
         raise AssertionError("the grid reached _refine_objective")
     monkeypatch.setattr(localization, "_refine_objective", reached)
+    geom = ArrayGeometry(n_z=2, n_x=700_000, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
     with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most"):
-        ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
-                  grid_step_deg=step)
+        ml_refine(Hologram(np.ones(geom.shape), geom), AngularLocation(0.0, 0.0),
+                  AngularLocation(0.0, 30.0))
 
 
-@pytest.mark.parametrize("step", [1e-3, 1e-5])
-def test_ml_refine_rejects_a_grid_over_a_lowered_budget(monkeypatch, step):
-    # The same steps over +-50 steps: 101**2 points at 81 bytes, ~0.8 MB,
-    # against a budget of 2**19 bytes.  A broken check computes this small
-    # grid, never an oversized one.
+def test_ml_refine_rejects_a_grid_over_a_lowered_budget(monkeypatch):
+    # 101**2 points at 81 bytes, ~0.8 MB, against a budget of 2**19 bytes.
+    # A broken check computes this small grid, never an oversized one.
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", 2**19)
     with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most 524288 "):
-        ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0),
-                  search_halfwidth_deg=50 * step, grid_step_deg=step)
+        ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0))
 
 
 def test_ml_refine_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
-    # +-25 deg in steps of 0.5 is exactly 101 points per axis at 81 bytes; on
-    # the 32x32 panel the factor arrays take 101*64*32 bytes more and the
-    # hologram's complex copy 1024*16: 1,049,513 bytes.
+    # The grid is 101 points per axis at 81 bytes; on the 32x32 panel the
+    # factor arrays take 101*64*32 bytes more and the hologram's complex copy
+    # 1024*16: 1,049,513 bytes.
     holo, bs, coarse = fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0)
-    want = ml_refine(holo, bs, coarse, search_halfwidth_deg=25.0, grid_step_deg=0.5)
+    want = ml_refine(holo, bs, coarse)
     charge = 101 * 101 * 81 + 101 * 64 * 32 + 1024 * 16
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge)
-    assert ml_refine(holo, bs, coarse, search_halfwidth_deg=25.0, grid_step_deg=0.5) == want
+    assert ml_refine(holo, bs, coarse) == want
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge - 1)
     with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most"):
-        ml_refine(holo, bs, coarse, search_halfwidth_deg=25.0, grid_step_deg=0.5)
+        ml_refine(holo, bs, coarse)
 
 
-def test_ml_refine_with_a_step_whose_180_quotient_overflows():
-    # 180/step is inf, but the grid is 201 points per axis, each the coarse
-    # point itself in float64, so all tie and the centre wins
-    coarse = AngularLocation(0.5, 30.0)
-    assert ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), coarse,
-                     search_halfwidth_deg=1e-306, grid_step_deg=1e-308) == coarse
-
-
-def test_ml_refine_halfwidth_beyond_180_searches_the_180_grid():
-    # A huge halfwidth (whose step count overflows an integer) is the
-    # 180 deg search: at most 180 deg of steps either side.
-    holo = fixture_hologram()
-    bs, coarse = AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0)
-    wide = ml_refine(holo, bs, coarse, search_halfwidth_deg=180.0, grid_step_deg=0.5)
-    assert ml_refine(holo, bs, coarse, search_halfwidth_deg=1e300, grid_step_deg=0.5) == wide
-
-
-def test_ml_refine_charges_the_bytes_a_grid_point_takes():
+def test_ml_refine_charges_the_bytes_a_grid_point_takes(monkeypatch):
     """_REFINE_POINT_BYTES against tracemalloc's peak over a call, on grids of
-    201**2 and 401**2 points on a 2x2 panel.
+    201**2 and 401**2 points on a 2x2 panel, set through the module's grid
+    constants.
 
     The slope of the peak per grid point, less 64 bytes an axis point for
     the 1-D arrays of both axes (~40 measured), is at most the charge (no
@@ -950,10 +921,12 @@ def test_ml_refine_charges_the_bytes_a_grid_point_takes():
     bs, coarse = AngularLocation(0.0, 0.0), AngularLocation(5.0, 30.0)
     holo = synthesize_hologram([Source.far_field(bs), Source.far_field(coarse)], geom)[0]
     peaks = []
-    for halfwidth in (5.0, 10.0):  # 201 and 401 points per axis at 0.05 deg
+    monkeypatch.setattr(localization, "_REFINE_STEP_DEG", 0.05)
+    for half_steps in (100, 200):  # 201 and 401 points per axis
+        monkeypatch.setattr(localization, "_REFINE_HALF_STEPS", half_steps)
         tracemalloc.start()
         try:
-            ml_refine(holo, bs, coarse, search_halfwidth_deg=halfwidth, grid_step_deg=0.05)
+            ml_refine(holo, bs, coarse)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -961,12 +934,12 @@ def test_ml_refine_charges_the_bytes_a_grid_point_takes():
     assert slope <= localization._REFINE_POINT_BYTES <= slope + 1
 
 
-@pytest.mark.parametrize("panels, halfwidth", [
-    (((2, 2048), (2, 4096)), 0.5),  # wide: e_x grows, 11 points per axis
-    (((256, 256), (512, 512)), 0.1),  # square: the hologram's copy grows, 3 per axis
+@pytest.mark.parametrize("panels, half_steps", [
+    (((2, 2048), (2, 4096)), 50),  # wide: e_x grows, on ml_refine's grid
+    (((256, 256), (512, 512)), 1),  # square: the hologram's copy grows, 3 points per axis
 ])
 def test_ml_refine_charges_its_factor_arrays_and_the_hologram_copy(monkeypatch, panels,
-                                                                    halfwidth):
+                                                                    half_steps):
     """ml_refine's charge beside the grid, 32 bytes an element of e_z (T, n_z)
     and e_x (n_x, P) and 16 a panel element, against tracemalloc's peak over
     a call, on one grid and two panels.
@@ -975,7 +948,11 @@ def test_ml_refine_charges_its_factor_arrays_and_the_hologram_copy(monkeypatch, 
     rise in the charge the size check is given (no undercharge) and at least
     that less 1 byte an element of the factor arrays and of the panel (no
     overcharge); the wide pair reads ~1.6 KB under its charge, the square
-    one ~12 KB.
+    one ~12 KB.  The square pair runs on a 3x3 grid, set through the grid
+    constant, so that the copy's charge is measured with small factor
+    arrays: on ml_refine's 101x101 grid the peak holds one (T, n_x)
+    transient beside e_z and e_x, not the two the charge counts, and the
+    square pair reads 16 bytes an element of e_z, ~414 KB, under its charge.
     """
     charges = []
 
@@ -984,7 +961,8 @@ def test_ml_refine_charges_its_factor_arrays_and_the_hologram_copy(monkeypatch, 
         return _check_bytes(what, count, item_bytes, extra_bytes)
 
     monkeypatch.setattr(localization, "_check_bytes", check_bytes)
-    per_axis = round(2 * halfwidth / 0.1) + 1
+    monkeypatch.setattr(localization, "_REFINE_HALF_STEPS", half_steps)
+    per_axis = 2 * half_steps + 1
     peaks, elements = [], []
     for n_z, n_x in panels:
         geom = ArrayGeometry(n_z=n_z, n_x=n_x, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
@@ -992,7 +970,7 @@ def test_ml_refine_charges_its_factor_arrays_and_the_hologram_copy(monkeypatch, 
         holo = synthesize_hologram([Source.far_field(bs), Source.far_field(coarse)], geom)[0]
         tracemalloc.start()
         try:
-            ml_refine(holo, bs, coarse, search_halfwidth_deg=halfwidth, grid_step_deg=0.1)
+            ml_refine(holo, bs, coarse)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1002,7 +980,7 @@ def test_ml_refine_charges_its_factor_arrays_and_the_hologram_copy(monkeypatch, 
     assert rise <= charges[1] - charges[0] <= rise + (elements[1] - elements[0])
 
 
-def three_dtft_refine(holo, bs, coarse, halfwidth_deg=5.0, step_deg=0.1):
+def three_dtft_refine(holo, bs, coarse):
     """Reference for ml_refine on the restated grid: the projection and both
     sums, three DTFTs, each taken term by term over the panel at every grid
     point, and the 3x3 normal equations solved in their cos/sin form.  Each
@@ -1012,7 +990,7 @@ def three_dtft_refine(holo, bs, coarse, halfwidth_deg=5.0, step_deg=0.1):
     Returns the scores, -inf where a point gets no score, and the choice.
     """
     geom = holo.geometry
-    w_z, w_x, centre = refine_grid(geom, coarse, halfwidth_deg, step_deg)
+    w_z, w_x, centre = refine_grid(geom, coarse)
     bs_freqs = spatial_frequencies(bs, geom)
     values = holo.values
     total = float(values.sum())
@@ -1039,15 +1017,15 @@ def three_dtft_refine(holo, bs, coarse, halfwidth_deg=5.0, step_deg=0.1):
     return explained, grid_choice(geom, coarse, w_z, w_x, centre, explained)
 
 
-def _matches_three_dtft_reference(holo, bs, coarse, halfwidth_deg=5.0):
-    """ml_refine at grid_step_deg 0.1 picks the reference's point, and its
+def _matches_three_dtft_reference(holo, bs, coarse):
+    """ml_refine picks the reference's point, and its
     objective on the restated grid is the reference's score to 1e-10 of the
     largest score where the fringe frequency (dz, dx) is at least 0.1 rad
     from 0, and to 1e-7 of it everywhere.  Near a zero fringe the basis
     degenerates and both lose digits: 2.5e-8 at 0.006 rad on a 6x9 panel.
     """
-    explained, best = three_dtft_refine(holo, bs, coarse, halfwidth_deg)
-    w_z, w_x, _ = refine_grid(holo.geometry, coarse, halfwidth_deg, 0.1)
+    explained, best = three_dtft_refine(holo, bs, coarse)
+    w_z, w_x, _ = refine_grid(holo.geometry, coarse)
     w_z, w_x = np.array(w_z), np.array(w_x)
     score = _refine_objective(holo, bs, w_z, w_x)
     bs_freqs = spatial_frequencies(bs, holo.geometry)
@@ -1055,7 +1033,7 @@ def _matches_three_dtft_reference(holo, bs, coarse, halfwidth_deg=5.0):
     largest = np.abs(explained).max()
     assert np.allclose(score, explained, rtol=0, atol=1e-7 * largest)
     assert np.allclose(score[apart], explained[apart], rtol=0, atol=1e-10 * largest)
-    assert ml_refine(holo, bs, coarse, halfwidth_deg) == best
+    assert ml_refine(holo, bs, coarse) == best
 
 
 def test_ml_refine_matches_three_dtft_reference_on_noisy_32x32():
@@ -1103,42 +1081,24 @@ def test_ml_refine_matches_three_dtft_reference_on_small_panels(geom):
         _matches_three_dtft_reference(holo, bs, coarse)
 
 
-@pytest.mark.parametrize("bs, ue, coarse, want", [
-    ((5.0, 10.0), (88.6, -87.9), (89.3, -88.7),
-     ("0x1.57e9809d35125p+6", "-0x1.582172a4cb8f0p+3")),
-    ((-5.0, 10.0), (-88.8, 87.5), (-89.4, 88.9),
-     ("-0x1.639e417e177d5p+6", "0x1.1c0be9eb742e1p+5")),
-])
-def test_ml_refine_near_90_with_huge_halfwidth_keeps_its_grid(bs, ue, coarse, want):
-    # The grid is all 2*half_steps+1 steps, less the points outside the
-    # propagating disk; the result is written here as float.hex.
-    bs, ue, coarse = AngularLocation(*bs), AngularLocation(*ue), AngularLocation(*coarse)
-    holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)], PANEL_6X9,
-                               DetectorModel(noise_std=0.3), seed=4)[0]
-    fine = ml_refine(holo, bs, coarse, search_halfwidth_deg=1e300, grid_step_deg=0.7)
-    assert (fine.theta_deg.hex(), fine.phi_deg.hex()) == want
-
-
 @st.composite
 def _refine_placement(draw):
-    """A panel, a BS, a coarse point with |omega/k| <= 0.95, a grid and a user
-    whose frequencies lie on that grid's window, at least a step inside it."""
+    """A panel, a BS, a coarse point with |omega/k| <= 0.95 and a user whose
+    frequencies lie on ml_refine's window about it, at least a step inside it."""
     geom = draw(st.sampled_from((GEOM, PANEL_6X9)))
-    halfwidth, step = draw(st.sampled_from(((5.0, 0.1), (1.0, 0.05), (2.0, 0.7))))
     radius = draw(st.floats(0.0, 0.95))
     angle = draw(st.floats(-math.pi, math.pi))
     u_z, u_x = radius * math.sin(angle), radius * math.cos(angle)
     theta = -math.degrees(math.asin(u_z))
     coarse = AngularLocation(theta, math.degrees(math.asin(u_x / math.cos(math.radians(theta)))))
-    w_z, w_x, half = refine_grid(geom, coarse, halfwidth, step)
+    w_z, w_x, half = refine_grid(geom, coarse)
     # Offsets of the truth from the centre, in grid steps.
     f_z, f_x = (draw(st.floats(-(half - 1.0), half - 1.0)) for _ in range(2))
     centre = spatial_frequencies(coarse, geom)
     truth = SpatialFrequencyPair(centre.omega_z + f_z * (w_z[half + 1] - w_z[half]),
                                  centre.omega_x + f_x * (w_x[half + 1] - w_x[half]))
     bs = AngularLocation(draw(st.floats(-60.0, 60.0)), draw(st.floats(-60.0, 60.0)))
-    return geom, bs, coarse, halfwidth, step, truth, (w_z[half + 1] - w_z[half],
-                                                      w_x[half + 1] - w_x[half])
+    return geom, bs, coarse, truth, (w_z[half + 1] - w_z[half], w_x[half + 1] - w_x[half])
 
 
 @given(placement=_refine_placement())
@@ -1146,7 +1106,7 @@ def _refine_placement(draw):
 def test_noiseless_refinement_is_within_a_grid_step_of_the_truth(placement):
     """On a noiseless on-model capture whose fringe the grid holds, and not its
     twin, the estimate lies within one grid step of the truth per frequency axis."""
-    geom, bs, coarse, halfwidth, step, truth, steps = placement
+    geom, bs, coarse, truth, steps = placement
     try:
         ue = angles_from_frequencies(truth, geom)
     except InfeasibleFrequency:
@@ -1160,9 +1120,9 @@ def test_noiseless_refinement_is_within_a_grid_step_of_the_truth(placement):
     # more than the window's width from the truth on some axis, its frequency
     # 2*fringe away taken modulo 2*pi as the panel samples it.
     assume(any(abs(regulate(2 * f)) > 2 * half_width for f, half_width in
-               zip(fringe, (s * halfwidth / step for s in steps))))
+               zip(fringe, (s * REFINE_HALF_STEPS for s in steps))))
     holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)], geom)[0]
-    est = spatial_frequencies(ml_refine(holo, bs, coarse, halfwidth, step), geom)
+    est = spatial_frequencies(ml_refine(holo, bs, coarse), geom)
     assert abs(est.omega_z - truth.omega_z) <= abs(steps[0]) * (1 + 1e-9)
     assert abs(est.omega_x - truth.omega_x) <= abs(steps[1]) * (1 + 1e-9)
 
@@ -1172,26 +1132,29 @@ def test_noiseless_refinement_is_within_a_grid_step_of_the_truth(placement):
 # after them must take no page faults.
 _REFINE_FAULTS = """
 import resource, sys
+from holoris import localization
 from holoris.geometry import AngularLocation, default_geometry
 from holoris.localization import ml_refine
 from holoris.wavefield import Source, synthesize_hologram
 
+# +-5 deg in steps of step, set through the grid constants ml_refine reads at call time
 step = float(sys.argv[1])
+localization._REFINE_STEP_DEG, localization._REFINE_HALF_STEPS = step, round(5.0 / step)
 bs = AngularLocation(0.0, 0.0)
 holo = synthesize_hologram([Source.far_field(bs), Source.far_field(AngularLocation(0.0, 30.0))],
                            default_geometry())[0]
 coarse = AngularLocation(1.0, 31.0)
 for _ in range(3):
-    ml_refine(holo, bs, coarse, grid_step_deg=step)
+    ml_refine(holo, bs, coarse)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
-    ml_refine(holo, bs, coarse, grid_step_deg=step)
+    ml_refine(holo, bs, coarse)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
-# 101x101 and 201x201 grids.  Whether separate work arrays fault depends on the
+# 101x101 and 201x201 grids, +-5 deg in both.  Whether separate work arrays fault depends on the
 # heap layout: in this bare loop the 101x101 grid took none with them either,
 # and only the 201x201 grid faulted on every call.
 @pytest.mark.parametrize("step", [0.1, 0.05])
