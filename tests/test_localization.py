@@ -884,9 +884,27 @@ def test_ml_refine_rejects_a_panel_memory_cannot_hold(monkeypatch):
                   AngularLocation(0.0, 30.0))
 
 
-def test_ml_refine_rejects_a_grid_over_a_lowered_budget(monkeypatch):
-    # 101**2 points at 81 bytes, ~0.8 MB, against a budget of 2**19 bytes.
-    # A broken check computes this small grid, never an oversized one.
+@pytest.mark.parametrize("step", [1e-3, 1e-5])
+def test_ml_refine_rejects_a_grid_memory_cannot_hold(monkeypatch, step):
+    # A grid of +-5 deg in these steps has 1e8 and 1e12 points, ~8.1 GB and
+    # ~81 TB of work arrays, which numpy could index.  Should the check let
+    # one through, reaching the objective fails before its work arrays are
+    # built.
+    def reached(*args):
+        raise AssertionError("the grid reached _refine_objective")
+    monkeypatch.setattr(localization, "_refine_objective", reached)
+    monkeypatch.setattr(localization, "_REFINE_STEP_DEG", step)
+    monkeypatch.setattr(localization, "_REFINE_HALF_STEPS", round(5.0 / step))
+    with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most"):
+        ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0))
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-5])
+def test_ml_refine_rejects_a_grid_over_a_lowered_budget(monkeypatch, step):
+    # +-50 steps of any size: 101**2 points at 81 bytes, ~0.8 MB, against a
+    # budget of 2**19 bytes.  A broken check computes this small grid, never
+    # an oversized one.
+    monkeypatch.setattr(localization, "_REFINE_STEP_DEG", step)
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", 2**19)
     with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most 524288 "):
         ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0))
