@@ -33,6 +33,7 @@ from .wavefield import (
     _write_matrix_file,
     complex_field_at_array,
 )
+from .localization import _TIE_RTOL
 
 _CODING_MAGIC = "# holoris-coding v1"
 _PATTERN_BYTES = 16 + 16 + 8 + 8  # pattern's complex z_x and Horner sum, float |sum| and power
@@ -194,13 +195,13 @@ def _received_powers(phases, bs_src: Source, ue, geom: ArrayGeometry) -> list[fl
     return [float(np.abs(np.sum(incident * factor * outgoing)) ** 2) for factor in factors]
 
 
-def _hpbw(axis_deg: np.ndarray, cut: np.ndarray) -> float:
-    """Half-power beamwidth along one cut, linear interpolation at -3 dB.
+def _hpbw(axis_deg: np.ndarray, cut: np.ndarray, i: int) -> float:
+    """Half-power beamwidth along one cut through its peak at index i,
+    linear interpolation at -3 dB.
 
     Each edge interpolates towards the first sample below half power from
     the peak.  NaN when either half-power crossing lies outside the grid.
     """
-    i = int(np.argmax(cut))
     half = cut[i] / 2.0
     edges = [np.nan, np.nan]
     for side, scan in enumerate((range(i - 1, -1, -1), range(i + 1, len(cut)))):
@@ -269,8 +270,9 @@ def pattern(
 ) -> PatternResult:
     """Far-field received power over a (theta, phi) grid.
 
-    Reports the peak direction and the half-power beamwidth of the cuts
-    through the peak along each axis.
+    Reports the peak direction, the first cell in row-major order whose
+    power is within a relative 1e-12 of the maximum, and the half-power
+    beamwidth of the cuts through that cell along each axis.
 
     The power over the whole grid is one 2D DTFT of the panel excitation,
     |sum_{m,n} e[m, n]*exp(i*(m*w_z(theta) + n*w_x(theta, phi)))|^2: a
@@ -296,7 +298,10 @@ def pattern(
     # Views of the keys, which the caller cannot reach.
     theta_grid_deg, phi_grid_deg = np.frombuffer(theta_key), np.frombuffer(phi_key)
     power = np.abs(_horner(e_z @ excitation, z_x)) ** 2
-    i, j = np.unravel_index(int(np.argmax(power)), power.shape)
+    # The first cell in row-major order within _TIE_RTOL of the maximum, as
+    # the spectral peak search takes it: a real excitation's mirror lobes
+    # tie but for rounding, and rounding must not pick the reported one.
+    i, j = divmod(int(np.argmax(power >= power.max() * (1.0 - _TIE_RTOL))), power.shape[1])
     peak = AngularLocation(
         theta_deg=float(theta_grid_deg[i]), phi_deg=float(phi_grid_deg[j])
     )
@@ -305,8 +310,8 @@ def pattern(
         phi_deg=phi_grid_deg,
         power=power,
         peak=peak,
-        hpbw_theta_deg=_hpbw(theta_grid_deg, power[:, j]),
-        hpbw_phi_deg=_hpbw(phi_grid_deg, power[i, :]),
+        hpbw_theta_deg=_hpbw(theta_grid_deg, power[:, j], i),
+        hpbw_phi_deg=_hpbw(phi_grid_deg, power[i, :], j),
     )
 
 

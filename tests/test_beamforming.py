@@ -227,6 +227,27 @@ def test_pattern_peaks_at_target():
     assert res.power.shape == (21, 121)
 
 
+def first_tied_cell(power):
+    """The first cell in row-major order within 1e-12 of the maximum power."""
+    return tuple(int(v) for v in np.argwhere(power >= power.max() * (1.0 - 1e-12))[0])
+
+
+def test_pattern_peak_is_the_first_of_two_mirror_lobes():
+    # A broadside reference makes a 1-bit excitation real, so the beam at
+    # (10, 20) has a mirror lobe at (-10, -20) of the same power but for
+    # rounding.  Here the later lobe rounds higher, and the earlier is reported.
+    coding = quantize_1bit(farfield_phase_profile(BS, AngularLocation(10.0, 20.0), GEOM))
+    grid = np.linspace(-60.0, 60.0, 121)
+    res = pattern(coding, Source.far_field(BS), GEOM, grid, grid)
+    power = res.power
+    tied = np.argwhere(power >= power.max() * (1.0 - 1e-12)).tolist()
+    assert tied == [[50, 40], [70, 80]]
+    assert power[70, 80] > power[50, 40]
+    assert res.peak == AngularLocation(-10.0, -20.0)
+    assert res.hpbw_theta_deg == _hpbw(grid, power[:, 40], 50)
+    assert res.hpbw_phi_deg == _hpbw(grid, power[50, :], 40)
+
+
 def test_coding_file_round_trip(tmp_path):
     coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
     path = tmp_path / "coding.txt"
@@ -321,7 +342,7 @@ def test_pattern_matches_per_element_field_sum(theta_grid):
         own = brute_force_pattern(factor, bs, PANEL_5X7, theta_grid, phi_grid)
         assert res.power.shape == (len(theta_grid), len(phi_grid))
         assert np.max(np.abs(res.power - own)) <= 1e-12 * np.max(own)
-        i, j = np.unravel_index(int(np.argmax(own)), own.shape)
+        i, j = first_tied_cell(own)
         assert (res.peak.theta_deg, res.peak.phi_deg) == (theta_grid[i], phi_grid[j])
 
 
@@ -397,10 +418,10 @@ def test_planned_pattern_is_the_inline_dtft_bit_for_bit(n_z, n_x, pitches, theta
     res = pattern(coding, src, geom, theta, phi)
     want = inline_power(coding, src, geom, theta, phi)
     assert np.array_equal(res.power, want)
-    i, j = np.unravel_index(int(np.argmax(want)), want.shape)
+    i, j = first_tied_cell(want)
     assert (res.peak.theta_deg.hex(), res.peak.phi_deg.hex()) == (theta[i].hex(), phi[j].hex())
-    assert res.hpbw_theta_deg.hex() == _hpbw(np.array(theta), want[:, j]).hex()
-    assert res.hpbw_phi_deg.hex() == _hpbw(np.array(phi), want[i, :]).hex()
+    assert res.hpbw_theta_deg.hex() == _hpbw(np.array(theta), want[:, j], i).hex()
+    assert res.hpbw_phi_deg.hex() == _hpbw(np.array(phi), want[i, :], j).hex()
 
 
 def test_pattern_plans_are_kept_apart_by_grid():

@@ -13,7 +13,10 @@ refined angles as ``float.hex``, or the error localization raised.  For a
 refined placement the line also holds the ``pattern`` of the 1-bit coding
 steered at the refined angles, on the 121x121 grid over -60..60 deg in
 both axes: its peak and both half-power beamwidths as ``float.hex`` and
-the SHA-256 of its power grid.  The program is imported from the ``src/``
+the SHA-256 of its power grid.  The peak is the first cell in row-major
+order whose power is within a relative 1e-12 of the maximum, so a
+broadside BS's two mirror lobes, equal but for rounding, print the same
+peak whatever the rounding.  The program is imported from the ``src/``
 directory of the checkout holding this script.  Run it in two checkouts
 and ``diff`` the outputs: a change that keeps the refined angles and the
 beams prints identical bytes.
