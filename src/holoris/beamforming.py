@@ -36,7 +36,11 @@ from .wavefield import (
 from .localization import _TIE_RTOL
 
 _CODING_MAGIC = "# holoris-coding v1"
-_PATTERN_BYTES = 16 + 16 + 8 + 8  # pattern's complex z_x and Horner sum, float |sum| and power
+_X_BLOCK = 8  # columns in a block of pattern's x-axis DTFT (_blocked_dtft)
+# The bytes a pattern call takes per grid point beside its plan: the complex
+# sum and one block's complex product.  A panel of at most _X_BLOCK columns
+# has one block, and takes 8 bytes less: the sum, |sum| and the power.
+_PATTERN_BYTES = 16 + 16
 
 
 @dataclass(frozen=True)
@@ -214,37 +218,44 @@ def _hpbw(axis_deg: np.ndarray, cut: np.ndarray, i: int) -> float:
     return float(edges[1] - edges[0])
 
 
-def _horner(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_n y[t, n] * z[t, p]**n for every (t, p), by Horner's rule.
+def _blocked_dtft(y: np.ndarray, powers: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """sum_n y[t, n] * z[t, p]**n for every (t, p), in blocks of k columns.
 
-    y is (T, N) and z is (T, P); one (T, P) multiply-add per column, so no
-    (T, N, P) intermediate is formed.  The x axis of pattern's 2D DTFT, whose
-    z axis is a matrix product, taking z precomputed so calls on one grid
-    can share it.
+    y is (T, N); powers[t, j, p] = z[t, p]**j for j < k, shape (T, k, P),
+    and step = z**k, shape (T, P).  With n = k*b + j the sum is Horner's rule
+    in z**k over the blocks (Estrin's scheme), each block one stacked
+    (T, 1, k) @ (T, k, P) matrix product; the top block takes the columns
+    left over, N mod k of them or k.  The x axis of pattern's 2D DTFT, whose
+    z axis is a matrix product, taking the powers precomputed so calls on
+    one grid can share them.
     """
-    acc = np.empty(z.shape, complex)
-    np.copyto(acc, y[:, -1:])
-    for col in y[:, -2::-1].T:
-        acc *= z
-        acc += col[:, np.newaxis]
-    return acc
+    k = powers.shape[1]
+    top = (y.shape[1] - 1) // k * k
+    acc = y[:, np.newaxis, top:] @ powers[:, :y.shape[1] - top]
+    for b in range(top - k, -1, -k):
+        acc *= step[:, np.newaxis]
+        acc += y[:, np.newaxis, b:b + k] @ powers
+    return acc[:, 0]
 
 
 @functools.lru_cache(maxsize=1)
 def _pattern_plan(
     geom: ArrayGeometry, theta_key: bytes, phi_key: bytes
-) -> tuple[np.ndarray, np.ndarray]:
-    """What pattern needs of a grid besides the excitation, as (e_z, z_x).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What pattern needs of a grid besides the excitation, as (e_z, powers, step).
 
     The keys are the float64 bytes of the 1-D theta (T,) and phi (P,)
-    grids.  e_z = exp(i*outer(w_z, m)) of shape (T, n_z) is the z-axis DTFT
-    factor and z_x = exp(i*w_x) of shape (T, P) the x-axis one, for the
-    grid's frequencies w_z (T,) and w_x (T, P); both are read-only, as every
-    call on the grid shares them.  A plan holds 16*T*(n_z + P) bytes, and
-    the cache one plan, the last grid's.  Raises ValueError naming the grid
-    unless it holds at least one angle and each is finite with |angle| < 90,
-    and, before any exp, unless _check_bytes admits T*(P + n_z + n_x) points
-    at _PATTERN_BYTES each, so a grid is checked once per plan.
+    grids.  For the grid's frequencies w_z (T,) and w_x (T, P), e_z =
+    exp(i*outer(w_z, m)) of shape (T, n_z) is the z-axis DTFT factor, and
+    powers[:, j] = exp(i*j*w_x) for j < k = min(_X_BLOCK, n_x), of shape
+    (T, k, P), and step = exp(i*k*w_x) of shape (T, P) are the x-axis ones
+    _blocked_dtft takes, each power from its own exp; all three are
+    read-only, as every call on the grid shares them.  A plan holds
+    16*T*(n_z + (k + 1)*P) bytes, and the cache one plan, the last grid's.
+    Raises ValueError naming the grid unless it holds at least one angle
+    and each is finite with |angle| < 90, and, before any exp, unless
+    _check_bytes admits the plan and a call's rows (_PATTERN_BYTES), so a
+    grid is checked once per plan.
     """
     theta, phi = np.frombuffer(theta_key), np.frombuffer(phi_key)
     for name, grid in (("theta_grid_deg", theta), ("phi_grid_deg", phi)):
@@ -252,13 +263,20 @@ def _pattern_plan(
             raise ValueError(
                 f"{name} must hold at least one angle, each finite with |angle| < 90 deg"
             )
-    _check_bytes("pattern's grid", theta.size * (phi.size + geom.n_z + geom.n_x), _PATTERN_BYTES)
+    k = min(_X_BLOCK, geom.n_x)
+    # Per point the plan's k + 1 complex x-axis factors; per theta its z-axis
+    # factor row and a call's complex (T, n_x) z-axis sums.
+    _check_bytes("pattern's grid", theta.size * phi.size, 16 * (k + 1) + _PATTERN_BYTES,
+                 16 * theta.size * (geom.n_z + geom.n_x))
     w_z, w_x = _frequency_grid(theta, phi, geom)
     e_z = np.exp(1j * np.outer(w_z, np.arange(geom.n_z)))
-    z_x = np.exp(1j * w_x)
-    e_z.flags.writeable = False
-    z_x.flags.writeable = False
-    return e_z, z_x
+    powers = np.empty((theta.size, k, phi.size), complex)
+    for j in range(k):  # a (T, P) argument at a time, not a (T, k, P) one
+        np.exp(1j * (j * w_x), out=powers[:, j])
+    step = np.exp(1j * (k * w_x))
+    for factor in (e_z, powers, step):
+        factor.flags.writeable = False
+    return e_z, powers, step
 
 
 def pattern(
@@ -276,10 +294,11 @@ def pattern(
 
     The power over the whole grid is one 2D DTFT of the panel excitation,
     |sum_{m,n} e[m, n]*exp(i*(m*w_z(theta) + n*w_x(theta, phi)))|^2: a
-    matrix product along z, then Horner's rule along x with no per-theta
-    loop.  Its exp factors depend only on the geometry and the grids, so
-    _pattern_plan builds them once per (geom, theta grid, phi grid) and
-    a call computes only what depends on the coding and the source.
+    matrix product along z, then blocks of stacked matrix products along x
+    (_blocked_dtft) with no per-theta loop.  Its exp factors depend only on
+    the geometry and the grids, so _pattern_plan builds them once per
+    (geom, theta grid, phi grid) and a call computes only what depends on
+    the coding and the source.
 
     Like received_power, raises TypeError unless coding is a CodingMatrix
     or PhaseProfile and ValueError unless its shape is geom.shape.  Raises
@@ -294,10 +313,10 @@ def pattern(
         if grid.ndim != 1:  # the plan's key, the grid's bytes, drops its shape
             raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
     theta_key, phi_key = theta_grid_deg.tobytes(), phi_grid_deg.tobytes()
-    e_z, z_x = _pattern_plan(geom, theta_key, phi_key)
+    e_z, powers, step = _pattern_plan(geom, theta_key, phi_key)
     # Views of the keys, which the caller cannot reach.
     theta_grid_deg, phi_grid_deg = np.frombuffer(theta_key), np.frombuffer(phi_key)
-    power = np.abs(_horner(e_z @ excitation, z_x)) ** 2
+    power = np.abs(_blocked_dtft(e_z @ excitation, powers, step)) ** 2
     # The first cell in row-major order within _TIE_RTOL of the maximum, as
     # the spectral peak search takes it: a real excitation's mirror lobes
     # tie but for rounding, and rounding must not pick the reported one.

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from holoris.geometry import (
     ArrayGeometry,
     _MAX_BYTES,
     _POSITION_BYTES,
+    _check_bytes,
     _frequency_grid,
     default_geometry,
     element_positions,
@@ -24,7 +26,8 @@ from holoris.beamforming import (
     CodingMatrix,
     LinkGainResult,
     PhaseProfile,
-    _horner,
+    _X_BLOCK,
+    _blocked_dtft,
     _hpbw,
     _pattern_plan,
     _reflection,
@@ -234,18 +237,22 @@ def first_tied_cell(power):
 
 def test_pattern_peak_is_the_first_of_two_mirror_lobes():
     # A broadside reference makes a 1-bit excitation real, so the beam at
-    # (10, 20) has a mirror lobe at (-10, -20) of the same power but for
-    # rounding.  Here the later lobe rounds higher, and the earlier is reported.
-    coding = quantize_1bit(farfield_phase_profile(BS, AngularLocation(10.0, 20.0), GEOM))
-    grid = np.linspace(-60.0, 60.0, 121)
-    res = pattern(coding, Source.far_field(BS), GEOM, grid, grid)
-    power = res.power
-    tied = np.argwhere(power >= power.max() * (1.0 - 1e-12)).tolist()
-    assert tied == [[50, 40], [70, 80]]
-    assert power[70, 80] > power[50, 40]
-    assert res.peak == AngularLocation(-10.0, -20.0)
-    assert res.hpbw_theta_deg == _hpbw(grid, power[:, 40], 50)
-    assert res.hpbw_phi_deg == _hpbw(grid, power[50, :], 40)
+    # (10, phi) has a mirror lobe at (-10, -phi) of the same power but for
+    # rounding.  The earlier lobe is reported whichever rounds higher; on at
+    # least one of these beams the later one does, so plain argmax fails.
+    grid = np.linspace(-60.0, 60.0, 121)  # angle a at index a + 60
+    later_higher = []
+    for phi in (20, 25, 35, 45):
+        coding = quantize_1bit(farfield_phase_profile(BS, AngularLocation(10.0, phi), GEOM))
+        res = pattern(coding, Source.far_field(BS), GEOM, grid, grid)
+        power = res.power
+        tied = np.argwhere(power >= power.max() * (1.0 - 1e-12)).tolist()
+        assert tied == [[50, 60 - phi], [70, 60 + phi]]
+        later_higher.append(power[70, 60 + phi] > power[50, 60 - phi])
+        assert res.peak == AngularLocation(-10.0, -phi)
+        assert res.hpbw_theta_deg == _hpbw(grid, power[:, 60 - phi], 50)
+        assert res.hpbw_phi_deg == _hpbw(grid, power[50, :], 60 - phi)
+    assert any(later_higher)
 
 
 def test_coding_file_round_trip(tmp_path):
@@ -362,25 +369,32 @@ def test_phase_of_another_shape_or_kind_is_rejected(evaluate, phase, error, mess
         evaluate(phase)
 
 
+def x_factors(w_x: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """_blocked_dtft's powers exp(i*j*w_x) for j < k, stacked on axis 1, and
+    step exp(i*k*w_x), for k = min(_X_BLOCK, n_x), built on every call."""
+    k = min(_X_BLOCK, n_x)
+    return np.stack([np.exp(1j * (j * w_x)) for j in range(k)], axis=1), np.exp(1j * (k * w_x))
+
+
 def inline_power(coding, bs_src, geom, theta_grid_deg, phi_grid_deg):
-    """pattern's power as computed before its plan: the 2D DTFT with both exp
-    factors built on every call, from the caller's grids."""
+    """pattern's power as computed before its plan: the 2D DTFT with every exp
+    factor built on every call, from the caller's grids."""
     excitation = complex_field_at_array(bs_src, geom) * _reflection(coding, geom)
     w_z, w_x = _frequency_grid(np.asarray(theta_grid_deg, dtype=float),
                                np.asarray(phi_grid_deg, dtype=float), geom)
-    return np.abs(_horner(np.exp(1j * np.outer(w_z, np.arange(geom.n_z))) @ excitation,
-                          np.exp(1j * w_x))) ** 2
+    return np.abs(_blocked_dtft(np.exp(1j * np.outer(w_z, np.arange(geom.n_z))) @ excitation,
+                                *x_factors(w_x, geom.n_x))) ** 2
 
 
 def _dtft2(x: np.ndarray, w_z: np.ndarray, w_x: np.ndarray) -> np.ndarray:
     """sum_{m,n} x[m, n] * exp(i*(m*w_z[t] + n*w_x[t, p])) for every (t, p).
 
     x is (n_z, n_x), w_z is (T,) and w_x is (T, P); returns (T, P): the z
-    axis as one matrix product, the x axis by _horner in z = exp(i*w_x),
-    as beamforming.pattern takes it.
+    axis as one matrix product, the x axis by _blocked_dtft on factors
+    built per call, as beamforming.pattern takes it.
     """
     y = np.exp(1j * np.outer(w_z, np.arange(x.shape[0]))) @ x
-    return _horner(y, np.exp(1j * w_x))
+    return _blocked_dtft(y, *x_factors(w_x, x.shape[1]))
 
 
 def test_dtft2_matches_explicit_sum():
@@ -394,6 +408,19 @@ def test_dtft2_matches_explicit_sum():
                 for m in range(n_z) for n in range(n_x))
             for p in range(2)] for t in range(3)])
         assert np.allclose(_dtft2(x, w_z, w_x), own, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_x", [1, 5, 8, 9, 17, 32])
+def test_blocked_dtft_matches_explicit_sum(n_x):
+    # Below, at and past one block of _X_BLOCK columns, with and without a
+    # partial top block.
+    rng = np.random.default_rng(n_x)
+    y = rng.normal(size=(6, n_x)) + 1j * rng.normal(size=(6, n_x))
+    w_x = rng.uniform(-math.pi, math.pi, (6, 7))
+    own = np.abs(np.einsum("tn,tnp->tp", y, np.exp(
+        1j * np.arange(n_x)[np.newaxis, :, np.newaxis] * w_x[:, np.newaxis, :]))) ** 2
+    got = np.abs(_blocked_dtft(y, *x_factors(w_x, n_x))) ** 2
+    assert np.max(np.abs(got - own)) <= 1e-13 * np.max(own)
 
 
 ANGLE = st.floats(-89.99, 89.99)
@@ -456,18 +483,20 @@ def test_pattern_plan_cache_keeps_one_plan():
 
 def test_pattern_plans_are_kept_apart_by_geometry_and_read_only():
     key = np.linspace(-30.0, 30.0, 7).tobytes()
-    e_z, z_x = _pattern_plan(GEOM, key, key)
-    assert not e_z.flags.writeable and not z_x.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        e_z[0, 0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        z_x[0, 0] = 0.0
+    e_z, powers, step = _pattern_plan(GEOM, key, key)
+    assert (e_z.shape, powers.shape, step.shape) == ((7, 32), (7, 8, 7), (7, 7))
+    for factor in (e_z, powers, step):
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 0.0
     # an equal geometry shares the plan; another pitch along z or x does not
     assert _pattern_plan(default_geometry(), key, key)[0] is e_z
-    e_z2, z_x2 = _pattern_plan(replace(GEOM, d_z_m=0.03), key, key)
-    assert not np.array_equal(e_z2, e_z) and np.array_equal(z_x2, z_x)
-    e_z3, z_x3 = _pattern_plan(replace(GEOM, d_x_m=0.03), key, key)
-    assert np.array_equal(e_z3, e_z) and not np.array_equal(z_x3, z_x)
+    e_z2, powers2, step2 = _pattern_plan(replace(GEOM, d_z_m=0.03), key, key)
+    assert not np.array_equal(e_z2, e_z)
+    assert np.array_equal(powers2, powers) and np.array_equal(step2, step)
+    e_z3, powers3, step3 = _pattern_plan(replace(GEOM, d_x_m=0.03), key, key)
+    assert np.array_equal(e_z3, e_z)
+    assert not np.array_equal(powers3, powers) and not np.array_equal(step3, step)
     grid = np.frombuffer(key)
     coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
     for geom in (GEOM, replace(GEOM, d_z_m=0.03), replace(GEOM, d_x_m=0.03)):
@@ -521,7 +550,7 @@ def test_pattern_rejects_a_grid_it_cannot_evaluate(name, bad, message):
 
 
 def test_pattern_grid_memory_cannot_hold_fails_before_any_exp(monkeypatch):
-    # 10**5 by 10**5 directions would take ~480 GB of work arrays.  Should the
+    # 10**5 by 10**5 directions would take ~1.8 TB of plan and rows.  Should the
     # check let them through, reaching the frequency grid fails before any
     # array of the grid's size is built.
     def reached(*args):
@@ -529,24 +558,61 @@ def test_pattern_grid_memory_cannot_hold_fails_before_any_exp(monkeypatch):
     monkeypatch.setattr("holoris.beamforming._frequency_grid", reached)
     grid = np.linspace(-80.0, 80.0, 10**5)
     with pytest.raises(ValueError, match="^pattern's grid must be at most 2147483648 bytes "
-                                         "at 48 bytes each$"):
+                                         "at 176 bytes each$"):
         pattern(CodingMatrix.all_zero(GEOM.shape), Source.far_field(BS), GEOM, grid, grid)
 
 
 def test_pattern_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
-    # 3 thetas by 5 phis on the 32x32 panel: 3*(5 + 32 + 32) points at 48 bytes.
-    # Each call clears the plan cache, since a cached plan is not checked again.
+    # 3 thetas by 5 phis on the 32x32 panel: 15 points at 16*(8 + 1) + 32
+    # bytes, and 16 bytes a theta for each of its n_z + n_x = 64 factors and
+    # sums, 5,712 bytes.  Each call clears the plan cache, since a cached
+    # plan is not checked again.
     thetas, phis = np.linspace(-10.0, 10.0, 3), np.linspace(-20.0, 20.0, 5)
     coding, src = quantize_1bit(farfield_phase_profile(BS, UE, GEOM)), Source.far_field(BS)
     _pattern_plan.cache_clear()
     want = pattern(coding, src, GEOM, thetas, phis)
     _pattern_plan.cache_clear()
-    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 3 * 69 * 48)
+    charge = 15 * 176 + 16 * 3 * 64
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge)
     assert np.array_equal(pattern(coding, src, GEOM, thetas, phis).power, want.power)
     _pattern_plan.cache_clear()
-    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 3 * 69 * 48 - 1)
-    with pytest.raises(ValueError, match="^pattern's grid must be at most 9935 bytes "):
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge - 1)
+    with pytest.raises(ValueError, match="^pattern's grid must be at most 5711 bytes "):
         pattern(coding, src, GEOM, thetas, phis)
+
+
+def test_pattern_charges_its_plan_and_a_calls_rows(monkeypatch):
+    """pattern's charge against tracemalloc's peak over a call that builds its
+    plan, on 128x128 and 256x256 grids on the 32x32 panel.
+
+    The rise in the peak from the smaller grid to the larger, less 64 bytes
+    an axis point for the 1-D arrays of both grids, is at most the rise in
+    the charge the size check is given (no undercharge) and at least that
+    less 1 byte a grid point (no overcharge).  The peak is the plan and a
+    call's complex sum and one block's product, 176 bytes a point, and the
+    plan's z-axis factors and a call's z-axis sums, 16*(n_z + n_x) a theta.
+    """
+    charges = []
+
+    def check_bytes(what, count, item_bytes, extra_bytes=0):
+        charges.append(count * item_bytes + extra_bytes)
+        return _check_bytes(what, count, item_bytes, extra_bytes)
+
+    monkeypatch.setattr("holoris.beamforming._check_bytes", check_bytes)
+    coding, src = quantize_1bit(farfield_phase_profile(BS, UE, GEOM)), Source.far_field(BS)
+    peaks = []
+    for n in (128, 256):
+        grid = np.linspace(-60.0, 60.0, n)
+        _pattern_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            pattern(coding, src, GEOM, grid, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    rise = peaks[1] - peaks[0] - 64 * (256 - 128)
+    assert len(charges) == 2
+    assert rise <= charges[1] - charges[0] <= rise + (256**2 - 128**2)
 
 
 def two_call_gain(coding, baseline, bs_src, ue, geom):
