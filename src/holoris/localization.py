@@ -481,9 +481,13 @@ def ml_refine(holo: Hologram, bs: AngularLocation, coarse: AngularLocation) -> A
     geom = holo.geometry
     c = _REFINE_HALF_STEPS  # the centre's index on both axes
     per_axis = 2 * c + 1
-    # Plus 16 B an element of e_z, e_x, a transient as large as each, and complex I - total/g00.
+    # Plus 16 B an element of the complex factors e_z (T, n_z) and e_x (n_x, P)
+    # and of the larger complex transient beside them: complex I - total/g00
+    # with its (T, n_x) projection, or e_z**2 (e_x**2 is no larger than the
+    # projection, as T = P).
+    n_z, n_x = geom.shape
     _check_bytes("ml_refine's (theta, phi) grid", per_axis * per_axis, _REFINE_POINT_BYTES,
-                 16 * (2 * per_axis * sum(geom.shape) + holo.values.size))
+                 16 * (per_axis * (n_z + n_x) + max(n_z * n_x + per_axis * n_x, per_axis * n_z)))
     centre = spatial_frequencies(coarse, geom)
     k_z, k_x = (2.0 * math.pi * d / geom.wavelength_m for d in (geom.d_z_m, geom.d_x_m))
     cos_theta = math.cos(math.radians(coarse.theta_deg))

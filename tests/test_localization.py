@@ -912,11 +912,11 @@ def test_ml_refine_rejects_a_grid_over_a_lowered_budget(monkeypatch, step):
 
 def test_ml_refine_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
     # The grid is 101 points per axis at 81 bytes; on the 32x32 panel the
-    # factor arrays take 101*64*32 bytes more and the hologram's complex copy
-    # 1024*16: 1,049,513 bytes.
+    # factor arrays take 101*64*16 bytes more, and the hologram's complex
+    # copy and its (101, 32) projection (1024 + 101*32)*16: 997,801 bytes.
     holo, bs, coarse = fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0)
     want = ml_refine(holo, bs, coarse)
-    charge = 101 * 101 * 81 + 101 * 64 * 32 + 1024 * 16
+    charge = 101 * 101 * 81 + 101 * 64 * 16 + (1024 + 101 * 32) * 16
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge)
     assert ml_refine(holo, bs, coarse) == want
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge - 1)
@@ -955,22 +955,23 @@ def test_ml_refine_charges_the_bytes_a_grid_point_takes(monkeypatch):
 @pytest.mark.parametrize("panels, half_steps", [
     (((2, 2048), (2, 4096)), 50),  # wide: e_x grows, on ml_refine's grid
     (((256, 256), (512, 512)), 1),  # square: the hologram's copy grows, 3 points per axis
+    (((256, 256), (512, 512)), 50),  # square: the copy, its projection and both factors grow
+    (((2048, 2), (4096, 2)), 50),  # tall: e_z and its square grow
 ])
 def test_ml_refine_charges_its_factor_arrays_and_the_hologram_copy(monkeypatch, panels,
                                                                     half_steps):
-    """ml_refine's charge beside the grid, 32 bytes an element of e_z (T, n_z)
-    and e_x (n_x, P) and 16 a panel element, against tracemalloc's peak over
-    a call, on one grid and two panels.
+    """ml_refine's charge beside the grid, 16 bytes an element of e_z (T, n_z)
+    and e_x (n_x, P) and of the larger complex transient beside them (the
+    hologram's complex copy and its (T, n_x) projection, or e_z**2), against
+    tracemalloc's peak over a call, on one grid and two panels.
 
     The rise in the peak from the smaller panel to the larger is at most the
     rise in the charge the size check is given (no undercharge) and at least
     that less 1 byte an element of the factor arrays and of the panel (no
-    overcharge); the wide pair reads ~1.6 KB under its charge, the square
-    one ~12 KB.  The square pair runs on a 3x3 grid, set through the grid
-    constant, so that the copy's charge is measured with small factor
-    arrays: on ml_refine's 101x101 grid the peak holds one (T, n_x)
-    transient beside e_z and e_x, not the two the charge counts, and the
-    square pair reads 16 bytes an element of e_z, ~414 KB, under its charge.
+    overcharge).  On ml_refine's grid the wide pair reads ~1.6 KB under its
+    charge and the tall and square pairs exactly theirs; the square pair on a 3x3
+    grid, set through the grid constant, measures the copy's charge with
+    small factor arrays and reads ~12 KB under it.
     """
     charges = []
 
