@@ -26,6 +26,7 @@ from .geometry import (
     element_positions,
     unit_direction,
 )
+from .localization import _TIE_RTOL
 from .wavefield import (
     Source,
     _front_position,
@@ -33,7 +34,6 @@ from .wavefield import (
     _write_matrix_file,
     complex_field_at_array,
 )
-from .localization import _TIE_RTOL
 
 _CODING_MAGIC = "# holoris-coding v1"
 _X_BLOCK = 8  # columns in a block of pattern's x-axis DTFT (_blocked_dtft)
