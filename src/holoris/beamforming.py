@@ -21,12 +21,12 @@ from .geometry import (
     AngularLocation,
     ArrayGeometry,
     _check_bytes,
+    _first_tied,
     _frequency_grid,
     _real,
     element_positions,
     unit_direction,
 )
-from .localization import _TIE_RTOL
 from .wavefield import (
     Source,
     _front_position,
@@ -317,10 +317,8 @@ def pattern(
     # Views of the keys, which the caller cannot reach.
     theta_grid_deg, phi_grid_deg = np.frombuffer(theta_key), np.frombuffer(phi_key)
     power = np.abs(_blocked_dtft(e_z @ excitation, powers, step)) ** 2
-    # The first cell in row-major order within _TIE_RTOL of the maximum, as
-    # the spectral peak search takes it: a real excitation's mirror lobes
-    # tie but for rounding, and rounding must not pick the reported one.
-    i, j = divmod(int(np.argmax(power >= power.max() * (1.0 - _TIE_RTOL))), power.shape[1])
+    # The first tied cell, as in the peak search: a real excitation's mirror lobes tie.
+    i, j = divmod(int(_first_tied(power.ravel(), power.max())), power.shape[1])
     peak = AngularLocation(
         theta_deg=float(theta_grid_deg[i]), phi_deg=float(phi_grid_deg[j])
     )

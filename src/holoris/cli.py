@@ -50,7 +50,8 @@ from .experiments import (
 from .geometry import AngularLocation, default_geometry, position_at
 from .localization import (OraclePolicy, SectorPolicy, _check_spectral_settings,
                            format_report, localize)
-from .wavefield import Source, read_hologram_csv, synthesize_hologram, write_hologram_csv
+from .wavefield import (Source, _front_position, read_hologram_csv, synthesize_hologram,
+                        write_hologram_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,17 +83,6 @@ def _sector(*bounds) -> SectorPolicy:
     # 'plo:phi' bounds azimuth only; 'tlo:thi,plo:phi' bounds both axes
     return SectorPolicy(theta_range_deg=bounds[:2] if len(bounds) == 4 else None,
                         phi_range_deg=bounds[-2:])
-
-
-def _front_point(*xyz):
-    """The point as a near-field ``Source`` accepts it: finite, with y > 0,
-    at a distance from the panel centre ``_front_position`` admits."""
-    return Source.near_field(xyz).position
-
-
-def _point_at(loc: AngularLocation, range_m: float):
-    """``position_at``'s point, held to the same rules as ``_front_point``."""
-    return _front_point(*position_at(loc, range_m).tolist())
 
 
 def _db(power: float) -> float:
@@ -168,8 +158,9 @@ def cmd_codegen(args) -> int:
         if args.bs_pos is not None or args.ue_pos is not None:
             if args.bs_pos is None or args.ue_pos is None:
                 raise ConfigError("near mode with positions needs both --bs-pos and --ue-pos")
-            bs_pos = _floats(args.bs_pos, "--bs-pos", _POSITION, _front_point)
-            ue_pos = _floats(args.ue_pos, "--ue-pos", _POSITION, _front_point)
+            bs_pos, ue_pos = (_floats(text, flag, _POSITION, lambda *xyz: _front_position(xyz))
+                              for flag, text in (("--bs-pos", args.bs_pos),
+                                                 ("--ue-pos", args.ue_pos)))
         else:
             if args.bs is None or args.ue is None:
                 raise ConfigError("near mode needs --bs/--ue angles or --bs-pos/--ue-pos")
@@ -177,8 +168,10 @@ def cmd_codegen(args) -> int:
                 raise ConfigError("near mode with angles needs --bs-range and --ue-range")
             bs = _floats(args.bs, "--bs", _ANGLES, AngularLocation)
             ue = _floats(args.ue, "--ue", _ANGLES, AngularLocation)
-            bs_pos = _build(_point_at, "--bs-range", bs, args.bs_range)
-            ue_pos = _build(_point_at, "--ue-range", ue, args.ue_range)
+            bs_pos, ue_pos = (
+                _build(_front_position, flag, tuple(_build(position_at, flag, loc, r).tolist()))
+                for flag, loc, r in (("--bs-range", bs, args.bs_range),
+                                     ("--ue-range", ue, args.ue_range)))
         profile = nearfield_phase_profile(bs_pos, ue_pos, geometry)
         bs_src = Source.near_field(bs_pos)
         target = ue_pos

@@ -55,6 +55,14 @@ def _check_bytes(what: str, count, item_bytes: int, extra_bytes=0) -> None:
         raise ValueError(f"{what} must be at most {_MAX_BYTES} bytes at {item_bytes} bytes each")
 
 
+_TIE_RTOL = 1e-12  # values this close to the maximum tie, so rounding never picks one
+
+
+def _first_tied(a: np.ndarray, top) -> np.ndarray:
+    """The first index along a's last axis whose value is >= top*(1 - _TIE_RTOL)."""
+    return np.argmax(a >= top * (1.0 - _TIE_RTOL), axis=-1)
+
+
 def _real(name: str, value) -> np.ndarray:
     """value as an array; ValueError naming it if the array is complex, or of object dtype
     holding a complex value, which a conversion to float would drop or raise TypeError on."""

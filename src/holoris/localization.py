@@ -34,6 +34,7 @@ from .geometry import (
     ArrayGeometry,
     SpatialFrequencyPair,
     _check_bytes,
+    _first_tied,
     _is_int,
     _real,
     angles_from_frequencies,
@@ -42,10 +43,6 @@ from .geometry import (
 )
 from .wavefield import Hologram, _intensity_sums, _number
 
-# Bins whose magnitude is within this relative margin of the maximum are
-# treated as tied, so conjugate-symmetric near-ties resolve to the
-# lexicographically smallest bin instead of floating-point noise.
-_TIE_RTOL = 1e-12
 _SPECTRUM_BIN_BYTES = 2 * 16  # _transform's complex spectra and z pass, as large at pad 1
 
 
@@ -145,12 +142,12 @@ def _check_spectral_settings(shape=(1, 1), zero_pad_factor=1, dc_guard=0,
 def _transform(values: np.ndarray, zero_pad_factor: int, remove_mean: bool,
                full: bool = False) -> np.ndarray:
     """The half spectrum of every capture of a (T, n_z, n_x) stack: the rows
-    k <= M_z//2 of its (M_z, M_x) = zero_pad_factor*(n_z, n_x) DFT, one FFT
-    call per axis (rfft along z, then fft along x).
+    k <= M_z//2 of its (M_z, M_x) = zero_pad_factor*(n_z, n_x) DFT, by one
+    rfftn call, which takes the last axis listed first: rfft along z, then fft along x.
 
     A capture is real, so its spectrum is Hermitian, X[-k, -l] = conj(X[k, l]),
     and the other rows only mirror these.  full=True returns all M_z rows,
-    by a complex fft along z.
+    by one fftn call.
     """
     _, n_z, n_x = values.shape
     _check_spectral_settings(values.shape, zero_pad_factor)
@@ -158,13 +155,12 @@ def _transform(values: np.ndarray, zero_pad_factor: int, remove_mean: bool,
         raise ValueError("spectral analysis needs at least a 2x2 hologram")
     if remove_mean:
         values = values - values.mean(axis=(1, 2), keepdims=True)
-    along_z = np.fft.fft if full else np.fft.rfft
-    values = along_z(values, n=zero_pad_factor * n_z, axis=1)
-    return np.fft.fft(values, n=zero_pad_factor * n_x, axis=2)
+    return (np.fft.fftn if full else np.fft.rfftn)(
+        values, s=(zero_pad_factor * n_x, zero_pad_factor * n_z), axes=(2, 1))
 
 
 def fft2(holo: Hologram, zero_pad_factor: int = 1, remove_mean: bool = False) -> Spectrum:
-    """Two cascaded 1D FFTs (rows along z, then columns along x).
+    """The 2D DFT of a hologram, one FFT call (along z, then along x).
 
     zero_pad_factor >= 1 pads each axis to factor*N before transforming,
     refining the frequency grid without changing the underlying spectrum.
@@ -246,7 +242,7 @@ def _peaks(mags: np.ndarray, m_z: int, dc_guard: int, significance_threshold: fl
     flat[:, guard] = -np.inf
     peak_mags = flat.max(axis=1)
     # The first tied bin in row-major order is the lexicographically smallest.
-    firsts = np.argmax(flat >= (peak_mags * (1.0 - _TIE_RTOL))[:, np.newaxis], axis=1)
+    firsts = _first_tied(flat, peak_mags[:, np.newaxis])
     medians = _row_medians(np.concatenate([flat, flat[:, m_x:mirror_stop]], axis=1), masked)
     out = []
     for peak_mag, median, first, floor in zip(
@@ -368,10 +364,10 @@ def localize_trials(
     call on their holograms' stack.  All captures share the geometry, the
     reference and the policy.  The stack is validated once (real, finite,
     non-negative, a finite sum per capture, trailing shape geom.shape;
-    ValueError otherwise, a complex stack included) and transformed with
-    one FFT call per axis.  Returns, in stack order, one LocalizationResult
-    per capture, or the localization error (NoPeak, AllCandidatesInfeasible,
-    SectorEmpty, SectorAmbiguous) localize would raise on it.
+    ValueError otherwise, a complex stack included) and transformed by one
+    FFT call.  Returns, in stack order, one LocalizationResult per capture,
+    or the localization error (NoPeak, AllCandidatesInfeasible, SectorEmpty,
+    SectorAmbiguous) localize would raise on it.
     """
     values = np.asarray(_real("localize_trials values", values), dtype=float)
     if values.ndim != 3 or values.shape[1:] != geom.shape:
@@ -399,35 +395,30 @@ def localize_trials(
         if peak_bin not in outcome_of_bin:
             outcome_of_bin[peak_bin] = _bin_outcome(bs_freqs, peak_bin, padded_shape,
                                                     geom, disambiguation)
-        out.append(outcome_of_bin[peak_bin](ratio))
+        outcome = outcome_of_bin[peak_bin]  # a new object for every capture
+        out.append(type(outcome)(*outcome.args) if isinstance(outcome, Exception)
+                   else LocalizationResult(*outcome, peak_bin, ratio))
     return out
 
 
 def _bin_outcome(bs_freqs, peak_bin, padded_shape, geom, disambiguation):
-    """The outcome of a capture whose peak is peak_bin, as a function of its ratio.
-
-    The twin candidates and the policy's choice depend on the bin alone, so
-    they are computed here once; the returned function makes a new
-    LocalizationResult, or a new localization error, on every call.
-    """
-    plus, minus = candidate_frequencies(bs_freqs, peak_bin, padded_shape)
+    """(candidate_1, candidate_2, chosen) of a capture whose peak is peak_bin, or
+    its localization error: they depend on the bin alone, not on the ratio."""
     candidates: list[AngularLocation | None] = []
-    for freqs in (plus, minus):
+    for freqs in candidate_frequencies(bs_freqs, peak_bin, padded_shape):
         try:
             candidates.append(angles_from_frequencies(freqs, geom))
         except InfeasibleFrequency:
             candidates.append(None)
     candidate_1, candidate_2 = candidates
     if candidate_1 is None and candidate_2 is None:
-        return lambda ratio: AllCandidatesInfeasible(
-            "both twin candidates fall outside the propagating-wave region"
-        )
+        return AllCandidatesInfeasible("both twin candidates fall outside the "
+                                       "propagating-wave region")
     try:
         chosen = disambiguate(candidate_1, candidate_2, disambiguation)
     except (SectorEmpty, SectorAmbiguous) as exc:
-        kind, args = type(exc), exc.args
-        return lambda ratio: kind(*args)
-    return functools.partial(LocalizationResult, candidate_1, candidate_2, chosen, peak_bin)
+        return exc
+    return candidate_1, candidate_2, chosen
 
 
 def localize(

@@ -445,8 +445,9 @@ def _read_matrix_file(path, magic: str, header, sep: str, form, make, check):
     panel, or the key a panel lacks on the reference hologram, so it is held
     to its type's rule at its line; the panel so built is make's geometry.
     When make rejects the values, the error is check's at the first row k
-    whose prefix values[:k] check rejects.  Every error is a FileFormatError
-    carrying its line.
+    whose prefix values[:k] check rejects, found by bisection: a rejected prefix stays
+    rejected as rows are added, but for a sum overflowing near the float maximum (numpy
+    sums each prefix in its own order).  Every error is a FileFormatError at its line.
     """
     lines = _read_lines(path)
     if not lines or lines[0] != magic:
@@ -477,8 +478,16 @@ def _read_matrix_file(path, magic: str, header, sep: str, form, make, check):
     try:
         return make(values, geom, fields)
     except ValueError:
-        for k in range(1, len(values) + 1):
-            _at_line(check, first + k - 1, values[:k])
+        lo, hi = 0, len(values)  # check accepts values[:lo]; values[:hi] is rejected, as make did
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                check(values[:mid])
+            except ValueError:
+                hi = mid
+            else:
+                lo = mid
+        _at_line(check, first + hi - 1, values[:hi])
         raise
 
 

@@ -466,6 +466,29 @@ def test_localize_trials_on_recurring_bins_matches_localize(policy, failures):
         assert sum(isinstance(e, kind) for e in errors) >= 3
 
 
+def test_localize_trials_gives_each_capture_its_own_outcome():
+    """Captures that share a peak bin get distinct objects: a LocalizationResult
+    each, with its own capture's ratio, or a new error each, of one type and
+    one args."""
+    bs = AngularLocation(0.0, 0.0)
+    noise = np.random.default_rng(3).uniform(0.0, 0.05, (4,) + GEOM.shape)
+    stack = fixture_hologram().values + noise
+    results = localize_trials(stack, GEOM, bs)
+    assert {r.peak_bin for r in results} == {(1, 5)}
+    assert len({id(r) for r in results}) == len(results)
+    ratios = [r.peak_to_median_ratio for r in results]
+    assert len(set(ratios)) == len(ratios)
+    assert ratios == [localize(Hologram(values=v, geometry=GEOM), bs).peak_to_median_ratio
+                      for v in stack]
+    # the twins sit at phi = +/-32.4: none inside the first sector, both inside the second
+    for phi_range, kind in (((-10.0, 10.0), SectorEmpty), ((-40.0, 40.0), SectorAmbiguous)):
+        errors = localize_trials(stack, GEOM, bs,
+                                 disambiguation=SectorPolicy(phi_range_deg=phi_range))
+        assert {type(e) for e in errors} == {kind}
+        assert len({e.args for e in errors}) == 1
+        assert len({id(e) for e in errors}) == len(errors)
+
+
 def reference_peak(values, pad, guard):
     """Peak bin and ratio by whole-array numpy: |DFT| of the centered capture
     (z axis, then x), the maximum over the guarded lower half-spectrum with
@@ -596,6 +619,41 @@ def test_spectra_are_held_to_the_byte_budget(monkeypatch):
         localize_trials(stack, GEOM, bs, zero_pad_factor=2)
     with pytest.raises(ValueError, match=SPECTRA_BYTES):
         fft2(holo, zero_pad_factor=3)
+
+
+def _traced_peak(call) -> int:
+    """tracemalloc's peak over call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+def test_spectra_charge_covers_both_transform_paths(pad):
+    """_SPECTRUM_BIN_BYTES against tracemalloc's peak over a call: the slope
+    of the peak per padded bin, from 8 to 16 captures of 64x64 through
+    localize_trials (the half spectrum) and from a 64x64 to a 128x128
+    hologram through fft2 (the full spectrum), is at most the charge.
+
+    The half-spectrum path reads ~12.2-12.7 bytes a bin against its 32, an
+    overcharge of about 2.5x; the full-spectrum path 24-32.
+    """
+    bs, rng = AngularLocation(0.0, 0.0), np.random.default_rng(5)
+    stacks = [rng.uniform(0.0, 4.0, (trials, 64, 64)) for trials in (8, 16)]
+    geom64 = ArrayGeometry(n_z=64, n_x=64, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    peaks = [_traced_peak(lambda: localize_trials(stack, geom64, bs, zero_pad_factor=pad))
+             for stack in stacks]
+    slope = (peaks[1] - peaks[0]) / (8 * (64 * pad) ** 2)
+    assert slope <= localization._SPECTRUM_BIN_BYTES
+
+    holograms = [Hologram(values=rng.uniform(0.0, 4.0, (n, n)), geometry=ArrayGeometry(
+        n_z=n, n_x=n, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)) for n in (64, 128)]
+    peaks = [_traced_peak(lambda: fft2(holo, zero_pad_factor=pad)) for holo in holograms]
+    slope = (peaks[1] - peaks[0]) / ((128 * pad) ** 2 - (64 * pad) ** 2)
+    assert slope <= localization._SPECTRUM_BIN_BYTES
 
 
 def test_overflowing_sums_and_bad_peak_parameters_are_rejected():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holoris import wavefield
 from holoris.errors import DegenerateInterference, FileFormatError
 from holoris.experiments import ExperimentConfig, _placement_generators
 from holoris.geometry import (
@@ -604,6 +605,27 @@ def test_hologram_csv_rejects_non_finite_intensity(tmp_path, bad):
     with pytest.raises(FileFormatError, match="intensities must be finite") as exc:
         read_hologram_csv(path)
     assert exc.value.line_number == row + 1
+
+
+def test_hologram_csv_reader_bisects_for_the_rejected_row(tmp_path):
+    """A 1024x1024 file with a NaN in its last row: the reader reports that
+    row's line, having checked at most 11 prefixes (1 + log2(1024)), not
+    each of the 1024 in turn."""
+    geom = ArrayGeometry(n_z=1024, n_x=1024, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    path = tmp_path / "big.csv"
+    write_hologram_csv(path, Hologram(values=np.ones(geom.shape), geometry=geom))
+    lines = path.read_text().splitlines()
+    lines[-1] = "nan" + lines[-1][len("1.0"):]
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch("holoris.wavefield._intensity_sums",
+                    wraps=wavefield._intensity_sums) as spy:
+        with pytest.raises(FileFormatError, match="intensities must be finite") as exc:
+            read_hologram_csv(path)
+    assert exc.value.line_number == len(lines) == 1031
+    # Hologram's own check of the whole matrix, then the search's prefixes;
+    # the header's 1x1 reference hologram is checked too.
+    prefixes = [c.args[0] for c in spy.call_args_list if c.args[0].shape[1:] == (1024,)]
+    assert len(prefixes) <= 1 + 11
 
 
 @pytest.mark.parametrize("lineno, key, bad", [
