@@ -638,8 +638,9 @@ def test_spectra_charge_covers_both_transform_paths(pad):
     localize_trials (the half spectrum) and from a 64x64 to a 128x128
     hologram through fft2 (the full spectrum), is at most the charge.
 
-    The half-spectrum path reads ~12.2-12.7 bytes a bin against its 32, an
-    overcharge of about 2.5x; the full-spectrum path 24-32.
+    The half-spectrum path reads ~20.7 bytes a bin at pad 1 and ~14.2 at
+    pad 2 (the mean-removed copy stays alive through rfftn's x pass), the
+    full-spectrum path 24-32.
     """
     bs, rng = AngularLocation(0.0, 0.0), np.random.default_rng(5)
     stacks = [rng.uniform(0.0, 4.0, (trials, 64, 64)) for trials in (8, 16)]
