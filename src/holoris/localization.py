@@ -447,76 +447,94 @@ def localize(
     return out
 
 
-_REFINE_HALF_STEPS, _REFINE_STEP_DEG = 50, 0.1  # ml_refine's grid: 101 points an axis
+# ml_refine's schedule: levels of 13 points an axis (6 steps either side of
+# the centre), one per step, each centred on the previous level's best point.
+# That point can be a whole step off the truth, so a level's step is a fifth
+# of the last one's: its window spans 1.2 of the last step either side.
+_REFINE_HALF_STEPS, _REFINE_STEPS_DEG = 6, (1.0, 0.2, 0.04)
 
 
 def ml_refine(holo: Hologram, bs: AngularLocation, coarse: AngularLocation) -> AngularLocation:
-    """Grid-search refinement of a coarse estimate.
+    """Coarse-to-fine grid-search refinement of a coarse estimate.
 
-    The grid is uniform in the spatial frequencies and centred on the
-    coarse estimate's: 50 steps either side, a step being 0.1 deg in theta
-    along z and in phi along x at the coarse point.  At every point the
-    fringe model A + B*cos(Phi) + C*sin(Phi), Phi(m, n) = m*dz + n*dx, is
-    fitted by linear least squares (_refine_objective), and the smallest
-    residual wins.  Points outside the propagating disk, (omega_z/k_z)**2 +
-    (omega_x/k_x)**2 >= 1 with k = 2*pi*d/lambda, get no score.  The centre
-    is the coarse point: it is always scored and wins ties, so refinement
-    never loses to the coarse estimate on-model, and it is then returned as
-    given.  Otherwise the first best point in row-major order goes through
-    angles_from_frequencies.  A coarse estimate further than the window
-    (about 5 deg) from the truth is refined at most to the window's edge.
+    Three levels, each a grid uniform in the spatial frequencies: 6 steps
+    either side of its centre, a step being 1, then 0.2, then 0.04 deg in
+    theta along z and in phi along x at the coarse point.  The first level
+    is centred on the coarse estimate's frequencies, each later one on the
+    previous level's best point.  At every point the fringe model A +
+    B*cos(Phi) + C*sin(Phi), Phi(m, n) = m*dz + n*dx, is fitted by linear
+    least squares (_refine_objective), and the smallest residual wins.
+    Points outside the propagating disk, (omega_z/k_z)**2 + (omega_x/k_x)**2
+    >= 1 with k = 2*pi*d/lambda, get no score.  A level's centre is always
+    scored and wins ties, so the score never falls below the coarse point's
+    and refinement never loses to the coarse estimate on-model.  When no
+    level moves off the coarse point it is returned as given; otherwise the
+    last level's best point goes through angles_from_frequencies.  A coarse
+    estimate further than the first level (about 6 deg) from the truth is
+    refined at most to its edge.
 
-    Raises ValueError, before any array is built, for a panel whose grid work
-    arrays (see _REFINE_POINT_BYTES), factors and copy of I pass _MAX_BYTES.
+    Raises ValueError, before any array is built, for a panel whose level
+    work arrays (see _REFINE_POINT_BYTES), factors and copy of I pass
+    _MAX_BYTES.
     """
     geom = holo.geometry
     c = _REFINE_HALF_STEPS  # the centre's index on both axes
     per_axis = 2 * c + 1
-    # Plus 16 B an element of the complex factors e_z (T, n_z) and e_x (n_x, P)
-    # and of the larger complex transient beside them: complex I - total/g00
-    # with its (T, n_x) projection, or e_z**2 (e_x**2 is no larger than the
-    # projection, as T = P).
+    # One level's points, as levels run one after another, plus 16 B an
+    # element of the complex I - total/g00 held through the call, of a
+    # level's complex factors e_z (T, n_z) and e_x (n_x, P), and of the
+    # larger complex transient beside them: the (T, n_x) projection of I,
+    # or an exp's argument or a square of a factor (T = P); and 8 B an
+    # element of the index ranges m and n.
     n_z, n_x = geom.shape
     _check_bytes("ml_refine's (theta, phi) grid", per_axis * per_axis, _REFINE_POINT_BYTES,
-                 16 * (per_axis * (n_z + n_x) + max(n_z * n_x + per_axis * n_x, per_axis * n_z)))
-    centre = spatial_frequencies(coarse, geom)
+                 16 * (n_z * n_x + per_axis * (n_z + n_x + max(n_z, n_x))) + 8 * (n_z + n_x))
+    I = holo.values
+    g00 = I.size + 1e-9 * I.size  # the constant's normal equation, regularized
+    centred = np.subtract(I, float(I.sum()) / g00, dtype=complex)
+    m, n = np.arange(n_z), np.arange(n_x)
+    bs_freqs = spatial_frequencies(bs, geom)
     k_z, k_x = (2.0 * math.pi * d / geom.wavelength_m for d in (geom.d_z_m, geom.d_x_m))
     cos_theta = math.cos(math.radians(coarse.theta_deg))
-    steps = math.radians(_REFINE_STEP_DEG) * np.arange(-c, c + 1)
-    # d(omega_z)/d(theta) = -k_z*cos(theta), d(omega_x)/d(phi) = k_x*cos(theta)*cos(phi)
-    w_z = centre.omega_z + k_z * (cos_theta * steps)
-    w_x = centre.omega_x + k_x * (cos_theta * math.cos(math.radians(coarse.phi_deg)) * steps)
-    score = _refine_objective(holo, bs, w_z, w_x)
-    # (w_z/k_z)**2 + (w_x/k_x)**2 >= 1 as (w_x/k_x)**2 >= 1 - (w_z/k_z)**2
-    outside = np.less_equal.outer(1.0 - (w_z / k_z) ** 2, (w_x / k_x) ** 2)
-    outside[c, c] = False
-    score[outside] = -np.inf
-    best = int(np.argmax(score))
-    if not score.flat[best] > score[c, c]:
-        return coarse
-    a, b = divmod(best, per_axis)
-    return angles_from_frequencies(SpatialFrequencyPair(float(w_z[a]), float(w_x[b])), geom)
+    cos_phi = math.cos(math.radians(coarse.phi_deg))
+    best = spatial_frequencies(coarse, geom)
+    moved = False
+    for step_deg in _REFINE_STEPS_DEG:
+        steps = math.radians(step_deg) * np.arange(-c, c + 1)
+        # d(omega_z)/d(theta) = -k_z*cos(theta), d(omega_x)/d(phi) = k_x*cos(theta)*cos(phi)
+        w_z = best.omega_z + k_z * (cos_theta * steps)
+        w_x = best.omega_x + k_x * (cos_theta * cos_phi * steps)
+        score = _refine_objective(centred, g00, m, n, w_z - bs_freqs.omega_z,
+                                  w_x - bs_freqs.omega_x)
+        # (w_z/k_z)**2 + (w_x/k_x)**2 >= 1 as (w_x/k_x)**2 >= 1 - (w_z/k_z)**2
+        outside = np.less_equal.outer(1.0 - (w_z / k_z) ** 2, (w_x / k_x) ** 2)
+        outside[c, c] = False
+        score[outside] = -np.inf
+        a, b = divmod(int(np.argmax(score)), per_axis)
+        if score[a, b] > score[c, c]:
+            best, moved = SpatialFrequencyPair(float(w_z[a]), float(w_x[b])), True
+    return angles_from_frequencies(best, geom) if moved else coarse
 
 
-# The bytes a grid point takes in ml_refine: one block of five complex
-# (T, P) rows, and the bool mask of the points outside the propagating disk.
-# One block, not five arrays, because of glibc's dynamic thresholds
-# (mallopt(3)): the block (~800 KB on a 101x101 grid) is served by mmap
-# once, and freeing it raises the mmap threshold to its size and the trim
-# threshold to twice that.  All else a call holds then stays below the trim
-# threshold, so later calls reuse the same heap pages instead of faulting
-# them back in.  Fewer rows left the heap top close enough to it to fault.
-_REFINE_POINT_BYTES = 5 * 16 + 1
+# The bytes a level's point takes in ml_refine at the peak of a call:
+# _refine_objective's complex u and v and float p, and in its closed form
+# the float p*|u|**2, the complex v*conj(u)**2 and the float half of its
+# real part, beside the previous level's float score and bool disk mask.
+# numpy reuses a temporary of 256 KB or more in place, so on a level of
+# under 2**14 points conj(u) and its square are both live, 8 bytes a point
+# more: ~1.4 KB on the 13x13 level.
+_REFINE_POINT_BYTES = 16 + 16 + 8 + 8 + 16 + 8 + 8 + 1
 
 
-def _refine_objective(holo: Hologram, bs: AngularLocation, w_z: np.ndarray,
-                      w_x: np.ndarray) -> np.ndarray:
-    """ml_refine's score of every point of the frequency grid w_z (T,) by
-    w_x (P,), as a (T, P) array: the energy of the hologram its fringe fit
-    explains, less a term the same at every point.
+def _refine_objective(centred: np.ndarray, g00: float, m: np.ndarray, n: np.ndarray,
+                      dz: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """ml_refine's score of every point of a level, as a (T, P) array: the
+    energy of the hologram its fringe fit explains, less a term the same at
+    every point.  The fringe frequencies are dz (T,) by dx (P,), and m, n
+    the panel's row and column indices.
 
-    On the grid exp(-i*Phi) is e_z[t, m]*e_x[n, q], so the projection of
-    the hologram I on it is (e_z @ I) @ e_x, and the sums of exp(-i*Phi) and
+    On the level exp(-i*Phi) is e_z[t, m]*e_x[n, q], so the projection of
+    a hologram on it is (e_z @ I) @ e_x, and the sums of exp(-i*Phi) and
     exp(-2i*Phi) over the panel are s1 = outer(a, b), for a = sum e_z and b
     = sum e_x, and s2 = outer(sum e_z**2, sum e_x**2).  The normal equations
     of the basis [1, cos(Phi), sin(Phi)], regularized by reg = 1e-9*n_el on
@@ -528,41 +546,19 @@ def _refine_objective(holo: Hologram, bs: AngularLocation, w_z: np.ndarray,
 
         r.H^-1.r = (p*|u|**2 - Re(v*conj(u)**2)/2) / (p**2 - |v|**2/4),
 
-    for u the projection of the complex I - total/g00 (a projection is
-    linear in I), and v = s2 - s1**2/g00 and p = n_el/2 + reg -
-    |s1|**2/(2*g00), each one rank-two (T, 2) @ (2, P) product, so no
-    (T, P) s1 is formed.  The (T, P) work is done in place in the block of
-    _REFINE_POINT_BYTES: u, v and a work row are complex, the other two
-    four float rows.
+    for u the projection of centred, the complex I - total/g00 (a
+    projection is linear in I), and v = s2 - s1**2/g00 and p = n_el/2 +
+    reg - |s1|**2/(2*g00).
     """
-    bs_freqs = spatial_frequencies(bs, holo.geometry)
-    I = holo.values
-    n_z, n_x = I.shape
-    total = float(I.sum())
-    n_el = n_z * n_x
-    reg = 1e-9 * n_el
-    g00 = n_el + reg
-
-    e_z = np.exp(-1j * np.outer(w_z - bs_freqs.omega_z, np.arange(n_z)))  # (T, n_z)
-    e_x = np.exp(-1j * np.outer(np.arange(n_x), w_x - bs_freqs.omega_x))  # (n_x, P)
-    block = np.empty((5, w_z.size, w_x.size), complex)
-    u, v, work = block[:3]
-    p, u_abs2, cross, v_abs2 = block[3:].view(np.float64).reshape((4,) + u.shape)
-
+    n_el = centred.size
+    e_z = np.exp((-1j * dz)[:, None] * m)  # (T, n_z)
+    e_x = np.exp(n[:, None] * (-1j * dx))  # (n_x, P)
     a, b = e_z.sum(axis=1), e_x.sum(axis=0)  # s1 = outer(a, b)
-    np.matmul(e_z @ np.subtract(I, total / g00, dtype=complex), e_x, out=u)
-    np.matmul(np.stack([(e_z * e_z).sum(axis=1), -a * a / g00], axis=1),
-              np.stack([(e_x * e_x).sum(axis=0), b * b]), out=v)
-    np.matmul(np.stack([np.full(a.size, n_el / 2 + reg), np.abs(a) ** 2 / (-2 * g00)], axis=1),
-              np.stack([np.ones(b.size), np.abs(b) ** 2]), out=p)
-
-    np.square(np.abs(u, out=u_abs2), out=u_abs2)
-    vu2 = np.multiply(v, np.square(np.conjugate(u, out=work), out=work), out=work)
-    np.multiply(0.5, vu2.real, out=cross)  # Re(v*conj(u)**2)/2
-    np.square(np.abs(v, out=v_abs2), out=v_abs2)
-    explained = np.subtract(np.multiply(p, u_abs2, out=u_abs2), cross, out=u_abs2)
-    det = np.subtract(np.square(p, out=p), np.multiply(0.25, v_abs2, out=v_abs2), out=p)
-    return np.divide(explained, det, out=explained)
+    u = (e_z @ centred) @ e_x
+    v = ((e_z * e_z).sum(axis=1)[:, None] * (e_x * e_x).sum(axis=0)
+         - (a * a / g00)[:, None] * (b * b))
+    p = (g00 - n_el / 2) - (np.abs(a) ** 2 / (2 * g00))[:, None] * np.abs(b) ** 2
+    return (p * np.abs(u) ** 2 - (v * np.conj(u) ** 2).real / 2) / (p * p - np.abs(v) ** 2 / 4)
 
 
 def multiuser_localize(

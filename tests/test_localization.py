@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from holoris import localization
@@ -841,70 +841,91 @@ def test_ml_refine_keeps_exact_on_grid_coarse():
     holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)], GEOM)[0]
     res = localize(holo, bs, disambiguation=OraclePolicy(truth=ue))
     fine = ml_refine(holo, bs, res.chosen)
+    assert fine is res.chosen  # no level beats the coarse point, so it is returned as given
     assert fine.phi_deg == pytest.approx(ue.phi_deg, abs=1e-9)
     assert fine.theta_deg == pytest.approx(0.0, abs=1e-9)
 
 
-REFINE_HALF_STEPS, REFINE_STEP_DEG = 50, 0.1  # ml_refine's grid, restated
+REFINE_HALF_STEPS, REFINE_STEPS_DEG = 6, (1.0, 0.2, 0.04)  # ml_refine's schedule, restated
 
 
-def refine_grid(geom, coarse):
-    """ml_refine's grid, restated: the frequencies (w_z, w_x) of the grid's
-    rows and columns, each a list, and the index of the centre in both.
+def refine_grid(geom, coarse, centre, step_deg):
+    """One level of ml_refine's schedule, restated: the frequencies (w_z, w_x)
+    of its rows and columns about centre, a SpatialFrequencyPair, each a list.
 
-    One step is REFINE_STEP_DEG in theta along z and in phi along x at the
-    coarse point, REFINE_HALF_STEPS of them either side; the grid is not
-    clipped, so it may hold points outside the propagating disk (see scored).
+    One step is step_deg in theta along z and in phi along x at the coarse
+    point, REFINE_HALF_STEPS of them either side; the level is not clipped,
+    so it may hold points outside the propagating disk (see scored).
     """
     half = REFINE_HALF_STEPS
-    centre = spatial_frequencies(coarse, geom)
     k_z = 2.0 * math.pi * geom.d_z_m / geom.wavelength_m
     k_x = 2.0 * math.pi * geom.d_x_m / geom.wavelength_m
     cos_t = math.cos(math.radians(coarse.theta_deg))
     cos_p = math.cos(math.radians(coarse.phi_deg))
-    step = math.radians(REFINE_STEP_DEG)
+    step = math.radians(step_deg)
     w_z = [centre.omega_z + k_z * (cos_t * (step * j)) for j in range(-half, half + 1)]
     w_x = [centre.omega_x + k_x * ((cos_t * cos_p) * (step * j)) for j in range(-half, half + 1)]
-    return w_z, w_x, half
+    return w_z, w_x
 
 
-def scored(geom, w_z, w_x, a, b, centre):
-    """Whether ml_refine scores grid point (a, b): inside the propagating disk, or the centre."""
+def refine_steps(geom, coarse, step_deg):
+    """The frequency steps along z and along x of a level of step_deg."""
+    w_z, w_x = refine_grid(geom, coarse, spatial_frequencies(coarse, geom), step_deg)
+    return w_z[1] - w_z[0], w_x[1] - w_x[0]
+
+
+def scored(geom, w_z, w_x, a, b):
+    """Whether ml_refine scores point (a, b) of a level: inside the
+    propagating disk, or the centre."""
     k_z = 2.0 * math.pi * geom.d_z_m / geom.wavelength_m
     k_x = 2.0 * math.pi * geom.d_x_m / geom.wavelength_m
-    return (w_z[a] / k_z) ** 2 + (w_x[b] / k_x) ** 2 < 1.0 or a == b == centre
+    return (w_z[a] / k_z) ** 2 + (w_x[b] / k_x) ** 2 < 1.0 or a == b == REFINE_HALF_STEPS
 
 
-def grid_choice(geom, coarse, w_z, w_x, centre, score):
-    """The first best scored point of a (T, P) score, or coarse if the centre ties it."""
-    score = np.where([[scored(geom, w_z, w_x, a, b, centre) for b in range(len(w_x))]
-                      for a in range(len(w_z))], score, -np.inf)
-    a, b = np.unravel_index(int(np.argmax(score)), score.shape)
-    if not score[a, b] > score[centre, centre]:
-        return coarse
-    return angles_from_frequencies(SpatialFrequencyPair(w_z[a], w_x[b]), geom)
+def scheduled_refine(holo, coarse, level_score):
+    """ml_refine's schedule, restated around a reference level_score(w_z,
+    w_x), a level's (T, P) scores, the larger the better.
+
+    Each level is centred on the previous one's choice: its first best
+    scored point in row-major order, or its centre where the centre ties
+    it.  Returns each level's (w_z, w_x, level_score(w_z, w_x)) and the
+    last choice as angles, or coarse if no level moved off it.
+    """
+    geom, half = holo.geometry, REFINE_HALF_STEPS
+    centre, moved, levels = spatial_frequencies(coarse, geom), False, []
+    for step_deg in REFINE_STEPS_DEG:
+        w_z, w_x = refine_grid(geom, coarse, centre, step_deg)
+        score = level_score(w_z, w_x)
+        levels.append((w_z, w_x, score))
+        score = np.where([[scored(geom, w_z, w_x, a, b) for b in range(len(w_x))]
+                          for a in range(len(w_z))], score, -np.inf)
+        a, b = np.unravel_index(int(np.argmax(score)), score.shape)
+        if score[a, b] > score[half, half]:
+            centre, moved = SpatialFrequencyPair(w_z[a], w_x[b]), True
+    return levels, angles_from_frequencies(centre, geom) if moved else coarse
 
 
 def lstsq_refine(holo, bs, coarse):
-    """Independent oracle: per-grid-point lstsq fit of [1, cos Phi, sin Phi].
-
-    Returns the residuals over the restated grid, inf where a point gets no
-    score, and the first scored point of smallest residual in row-major
-    order, or coarse where the centre ties it.
+    """Independent oracle: per-point lstsq fit of [1, cos Phi, sin Phi] on
+    the restated schedule, scored by minus its residual, -inf where a point
+    gets no score.  Returns the levels and the choice of scheduled_refine.
     """
     geom = holo.geometry
-    w_z, w_x, centre = refine_grid(geom, coarse)
     w_bs = spatial_frequencies(bs, geom)
     m = np.arange(geom.n_z)[:, None]
     n = np.arange(geom.n_x)[None, :]
-    residuals = np.full((len(w_z), len(w_x)), np.inf)
-    for a, b in np.ndindex(residuals.shape):
-        if scored(geom, w_z, w_x, a, b, centre):
-            fringe = (m * (w_z[a] - w_bs.omega_z) + n * (w_x[b] - w_bs.omega_x)).ravel()
-            basis = np.stack([np.ones_like(fringe), np.cos(fringe), np.sin(fringe)], axis=1)
-            _, res, _, _ = np.linalg.lstsq(basis, holo.values.ravel(), rcond=None)
-            residuals[a, b] = res[0]
-    return residuals, grid_choice(geom, coarse, w_z, w_x, centre, -residuals)
+
+    def level_score(w_z, w_x):
+        score = np.full((len(w_z), len(w_x)), -np.inf)
+        for a, b in np.ndindex(score.shape):
+            if scored(geom, w_z, w_x, a, b):
+                fringe = (m * (w_z[a] - w_bs.omega_z) + n * (w_x[b] - w_bs.omega_x)).ravel()
+                basis = np.stack([np.ones_like(fringe), np.cos(fringe), np.sin(fringe)], axis=1)
+                _, res, _, _ = np.linalg.lstsq(basis, holo.values.ravel(), rcond=None)
+                score[a, b] = -res[0]
+        return score
+
+    return scheduled_refine(holo, coarse, level_score)
 
 
 PANEL_6X9 = ArrayGeometry(n_z=6, n_x=9, d_z_m=0.02, d_x_m=0.025, f_c_hz=3_500_000_000)
@@ -922,37 +943,52 @@ def test_ml_refine_matches_lstsq_grid_search(bs, ue, coarse):
         detector=DetectorModel(noise_std=0.3), seed=4,
     )[0]
     fine = ml_refine(holo, bs, coarse)
-    residuals, best = lstsq_refine(holo, bs, coarse)
-    assert residuals.shape == (101, 101)
-    # near theta = +-90 deg part of the grid lies outside the propagating disk
-    assert np.isinf(residuals).any() == (abs(coarse.theta_deg) > 89)
+    levels, best = lstsq_refine(holo, bs, coarse)
+    assert [score.shape for _, _, score in levels] == [(13, 13)] * 3
+    # near theta = +-90 deg part of the first level lies outside the propagating disk
+    assert np.isinf(levels[0][2]).any() == (abs(coarse.theta_deg) > 89)
     assert fine == best
 
 
+def test_ml_refine_reaches_a_coarse_point_more_than_5_degrees_off():
+    """A coarse point 5.5 deg off in phi, inside the first level's +-6 deg,
+    refines on a noiseless capture to within the last level's step of the
+    truth on both frequency axes."""
+    bs = AngularLocation(0.0, -30.0)
+    ue = AngularLocation(7.3, 12.9)
+    holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)], GEOM)[0]
+    coarse = AngularLocation(ue.theta_deg, ue.phi_deg + 5.5)
+    est = spatial_frequencies(ml_refine(holo, bs, coarse), GEOM)
+    truth = spatial_frequencies(ue, GEOM)
+    step_z, step_x = refine_steps(GEOM, coarse, REFINE_STEPS_DEG[-1])
+    assert abs(est.omega_z - truth.omega_z) <= abs(step_z)
+    assert abs(est.omega_x - truth.omega_x) <= abs(step_x)
+
+
 def test_ml_refine_rejects_a_panel_memory_cannot_hold(monkeypatch):
-    # On a 2x700,000 panel the factor arrays and the hologram's complex copy
-    # take 16*(202*700,002 + 1,400,000) bytes, ~2.29 GB, beside the grid's
-    # ~0.8 MB.  Should the check let it through, reaching the objective fails
-    # before its work arrays are built.
+    # On a 1x5,000,000 panel the hologram's complex copy and a level's
+    # factor arrays take 16*(5,000,000 + 13*5,000,001 + 13*5,000,000) bytes,
+    # ~2.16 GB, beside the level's ~14 KB.  Should the check let it through,
+    # reaching the objective fails before its work arrays are built.
     def reached(*args):
         raise AssertionError("the grid reached _refine_objective")
     monkeypatch.setattr(localization, "_refine_objective", reached)
-    geom = ArrayGeometry(n_z=2, n_x=700_000, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    geom = ArrayGeometry(n_z=1, n_x=5_000_000, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    holo = Hologram(np.broadcast_to(1.0, geom.shape), geom)
     with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most"):
-        ml_refine(Hologram(np.ones(geom.shape), geom), AngularLocation(0.0, 0.0),
-                  AngularLocation(0.0, 30.0))
+        ml_refine(holo, AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0))
 
 
 @pytest.mark.parametrize("step", [1e-3, 1e-5])
 def test_ml_refine_rejects_a_grid_memory_cannot_hold(monkeypatch, step):
-    # A grid of +-5 deg in these steps has 1e8 and 1e12 points, ~8.1 GB and
+    # A level of +-5 deg in these steps has 1e8 and 1e12 points, ~8.1 GB and
     # ~81 TB of work arrays, which numpy could index.  Should the check let
     # one through, reaching the objective fails before its work arrays are
     # built.
     def reached(*args):
         raise AssertionError("the grid reached _refine_objective")
     monkeypatch.setattr(localization, "_refine_objective", reached)
-    monkeypatch.setattr(localization, "_REFINE_STEP_DEG", step)
+    monkeypatch.setattr(localization, "_REFINE_STEPS_DEG", (step,))
     monkeypatch.setattr(localization, "_REFINE_HALF_STEPS", round(5.0 / step))
     with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most"):
         ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0))
@@ -960,22 +996,26 @@ def test_ml_refine_rejects_a_grid_memory_cannot_hold(monkeypatch, step):
 
 @pytest.mark.parametrize("step", [1e-3, 1e-5])
 def test_ml_refine_rejects_a_grid_over_a_lowered_budget(monkeypatch, step):
-    # +-50 steps of any size: 101**2 points at 81 bytes, ~0.8 MB, against a
-    # budget of 2**19 bytes.  A broken check computes this small grid, never
-    # an oversized one.
-    monkeypatch.setattr(localization, "_REFINE_STEP_DEG", step)
-    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 2**19)
-    with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most 524288 "):
-        ml_refine(fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0))
+    # +-6 steps of any size in any number of levels: 13**2 points at 81
+    # bytes and 36,864 bytes of the 32x32 panel's arrays, ~50 KB, against a
+    # budget of 2**15 bytes.  A broken check computes these small levels,
+    # never an oversized one.
+    holo = fixture_hologram()
+    monkeypatch.setattr(localization, "_REFINE_STEPS_DEG", (step,) * 4)
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 2**15)
+    with pytest.raises(ValueError, match="^ml_refine's \\(theta, phi\\) grid must be at most 32768 "):
+        ml_refine(holo, AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0))
 
 
 def test_ml_refine_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
-    # The grid is 101 points per axis at 81 bytes; on the 32x32 panel the
-    # factor arrays take 101*64*16 bytes more, and the hologram's complex
-    # copy and its (101, 32) projection (1024 + 101*32)*16: 997,801 bytes.
+    # A level is 13 points per axis at 81 bytes; on the 32x32 panel the
+    # hologram's complex copy takes 1024*16 bytes more, a level's factor
+    # arrays and their larger transient 13*(32 + 32 + 32)*16, and the index
+    # ranges (32 + 32)*8: 50,553 bytes.  The three levels run one after
+    # another, so one level is charged.
     holo, bs, coarse = fixture_hologram(), AngularLocation(0.0, 0.0), AngularLocation(0.0, 30.0)
     want = ml_refine(holo, bs, coarse)
-    charge = 101 * 101 * 81 + 101 * 64 * 16 + (1024 + 101 * 32) * 16
+    charge = 13 * 13 * 81 + 1024 * 16 + 13 * (32 + 32 + 32) * 16 + (32 + 32) * 8
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge)
     assert ml_refine(holo, bs, coarse) == want
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge - 1)
@@ -984,21 +1024,21 @@ def test_ml_refine_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
 
 
 def test_ml_refine_charges_the_bytes_a_grid_point_takes(monkeypatch):
-    """_REFINE_POINT_BYTES against tracemalloc's peak over a call, on grids of
-    201**2 and 401**2 points on a 2x2 panel, set through the module's grid
-    constants.
+    """_REFINE_POINT_BYTES against tracemalloc's peak over a call, on levels
+    of 201**2 and 401**2 points on a 2x2 panel, set through the module's
+    level constant.
 
-    The slope of the peak per grid point, less 64 bytes an axis point for
-    the 1-D arrays of both axes (~40 measured), is at most the charge (no
-    undercharge) and at least the charge less 1 byte (no overcharge).  The
-    peak is the block and the disk mask, over ~140 KB that do not grow with
-    the grid (a ufunc buffer among them).
+    The slope of the peak per level point, less 256 bytes an axis point for
+    the arrays of both axes (~130 measured: steps, w_z, w_x, dz and dx, a
+    and b, and the 2x2 panel's factors e_z and e_x), is at most the charge
+    (no undercharge) and at least the charge less 1 byte (no overcharge).
+    The peak is a later level's objective beside the previous level's score
+    and disk mask, over ~8 KB that do not grow with the level.
     """
     geom = ArrayGeometry(n_z=2, n_x=2, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
     bs, coarse = AngularLocation(0.0, 0.0), AngularLocation(5.0, 30.0)
     holo = synthesize_hologram([Source.far_field(bs), Source.far_field(coarse)], geom)[0]
     peaks = []
-    monkeypatch.setattr(localization, "_REFINE_STEP_DEG", 0.05)
     for half_steps in (100, 200):  # 201 and 401 points per axis
         monkeypatch.setattr(localization, "_REFINE_HALF_STEPS", half_steps)
         tracemalloc.start()
@@ -1007,30 +1047,34 @@ def test_ml_refine_charges_the_bytes_a_grid_point_takes(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    slope = (peaks[1] - peaks[0] - 64 * (401 - 201)) / (401**2 - 201**2)
+    slope = (peaks[1] - peaks[0] - 256 * (401 - 201)) / (401**2 - 201**2)
     assert slope <= localization._REFINE_POINT_BYTES <= slope + 1
 
 
 @pytest.mark.parametrize("panels, half_steps", [
-    (((2, 2048), (2, 4096)), 50),  # wide: e_x grows, on ml_refine's grid
+    (((2, 2048), (2, 4096)), 50),  # wide: e_x grows
     (((256, 256), (512, 512)), 1),  # square: the hologram's copy grows, 3 points per axis
-    (((256, 256), (512, 512)), 50),  # square: the copy, its projection and both factors grow
+    (((256, 256), (512, 512)), 50),  # square: the copy, the projection and both factors grow
     (((2048, 2), (4096, 2)), 50),  # tall: e_z and its square grow
 ])
 def test_ml_refine_charges_its_factor_arrays_and_the_hologram_copy(monkeypatch, panels,
                                                                     half_steps):
-    """ml_refine's charge beside the grid, 16 bytes an element of e_z (T, n_z)
-    and e_x (n_x, P) and of the larger complex transient beside them (the
-    hologram's complex copy and its (T, n_x) projection, or e_z**2), against
-    tracemalloc's peak over a call, on one grid and two panels.
+    """ml_refine's charge beside a level, 16 bytes an element of the
+    hologram's complex copy, of e_z (T, n_z) and e_x (n_x, P) and of the
+    larger complex transient beside them (the (T, n_x) projection, or an
+    exp's argument or a factor's square), and 8 an element of the index
+    ranges, against tracemalloc's peak over a call, on one level size, set
+    through the level constant, and two panels.
 
     The rise in the peak from the smaller panel to the larger is at most the
     rise in the charge the size check is given (no undercharge) and at least
     that less 1 byte an element of the factor arrays and of the panel (no
-    overcharge).  On ml_refine's grid the wide pair reads ~1.6 KB under its
-    charge and the tall and square pairs exactly theirs; the square pair on a 3x3
-    grid, set through the grid constant, measures the copy's charge with
-    small factor arrays and reads ~12 KB under it.
+    overcharge).  The levels have 101 points an axis, so numpy's buffers
+    for the broadcast operands of an exp's argument, at most 8192 elements
+    each, are full at both panels (on 13-point levels they still grow with a
+    square panel of 256 or 512).  The wide and tall pairs read ~170 bytes
+    under their charge; the square pair ~235 KB, as its smaller panel peaks
+    in the closed form over the level's points, and ~41 KB on a 3x3 level.
     """
     charges = []
 
@@ -1059,58 +1103,63 @@ def test_ml_refine_charges_its_factor_arrays_and_the_hologram_copy(monkeypatch, 
 
 
 def three_dtft_refine(holo, bs, coarse):
-    """Reference for ml_refine on the restated grid: the projection and both
-    sums, three DTFTs, each taken term by term over the panel at every grid
-    point, and the 3x3 normal equations solved in their cos/sin form.  Each
-    term exp(-i*Phi) = exp(-i*m*dz)*exp(-i*n*dx) is the product of its two
-    axes' exps, a quarter of the time of one exp of the sum.
+    """Reference for ml_refine on the restated schedule: the projection and
+    both sums, three DTFTs, each taken term by term over the panel at every
+    point of a level, and the 3x3 normal equations solved in their cos/sin
+    form.  Each term exp(-i*Phi) = exp(-i*m*dz)*exp(-i*n*dx) is the product
+    of its two axes' exps, a quarter of the time of one exp of the sum.
 
-    Returns the scores, -inf where a point gets no score, and the choice.
+    Returns the levels and the choice of scheduled_refine.
     """
     geom = holo.geometry
-    w_z, w_x, centre = refine_grid(geom, coarse)
     bs_freqs = spatial_frequencies(bs, geom)
     values = holo.values
     total = float(values.sum())
     n_el = values.size
     m = np.arange(geom.n_z)[None, :, None]
-    e_x = np.exp(-1j * np.outer(np.array(w_x) - bs_freqs.omega_x, np.arange(geom.n_x)))
-    e_x = e_x[:, None, :]  # (P, 1, n_x)
-    t, s1, s2 = (np.empty((len(w_z), len(w_x)), complex) for _ in range(3))
-    for a, dz in enumerate(np.array(w_z) - bs_freqs.omega_z):
-        terms = np.exp(-1j * m * dz) * e_x  # exp(-i*Phi) over the panel, per column
-        t[a] = (terms * values).sum(axis=(1, 2))
-        s1[a] = terms.sum(axis=(1, 2))
-        s2[a] = (terms * terms).sum(axis=(1, 2))
-    reg = 1e-9 * n_el
-    g00 = n_el + reg
-    sc, ss = s1.real, -s1.imag
-    r_c = t.real - (total / g00) * sc
-    r_s = -t.imag - (total / g00) * ss
-    h_cc = 0.5 * (n_el + s2.real) + reg - sc * sc / g00
-    h_ss = 0.5 * (n_el - s2.real) + reg - ss * ss / g00
-    h_cs = -0.5 * s2.imag - sc * ss / g00
-    explained = (h_ss * r_c**2 - 2.0 * h_cs * r_c * r_s + h_cc * r_s**2) / (
-        h_cc * h_ss - h_cs**2)
-    return explained, grid_choice(geom, coarse, w_z, w_x, centre, explained)
+
+    def level_score(w_z, w_x):
+        e_x = np.exp(-1j * np.outer(np.array(w_x) - bs_freqs.omega_x, np.arange(geom.n_x)))
+        e_x = e_x[:, None, :]  # (P, 1, n_x)
+        t, s1, s2 = (np.empty((len(w_z), len(w_x)), complex) for _ in range(3))
+        for a, dz in enumerate(np.array(w_z) - bs_freqs.omega_z):
+            terms = np.exp(-1j * m * dz) * e_x  # exp(-i*Phi) over the panel, per column
+            t[a] = (terms * values).sum(axis=(1, 2))
+            s1[a] = terms.sum(axis=(1, 2))
+            s2[a] = (terms * terms).sum(axis=(1, 2))
+        reg = 1e-9 * n_el
+        g00 = n_el + reg
+        sc, ss = s1.real, -s1.imag
+        r_c = t.real - (total / g00) * sc
+        r_s = -t.imag - (total / g00) * ss
+        h_cc = 0.5 * (n_el + s2.real) + reg - sc * sc / g00
+        h_ss = 0.5 * (n_el - s2.real) + reg - ss * ss / g00
+        h_cs = -0.5 * s2.imag - sc * ss / g00
+        return (h_ss * r_c**2 - 2.0 * h_cs * r_c * r_s + h_cc * r_s**2) / (h_cc * h_ss - h_cs**2)
+
+    return scheduled_refine(holo, coarse, level_score)
 
 
 def _matches_three_dtft_reference(holo, bs, coarse):
-    """ml_refine picks the reference's point, and its
-    objective on the restated grid is the reference's score to 1e-10 of the
+    """ml_refine picks the reference's point, and its objective on each
+    level of the restated schedule is the reference's score to 1e-10 of the
     largest score where the fringe frequency (dz, dx) is at least 0.1 rad
     from 0, and to 1e-7 of it everywhere.  Near a zero fringe the basis
     degenerates and both lose digits: 2.5e-8 at 0.006 rad on a 6x9 panel.
     """
-    explained, best = three_dtft_refine(holo, bs, coarse)
-    w_z, w_x, _ = refine_grid(holo.geometry, coarse)
-    w_z, w_x = np.array(w_z), np.array(w_x)
-    score = _refine_objective(holo, bs, w_z, w_x)
+    levels, best = three_dtft_refine(holo, bs, coarse)
+    values = holo.values
+    g00 = values.size + 1e-9 * values.size
+    centred = np.subtract(values, float(values.sum()) / g00, dtype=complex)
+    m, n = np.arange(holo.geometry.n_z), np.arange(holo.geometry.n_x)
     bs_freqs = spatial_frequencies(bs, holo.geometry)
-    apart = np.hypot((w_z - bs_freqs.omega_z)[:, None], (w_x - bs_freqs.omega_x)[None, :]) >= 0.1
-    largest = np.abs(explained).max()
-    assert np.allclose(score, explained, rtol=0, atol=1e-7 * largest)
-    assert np.allclose(score[apart], explained[apart], rtol=0, atol=1e-10 * largest)
+    for w_z, w_x, explained in levels:
+        dz, dx = np.array(w_z) - bs_freqs.omega_z, np.array(w_x) - bs_freqs.omega_x
+        score = _refine_objective(centred, g00, m, n, dz, dx)
+        apart = np.hypot(dz[:, None], dx[None, :]) >= 0.1
+        largest = np.abs(explained).max()
+        assert np.allclose(score, explained, rtol=0, atol=1e-7 * largest)
+        assert np.allclose(score[apart], explained[apart], rtol=0, atol=1e-10 * largest)
     assert ml_refine(holo, bs, coarse) == best
 
 
@@ -1159,32 +1208,46 @@ def test_ml_refine_matches_three_dtft_reference_on_small_panels(geom):
         _matches_three_dtft_reference(holo, bs, coarse)
 
 
+def refine_placement(geom, bs, coarse, f_z, f_x):
+    """A placement whose user lies (f_z, f_x) first-level steps from the
+    coarse point in frequency: the panel, the BS, the coarse point, the
+    user's frequencies, and the first and the last level's steps."""
+    centre = spatial_frequencies(coarse, geom)
+    first = refine_steps(geom, coarse, REFINE_STEPS_DEG[0])
+    last = refine_steps(geom, coarse, REFINE_STEPS_DEG[-1])
+    truth = SpatialFrequencyPair(centre.omega_z + f_z * first[0], centre.omega_x + f_x * first[1])
+    return geom, bs, coarse, truth, first, last
+
+
 @st.composite
 def _refine_placement(draw):
-    """A panel, a BS, a coarse point with |omega/k| <= 0.95 and a user whose
-    frequencies lie on ml_refine's window about it, at least a step inside it."""
+    """A refine_placement on either panel, with a coarse point of |omega/k|
+    <= 0.95 and a user on ml_refine's first level about it, at least a step
+    inside it."""
     geom = draw(st.sampled_from((GEOM, PANEL_6X9)))
     radius = draw(st.floats(0.0, 0.95))
     angle = draw(st.floats(-math.pi, math.pi))
     u_z, u_x = radius * math.sin(angle), radius * math.cos(angle)
     theta = -math.degrees(math.asin(u_z))
     coarse = AngularLocation(theta, math.degrees(math.asin(u_x / math.cos(math.radians(theta)))))
-    w_z, w_x, half = refine_grid(geom, coarse)
-    # Offsets of the truth from the centre, in grid steps.
+    half = REFINE_HALF_STEPS
     f_z, f_x = (draw(st.floats(-(half - 1.0), half - 1.0)) for _ in range(2))
-    centre = spatial_frequencies(coarse, geom)
-    truth = SpatialFrequencyPair(centre.omega_z + f_z * (w_z[half + 1] - w_z[half]),
-                                 centre.omega_x + f_x * (w_x[half + 1] - w_x[half]))
     bs = AngularLocation(draw(st.floats(-60.0, 60.0)), draw(st.floats(-60.0, 60.0)))
-    return geom, bs, coarse, truth, (w_z[half + 1] - w_z[half], w_x[half + 1] - w_x[half])
+    return refine_placement(geom, bs, coarse, f_z, f_x)
 
 
 @given(placement=_refine_placement())
+# The user lies on the first level along z and half a step off it along x, and
+# the best point of every level is a whole step off the user along z.
+@example(placement=refine_placement(PANEL_6X9, AngularLocation(2.0, 0.0),
+                                    AngularLocation(-43.296807709477505, 3.8313190522739804),
+                                    0.0, 1.5))
 @settings(max_examples=150, deadline=None)
 def test_noiseless_refinement_is_within_a_grid_step_of_the_truth(placement):
-    """On a noiseless on-model capture whose fringe the grid holds, and not its
-    twin, the estimate lies within one grid step of the truth per frequency axis."""
-    geom, bs, coarse, truth, steps = placement
+    """On a noiseless on-model capture whose fringe the first level holds,
+    and not its twin, the estimate lies within one last-level step of the
+    truth per frequency axis."""
+    geom, bs, coarse, truth, first, last = placement
     try:
         ue = angles_from_frequencies(truth, geom)
     except InfeasibleFrequency:
@@ -1194,30 +1257,26 @@ def test_noiseless_refinement_is_within_a_grid_step_of_the_truth(placement):
     # The fringe completes a cycle over the panel along some axis, so the
     # basis [1, cos(Phi), sin(Phi)] is far from degenerate.
     assume(any(abs(f) * n >= 2 * math.pi for f, n in zip(fringe, geom.shape)))
-    # The twin, the fringe's conjugate, fits as well: it must lie off the grid,
-    # more than the window's width from the truth on some axis, its frequency
-    # 2*fringe away taken modulo 2*pi as the panel samples it.
+    # The twin, the fringe's conjugate, fits as well: it must lie off the first
+    # level, more than the level's width from the truth on some axis, its
+    # frequency 2*fringe away taken modulo 2*pi as the panel samples it.
     assume(any(abs(regulate(2 * f)) > 2 * half_width for f, half_width in
-               zip(fringe, (s * REFINE_HALF_STEPS for s in steps))))
+               zip(fringe, (s * REFINE_HALF_STEPS for s in first))))
     holo = synthesize_hologram([Source.far_field(bs), Source.far_field(ue)], geom)[0]
     est = spatial_frequencies(ml_refine(holo, bs, coarse), geom)
-    assert abs(est.omega_z - truth.omega_z) <= abs(steps[0]) * (1 + 1e-9)
-    assert abs(est.omega_x - truth.omega_x) <= abs(steps[1]) * (1 + 1e-9)
+    assert abs(est.omega_z - truth.omega_z) <= abs(last[0]) * (1 + 1e-9)
+    assert abs(est.omega_x - truth.omega_x) <= abs(last[1]) * (1 + 1e-9)
 
 
 # Run in a fresh interpreter, so the allocator starts from a heap no other
 # test has shaped.  Warm-up calls set glibc's dynamic thresholds; the calls
 # after them must take no page faults.
 _REFINE_FAULTS = """
-import resource, sys
-from holoris import localization
+import resource
 from holoris.geometry import AngularLocation, default_geometry
 from holoris.localization import ml_refine
 from holoris.wavefield import Source, synthesize_hologram
 
-# +-5 deg in steps of step, set through the grid constants ml_refine reads at call time
-step = float(sys.argv[1])
-localization._REFINE_STEP_DEG, localization._REFINE_HALF_STEPS = step, round(5.0 / step)
 bs = AngularLocation(0.0, 0.0)
 holo = synthesize_hologram([Source.far_field(bs), Source.far_field(AngularLocation(0.0, 30.0))],
                            default_geometry())[0]
@@ -1232,17 +1291,13 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
-# 101x101 and 201x201 grids, +-5 deg in both.  Whether separate work arrays fault depends on the
-# heap layout: in this bare loop the 101x101 grid took none with them either,
-# and only the 201x201 grid faulted on every call.
-@pytest.mark.parametrize("step", [0.1, 0.05])
-def test_ml_refine_takes_no_page_faults_once_warm(step):
+def test_ml_refine_takes_no_page_faults_once_warm():
     src = Path(__file__).resolve().parent.parent / "src"
     # A set malloc threshold turns glibc's dynamic thresholds off; leave them on.
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
     env["PYTHONPATH"] = str(src)
-    done = subprocess.run([sys.executable, "-c", _REFINE_FAULTS, str(step)], env=env,
+    done = subprocess.run([sys.executable, "-c", _REFINE_FAULTS], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert float(done.stdout) < 5
 

@@ -7,7 +7,8 @@ panel: a paper BS position and a user uniform over theta in [-30, 30] and
 phi in [-60, 60], at least 10 deg from the BS so its fringe clears the DC
 guard.  Each placement is synthesized with detector noise 1.0 and its own
 capture seed, localized at zero-pad 2 and DC guard 2 with the oracle
-policy, and refined by ``ml_refine`` on its grid (+-5 deg in 0.1 deg steps).
+policy, and refined by ``ml_refine`` on its three levels (+-6 steps of 1, then
+0.2, then 0.04 deg).
 Prints one line per placement with the BS, the user, the coarse and the
 refined angles as ``float.hex``, or the error localization raised.  For a
 refined placement the line also holds the ``pattern`` of the 1-bit coding
