@@ -37,10 +37,17 @@ from .wavefield import (
 
 _CODING_MAGIC = "# holoris-coding v1"
 _X_BLOCK = 8  # columns in a block of pattern's x-axis DTFT (_blocked_dtft)
-# The bytes a pattern call takes per grid point beside its plan: the complex
-# sum and one block's complex product.  A panel of at most _X_BLOCK columns
-# has one block, and takes 8 bytes less: the sum, |sum| and the power.
-_PATTERN_BYTES = 16 + 16
+_T_BLOCK = 64  # theta rows pattern and its plan evaluate at a time
+# The bytes a pattern call takes per grid point beside its plan: the float
+# power grid.  A block of _T_BLOCK rows takes _BLOCK_ROW_BYTES a point more:
+# its complex sum and one column block's complex product (a panel of at most
+# _X_BLOCK columns has one column block, and no product), or, while the plan
+# is built, its float exp argument and the complex one made from it.
+_PATTERN_BYTES = 8
+_BLOCK_ROW_BYTES = 16 + 16
+# exp(i*pi*s) for the states s = 0 and 1, built as a CodingMatrix's were.
+_ONE_BIT_FACTORS = np.exp(1j * (math.pi * np.arange(2)))
+_ONE_BIT_FACTORS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -160,16 +167,20 @@ def _target_field(ue, geom: ArrayGeometry) -> np.ndarray:
 def _reflection(phase, geom: ArrayGeometry) -> np.ndarray:
     """exp(i*phase) per element of a CodingMatrix (phase pi*state) or PhaseProfile.
 
+    A CodingMatrix's factors are read from _ONE_BIT_FACTORS by state, the
+    same bits as an exp of each element's pi*state, without its exps.
     TypeError for any other phase, ValueError unless its shape is geom.shape.
     """
     if isinstance(phase, CodingMatrix):
-        values = math.pi * phase.states
+        values = phase.states
     elif isinstance(phase, PhaseProfile):
         values = phase.values
     else:
         raise TypeError("phase must be a CodingMatrix or PhaseProfile")
     if values.shape != geom.shape:
         raise ValueError(f"phase shape {values.shape} does not match {geom.shape}")
+    if isinstance(phase, CodingMatrix):
+        return _ONE_BIT_FACTORS.take(values)
     return np.exp(1j * values)
 
 
@@ -227,7 +238,8 @@ def _blocked_dtft(y: np.ndarray, powers: np.ndarray, step: np.ndarray) -> np.nda
     (T, 1, k) @ (T, k, P) matrix product; the top block takes the columns
     left over, N mod k of them or k.  The x axis of pattern's 2D DTFT, whose
     z axis is a matrix product, taking the powers precomputed so calls on
-    one grid can share them.
+    one grid can share them.  Each row t is its own products and Horner
+    steps, so a block of rows gives the same bits as those rows of all T.
     """
     k = powers.shape[1]
     top = (y.shape[1] - 1) // k * k
@@ -249,13 +261,14 @@ def _pattern_plan(
     exp(i*outer(w_z, m)) of shape (T, n_z) is the z-axis DTFT factor, and
     powers[:, j] = exp(i*j*w_x) for j < k = min(_X_BLOCK, n_x), of shape
     (T, k, P), and step = exp(i*k*w_x) of shape (T, P) are the x-axis ones
-    _blocked_dtft takes, each power from its own exp; all three are
-    read-only, as every call on the grid shares them.  A plan holds
-    16*T*(n_z + (k + 1)*P) bytes, and the cache one plan, the last grid's.
-    Raises ValueError naming the grid unless it holds at least one angle
-    and each is finite with |angle| < 90, and, before any exp, unless
-    _check_bytes admits the plan and a call's rows (_PATTERN_BYTES), so a
-    grid is checked once per plan.
+    _blocked_dtft takes, each power from its own exp, _T_BLOCK theta rows
+    at a time; all three are read-only, as every call on the grid shares
+    them.  A plan holds 16*T*(n_z + (k + 1)*P) bytes, and the cache one
+    plan, the last grid's.  Raises ValueError naming the grid unless it
+    holds at least one angle and each is finite with |angle| < 90, and,
+    before any exp, unless _check_bytes admits the plan and a call's power
+    grid (_PATTERN_BYTES) and block of rows (_BLOCK_ROW_BYTES), so a grid
+    is checked once per plan.
     """
     theta, phi = np.frombuffer(theta_key), np.frombuffer(phi_key)
     for name, grid in (("theta_grid_deg", theta), ("phi_grid_deg", phi)):
@@ -265,15 +278,21 @@ def _pattern_plan(
             )
     k = min(_X_BLOCK, geom.n_x)
     # Per point the plan's k + 1 complex x-axis factors; per theta its z-axis
-    # factor row and a call's complex (T, n_x) z-axis sums.
+    # factor row and a call's complex (T, n_x) z-axis sums; per point of a
+    # block of rows its transients.
     _check_bytes("pattern's grid", theta.size * phi.size, 16 * (k + 1) + _PATTERN_BYTES,
-                 16 * theta.size * (geom.n_z + geom.n_x))
+                 16 * theta.size * (geom.n_z + geom.n_x)
+                 + _BLOCK_ROW_BYTES * min(theta.size, _T_BLOCK) * phi.size)
     w_z, w_x = _frequency_grid(theta, phi, geom)
     e_z = np.exp(1j * np.outer(w_z, np.arange(geom.n_z)))
     powers = np.empty((theta.size, k, phi.size), complex)
-    for j in range(k):  # a (T, P) argument at a time, not a (T, k, P) one
-        np.exp(1j * (j * w_x), out=powers[:, j])
-    step = np.exp(1j * (k * w_x))
+    step = np.empty((theta.size, phi.size), complex)
+    # A block of rows at a time, so the exp arguments take no more than a call's block.
+    for t in range(0, theta.size, _T_BLOCK):
+        rows = slice(t, t + _T_BLOCK)
+        for j in range(k):
+            np.exp(1j * (j * w_x[rows]), out=powers[rows, j])
+        np.exp(1j * (k * w_x[rows]), out=step[rows])
     for factor in (e_z, powers, step):
         factor.flags.writeable = False
     return e_z, powers, step
@@ -295,10 +314,13 @@ def pattern(
     The power over the whole grid is one 2D DTFT of the panel excitation,
     |sum_{m,n} e[m, n]*exp(i*(m*w_z(theta) + n*w_x(theta, phi)))|^2: a
     matrix product along z, then blocks of stacked matrix products along x
-    (_blocked_dtft) with no per-theta loop.  Its exp factors depend only on
-    the geometry and the grids, so _pattern_plan builds them once per
-    (geom, theta grid, phi grid) and a call computes only what depends on
-    the coding and the source.
+    (_blocked_dtft), taken _T_BLOCK theta rows at a time into one float
+    power grid, so a block's slice of the x-axis powers stays in cache
+    across its column blocks.  Each row's arithmetic is that of the whole
+    grid at once, so the power is the same bits.  Its exp factors depend
+    only on the geometry and the grids, so _pattern_plan builds them once
+    per (geom, theta grid, phi grid) and a call computes only what depends
+    on the coding and the source.
 
     Like received_power, raises TypeError unless coding is a CodingMatrix
     or PhaseProfile and ValueError unless its shape is geom.shape.  Raises
@@ -316,7 +338,12 @@ def pattern(
     e_z, powers, step = _pattern_plan(geom, theta_key, phi_key)
     # Views of the keys, which the caller cannot reach.
     theta_grid_deg, phi_grid_deg = np.frombuffer(theta_key), np.frombuffer(phi_key)
-    power = np.abs(_blocked_dtft(e_z @ excitation, powers, step)) ** 2
+    y = e_z @ excitation
+    power = np.empty(step.shape)
+    for t in range(0, theta_grid_deg.size, _T_BLOCK):
+        rows = slice(t, t + _T_BLOCK)
+        block = power[rows]
+        np.square(np.abs(_blocked_dtft(y[rows], powers[rows], step[rows]), out=block), out=block)
     # The first tied cell, as in the peak search: a real excitation's mirror lobes tie.
     i, j = divmod(int(_first_tied(power.ravel(), power.max())), power.shape[1])
     peak = AngularLocation(

@@ -2,7 +2,6 @@
 
 import math
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +25,8 @@ from holoris.beamforming import (
     CodingMatrix,
     LinkGainResult,
     PhaseProfile,
+    _ONE_BIT_FACTORS,
+    _T_BLOCK,
     _X_BLOCK,
     _blocked_dtft,
     _hpbw,
@@ -40,7 +41,13 @@ from holoris.beamforming import (
     received_power,
     write_coding_file,
 )
-from holoris.wavefield import _MAX_AMPLITUDE, Source, complex_field_at_array
+from holoris.localization import OraclePolicy, localize, ml_refine
+from holoris.wavefield import (
+    _MAX_AMPLITUDE,
+    Source,
+    complex_field_at_array,
+    synthesize_hologram,
+)
 
 GEOM = default_geometry()
 BS = AngularLocation(0.0, 0.0)
@@ -451,6 +458,47 @@ def test_planned_pattern_is_the_inline_dtft_bit_for_bit(n_z, n_x, pitches, theta
     assert res.hpbw_phi_deg.hex() == _hpbw(np.array(phi), want[i, :], j).hex()
 
 
+@pytest.mark.parametrize("n_theta", [1, _T_BLOCK - 1, _T_BLOCK, _T_BLOCK + 1, 2 * _T_BLOCK + 1,
+                                     121])
+def test_pattern_is_the_inline_dtft_bit_for_bit_across_row_blocks(n_theta):
+    # theta grids of one row, one row short of a block, one block, one row
+    # past it and two blocks and a row, and the 121-row -60..60 deg grid.
+    theta, phi = np.linspace(-60.0, 60.0, n_theta), np.linspace(-60.0, 60.0, 121)
+    bs = AngularLocation(-8.0, 15.0)
+    src = Source.far_field(bs)
+    profile = farfield_phase_profile(bs, UE, GEOM)
+    for coding in (quantize_1bit(profile), profile):
+        res = pattern(coding, src, GEOM, theta, phi)
+        want = inline_power(coding, src, GEOM, theta, phi)
+        assert np.array_equal(res.power, want)
+        i, j = first_tied_cell(want)
+        assert (res.peak.theta_deg.hex(), res.peak.phi_deg.hex()) == (theta[i].hex(),
+                                                                      phi[j].hex())
+        assert res.hpbw_theta_deg.hex() == _hpbw(theta, want[:, j], i).hex()
+        assert res.hpbw_phi_deg.hex() == _hpbw(phi, want[i, :], j).hex()
+
+
+@given(n_z=st.integers(1, 64), n_x=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+@example(n_z=1, n_x=1, seed=0)
+@example(n_z=1, n_x=64, seed=1)
+@example(n_z=64, n_x=1, seed=2)
+@example(n_z=64, n_x=64, seed=3)
+@settings(max_examples=100, deadline=None)
+def test_reflection_of_a_coding_is_the_exp_of_its_phases_bit_for_bit(n_z, n_x, seed):
+    geom = ArrayGeometry(n_z=n_z, n_x=n_x, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    coding = CodingMatrix(states=np.random.default_rng(seed).integers(0, 2, geom.shape))
+    got = _reflection(coding, geom)
+    want = np.exp(1j * (math.pi * coding.states))
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_the_one_bit_factor_table_is_read_only():
+    assert _ONE_BIT_FACTORS.shape == (2,) and not _ONE_BIT_FACTORS.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        _ONE_BIT_FACTORS[1] = 1.0
+
+
 def test_pattern_plans_are_kept_apart_by_grid():
     coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
     src = Source.far_field(BS)
@@ -558,30 +606,30 @@ def test_pattern_grid_memory_cannot_hold_fails_before_any_exp(monkeypatch):
     monkeypatch.setattr("holoris.beamforming._frequency_grid", reached)
     grid = np.linspace(-80.0, 80.0, 10**5)
     with pytest.raises(ValueError, match="^pattern's grid must be at most 2147483648 bytes "
-                                         "at 176 bytes each$"):
+                                         "at 152 bytes each$"):
         pattern(CodingMatrix.all_zero(GEOM.shape), Source.far_field(BS), GEOM, grid, grid)
 
 
 def test_pattern_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
-    # 3 thetas by 5 phis on the 32x32 panel: 15 points at 16*(8 + 1) + 32
-    # bytes, and 16 bytes a theta for each of its n_z + n_x = 64 factors and
-    # sums, 5,712 bytes.  Each call clears the plan cache, since a cached
-    # plan is not checked again.
+    # 3 thetas by 5 phis on the 32x32 panel: 15 points at 16*(8 + 1) + 8
+    # bytes, 16 bytes a theta for each of its n_z + n_x = 64 factors and
+    # sums, and 32 a point of its one block of rows, 5,832 bytes.  Each call
+    # clears the plan cache, since a cached plan is not checked again.
     thetas, phis = np.linspace(-10.0, 10.0, 3), np.linspace(-20.0, 20.0, 5)
     coding, src = quantize_1bit(farfield_phase_profile(BS, UE, GEOM)), Source.far_field(BS)
     _pattern_plan.cache_clear()
     want = pattern(coding, src, GEOM, thetas, phis)
     _pattern_plan.cache_clear()
-    charge = 15 * 176 + 16 * 3 * 64
+    charge = 15 * 152 + 16 * 3 * 64 + 32 * 3 * 5
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge)
     assert np.array_equal(pattern(coding, src, GEOM, thetas, phis).power, want.power)
     _pattern_plan.cache_clear()
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge - 1)
-    with pytest.raises(ValueError, match="^pattern's grid must be at most 5711 bytes "):
+    with pytest.raises(ValueError, match="^pattern's grid must be at most 5831 bytes "):
         pattern(coding, src, GEOM, thetas, phis)
 
 
-def test_pattern_charges_its_plan_and_a_calls_rows(monkeypatch):
+def test_pattern_charges_its_plan_and_a_calls_rows(monkeypatch, traced_peak):
     """pattern's charge against tracemalloc's peak over a call that builds its
     plan, on 128x128 and 256x256 grids on the 32x32 panel.
 
@@ -589,8 +637,10 @@ def test_pattern_charges_its_plan_and_a_calls_rows(monkeypatch):
     an axis point for the 1-D arrays of both grids, is at most the rise in
     the charge the size check is given (no undercharge) and at least that
     less 1 byte a grid point (no overcharge).  The peak is the plan and a
-    call's complex sum and one block's product, 176 bytes a point, and the
-    plan's z-axis factors and a call's z-axis sums, 16*(n_z + n_x) a theta.
+    call's float power grid, 152 bytes a point, the plan's z-axis factors
+    and a call's z-axis sums, 16*(n_z + n_x) a theta, and a block of
+    _T_BLOCK rows' complex sum and column block's product, 32 bytes a point
+    of the block.
     """
     charges = []
 
@@ -604,15 +654,36 @@ def test_pattern_charges_its_plan_and_a_calls_rows(monkeypatch):
     for n in (128, 256):
         grid = np.linspace(-60.0, 60.0, n)
         _pattern_plan.cache_clear()
-        tracemalloc.start()
-        try:
-            pattern(coding, src, GEOM, grid, grid)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: pattern(coding, src, GEOM, grid, grid)))
     rise = peaks[1] - peaks[0] - 64 * (256 - 128)
     assert len(charges) == 2
     assert rise <= charges[1] - charges[0] <= rise + (256**2 - 128**2)
+
+
+def test_a_user_one_metre_out_defeats_the_plane_wave_coding():
+    """The plane-wave limit of localize, ml_refine and farfield_phase_profile.
+
+    A far-field BS at (0, -30) deg and a user at (10, 20) deg synthesized
+    as a near-field source 1 m out, noiseless, well inside the default
+    panel's 9.6 m Fraunhofer distance.  localize (pad 2, guard 2, oracle)
+    then ml_refine keep the angle (0.35 deg off), but the 1-bit far coding
+    from the estimate gains -0.98 dB over the all-zero coding at the user,
+    against 8.30 dB for the 1-bit near coding from the true position, the
+    BS a point 1e6 m out along its direction.
+    """
+    bs, ue = AngularLocation(0.0, -30.0), AngularLocation(10.0, 20.0)
+    ue_pos = 1.0 * unit_direction(ue)
+    src = Source.far_field(bs)
+    holo = synthesize_hologram([src, Source.near_field(ue_pos)], GEOM)[0]
+    coarse = localize(holo, bs, zero_pad_factor=2, dc_guard=2,
+                      disambiguation=OraclePolicy(truth=ue)).chosen
+    estimate = ml_refine(holo, bs, coarse)
+    assert abs(estimate.theta_deg - 10.0) < 0.5 and abs(estimate.phi_deg - 20.0) < 0.5
+    far = quantize_1bit(farfield_phase_profile(bs, estimate, GEOM))
+    near = quantize_1bit(nearfield_phase_profile(1e6 * unit_direction(bs), ue_pos, GEOM))
+    far_db = link_gain(far, None, src, ue_pos, GEOM).gain_db
+    near_db = link_gain(near, None, src, ue_pos, GEOM).gain_db
+    assert far_db < near_db - 5.0
 
 
 def two_call_gain(coding, baseline, bs_src, ue, geom):

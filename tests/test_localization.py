@@ -11,7 +11,6 @@ import os
 import platform
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -621,18 +620,8 @@ def test_spectra_are_held_to_the_byte_budget(monkeypatch):
         fft2(holo, zero_pad_factor=3)
 
 
-def _traced_peak(call) -> int:
-    """tracemalloc's peak over call()."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("pad", [1, 2])
-def test_spectra_charge_covers_both_transform_paths(pad):
+def test_spectra_charge_covers_both_transform_paths(pad, traced_peak):
     """_SPECTRUM_BIN_BYTES against tracemalloc's peak over a call: the slope
     of the peak per padded bin, from 8 to 16 captures of 64x64 through
     localize_trials (the half spectrum) and from a 64x64 to a 128x128
@@ -645,14 +634,14 @@ def test_spectra_charge_covers_both_transform_paths(pad):
     bs, rng = AngularLocation(0.0, 0.0), np.random.default_rng(5)
     stacks = [rng.uniform(0.0, 4.0, (trials, 64, 64)) for trials in (8, 16)]
     geom64 = ArrayGeometry(n_z=64, n_x=64, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
-    peaks = [_traced_peak(lambda: localize_trials(stack, geom64, bs, zero_pad_factor=pad))
+    peaks = [traced_peak(lambda: localize_trials(stack, geom64, bs, zero_pad_factor=pad))
              for stack in stacks]
     slope = (peaks[1] - peaks[0]) / (8 * (64 * pad) ** 2)
     assert slope <= localization._SPECTRUM_BIN_BYTES
 
     holograms = [Hologram(values=rng.uniform(0.0, 4.0, (n, n)), geometry=ArrayGeometry(
         n_z=n, n_x=n, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)) for n in (64, 128)]
-    peaks = [_traced_peak(lambda: fft2(holo, zero_pad_factor=pad)) for holo in holograms]
+    peaks = [traced_peak(lambda: fft2(holo, zero_pad_factor=pad)) for holo in holograms]
     slope = (peaks[1] - peaks[0]) / ((128 * pad) ** 2 - (64 * pad) ** 2)
     assert slope <= localization._SPECTRUM_BIN_BYTES
 
@@ -1023,7 +1012,7 @@ def test_ml_refine_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
         ml_refine(holo, bs, coarse)
 
 
-def test_ml_refine_charges_the_bytes_a_grid_point_takes(monkeypatch):
+def test_ml_refine_charges_the_bytes_a_grid_point_takes(monkeypatch, traced_peak):
     """_REFINE_POINT_BYTES against tracemalloc's peak over a call, on levels
     of 201**2 and 401**2 points on a 2x2 panel, set through the module's
     level constant.
@@ -1041,12 +1030,7 @@ def test_ml_refine_charges_the_bytes_a_grid_point_takes(monkeypatch):
     peaks = []
     for half_steps in (100, 200):  # 201 and 401 points per axis
         monkeypatch.setattr(localization, "_REFINE_HALF_STEPS", half_steps)
-        tracemalloc.start()
-        try:
-            ml_refine(holo, bs, coarse)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: ml_refine(holo, bs, coarse)))
     slope = (peaks[1] - peaks[0] - 256 * (401 - 201)) / (401**2 - 201**2)
     assert slope <= localization._REFINE_POINT_BYTES <= slope + 1
 
@@ -1058,7 +1042,7 @@ def test_ml_refine_charges_the_bytes_a_grid_point_takes(monkeypatch):
     (((2048, 2), (4096, 2)), 50),  # tall: e_z and its square grow
 ])
 def test_ml_refine_charges_its_factor_arrays_and_the_hologram_copy(monkeypatch, panels,
-                                                                    half_steps):
+                                                                    half_steps, traced_peak):
     """ml_refine's charge beside a level, 16 bytes an element of the
     hologram's complex copy, of e_z (T, n_z) and e_x (n_x, P) and of the
     larger complex transient beside them (the (T, n_x) projection, or an
@@ -1090,12 +1074,7 @@ def test_ml_refine_charges_its_factor_arrays_and_the_hologram_copy(monkeypatch, 
         geom = ArrayGeometry(n_z=n_z, n_x=n_x, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
         bs, coarse = AngularLocation(0.0, 0.0), AngularLocation(5.0, 30.0)
         holo = synthesize_hologram([Source.far_field(bs), Source.far_field(coarse)], geom)[0]
-        tracemalloc.start()
-        try:
-            ml_refine(holo, bs, coarse)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: ml_refine(holo, bs, coarse)))
         elements.append(per_axis * (n_z + n_x) + n_z * n_x)
     rise = peaks[1] - peaks[0]
     assert len(charges) == 2
