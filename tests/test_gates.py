@@ -24,6 +24,7 @@ import io
 import platform
 import runpy
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,24 @@ def _gate(name: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _moved_fields(want: list[str], got: list[str]) -> str:
+    """The key= fields that differ between the lines of want and got, taken
+    line by line, each with the number of lines it moved on, and any change
+    in the line count.  A differing line with no differing key= field counts
+    as "other"."""
+    moved = Counter()
+    for old, new in zip(want, got):
+        if old != new:
+            fields = [dict(token.split("=", 1) for token in line.split() if "=" in token)
+                      for line in (old, new)]
+            moved.update(sorted(f"{key}=" for key in fields[0].keys() | fields[1].keys()
+                                if fields[0].get(key) != fields[1].get(key)) or ["other"])
+    parts = [f"{key} on {count} line{'s' * (count != 1)}" for key, count in sorted(moved.items())]
+    if len(got) != len(want):
+        parts.append(f"{len(got) - len(want):+d} lines")
+    return ", ".join(parts)
+
+
 def _check_golden(name: str) -> None:
     golden = TOOLS / "golden" / f"{name}.txt"
     made_with, _, want = golden.read_text().partition("\n")
@@ -58,9 +77,18 @@ def _check_golden(name: str) -> None:
         diff = difflib.unified_diff(want.splitlines(), got.splitlines(),
                                     "golden", "now", n=0, lineterm="")
         first = [line[:200] for _, line in zip(range(12), diff)]
-        raise AssertionError(f"{name} output differs from {golden.name}:\n"
+        raise AssertionError(f"{name} output differs from {golden.name}: "
+                             f"{_moved_fields(want.splitlines(), got.splitlines())}\n"
                              + "\n".join(first))
     assert code == 0
+
+
+def test_moved_fields_names_each_field_and_its_line_count():
+    want = ["seed=0 i=0 peak=1 hpbw=2 power=3", "seed=0 i=1 peak=1 hpbw=2 power=3", "# a note"]
+    got = ["seed=0 i=0 peak=1 hpbw=5 power=4", "seed=0 i=1 peak=1 hpbw=2 power=6", "# a nose"]
+    assert _moved_fields(want, got) == "hpbw= on 1 line, other on 1 line, power= on 2 lines"
+    assert _moved_fields(want, got[:2]) == "hpbw= on 1 line, power= on 2 lines, -1 lines"
+    assert _moved_fields(want, want) == ""
 
 
 def test_manifest_gate_matches_golden():
