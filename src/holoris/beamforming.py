@@ -36,15 +36,13 @@ from .wavefield import (
 )
 
 _CODING_MAGIC = "# holoris-coding v1"
-_X_BLOCK = 8  # columns in a block of pattern's x-axis DTFT (_blocked_dtft)
-_T_BLOCK = 64  # theta rows pattern and its plan evaluate at a time
-# The bytes a pattern call takes per grid point beside its plan: the float
-# power grid.  A block of _T_BLOCK rows takes _BLOCK_ROW_BYTES a point more:
-# its complex sum and one column block's complex product (a panel of at most
-# _X_BLOCK columns has one column block, and no product), or, while the plan
-# is built, its float exp argument and the complex one made from it.
-_PATTERN_BYTES = 8
-_BLOCK_ROW_BYTES = 16 + 16
+# The most mirror powers a block of pattern's plan rows holds, unless one
+# plan row holds more.  A block's sums then take at most 64 KB, half of
+# glibc's default mmap threshold, so a call's transients fit in the heap
+# its caller already holds: on the 121x121 grid of perfbench's closed-loop
+# workload, one block of all 61 plan rows raised its peak RSS by ~0.4 MB
+# and blocks of 16 did not, at the same speed.
+_BLOCK_POINTS = 2048
 # exp(i*pi*s) for the states s = 0 and 1, built as a CodingMatrix's were.
 _ONE_BIT_FACTORS = np.exp(1j * (math.pi * np.arange(2)))
 _ONE_BIT_FACTORS.flags.writeable = False
@@ -229,46 +227,59 @@ def _hpbw(axis_deg: np.ndarray, cut: np.ndarray, i: int) -> float:
     return float(edges[1] - edges[0])
 
 
-def _blocked_dtft(y: np.ndarray, powers: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """sum_n y[t, n] * z[t, p]**n for every (t, p), in blocks of k columns.
+def _mirror_powers(sums: np.ndarray, out: np.ndarray) -> None:
+    """|A(w)|^2 and |A(-w)|^2 of a block of plan rows from their real sums.
 
-    y is (T, N); powers[t, j, p] = z[t, p]**j for j < k, shape (T, k, P),
-    and step = z**k, shape (T, P).  With n = k*b + j the sum is Horner's rule
-    in z**k over the blocks (Estrin's scheme), each block one stacked
-    (T, 1, k) @ (T, k, P) matrix product; the top block takes the columns
-    left over, N mod k of them or k.  The x axis of pattern's 2D DTFT, whose
-    z axis is a matrix product, taking the powers precomputed so calls on
-    one grid can share them.  Each row t is its own products and Horner
-    steps, so a block of rows gives the same bits as those rows of all T.
+    For the two complex rows y of each of B plan rows, P = a + ib is the sum
+    of Re(y[n])*exp(i*n*w) over n and Q = c + id that of Im(y[n]), at V
+    frequencies w >= 0.  sums, (B, 4, 2V), holds two rows [a | b] over two
+    rows [c | d], as a plan row's stacked [Re y; Im y] times its table
+    [cos(n*w) | sin(n*w)] gives them.  A(w) = P + iQ and A(-w) = conj(P) +
+    i*conj(Q), so out, (2, B, 2, V), takes |A(w)|^2 = (a - d)^2 + (b + c)^2
+    and |A(-w)|^2 = (a + d)^2 + (b - c)^2.
     """
-    k = powers.shape[1]
-    top = (y.shape[1] - 1) // k * k
-    acc = y[:, np.newaxis, top:] @ powers[:, :y.shape[1] - top]
-    for b in range(top - k, -1, -k):
-        acc *= step[:, np.newaxis]
-        acc += y[:, np.newaxis, b:b + k] @ powers
-    return acc[:, 0]
+    v = sums.shape[2] // 2
+    a, b, c, d = sums[:, :2, :v], sums[:, :2, v:], sums[:, 2:, :v], sums[:, 2:, v:]
+    plus, minus = out
+    part = np.empty_like(plus)
+    np.square(np.subtract(a, d, out=plus), out=plus)
+    plus += np.square(np.add(b, c, out=part), out=part)
+    np.square(np.add(a, d, out=minus), out=minus)
+    minus += np.square(np.subtract(b, c, out=part), out=part)
+
+
+def _magnitudes(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct |angle| of grid in first-seen order, and each angle's
+    index among them (0.0 and -0.0 are one).  A dict rather than np.unique:
+    nothing else pattern's callers run sorts, and the sort kernels' code
+    alone keeps ~190 KB resident in a process that first calls them."""
+    first = {}
+    index = [first.setdefault(angle, len(first)) for angle in np.abs(grid).tolist()]
+    return np.array(list(first)), np.array(index)
 
 
 @functools.lru_cache(maxsize=1)
 def _pattern_plan(
     geom: ArrayGeometry, theta_key: bytes, phi_key: bytes
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What pattern needs of a grid besides the excitation, as (e_z, powers, step).
+    """What pattern needs of a grid besides the excitation, as (e_z, table, cells).
 
     The keys are the float64 bytes of the 1-D theta (T,) and phi (P,)
-    grids.  For the grid's frequencies w_z (T,) and w_x (T, P), e_z =
-    exp(i*outer(w_z, m)) of shape (T, n_z) is the z-axis DTFT factor, and
-    powers[:, j] = exp(i*j*w_x) for j < k = min(_X_BLOCK, n_x), of shape
-    (T, k, P), and step = exp(i*k*w_x) of shape (T, P) are the x-axis ones
-    _blocked_dtft takes, each power from its own exp, _T_BLOCK theta rows
-    at a time; all three are read-only, as every call on the grid shares
-    them.  A plan holds 16*T*(n_z + (k + 1)*P) bytes, and the cache one
-    plan, the last grid's.  Raises ValueError naming the grid unless it
-    holds at least one angle and each is finite with |angle| < 90, and,
-    before any exp, unless _check_bytes admits the plan and a call's power
-    grid (_PATTERN_BYTES) and block of rows (_BLOCK_ROW_BYTES), so a grid
-    is checked once per plan.
+    grids.  w_x = K*cos(theta)*sin(phi) depends on theta only through
+    |theta| and is odd in phi, so the x-axis factors are kept for the U
+    distinct |theta| (plan rows) by the V distinct |phi| only: table[u] =
+    [cos(n*w) | sin(n*w)] for n < n_x, of shape (U, n_x, 2V), built one
+    plan row at a time.  A plan row has two slots, |theta| and -|theta|,
+    and e_z = exp(i*outer(w_z, m)), the z-axis DTFT factor, has one row a
+    slot, of shape (2U, n_z).  cells (T, P) is the flat index of each grid
+    cell in a call's (2, U, 2, V) mirror powers: the sign of phi, the plan
+    row and slot of theta, the column of |phi|.  All three are read-only,
+    as every call on the grid shares them.  A plan holds 16*U*(n_x*V +
+    2*n_z) + 8*T*P bytes, and the cache one plan, the last grid's.  Raises
+    ValueError naming the grid unless it holds at least one angle and each
+    is finite with |angle| < 90, and, before any exp, unless _check_bytes
+    admits the table and the rest of the plan and a call (_pattern_bytes),
+    so a grid is checked once per plan.
     """
     theta, phi = np.frombuffer(theta_key), np.frombuffer(phi_key)
     for name, grid in (("theta_grid_deg", theta), ("phi_grid_deg", phi)):
@@ -276,26 +287,51 @@ def _pattern_plan(
             raise ValueError(
                 f"{name} must hold at least one angle, each finite with |angle| < 90 deg"
             )
-    k = min(_X_BLOCK, geom.n_x)
-    # Per point the plan's k + 1 complex x-axis factors; per theta its z-axis
-    # factor row and a call's complex (T, n_x) z-axis sums; per point of a
-    # block of rows its transients.
-    _check_bytes("pattern's grid", theta.size * phi.size, 16 * (k + 1) + _PATTERN_BYTES,
-                 16 * theta.size * (geom.n_z + geom.n_x)
-                 + _BLOCK_ROW_BYTES * min(theta.size, _T_BLOCK) * phi.size)
-    w_z, w_x = _frequency_grid(theta, phi, geom)
-    e_z = np.exp(1j * np.outer(w_z, np.arange(geom.n_z)))
-    powers = np.empty((theta.size, k, phi.size), complex)
-    step = np.empty((theta.size, phi.size), complex)
-    # A block of rows at a time, so the exp arguments take no more than a call's block.
-    for t in range(0, theta.size, _T_BLOCK):
-        rows = slice(t, t + _T_BLOCK)
-        for j in range(k):
-            np.exp(1j * (j * w_x[rows]), out=powers[rows, j])
-        np.exp(1j * (k * w_x[rows]), out=step[rows])
-    for factor in (e_z, powers, step):
+    (theta_abs, theta_row), (phi_abs, phi_col) = _magnitudes(theta), _magnitudes(phi)
+    u, v = theta_abs.size, phi_abs.size
+    _check_bytes("pattern's grid", u * v, 16 * geom.n_x,
+                 _pattern_bytes(geom, theta.size, phi.size, u, v))
+    w_z, w_x = _frequency_grid(np.stack([theta_abs, -theta_abs], axis=1).ravel(), phi_abs, geom)
+    e_z = np.multiply.outer(w_z, 1j * np.arange(geom.n_z))
+    np.exp(e_z, out=e_z)
+    n = np.arange(geom.n_x)[:, np.newaxis]
+    table = np.empty((u, geom.n_x, 2 * v))
+    for plan_row, w in zip(table, w_x[::2]):  # cos(-theta) = cos(theta): both slots' w_x
+        arg = n * w
+        np.cos(arg, out=plan_row[:, :v])
+        np.sin(arg, out=plan_row[:, v:])
+    del w_x, arg
+    cells = np.add.outer(2 * theta_row + (theta < 0.0), (phi < 0.0) * (2 * u))
+    cells *= v
+    cells += phi_col
+    for factor in (e_z, table, cells):
         factor.flags.writeable = False
-    return e_z, powers, step
+    return e_z, table, cells
+
+
+def _block_rows(v: int) -> int:
+    """The plan rows of a block of pattern's x axis, with V columns a row."""
+    return max(1, _BLOCK_POINTS // (2 * v))
+
+
+def _pattern_bytes(geom: ArrayGeometry, t: int, p: int, u: int, v: int) -> int:
+    """The bytes pattern takes beside its plan's table, on a grid of T by P
+    angles with U by V distinct magnitudes.
+
+    The plan's e_z and cells, and the larger of what its build holds beside
+    them (its (2U, V) w_x, a plan row's exp argument and the ufunc buffer
+    of its strided output) and what a call holds: its complex (2U, n_x)
+    z-axis rows and their stacked float copy, then that copy, the float
+    (2, U, 2, V) mirror powers and a block's sums, part and the two ufunc
+    buffers of its strided sums, then the copy, the mirror powers, the
+    float (T, P) power grid and the peak search's bool mask of it.
+    """
+    block = min(u, _block_rows(v)) * 2 * v
+    build = 16 * u * v + 8 * geom.n_x * v + 8 * min(geom.n_x * v, np.getbufsize())
+    call = 32 * u * geom.n_x + max(
+        32 * u * geom.n_x,
+        32 * u * v + max(40 * block + 16 * min(block, np.getbufsize()), 9 * t * p))
+    return 32 * u * geom.n_z + 8 * t * p + max(build, call)
 
 
 def pattern(
@@ -313,11 +349,11 @@ def pattern(
 
     The power over the whole grid is one 2D DTFT of the panel excitation,
     |sum_{m,n} e[m, n]*exp(i*(m*w_z(theta) + n*w_x(theta, phi)))|^2: a
-    matrix product along z, then blocks of stacked matrix products along x
-    (_blocked_dtft), taken _T_BLOCK theta rows at a time into one float
-    power grid, so a block's slice of the x-axis powers stays in cache
-    across its column blocks.  Each row's arithmetic is that of the whole
-    grid at once, so the power is the same bits.  Its exp factors depend
+    matrix product along z into complex rows y, one a plan slot, then
+    along x, for each block of plan rows (_block_rows), one batched real
+    matrix product of each plan row's stacked [Re y; Im y] by its cos/sin
+    table, whose sums give the power at +w_x and -w_x (_mirror_powers).
+    The plan's cells place those powers on the grid.  Its factors depend
     only on the geometry and the grids, so _pattern_plan builds them once
     per (geom, theta grid, phi grid) and a call computes only what depends
     on the coding and the source.
@@ -335,15 +371,19 @@ def pattern(
         if grid.ndim != 1:  # the plan's key, the grid's bytes, drops its shape
             raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
     theta_key, phi_key = theta_grid_deg.tobytes(), phi_grid_deg.tobytes()
-    e_z, powers, step = _pattern_plan(geom, theta_key, phi_key)
+    e_z, table, cells = _pattern_plan(geom, theta_key, phi_key)
     # Views of the keys, which the caller cannot reach.
     theta_grid_deg, phi_grid_deg = np.frombuffer(theta_key), np.frombuffer(phi_key)
-    y = e_z @ excitation
-    power = np.empty(step.shape)
-    for t in range(0, theta_grid_deg.size, _T_BLOCK):
-        rows = slice(t, t + _T_BLOCK)
-        block = power[rows]
-        np.square(np.abs(_blocked_dtft(y[rows], powers[rows], step[rows]), out=block), out=block)
+    u, v = table.shape[0], table.shape[2] // 2
+    y = (e_z @ excitation).reshape(u, 2, geom.n_x)
+    stack = np.concatenate((y.real, y.imag), axis=1)
+    del y
+    mirror = np.empty((2, u, 2, v))
+    rows = _block_rows(v)
+    for b in range(0, u, rows):
+        block = slice(b, b + rows)
+        _mirror_powers(stack[block] @ table[block], mirror[:, block])
+    power = mirror.reshape(-1)[cells]
     # The first tied cell, as in the peak search: a real excitation's mirror lobes tie.
     i, j = divmod(int(_first_tied(power.ravel(), power.max())), power.shape[1])
     peak = AngularLocation(

@@ -1,5 +1,6 @@
 """Phase profiles, 1-bit quantization, and reflected link power."""
 
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -26,10 +27,9 @@ from holoris.beamforming import (
     LinkGainResult,
     PhaseProfile,
     _ONE_BIT_FACTORS,
-    _T_BLOCK,
-    _X_BLOCK,
-    _blocked_dtft,
+    _block_rows,
     _hpbw,
+    _mirror_powers,
     _pattern_plan,
     _reflection,
     farfield_phase_profile,
@@ -339,25 +339,33 @@ def brute_force_pattern(factor, bs, geom, theta_grid_deg, phi_grid_deg):
 
 
 PANEL_5X7 = ArrayGeometry(n_z=5, n_x=7, d_z_m=0.02, d_x_m=0.03, f_c_hz=3_500_000_000)
+PANEL_4X1 = replace(PANEL_5X7, n_z=4, n_x=1)
+# phi grids: mirrored, repeated angles with both zeros, one-sided, partly mirrored, one angle
+ORACLE_PHI_GRIDS = [np.arange(-60.0, 61.0, 7.5), [20.0, -20.0, 20.0, -0.0, 0.0],
+                    np.arange(0.0, 61.0, 15.0), np.arange(-50.0, 71.0, 20.0), [12.5]]
 
 
-@pytest.mark.parametrize("theta_grid", [np.arange(-40.0, 41.0, 10.0), [12.5]])
+@pytest.mark.parametrize("theta_grid", [
+    np.arange(-40.0, 41.0, 10.0), [12.5], [10.0, -10.0, 10.0, 0.0, 0.0], [-0.0, 0.0, 5.0, -5.0],
+    np.arange(0.0, 61.0, 10.0), np.arange(-50.0, 71.0, 10.0)])
 def test_pattern_matches_per_element_field_sum(theta_grid):
+    # Each theta grid against each phi grid, on a 5x7 panel and one of a
+    # single column.
     bs = AngularLocation(-8.0, 15.0)
-    phi_grid = np.arange(-60.0, 61.0, 7.5)
     rng = np.random.default_rng(5)
-    phases = rng.uniform(-math.pi, math.pi, PANEL_5X7.shape)
-    states = rng.integers(0, 2, PANEL_5X7.shape)
-    for coding, factor in (
-        (CodingMatrix(states=states), np.exp(1j * math.pi * states)),
-        (PhaseProfile(values=phases), np.exp(1j * phases)),
-    ):
-        res = pattern(coding, Source.far_field(bs), PANEL_5X7, theta_grid, phi_grid)
-        own = brute_force_pattern(factor, bs, PANEL_5X7, theta_grid, phi_grid)
-        assert res.power.shape == (len(theta_grid), len(phi_grid))
-        assert np.max(np.abs(res.power - own)) <= 1e-12 * np.max(own)
-        i, j = first_tied_cell(own)
-        assert (res.peak.theta_deg, res.peak.phi_deg) == (theta_grid[i], phi_grid[j])
+    for geom, phi_grid in itertools.product((PANEL_5X7, PANEL_4X1), ORACLE_PHI_GRIDS):
+        phases = rng.uniform(-math.pi, math.pi, geom.shape)
+        states = rng.integers(0, 2, geom.shape)
+        for coding, factor in (
+            (CodingMatrix(states=states), np.exp(1j * math.pi * states)),
+            (PhaseProfile(values=phases), np.exp(1j * phases)),
+        ):
+            res = pattern(coding, Source.far_field(bs), geom, theta_grid, phi_grid)
+            own = brute_force_pattern(factor, bs, geom, theta_grid, phi_grid)
+            assert res.power.shape == (len(theta_grid), len(phi_grid))
+            assert np.max(np.abs(res.power - own)) <= 1e-12 * np.max(own)
+            i, j = first_tied_cell(own)
+            assert (res.peak.theta_deg, res.peak.phi_deg) == (theta_grid[i], phi_grid[j])
 
 
 @pytest.mark.parametrize("phase, error, message", [
@@ -376,32 +384,36 @@ def test_phase_of_another_shape_or_kind_is_rejected(evaluate, phase, error, mess
         evaluate(phase)
 
 
-def x_factors(w_x: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """_blocked_dtft's powers exp(i*j*w_x) for j < k, stacked on axis 1, and
-    step exp(i*k*w_x), for k = min(_X_BLOCK, n_x), built on every call."""
-    k = min(_X_BLOCK, n_x)
-    return np.stack([np.exp(1j * (j * w_x)) for j in range(k)], axis=1), np.exp(1j * (k * w_x))
+def _dtft2(x: np.ndarray, w_z: np.ndarray, w_x: np.ndarray) -> np.ndarray:
+    """|sum_{m,n} x[m, n] * exp(i*(m*w_z[t] + n*w_x[t, p]))|^2 for every (t, p).
+
+    x is (n_z, n_x), w_z is (T,) and w_x is (T, P); returns (T, P).  The z
+    axis is one matrix product, taken at w_z and -w_z as beamforming.pattern
+    takes a plan row's two slots.  Then each row t on its own: its
+    [Re y; Im y] times its own table [cos(n*|w|) | sin(n*|w|)] gives
+    P = a + ib and Q = c + id, and the power is |A(w)|^2 = (a - d)^2 +
+    (b + c)^2, or |A(-w)|^2 = (a + d)^2 + (b - c)^2 where w_x < 0.  No
+    plan, no rows shared between grid rows, no blocks.
+    """
+    y = (np.exp(1j * np.outer(np.stack([w_z, -w_z], axis=1).ravel(), np.arange(x.shape[0])))
+         @ x)[::2]
+    n = np.arange(x.shape[1])[:, np.newaxis]
+    p = w_x.shape[1]
+    power = np.empty(w_x.shape)
+    for t, (row, w) in enumerate(zip(y, w_x)):
+        arg = n * np.abs(w)
+        sums = np.stack([row.real, row.imag]) @ np.hstack([np.cos(arg), np.sin(arg)])
+        (a, c), (b, d) = sums[:, :p], sums[:, p:]
+        power[t] = np.where(w < 0, (a + d) ** 2 + (b - c) ** 2, (a - d) ** 2 + (b + c) ** 2)
+    return power
 
 
 def inline_power(coding, bs_src, geom, theta_grid_deg, phi_grid_deg):
-    """pattern's power as computed before its plan: the 2D DTFT with every exp
-    factor built on every call, from the caller's grids."""
+    """pattern's power as _dtft2 takes it, every factor built on every call
+    from the caller's grids, a grid row at a time."""
     excitation = complex_field_at_array(bs_src, geom) * _reflection(coding, geom)
-    w_z, w_x = _frequency_grid(np.asarray(theta_grid_deg, dtype=float),
-                               np.asarray(phi_grid_deg, dtype=float), geom)
-    return np.abs(_blocked_dtft(np.exp(1j * np.outer(w_z, np.arange(geom.n_z))) @ excitation,
-                                *x_factors(w_x, geom.n_x))) ** 2
-
-
-def _dtft2(x: np.ndarray, w_z: np.ndarray, w_x: np.ndarray) -> np.ndarray:
-    """sum_{m,n} x[m, n] * exp(i*(m*w_z[t] + n*w_x[t, p])) for every (t, p).
-
-    x is (n_z, n_x), w_z is (T,) and w_x is (T, P); returns (T, P): the z
-    axis as one matrix product, the x axis by _blocked_dtft on factors
-    built per call, as beamforming.pattern takes it.
-    """
-    y = np.exp(1j * np.outer(w_z, np.arange(x.shape[0]))) @ x
-    return _blocked_dtft(y, *x_factors(w_x, x.shape[1]))
+    return _dtft2(excitation, *_frequency_grid(np.asarray(theta_grid_deg, dtype=float),
+                                               np.asarray(phi_grid_deg, dtype=float), geom))
 
 
 def test_dtft2_matches_explicit_sum():
@@ -409,24 +421,29 @@ def test_dtft2_matches_explicit_sum():
     for n_z, n_x in ((3, 5), (4, 1), (1, 6)):
         x = rng.normal(size=(n_z, n_x)) + 1j * rng.normal(size=(n_z, n_x))
         w_z = rng.uniform(-4, 4, 3)
-        w_x = rng.uniform(-4, 4, (3, 2))
-        own = np.array([[
+        w_x = np.concatenate([rng.uniform(-4, 4, (3, 2)), np.full((3, 1), -0.0),
+                              np.zeros((3, 1))], axis=1)
+        own = np.abs(np.array([[
             sum(x[m, n] * np.exp(1j * (m * w_z[t] + n * w_x[t, p]))
                 for m in range(n_z) for n in range(n_x))
-            for p in range(2)] for t in range(3)])
-        assert np.allclose(_dtft2(x, w_z, w_x), own, rtol=0, atol=1e-12)
+            for p in range(4)] for t in range(3)])) ** 2
+        assert np.max(np.abs(_dtft2(x, w_z, w_x) - own)) <= 1e-13 * np.max(own)
 
 
 @pytest.mark.parametrize("n_x", [1, 5, 8, 9, 17, 32])
 def test_blocked_dtft_matches_explicit_sum(n_x):
-    # Below, at and past one block of _X_BLOCK columns, with and without a
-    # partial top block.
+    # pattern's x axis on one block of 6 plan rows of two slots each, at 7
+    # frequencies w >= 0 a row: the batched real product and _mirror_powers
+    # against the complex sums at +w and -w.
     rng = np.random.default_rng(n_x)
-    y = rng.normal(size=(6, n_x)) + 1j * rng.normal(size=(6, n_x))
-    w_x = rng.uniform(-math.pi, math.pi, (6, 7))
-    own = np.abs(np.einsum("tn,tnp->tp", y, np.exp(
-        1j * np.arange(n_x)[np.newaxis, :, np.newaxis] * w_x[:, np.newaxis, :]))) ** 2
-    got = np.abs(_blocked_dtft(y, *x_factors(w_x, n_x))) ** 2
+    y = rng.normal(size=(6, 2, n_x)) + 1j * rng.normal(size=(6, 2, n_x))
+    w = rng.uniform(0.0, math.pi, (6, 7))
+    arg = np.arange(n_x)[np.newaxis, :, np.newaxis] * w[:, np.newaxis, :]
+    table = np.concatenate([np.cos(arg), np.sin(arg)], axis=2)
+    got = np.empty((2, 6, 2, 7))
+    _mirror_powers(np.concatenate([y.real, y.imag], axis=1) @ table, got)
+    own = np.abs(np.stack([np.einsum("bsn,bnv->bsv", y, np.exp(sign * 1j * arg))
+                           for sign in (1, -1)])) ** 2
     assert np.max(np.abs(got - own)) <= 1e-13 * np.max(own)
 
 
@@ -458,24 +475,41 @@ def test_planned_pattern_is_the_inline_dtft_bit_for_bit(n_z, n_x, pitches, theta
     assert res.hpbw_phi_deg.hex() == _hpbw(np.array(phi), want[i, :], j).hex()
 
 
-@pytest.mark.parametrize("n_theta", [1, _T_BLOCK - 1, _T_BLOCK, _T_BLOCK + 1, 2 * _T_BLOCK + 1,
-                                     121])
-def test_pattern_is_the_inline_dtft_bit_for_bit_across_row_blocks(n_theta):
-    # theta grids of one row, one row short of a block, one block, one row
-    # past it and two blocks and a row, and the 121-row -60..60 deg grid.
-    theta, phi = np.linspace(-60.0, 60.0, n_theta), np.linspace(-60.0, 60.0, 121)
+# 128 distinct |phi|, so a block of pattern's x axis takes 32 plan rows.
+SEAM_PHI = np.arange(-127, 128) * 0.25
+SEAM_ROWS = _block_rows(128)
+
+
+@pytest.mark.parametrize("n_theta", [1, 2 * SEAM_ROWS - 1, 2 * SEAM_ROWS, 2 * SEAM_ROWS + 1,
+                                     4 * SEAM_ROWS + 1, 121])
+def test_pattern_is_the_inline_dtft_bit_for_bit_across_row_blocks(monkeypatch, n_theta):
+    # One-sided theta grids of one plan row, one row short of two blocks,
+    # two blocks, one row past them and four blocks and a row, and the
+    # -60..60 deg grid, whose 121 rows are 61 plan rows.  On a panel of
+    # fewer than 16 columns the power is the inline DTFT's bits.  On the
+    # 32x32 panel, whose products round by their shape, it is the bits of
+    # one block of all plan rows, and the inline DTFT to 1e-13 of its maximum.
+    theta = np.linspace(-60.0, 60.0, 121) if n_theta == 121 else np.linspace(0.0, 60.0, n_theta)
     bs = AngularLocation(-8.0, 15.0)
     src = Source.far_field(bs)
-    profile = farfield_phase_profile(bs, UE, GEOM)
-    for coding in (quantize_1bit(profile), profile):
-        res = pattern(coding, src, GEOM, theta, phi)
-        want = inline_power(coding, src, GEOM, theta, phi)
-        assert np.array_equal(res.power, want)
-        i, j = first_tied_cell(want)
-        assert (res.peak.theta_deg.hex(), res.peak.phi_deg.hex()) == (theta[i].hex(),
-                                                                      phi[j].hex())
-        assert res.hpbw_theta_deg.hex() == _hpbw(theta, want[:, j], i).hex()
-        assert res.hpbw_phi_deg.hex() == _hpbw(phi, want[i, :], j).hex()
+    for geom in (PANEL_5X7, GEOM):
+        profile = farfield_phase_profile(bs, UE, geom)
+        for coding in (quantize_1bit(profile), profile):
+            res = pattern(coding, src, geom, theta, SEAM_PHI)
+            want = inline_power(coding, src, geom, theta, SEAM_PHI)
+            if geom is PANEL_5X7:
+                assert np.array_equal(res.power, want)
+            else:
+                assert np.max(np.abs(res.power - want)) <= 1e-13 * np.max(want)
+                with monkeypatch.context() as m:
+                    m.setattr("holoris.beamforming._BLOCK_POINTS", 10**9)
+                    want = pattern(coding, src, geom, theta, SEAM_PHI).power
+                assert np.array_equal(res.power, want)
+            i, j = first_tied_cell(want)
+            assert (res.peak.theta_deg.hex(), res.peak.phi_deg.hex()) == (
+                theta[i].hex(), SEAM_PHI[j].hex())
+            assert res.hpbw_theta_deg.hex() == _hpbw(theta, want[:, j], i).hex()
+            assert res.hpbw_phi_deg.hex() == _hpbw(SEAM_PHI, want[i, :], j).hex()
 
 
 @given(n_z=st.integers(1, 64), n_x=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
@@ -500,7 +534,7 @@ def test_the_one_bit_factor_table_is_read_only():
 
 
 def test_pattern_plans_are_kept_apart_by_grid():
-    coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
+    coding = quantize_1bit(farfield_phase_profile(BS, UE, PANEL_5X7))
     src = Source.far_field(BS)
     base = np.linspace(-40.0, 40.0, 9)
     moved = base.copy()
@@ -512,10 +546,10 @@ def test_pattern_plans_are_kept_apart_by_grid():
         (base[::-1], base),                              # order
         (base[:3], np.concatenate([base[3:], base])),    # the same 18 values, split apart
     ]
-    powers = [pattern(coding, src, GEOM, t, p).power for t, p in grids]
-    powers.append(pattern(coding, src, GEOM, base, base).power)  # its plan built again
+    powers = [pattern(coding, src, PANEL_5X7, t, p).power for t, p in grids]
+    powers.append(pattern(coding, src, PANEL_5X7, base, base).power)  # its plan built again
     for (t, p), power in zip(grids + grids[:1], powers):
-        assert np.array_equal(power, inline_power(coding, src, GEOM, t, p))
+        assert np.array_equal(power, inline_power(coding, src, PANEL_5X7, t, p))
     for a in range(len(grids)):
         for b in range(a):
             assert powers[a].shape != powers[b].shape or not np.array_equal(powers[a],
@@ -530,39 +564,39 @@ def test_pattern_plan_cache_keeps_one_plan():
 
 
 def test_pattern_plans_are_kept_apart_by_geometry_and_read_only():
-    key = np.linspace(-30.0, 30.0, 7).tobytes()
-    e_z, powers, step = _pattern_plan(GEOM, key, key)
-    assert (e_z.shape, powers.shape, step.shape) == ((7, 32), (7, 8, 7), (7, 7))
-    for factor in (e_z, powers, step):
+    key = np.linspace(-30.0, 30.0, 7).tobytes()  # 4 distinct |theta| and |phi|
+    e_z, table, cells = _pattern_plan(PANEL_5X7, key, key)
+    assert (e_z.shape, table.shape, cells.shape) == ((8, 5), (4, 7, 8), (7, 7))
+    for factor in (e_z, table, cells):
         assert not factor.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            factor[0, 0] = 0.0
+            factor[0, 0] = 0
     # an equal geometry shares the plan; another pitch along z or x does not
-    assert _pattern_plan(default_geometry(), key, key)[0] is e_z
-    e_z2, powers2, step2 = _pattern_plan(replace(GEOM, d_z_m=0.03), key, key)
+    assert _pattern_plan(replace(PANEL_5X7), key, key)[0] is e_z
+    e_z2, table2, cells2 = _pattern_plan(replace(PANEL_5X7, d_z_m=0.03), key, key)
     assert not np.array_equal(e_z2, e_z)
-    assert np.array_equal(powers2, powers) and np.array_equal(step2, step)
-    e_z3, powers3, step3 = _pattern_plan(replace(GEOM, d_x_m=0.03), key, key)
-    assert np.array_equal(e_z3, e_z)
-    assert not np.array_equal(powers3, powers) and not np.array_equal(step3, step)
+    assert np.array_equal(table2, table) and np.array_equal(cells2, cells)
+    e_z3, table3, cells3 = _pattern_plan(replace(PANEL_5X7, d_x_m=0.02), key, key)
+    assert np.array_equal(e_z3, e_z) and np.array_equal(cells3, cells)
+    assert not np.array_equal(table3, table)
     grid = np.frombuffer(key)
-    coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
-    for geom in (GEOM, replace(GEOM, d_z_m=0.03), replace(GEOM, d_x_m=0.03)):
+    for geom in (PANEL_5X7, replace(PANEL_5X7, d_z_m=0.03), replace(PANEL_5X7, d_x_m=0.02)):
+        coding = quantize_1bit(farfield_phase_profile(BS, UE, geom))
         got = pattern(coding, Source.far_field(BS), geom, grid, grid).power
         assert np.array_equal(got, inline_power(coding, Source.far_field(BS), geom, grid, grid))
 
 
 def test_pattern_after_the_caller_mutates_its_grid():
-    coding = quantize_1bit(farfield_phase_profile(BS, UE, GEOM))
+    coding = quantize_1bit(farfield_phase_profile(BS, UE, PANEL_5X7))
     src = Source.far_field(BS)
     phi = np.linspace(-40.0, 40.0, 9)
     theta = phi.copy()
-    res = pattern(coding, src, GEOM, theta, phi)
+    res = pattern(coding, src, PANEL_5X7, theta, phi)
     first = res.power
-    assert np.array_equal(first, inline_power(coding, src, GEOM, theta, phi))
+    assert np.array_equal(first, inline_power(coding, src, PANEL_5X7, theta, phi))
     theta[2] = 5.0
-    after = pattern(coding, src, GEOM, theta, phi).power
-    assert np.array_equal(after, inline_power(coding, src, GEOM, theta, phi))
+    after = pattern(coding, src, PANEL_5X7, theta, phi).power
+    assert np.array_equal(after, inline_power(coding, src, PANEL_5X7, theta, phi))
     assert not np.array_equal(after, first)
     # The first result keeps the grids its power and peak were computed on:
     # its own read-only copies, not the caller's arrays.
@@ -598,34 +632,38 @@ def test_pattern_rejects_a_grid_it_cannot_evaluate(name, bad, message):
 
 
 def test_pattern_grid_memory_cannot_hold_fails_before_any_exp(monkeypatch):
-    # 10**5 by 10**5 directions would take ~1.8 TB of plan and rows.  Should the
-    # check let them through, reaching the frequency grid fails before any
-    # array of the grid's size is built.
+    # 10**5 by 10**5 directions, 83,512 distinct |angle| each, would take
+    # ~3.6 TB of cos/sin table.  Should the check let them through, reaching
+    # the frequency grid fails before any array of the table's size is built.
     def reached(*args):
         raise AssertionError("the grid reached _frequency_grid")
     monkeypatch.setattr("holoris.beamforming._frequency_grid", reached)
     grid = np.linspace(-80.0, 80.0, 10**5)
     with pytest.raises(ValueError, match="^pattern's grid must be at most 2147483648 bytes "
-                                         "at 152 bytes each$"):
+                                         "at 512 bytes each$"):
         pattern(CodingMatrix.all_zero(GEOM.shape), Source.far_field(BS), GEOM, grid, grid)
 
 
 def test_pattern_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
-    # 3 thetas by 5 phis on the 32x32 panel: 15 points at 16*(8 + 1) + 8
-    # bytes, 16 bytes a theta for each of its n_z + n_x = 64 factors and
-    # sums, and 32 a point of its one block of rows, 5,832 bytes.  Each call
+    # 3 thetas by 5 phis on the 32x32 panel, 2 distinct |theta| by 3 |phi|:
+    # the table's 6 points at 16*32 bytes, e_z's 2*2 slot rows of n_z = 32
+    # complex factors, the 15 cells' int64 indices, and a call's complex
+    # z-axis rows and their stacked float copy, 2*2*32 elements of 16 bytes
+    # each (here larger than the build's w_x and arguments, and than the
+    # mirror powers with a block's transients), 9,336 bytes.  Each call
     # clears the plan cache, since a cached plan is not checked again.
     thetas, phis = np.linspace(-10.0, 10.0, 3), np.linspace(-20.0, 20.0, 5)
     coding, src = quantize_1bit(farfield_phase_profile(BS, UE, GEOM)), Source.far_field(BS)
     _pattern_plan.cache_clear()
     want = pattern(coding, src, GEOM, thetas, phis)
     _pattern_plan.cache_clear()
-    charge = 15 * 152 + 16 * 3 * 64 + 32 * 3 * 5
+    charge = 6 * 16 * 32 + 16 * 4 * 32 + 8 * 15 + 2 * 16 * 4 * 32
+    assert charge == 9336
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge)
     assert np.array_equal(pattern(coding, src, GEOM, thetas, phis).power, want.power)
     _pattern_plan.cache_clear()
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge - 1)
-    with pytest.raises(ValueError, match="^pattern's grid must be at most 5831 bytes "):
+    with pytest.raises(ValueError, match="^pattern's grid must be at most 9335 bytes "):
         pattern(coding, src, GEOM, thetas, phis)
 
 
@@ -636,11 +674,13 @@ def test_pattern_charges_its_plan_and_a_calls_rows(monkeypatch, traced_peak):
     The rise in the peak from the smaller grid to the larger, less 64 bytes
     an axis point for the 1-D arrays of both grids, is at most the rise in
     the charge the size check is given (no undercharge) and at least that
-    less 1 byte a grid point (no overcharge).  The peak is the plan and a
-    call's float power grid, 152 bytes a point, the plan's z-axis factors
-    and a call's z-axis sums, 16*(n_z + n_x) a theta, and a block of
-    _T_BLOCK rows' complex sum and column block's product, 32 bytes a point
-    of the block.
+    less 1 byte a grid point (no overcharge).  These grids are not exact
+    mirrors: 92 and 183 distinct |angle| a side.  The peak is the plan,
+    16*n_x bytes a point of U distinct |theta| by V distinct |phi| for its
+    table, 32*n_z a plan row for e_z and 8 a grid point for its cells, and a
+    call's block of plan rows: the stacked z-axis rows, 32*n_x a plan row,
+    the mirror powers, 32 bytes a point of U by V, and a block's sums, part
+    and ufunc buffers, 56 bytes a point of the block.
     """
     charges = []
 
@@ -658,6 +698,22 @@ def test_pattern_charges_its_plan_and_a_calls_rows(monkeypatch, traced_peak):
     rise = peaks[1] - peaks[0] - 64 * (256 - 128)
     assert len(charges) == 2
     assert rise <= charges[1] - charges[0] <= rise + (256**2 - 128**2)
+
+
+def test_pattern_takes_no_page_faults_once_warm(warm_faults):
+    setup = """
+import numpy as np
+from holoris.beamforming import farfield_phase_profile, pattern, quantize_1bit
+from holoris.geometry import AngularLocation, default_geometry
+from holoris.wavefield import Source
+
+geom = default_geometry()
+bs = AngularLocation(0.0, 0.0)
+coding = quantize_1bit(farfield_phase_profile(bs, AngularLocation(10.0, 25.0), geom))
+src = Source.far_field(bs)
+grid = np.linspace(-60.0, 60.0, 121)
+"""
+    assert warm_faults(setup, "pattern(coding, src, geom, grid, grid)") < 5
 
 
 def test_a_user_one_metre_out_defeats_the_plane_wave_coding():

@@ -7,12 +7,7 @@ azimuth candidates are +/-32.367221606087334 degrees.
 """
 
 import math
-import os
-import platform
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1247,11 +1242,8 @@ def test_noiseless_refinement_is_within_a_grid_step_of_the_truth(placement):
     assert abs(est.omega_x - truth.omega_x) <= abs(last[1]) * (1 + 1e-9)
 
 
-# Run in a fresh interpreter, so the allocator starts from a heap no other
-# test has shaped.  Warm-up calls set glibc's dynamic thresholds; the calls
-# after them must take no page faults.
-_REFINE_FAULTS = """
-import resource
+def test_ml_refine_takes_no_page_faults_once_warm(warm_faults):
+    setup = """
 from holoris.geometry import AngularLocation, default_geometry
 from holoris.localization import ml_refine
 from holoris.wavefield import Source, synthesize_hologram
@@ -1260,25 +1252,8 @@ bs = AngularLocation(0.0, 0.0)
 holo = synthesize_hologram([Source.far_field(bs), Source.far_field(AngularLocation(0.0, 30.0))],
                            default_geometry())[0]
 coarse = AngularLocation(1.0, 31.0)
-for _ in range(3):
-    ml_refine(holo, bs, coarse)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
-    ml_refine(holo, bs, coarse)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
-def test_ml_refine_takes_no_page_faults_once_warm():
-    src = Path(__file__).resolve().parent.parent / "src"
-    # A set malloc threshold turns glibc's dynamic thresholds off; leave them on.
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
-    env["PYTHONPATH"] = str(src)
-    done = subprocess.run([sys.executable, "-c", _REFINE_FAULTS], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert float(done.stdout) < 5
+    assert warm_faults(setup, "ml_refine(holo, bs, coarse)") < 5
 
 
 # ---------------------------------------------------------------- multiuser
