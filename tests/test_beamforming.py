@@ -475,9 +475,9 @@ def test_planned_pattern_is_the_inline_dtft_bit_for_bit(n_z, n_x, pitches, theta
     assert res.hpbw_phi_deg.hex() == _hpbw(np.array(phi), want[i, :], j).hex()
 
 
-# 128 distinct |phi|, so a block of pattern's x axis takes 32 plan rows.
-SEAM_PHI = np.arange(-127, 128) * 0.25
-SEAM_ROWS = _block_rows(128)
+# 32 distinct |phi|, so a block of pattern's x axis takes 32 plan rows.
+SEAM_PHI = np.arange(-31, 32) * 1.5
+SEAM_ROWS = _block_rows(32)
 
 
 @pytest.mark.parametrize("n_theta", [1, 2 * SEAM_ROWS - 1, 2 * SEAM_ROWS, 2 * SEAM_ROWS + 1,
