@@ -15,6 +15,7 @@ from holoris.experiments import ExperimentConfig, _placement_generators
 from holoris.geometry import (
     AngularLocation,
     ArrayGeometry,
+    _check_bytes,
     default_geometry,
     element_positions,
     spatial_frequencies,
@@ -346,6 +347,54 @@ def test_synthesize_trials_is_held_to_the_byte_budget_before_any_generator(monke
         synthesize_trials(near, GEOM, None, UnbuiltSeeds(1))
     with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "180224 bytes at 200 bytes each$"):
         synthesize_trials(near, GEOM, None, UnbuiltSeeds(2))
+
+
+def _synthesis_of_the_pair(captures: int):
+    """synthesize_trials of PAIR on a noisy detector, so every capture holds
+    its noise, as a call on an n x n panel."""
+    detector = DetectorModel(noise_std=1.0, phase_jitter_std=0.1)
+
+    def run(n: int) -> None:
+        geom = ArrayGeometry(n_z=n, n_x=n, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+        synthesize_trials(PAIR, geom, detector, list(range(captures)))
+    return run
+
+
+# The sized entry points whose byte charge is measured: the module whose
+# _check_bytes the call's one size check goes through, and the call on an
+# n x n panel.
+CHARGED_CALLS = {
+    "synthesize_trials-far-1": ("holoris.wavefield", _synthesis_of_the_pair(1)),
+    "synthesize_trials-far-4": ("holoris.wavefield", _synthesis_of_the_pair(4)),
+}
+
+
+@pytest.mark.parametrize("case", list(CHARGED_CALLS))
+def test_byte_charge_is_the_traced_slope(monkeypatch, traced_peak, case):
+    """A sized entry point's charge against tracemalloc's peak over one call,
+    on 64x64 and 128x128 panels.
+
+    The rise in the peak from the smaller panel to the larger is at most
+    the rise in the charge the size check is given (no undercharge) and at
+    least that less 1 byte an element (no overcharge), so fixed overhead
+    drops out.  A call on a 16x16 panel first takes the one-time
+    allocations of a first call out of the smaller panel's peak.  For
+    synthesize_trials the charge is _FIELD_BYTES for each of the two fields
+    and their sum and _CAPTURE_BYTES for each capture, an element.
+    """
+    module, run = CHARGED_CALLS[case]
+    charges = []
+
+    def check_bytes(what, count, item_bytes, extra_bytes=0):
+        charges.append(count * item_bytes + extra_bytes)
+        return _check_bytes(what, count, item_bytes, extra_bytes)
+
+    monkeypatch.setattr(f"{module}._check_bytes", check_bytes)
+    run(16)
+    peaks = [traced_peak(lambda: run(n)) for n in (64, 128)]
+    rise = peaks[1] - peaks[0]
+    assert len(charges) == 3
+    assert rise <= charges[2] - charges[1] <= rise + (128**2 - 64**2)
 
 
 def test_synthesize_hologram_is_held_to_the_byte_budget_before_any_field(monkeypatch):
