@@ -36,12 +36,12 @@ from .wavefield import (
 )
 
 _CODING_MAGIC = "# holoris-coding v1"
-# The most mirror powers a block of pattern's plan rows holds, unless one
-# plan row holds more.  A block's sums then take at most 64 KB, half of
-# glibc's default mmap threshold, so a call's transients fit in the heap
-# its caller already holds: on the 121x121 grid of perfbench's closed-loop
-# workload, one block of all 61 plan rows raised its peak RSS by ~0.4 MB
-# and blocks of 16 did not, at the same speed.
+# The most plan rows by phi columns a block of pattern's x axis holds, unless
+# one plan row holds more.  Its sums then take at most 64 KB, half of glibc's
+# default mmap threshold, so a call's transients fit in the heap its caller
+# already holds: on the 121x121 grid of perfbench's closed-loop workload, one
+# block of all 61 plan rows raised its peak RSS by ~0.4 MB and blocks of 16
+# did not, at the same speed.
 _BLOCK_POINTS = 2048
 # exp(i*pi*s) for the states s = 0 and 1, built as a CodingMatrix's were.
 _ONE_BIT_FACTORS = np.exp(1j * (math.pi * np.arange(2)))
@@ -227,25 +227,22 @@ def _hpbw(axis_deg: np.ndarray, cut: np.ndarray, i: int) -> float:
     return float(edges[1] - edges[0])
 
 
-def _mirror_powers(sums: np.ndarray, out: np.ndarray) -> None:
-    """|A(w)|^2 and |A(-w)|^2 of a block of plan rows from their real sums.
+def _fold(y: np.ndarray, h: int) -> np.ndarray:
+    """The rows of y (..., n_x) folded about their centre column, as the
+    real (2, ..., 2H) rows [Re even | -Im odd] over [Im even | Re odd].
 
-    For the two complex rows y of each of B plan rows, P = a + ib is the sum
-    of Re(y[n])*exp(i*n*w) over n and Q = c + id that of Im(y[n]), at V
-    frequencies w >= 0.  sums, (B, 4, 2V), holds two rows [a | b] over two
-    rows [c | d], as a plan row's stacked [Re y; Im y] times its table
-    [cos(n*w) | sin(n*w)] gives them.  A(w) = P + iQ and A(-w) = conj(P) +
-    i*conj(Q), so out, (2, B, 2, V), takes |A(w)|^2 = (a - d)^2 + (b + c)^2
-    and |A(-w)|^2 = (a + d)^2 + (b - c)^2.
+    even = y[hi] + y[lo] and odd = y[hi] - y[lo] over the H = ceil(n_x/2)
+    columns hi at and right of the centre and their mirrors lo, at centred
+    indices k = hi - (n_x - 1)/2 >= 0.  A row's sum of y[n]*exp(i*n*w) is
+    exp(i*(n_x - 1)*w/2) times the sum over k of even*cos(k*w) +
+    i*odd*sin(k*w), so the two rows times [cos(k*w); sin(k*w)] give its
+    real and imaginary parts up to that unit phase.  An odd n_x's centre
+    column is its own mirror, which even holds twice, so its cos(0) is
+    weighted 1/2.
     """
-    v = sums.shape[2] // 2
-    a, b, c, d = sums[:, :2, :v], sums[:, :2, v:], sums[:, 2:, :v], sums[:, 2:, v:]
-    plus, minus = out
-    part = np.empty_like(plus)
-    np.square(np.subtract(a, d, out=plus), out=plus)
-    plus += np.square(np.add(b, c, out=part), out=part)
-    np.square(np.add(a, d, out=minus), out=minus)
-    minus += np.square(np.subtract(b, c, out=part), out=part)
+    hi, lo = y[..., -h:], y[..., h - 1::-1]
+    z = np.concatenate((hi + lo, 1j * (hi - lo)), axis=-1)
+    return np.stack((z.real, z.imag))
 
 
 def _magnitudes(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,24 +259,24 @@ def _magnitudes(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _pattern_plan(
     geom: ArrayGeometry, theta_key: bytes, phi_key: bytes
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What pattern needs of a grid besides the excitation, as (e_z, table, cells).
+    """What pattern needs of a grid besides the excitation, as (e_z, table, rows).
 
     The keys are the float64 bytes of the 1-D theta (T,) and phi (P,)
     grids.  w_x = K*cos(theta)*sin(phi) depends on theta only through
-    |theta| and is odd in phi, so the x-axis factors are kept for the U
-    distinct |theta| (plan rows) by the V distinct |phi| only: table[u] =
-    [cos(n*w) | sin(n*w)] for n < n_x, of shape (U, n_x, 2V), built one
-    plan row at a time.  A plan row has two slots, |theta| and -|theta|,
-    and e_z = exp(i*outer(w_z, m)), the z-axis DTFT factor, has one row a
-    slot, of shape (2U, n_z).  cells (T, P) is the flat index of each grid
-    cell in a call's (2, U, 2, V) mirror powers: the sign of phi, the plan
-    row and slot of theta, the column of |phi|.  All three are read-only,
-    as every call on the grid shares them.  A plan holds 16*U*(n_x*V +
-    2*n_z) + 8*T*P bytes, and the cache one plan, the last grid's.  Raises
-    ValueError naming the grid unless it holds at least one angle and each
-    is finite with |angle| < 90, and, before any exp, unless _check_bytes
-    admits the table and the rest of the plan and a call (_pattern_bytes),
-    so a grid is checked once per plan.
+    |theta|, so the x-axis factors are kept for the U distinct |theta|
+    (plan rows) by the grid's own P phi columns: table[u] = [cos(k*w);
+    sin(k*w)] for the H = ceil(n_x/2) centred columns k >= 0 of _fold, of
+    shape (U, 2H, P), built one plan row at a time.  For an odd n_x the
+    centre column, k = 0, is its own mirror, so its cosine row is weighted
+    1/2.  A plan row has two slots, |theta| and -|theta|, and e_z =
+    exp(i*outer(w_z, m)), the z-axis DTFT factor, has one row a slot, of
+    shape (2U, n_z); rows (T,) is the slot of each grid row.  All three are
+    read-only, as every call on the grid shares them.  A plan holds
+    16*U*(H*P + 2*n_z) + 8*T bytes, and the cache one plan, the last
+    grid's.  Raises ValueError naming the grid unless it holds at least one
+    angle and each is finite with |angle| < 90, and, before any exp, unless
+    _check_bytes admits the table and the rest of the plan and a call
+    (_pattern_bytes), so a grid is checked once per plan.
     """
     theta, phi = np.frombuffer(theta_key), np.frombuffer(phi_key)
     for name, grid in (("theta_grid_deg", theta), ("phi_grid_deg", phi)):
@@ -287,51 +284,50 @@ def _pattern_plan(
             raise ValueError(
                 f"{name} must hold at least one angle, each finite with |angle| < 90 deg"
             )
-    (theta_abs, theta_row), (phi_abs, phi_col) = _magnitudes(theta), _magnitudes(phi)
-    u, v = theta_abs.size, phi_abs.size
-    _check_bytes("pattern's grid", u * v, 16 * geom.n_x,
-                 _pattern_bytes(geom, theta.size, phi.size, u, v))
-    w_z, w_x = _frequency_grid(np.stack([theta_abs, -theta_abs], axis=1).ravel(), phi_abs, geom)
+    theta_abs, theta_row = _magnitudes(theta)
+    u, p, h = theta_abs.size, phi.size, (geom.n_x + 1) // 2
+    _check_bytes("pattern's grid", u * p, 16 * h, _pattern_bytes(geom, theta.size, p, u))
+    w_z, w_x = _frequency_grid(np.stack([theta_abs, -theta_abs], axis=1).ravel(), phi, geom)
     e_z = np.multiply.outer(w_z, 1j * np.arange(geom.n_z))
     np.exp(e_z, out=e_z)
-    n = np.arange(geom.n_x)[:, np.newaxis]
-    table = np.empty((u, geom.n_x, 2 * v))
+    k = np.arange(geom.n_x - h, geom.n_x)[:, np.newaxis] - (geom.n_x - 1) / 2
+    table = np.empty((u, 2 * h, p))
     for plan_row, w in zip(table, w_x[::2]):  # cos(-theta) = cos(theta): both slots' w_x
-        arg = n * w
-        np.cos(arg, out=plan_row[:, :v])
-        np.sin(arg, out=plan_row[:, v:])
+        arg = k * w
+        np.cos(arg, out=plan_row[:h])
+        np.sin(arg, out=plan_row[h:])
     del w_x, arg
-    cells = np.add.outer(2 * theta_row + (theta < 0.0), (phi < 0.0) * (2 * u))
-    cells *= v
-    cells += phi_col
-    for factor in (e_z, table, cells):
+    if geom.n_x % 2:
+        table[:, 0] *= 0.5
+    rows = 2 * theta_row + (theta < 0.0)
+    for factor in (e_z, table, rows):
         factor.flags.writeable = False
-    return e_z, table, cells
+    return e_z, table, rows
 
 
-def _block_rows(v: int) -> int:
-    """The plan rows of a block of pattern's x axis, with V columns a row."""
-    return max(1, _BLOCK_POINTS // (2 * v))
+def _block_rows(p: int) -> int:
+    """The plan rows of a block of pattern's x axis, with P columns a row."""
+    return max(1, _BLOCK_POINTS // p)
 
 
-def _pattern_bytes(geom: ArrayGeometry, t: int, p: int, u: int, v: int) -> int:
+def _pattern_bytes(geom: ArrayGeometry, t: int, p: int, u: int) -> int:
     """The bytes pattern takes beside its plan's table, on a grid of T by P
-    angles with U by V distinct magnitudes.
+    angles with U distinct |theta|.
 
-    The plan's e_z and cells, and the larger of what its build holds beside
-    them (its (2U, V) w_x, a plan row's exp argument and the ufunc buffer
-    of its strided output) and what a call holds: its complex (2U, n_x)
-    z-axis rows and their stacked float copy, then that copy, the float
-    (2, U, 2, V) mirror powers and a block's sums, part and the two ufunc
-    buffers of its strided sums, then the copy, the mirror powers, the
-    float (T, P) power grid and the peak search's bool mask of it.
+    The plan's e_z and rows, and the larger of what its build holds beside
+    them (its (2U, P) w_x and a plan row's (H, P) exp argument) and what a
+    call holds: its complex (2U, n_x) z-axis rows with their folded complex
+    copies and float rows (_fold, 128 bytes a plan row and folded column),
+    then the float rows, the (U, 2, P) slot powers and a block's sums, then
+    the slot powers, the float (T, P) power grid and the peak search's bool
+    mask of it.
     """
-    block = min(u, _block_rows(v)) * 2 * v
-    build = 16 * u * v + 8 * geom.n_x * v + 8 * min(geom.n_x * v, np.getbufsize())
-    call = 32 * u * geom.n_x + max(
-        32 * u * geom.n_x,
-        32 * u * v + max(40 * block + 16 * min(block, np.getbufsize()), 9 * t * p))
-    return 32 * u * geom.n_z + 8 * t * p + max(build, call)
+    h = (geom.n_x + 1) // 2
+    build = 16 * u * p + 8 * h * p
+    call = max(32 * u * geom.n_x + 128 * u * h,
+               64 * u * h + 16 * u * p + 32 * min(u, _block_rows(p)) * p,
+               16 * u * p + 9 * t * p)
+    return 32 * u * geom.n_z + 8 * t + max(build, call)
 
 
 def pattern(
@@ -349,14 +345,14 @@ def pattern(
 
     The power over the whole grid is one 2D DTFT of the panel excitation,
     |sum_{m,n} e[m, n]*exp(i*(m*w_z(theta) + n*w_x(theta, phi)))|^2: a
-    matrix product along z into complex rows y, one a plan slot, then
-    along x, for each block of plan rows (_block_rows), one batched real
-    matrix product of each plan row's stacked [Re y; Im y] by its cos/sin
-    table, whose sums give the power at +w_x and -w_x (_mirror_powers).
-    The plan's cells place those powers on the grid.  Its factors depend
-    only on the geometry and the grids, so _pattern_plan builds them once
-    per (geom, theta grid, phi grid) and a call computes only what depends
-    on the coding and the source.
+    matrix product along z into complex rows y, one a plan slot, folded
+    about their centre column (_fold), then along x, for each block of plan
+    rows (_block_rows), one batched real matrix product of each plan row's
+    folded rows by its cos/sin table, whose squared halves sum to the power
+    of each slot.  The plan's rows place those slots on the grid.  Its
+    factors depend only on the geometry and the grids, so _pattern_plan
+    builds them once per (geom, theta grid, phi grid) and a call computes
+    only what depends on the coding and the source.
 
     Like received_power, raises TypeError unless coding is a CodingMatrix
     or PhaseProfile and ValueError unless its shape is geom.shape.  Raises
@@ -371,19 +367,21 @@ def pattern(
         if grid.ndim != 1:  # the plan's key, the grid's bytes, drops its shape
             raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
     theta_key, phi_key = theta_grid_deg.tobytes(), phi_grid_deg.tobytes()
-    e_z, table, cells = _pattern_plan(geom, theta_key, phi_key)
+    e_z, table, rows = _pattern_plan(geom, theta_key, phi_key)
     # Views of the keys, which the caller cannot reach.
     theta_grid_deg, phi_grid_deg = np.frombuffer(theta_key), np.frombuffer(phi_key)
-    u, v = table.shape[0], table.shape[2] // 2
-    y = (e_z @ excitation).reshape(u, 2, geom.n_x)
-    stack = np.concatenate((y.real, y.imag), axis=1)
-    del y
-    mirror = np.empty((2, u, 2, v))
-    rows = _block_rows(v)
-    for b in range(0, u, rows):
-        block = slice(b, b + rows)
-        _mirror_powers(stack[block] @ table[block], mirror[:, block])
-    power = mirror.reshape(-1)[cells]
+    u, h, p = table.shape[0], table.shape[1] // 2, table.shape[2]
+    stack = _fold((e_z @ excitation).reshape(u, 2, geom.n_x), h)
+    slots = np.empty((u, 2, p))
+    step = _block_rows(p)
+    for b in range(0, u, step):
+        block = slice(b, b + step)
+        sums = stack[:, block] @ table[block]  # Re A over Im A, each (B, 2, P)
+        np.square(sums, out=sums)
+        np.add(sums[0], sums[1], out=slots[block])
+        del sums  # before the next block's
+    del stack
+    power = slots.reshape(2 * u, p)[rows]
     # The first tied cell, as in the peak search: a real excitation's mirror lobes tie.
     i, j = divmod(int(_first_tied(power.ravel(), power.max())), power.shape[1])
     peak = AngularLocation(

@@ -28,8 +28,8 @@ from holoris.beamforming import (
     PhaseProfile,
     _ONE_BIT_FACTORS,
     _block_rows,
+    _fold,
     _hpbw,
-    _mirror_powers,
     _pattern_plan,
     _reflection,
     farfield_phase_profile,
@@ -243,20 +243,23 @@ def first_tied_cell(power):
 
 
 def test_pattern_peak_is_the_first_of_two_mirror_lobes():
-    # A broadside reference makes a 1-bit excitation real, so the beam at
-    # (10, phi) has a mirror lobe at (-10, -phi) of the same power but for
-    # rounding.  The earlier lobe is reported whichever rounds higher; on at
-    # least one of these beams the later one does, so plain argmax fails.
-    grid = np.linspace(-60.0, 60.0, 121)  # angle a at index a + 60
+    # A broadside reference makes a 1-bit excitation real but for the
+    # rounding of exp(i*pi), so the beam at (10, phi) has a mirror lobe at
+    # (-10, -phi) of the same power but for rounding.  On this grid angle a
+    # sits at index a + 60 up to its last bits, so mirror angles differ in
+    # their bits and so do the lobes.  The earlier lobe is reported whichever
+    # rounds higher; on at least one of these beams the later one does, so
+    # plain argmax fails.
+    grid = np.linspace(-0.6, 0.6, 121) * 100.0
     later_higher = []
-    for phi in (20, 25, 35, 45):
+    for phi in (5, 10, 15, 20):
         coding = quantize_1bit(farfield_phase_profile(BS, AngularLocation(10.0, phi), GEOM))
         res = pattern(coding, Source.far_field(BS), GEOM, grid, grid)
         power = res.power
         tied = np.argwhere(power >= power.max() * (1.0 - 1e-12)).tolist()
         assert tied == [[50, 60 - phi], [70, 60 + phi]]
         later_higher.append(power[70, 60 + phi] > power[50, 60 - phi])
-        assert res.peak == AngularLocation(-10.0, -phi)
+        assert res.peak == AngularLocation(grid[50], grid[60 - phi])
         assert res.hpbw_theta_deg == _hpbw(grid, power[:, 60 - phi], 50)
         assert res.hpbw_phi_deg == _hpbw(grid, power[50, :], 60 - phi)
     assert any(later_higher)
@@ -340,6 +343,8 @@ def brute_force_pattern(factor, bs, geom, theta_grid_deg, phi_grid_deg):
 
 PANEL_5X7 = ArrayGeometry(n_z=5, n_x=7, d_z_m=0.02, d_x_m=0.03, f_c_hz=3_500_000_000)
 PANEL_4X1 = replace(PANEL_5X7, n_z=4, n_x=1)
+PANEL_4X2 = replace(PANEL_5X7, n_z=4, n_x=2)
+PANEL_3X6 = replace(PANEL_5X7, n_z=3, n_x=6)
 # phi grids: mirrored, repeated angles with both zeros, one-sided, partly mirrored, one angle
 ORACLE_PHI_GRIDS = [np.arange(-60.0, 61.0, 7.5), [20.0, -20.0, 20.0, -0.0, 0.0],
                     np.arange(0.0, 61.0, 15.0), np.arange(-50.0, 71.0, 20.0), [12.5]]
@@ -349,11 +354,13 @@ ORACLE_PHI_GRIDS = [np.arange(-60.0, 61.0, 7.5), [20.0, -20.0, 20.0, -0.0, 0.0],
     np.arange(-40.0, 41.0, 10.0), [12.5], [10.0, -10.0, 10.0, 0.0, 0.0], [-0.0, 0.0, 5.0, -5.0],
     np.arange(0.0, 61.0, 10.0), np.arange(-50.0, 71.0, 10.0)])
 def test_pattern_matches_per_element_field_sum(theta_grid):
-    # Each theta grid against each phi grid, on a 5x7 panel and one of a
-    # single column.
+    # Each theta grid against each phi grid, on panels of an odd and an even
+    # number of columns, one and two columns among them, so that pattern's
+    # fold about the centre column meets a centre column and none.
     bs = AngularLocation(-8.0, 15.0)
     rng = np.random.default_rng(5)
-    for geom, phi_grid in itertools.product((PANEL_5X7, PANEL_4X1), ORACLE_PHI_GRIDS):
+    for geom, phi_grid in itertools.product((PANEL_5X7, PANEL_4X1, PANEL_4X2, PANEL_3X6),
+                                            ORACLE_PHI_GRIDS):
         phases = rng.uniform(-math.pi, math.pi, geom.shape)
         states = rng.integers(0, 2, geom.shape)
         for coding, factor in (
@@ -388,29 +395,38 @@ def _dtft2(x: np.ndarray, w_z: np.ndarray, w_x: np.ndarray) -> np.ndarray:
     """|sum_{m,n} x[m, n] * exp(i*(m*w_z[t] + n*w_x[t, p]))|^2 for every (t, p).
 
     x is (n_z, n_x), w_z is (T,) and w_x is (T, P); returns (T, P).  The z
-    axis is one matrix product, taken at w_z and -w_z as beamforming.pattern
-    takes a plan row's two slots.  Then each row t on its own: its
-    [Re y; Im y] times its own table [cos(n*|w|) | sin(n*|w|)] gives
-    P = a + ib and Q = c + id, and the power is |A(w)|^2 = (a - d)^2 +
-    (b + c)^2, or |A(-w)|^2 = (a + d)^2 + (b - c)^2 where w_x < 0.  No
-    plan, no rows shared between grid rows, no blocks.
+    axis is one matrix product, taken at -|w_z| and |w_z| as
+    beamforming.pattern takes a plan row's two slots.  Then each row t on
+    its own, about its centre column: with k = n - (n_x - 1)/2 for the H
+    columns hi at and right of the centre and lo their mirrors, even =
+    y[hi] + y[lo] and odd = y[hi] - y[lo], the rows [Re even | -Im odd]
+    and [Im even | Re odd] of both slots times [cos(k*w) with its k = 0
+    entry halved; sin(k*w)] are the real and imaginary parts of the sums,
+    up to a phase of modulus 1, and the power is the slot of w_z's sign.
+    No plan, no rows shared between grid rows, no blocks.
     """
-    y = (np.exp(1j * np.outer(np.stack([w_z, -w_z], axis=1).ravel(), np.arange(x.shape[0])))
-         @ x)[::2]
-    n = np.arange(x.shape[1])[:, np.newaxis]
-    p = w_x.shape[1]
+    pairs = np.stack([-np.abs(w_z), np.abs(w_z)], axis=1).ravel()
+    y = (np.exp(1j * np.outer(pairs, np.arange(x.shape[0]))) @ x).reshape(len(w_z), 2, -1)
+    n_x = x.shape[1]
+    h = (n_x + 1) // 2
+    k = np.arange(n_x - h, n_x)[:, np.newaxis] - (n_x - 1) / 2
+    half = np.where(k == 0.0, 0.5, 1.0)
     power = np.empty(w_x.shape)
     for t, (row, w) in enumerate(zip(y, w_x)):
-        arg = n * np.abs(w)
-        sums = np.stack([row.real, row.imag]) @ np.hstack([np.cos(arg), np.sin(arg)])
-        (a, c), (b, d) = sums[:, :p], sums[:, p:]
-        power[t] = np.where(w < 0, (a + d) ** 2 + (b - c) ** 2, (a - d) ** 2 + (b + c) ** 2)
+        even = row[:, n_x - h:] + row[:, h - 1::-1]
+        odd = row[:, n_x - h:] - row[:, h - 1::-1]
+        arg = k * w
+        table = np.vstack([np.cos(arg) * half, np.sin(arg)])
+        re = np.hstack([even.real, -odd.imag]) @ table
+        im = np.hstack([even.imag, odd.real]) @ table
+        slot = int(w_z[t] > 0.0)
+        power[t] = re[slot] ** 2 + im[slot] ** 2
     return power
 
 
 def inline_power(coding, bs_src, geom, theta_grid_deg, phi_grid_deg):
     """pattern's power as _dtft2 takes it, every factor built on every call
-    from the caller's grids, a grid row at a time."""
+    from the caller's grids, a grid row at a time, with no |theta| fold."""
     excitation = complex_field_at_array(bs_src, geom) * _reflection(coding, geom)
     return _dtft2(excitation, *_frequency_grid(np.asarray(theta_grid_deg, dtype=float),
                                                np.asarray(phi_grid_deg, dtype=float), geom))
@@ -430,20 +446,24 @@ def test_dtft2_matches_explicit_sum():
         assert np.max(np.abs(_dtft2(x, w_z, w_x) - own)) <= 1e-13 * np.max(own)
 
 
-@pytest.mark.parametrize("n_x", [1, 5, 8, 9, 17, 32])
+@pytest.mark.parametrize("n_x", [1, 2, 5, 8, 9, 17, 32])
 def test_blocked_dtft_matches_explicit_sum(n_x):
     # pattern's x axis on one block of 6 plan rows of two slots each, at 7
-    # frequencies w >= 0 a row: the batched real product and _mirror_powers
-    # against the complex sums at +w and -w.
+    # signed frequencies a row: the rows _fold makes, times a centred cos/sin
+    # table, squared, their halves summed, against the complex sums over n.
     rng = np.random.default_rng(n_x)
     y = rng.normal(size=(6, 2, n_x)) + 1j * rng.normal(size=(6, 2, n_x))
-    w = rng.uniform(0.0, math.pi, (6, 7))
-    arg = np.arange(n_x)[np.newaxis, :, np.newaxis] * w[:, np.newaxis, :]
-    table = np.concatenate([np.cos(arg), np.sin(arg)], axis=2)
-    got = np.empty((2, 6, 2, 7))
-    _mirror_powers(np.concatenate([y.real, y.imag], axis=1) @ table, got)
-    own = np.abs(np.stack([np.einsum("bsn,bnv->bsv", y, np.exp(sign * 1j * arg))
-                           for sign in (1, -1)])) ** 2
+    w = rng.uniform(-math.pi, math.pi, (6, 7))
+    h = (n_x + 1) // 2
+    k = np.arange(n_x - h, n_x)[:, np.newaxis] - (n_x - 1) / 2
+    arg = k * w[:, np.newaxis, :]
+    table = np.concatenate([np.cos(arg) * np.where(k == 0.0, 0.5, 1.0), np.sin(arg)], axis=1)
+    folded = _fold(y, h)
+    assert folded.shape == (2, 6, 2, 2 * h)
+    sums = np.square(folded @ table)
+    got = sums[0] + sums[1]
+    own = np.abs(np.einsum("bsn,bnv->bsv", y, np.exp(
+        1j * np.arange(n_x)[np.newaxis, :, np.newaxis] * w[:, np.newaxis, :]))) ** 2
     assert np.max(np.abs(got - own)) <= 1e-13 * np.max(own)
 
 
@@ -475,9 +495,9 @@ def test_planned_pattern_is_the_inline_dtft_bit_for_bit(n_z, n_x, pitches, theta
     assert res.hpbw_phi_deg.hex() == _hpbw(np.array(phi), want[i, :], j).hex()
 
 
-# 32 distinct |phi|, so a block of pattern's x axis takes 32 plan rows.
+# 63 phi columns, so a block of pattern's x axis takes 32 plan rows.
 SEAM_PHI = np.arange(-31, 32) * 1.5
-SEAM_ROWS = _block_rows(32)
+SEAM_ROWS = _block_rows(SEAM_PHI.size)
 
 
 @pytest.mark.parametrize("n_theta", [1, 2 * SEAM_ROWS - 1, 2 * SEAM_ROWS, 2 * SEAM_ROWS + 1,
@@ -564,20 +584,21 @@ def test_pattern_plan_cache_keeps_one_plan():
 
 
 def test_pattern_plans_are_kept_apart_by_geometry_and_read_only():
-    key = np.linspace(-30.0, 30.0, 7).tobytes()  # 4 distinct |theta| and |phi|
-    e_z, table, cells = _pattern_plan(PANEL_5X7, key, key)
-    assert (e_z.shape, table.shape, cells.shape) == ((8, 5), (4, 7, 8), (7, 7))
-    for factor in (e_z, table, cells):
+    key = np.linspace(-30.0, 30.0, 7).tobytes()  # 4 distinct |theta|
+    e_z, table, rows = _pattern_plan(PANEL_5X7, key, key)
+    assert (e_z.shape, table.shape, rows.shape) == ((8, 5), (4, 8, 7), (7,))
+    assert rows.tolist() == [1, 3, 5, 6, 4, 2, 0]
+    for factor in (e_z, table, rows):
         assert not factor.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            factor[0, 0] = 0
+            factor[(0,) * factor.ndim] = 0
     # an equal geometry shares the plan; another pitch along z or x does not
     assert _pattern_plan(replace(PANEL_5X7), key, key)[0] is e_z
-    e_z2, table2, cells2 = _pattern_plan(replace(PANEL_5X7, d_z_m=0.03), key, key)
+    e_z2, table2, rows2 = _pattern_plan(replace(PANEL_5X7, d_z_m=0.03), key, key)
     assert not np.array_equal(e_z2, e_z)
-    assert np.array_equal(table2, table) and np.array_equal(cells2, cells)
-    e_z3, table3, cells3 = _pattern_plan(replace(PANEL_5X7, d_x_m=0.02), key, key)
-    assert np.array_equal(e_z3, e_z) and np.array_equal(cells3, cells)
+    assert np.array_equal(table2, table) and np.array_equal(rows2, rows)
+    e_z3, table3, rows3 = _pattern_plan(replace(PANEL_5X7, d_x_m=0.02), key, key)
+    assert np.array_equal(e_z3, e_z) and np.array_equal(rows3, rows)
     assert not np.array_equal(table3, table)
     grid = np.frombuffer(key)
     for geom in (PANEL_5X7, replace(PANEL_5X7, d_z_m=0.03), replace(PANEL_5X7, d_x_m=0.02)):
@@ -632,38 +653,39 @@ def test_pattern_rejects_a_grid_it_cannot_evaluate(name, bad, message):
 
 
 def test_pattern_grid_memory_cannot_hold_fails_before_any_exp(monkeypatch):
-    # 10**5 by 10**5 directions, 83,512 distinct |angle| each, would take
-    # ~3.6 TB of cos/sin table.  Should the check let them through, reaching
+    # 10**5 by 10**5 directions, 83,512 distinct |theta|, would take ~2.1 TB
+    # of cos/sin table.  Should the check let them through, reaching
     # the frequency grid fails before any array of the table's size is built.
     def reached(*args):
         raise AssertionError("the grid reached _frequency_grid")
     monkeypatch.setattr("holoris.beamforming._frequency_grid", reached)
     grid = np.linspace(-80.0, 80.0, 10**5)
     with pytest.raises(ValueError, match="^pattern's grid must be at most 2147483648 bytes "
-                                         "at 512 bytes each$"):
+                                         "at 256 bytes each$"):
         pattern(CodingMatrix.all_zero(GEOM.shape), Source.far_field(BS), GEOM, grid, grid)
 
 
 def test_pattern_budget_admits_a_grid_of_exactly_its_bytes(monkeypatch):
-    # 3 thetas by 5 phis on the 32x32 panel, 2 distinct |theta| by 3 |phi|:
-    # the table's 6 points at 16*32 bytes, e_z's 2*2 slot rows of n_z = 32
-    # complex factors, the 15 cells' int64 indices, and a call's complex
-    # z-axis rows and their stacked float copy, 2*2*32 elements of 16 bytes
-    # each (here larger than the build's w_x and arguments, and than the
-    # mirror powers with a block's transients), 9,336 bytes.  Each call
-    # clears the plan cache, since a cached plan is not checked again.
+    # 3 thetas by 5 phis on the 32x32 panel, 2 distinct |theta|: the
+    # table's 2*5 points at 16*16 bytes, e_z's 2*2 slot rows of n_z = 32
+    # complex factors, the 3 rows' int64 slots, and a call's complex z-axis
+    # rows, 2*2*32 elements of 16 bytes, with their folded copies and float
+    # rows, 128 bytes a plan row and folded column (here larger than the
+    # build's w_x and argument, and than a block's sums beside the float
+    # rows and slot powers), 10,776 bytes.  Each call clears the plan
+    # cache, since a cached plan is not checked again.
     thetas, phis = np.linspace(-10.0, 10.0, 3), np.linspace(-20.0, 20.0, 5)
     coding, src = quantize_1bit(farfield_phase_profile(BS, UE, GEOM)), Source.far_field(BS)
     _pattern_plan.cache_clear()
     want = pattern(coding, src, GEOM, thetas, phis)
     _pattern_plan.cache_clear()
-    charge = 6 * 16 * 32 + 16 * 4 * 32 + 8 * 15 + 2 * 16 * 4 * 32
-    assert charge == 9336
+    charge = 10 * 16 * 16 + 16 * 4 * 32 + 8 * 3 + 16 * 4 * 32 + 128 * 2 * 16
+    assert charge == 10776
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge)
     assert np.array_equal(pattern(coding, src, GEOM, thetas, phis).power, want.power)
     _pattern_plan.cache_clear()
     monkeypatch.setattr("holoris.geometry._MAX_BYTES", charge - 1)
-    with pytest.raises(ValueError, match="^pattern's grid must be at most 9335 bytes "):
+    with pytest.raises(ValueError, match="^pattern's grid must be at most 10775 bytes "):
         pattern(coding, src, GEOM, thetas, phis)
 
 
@@ -675,12 +697,13 @@ def test_pattern_charges_its_plan_and_a_calls_rows(monkeypatch, traced_peak):
     an axis point for the 1-D arrays of both grids, is at most the rise in
     the charge the size check is given (no undercharge) and at least that
     less 1 byte a grid point (no overcharge).  These grids are not exact
-    mirrors: 92 and 183 distinct |angle| a side.  The peak is the plan,
-    16*n_x bytes a point of U distinct |theta| by V distinct |phi| for its
-    table, 32*n_z a plan row for e_z and 8 a grid point for its cells, and a
-    call's block of plan rows: the stacked z-axis rows, 32*n_x a plan row,
-    the mirror powers, 32 bytes a point of U by V, and a block's sums, part
-    and ufunc buffers, 56 bytes a point of the block.
+    mirrors: 92 and 183 distinct |theta|.  The peak is the plan, 16*H bytes
+    (H = n_x/2) a point of U distinct |theta| by the P phi columns for its
+    table, 32*n_z a plan row for e_z and 8 a theta for its slot rows, and
+    then, on the 128 grid, a call's block of plan rows: the folded float
+    rows, 64*H a plan row, the slot powers, 16 bytes a point of U by P, and
+    a block's sums, 32 bytes a point of the block; on the 256 grid the slot
+    powers beside the power grid and its peak mask, 9 bytes a grid point.
     """
     charges = []
 
