@@ -46,6 +46,7 @@ def _check_integer(name: str, value, minimum: int) -> None:
 # cannot hold is refused before anything is allocated.
 _MAX_BYTES = 2**31
 _POSITION_BYTES = 3 * 8  # element_positions' float64 (n_z, n_x, 3): a panel's largest array
+_AXIS_BYTES = 8  # element_positions' float64 z (n_z,) and x (n_x,) beside it, an axis point
 
 
 def _check_bytes(what: str, count, item_bytes: int, extra_bytes=0) -> None:
@@ -113,7 +114,8 @@ class ArrayGeometry:
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        _check_bytes("n_z*n_x", self.n_z * self.n_x, _POSITION_BYTES)
+        _check_bytes("n_z*n_x", self.n_z * self.n_x, _POSITION_BYTES,
+                     _AXIS_BYTES * (self.n_z + self.n_x))
         _check_integer("f_c_hz", self.f_c_hz, 1)
         for name in ("d_z_m", "d_x_m"):
             value = getattr(self, name)
@@ -159,10 +161,8 @@ def element_positions(geom: ArrayGeometry) -> np.ndarray:
     ((n - (n_x+1)/2) * d_x, 0, (m - (n_z+1)/2) * d_z), i.e. the panel is
     centered on the origin for odd and even counts alike.
     """
-    m = np.arange(1, geom.n_z + 1, dtype=float)
-    n = np.arange(1, geom.n_x + 1, dtype=float)
-    z = (m - (geom.n_z + 1) / 2.0) * geom.d_z_m
-    x = (n - (geom.n_x + 1) / 2.0) * geom.d_x_m
+    z = (np.arange(1, geom.n_z + 1, dtype=float) - (geom.n_z + 1) / 2.0) * geom.d_z_m
+    x = (np.arange(1, geom.n_x + 1, dtype=float) - (geom.n_x + 1) / 2.0) * geom.d_x_m
     pos = np.zeros((geom.n_z, geom.n_x, 3))
     pos[:, :, 0] = x[np.newaxis, :]
     pos[:, :, 2] = z[:, np.newaxis]

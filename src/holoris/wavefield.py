@@ -255,11 +255,14 @@ def _tag_signature(source: Source, geom: ArrayGeometry):
 
 def _synthesis_bytes(trials: int, kinds) -> int:
     """synthesize_trials' work arrays in bytes per panel element, for sources of
-    the given kinds: a field per source and their sum, trials captures and,
-    with a near field, its temporaries."""
+    the given kinds: a field per source, their sum and trials captures or,
+    if larger, a near field's build beside the fields built before it.  A
+    near field's temporaries are freed before the captures are made."""
     kinds = list(kinds)
-    return (_FIELD_BYTES * (len(kinds) + 1) + _CAPTURE_BYTES * trials
-            + _NEAR_FIELD_BYTES * ("near_field" in kinds))
+    captures = _FIELD_BYTES * (len(kinds) + 1) + _CAPTURE_BYTES * trials
+    if "near_field" not in kinds:
+        return captures
+    return max(captures, _FIELD_BYTES * (len(kinds) - 1) + _NEAR_FIELD_BYTES)
 
 
 def _check_synthesis(shape, item_bytes: int) -> None:

@@ -91,12 +91,13 @@ def test_geometry_rejects_carrier_beyond_float_and_size_beyond_numpy(field, bad,
 
 
 def test_geometry_is_held_to_the_byte_budget(monkeypatch):
-    # a 32x32 panel takes 32*32*24 bytes in element_positions
-    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 24)
+    # a 32x32 panel takes 32*32*24 bytes in element_positions, and its two
+    # axis vectors 8 bytes an axis point
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 24 + 8 * 64)
     assert default_geometry().shape == (32, 32)
-    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 24 - 1)
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 24 + 8 * 64 - 1)
     with pytest.raises(ValueError,
-                       match=r"^n_z\*n_x must be at most 24575 bytes at 24 bytes each$"):
+                       match=r"^n_z\*n_x must be at most 25087 bytes at 24 bytes each$"):
         default_geometry()
 
 

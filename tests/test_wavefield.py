@@ -339,33 +339,59 @@ def test_synthesize_trials_is_held_to_the_byte_budget_before_any_generator(monke
         synthesize_trials(PAIR, GEOM, None, UnbuiltSeeds(4))
     with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "180224 bytes at 208 bytes each$"):
         synthesize_trials(PAIR, GEOM, None, UnbuiltSeeds(5))
-    # 4 sources take two more fields; a near field adds the temporaries of its build
+    # 4 sources take two more fields
     with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "180224 bytes at 208 bytes each$"):
         synthesize_trials(PAIR * 2, GEOM, None, UnbuiltSeeds(4))
+    # a near field's build, 88 bytes beside the field before it, is freed
+    # before the captures are made, so the larger of the two is charged:
+    # the build at 1 capture, the pair's 3 fields and 2 captures at 2
     near = [PAIR[0], Source.near_field((0.1, 2.0, 0.3))]
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 104)
     with pytest.raises(Unbuilt):
         synthesize_trials(near, GEOM, None, UnbuiltSeeds(1))
-    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "180224 bytes at 200 bytes each$"):
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "106496 bytes at 112 bytes each$"):
         synthesize_trials(near, GEOM, None, UnbuiltSeeds(2))
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 104 - 1)
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "106495 bytes at 104 bytes each$"):
+        synthesize_trials(near, GEOM, None, UnbuiltSeeds(1))
 
 
-def _synthesis_of_the_pair(captures: int):
-    """synthesize_trials of PAIR on a noisy detector, so every capture holds
-    its noise, as a call on an n x n panel."""
+def _synthesis_of(sources, captures: int):
+    """synthesize_trials of sources on a noisy detector, so every capture
+    holds its noise, as a call on an n x n panel."""
     detector = DetectorModel(noise_std=1.0, phase_jitter_std=0.1)
 
     def run(n: int) -> None:
         geom = ArrayGeometry(n_z=n, n_x=n, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
-        synthesize_trials(PAIR, geom, detector, list(range(captures)))
+        synthesize_trials(sources, geom, detector, list(range(captures)))
     return run
 
 
+def _positions(n: int) -> None:
+    element_positions(ArrayGeometry(n_z=n, n_x=n, d_z_m=0.02, d_x_m=0.02,
+                                    f_c_hz=3_500_000_000))
+
+
+def _holograms_of_three_tags(n: int) -> None:
+    geom = ArrayGeometry(n_z=n, n_x=n, d_z_m=0.02, d_x_m=0.02, f_c_hz=3_500_000_000)
+    synthesize_hologram([Source.far_field(source.angles, frequency_tag=tag)
+                         for tag in range(3) for source in PAIR],
+                        geom, DetectorModel(noise_std=1.0, phase_jitter_std=0.1))
+
+
+# A far BS and a user 2 m out, in front of every panel the measurement builds.
+FAR_NEAR = [PAIR[0], Source.near_field((0.1, 2.0, 0.3))]
+
 # The sized entry points whose byte charge is measured: the module whose
-# _check_bytes the call's one size check goes through, and the call on an
-# n x n panel.
+# _check_bytes the call's first size check, its own, goes through, and the
+# call on an n x n panel.
 CHARGED_CALLS = {
-    "synthesize_trials-far-1": ("holoris.wavefield", _synthesis_of_the_pair(1)),
-    "synthesize_trials-far-4": ("holoris.wavefield", _synthesis_of_the_pair(4)),
+    "synthesize_trials-far-1": ("holoris.wavefield", _synthesis_of(PAIR, 1)),
+    "synthesize_trials-far-4": ("holoris.wavefield", _synthesis_of(PAIR, 4)),
+    "synthesize_trials-near-1": ("holoris.wavefield", _synthesis_of(FAR_NEAR, 1)),
+    "synthesize_trials-near-4": ("holoris.wavefield", _synthesis_of(FAR_NEAR, 4)),
+    "element_positions": ("holoris.geometry", _positions),
+    "synthesize_hologram-3-tags": ("holoris.wavefield", _holograms_of_three_tags),
 }
 
 
@@ -378,9 +404,14 @@ def test_byte_charge_is_the_traced_slope(monkeypatch, traced_peak, case):
     the rise in the charge the size check is given (no undercharge) and at
     least that less 1 byte an element (no overcharge), so fixed overhead
     drops out.  A call on a 16x16 panel first takes the one-time
-    allocations of a first call out of the smaller panel's peak.  For
-    synthesize_trials the charge is _FIELD_BYTES for each of the two fields
-    and their sum and _CAPTURE_BYTES for each capture, an element.
+    allocations of a first call out of the smaller panel's peak.  The
+    charge, an element: for synthesize_trials _FIELD_BYTES for each of the
+    two fields and their sum and _CAPTURE_BYTES for each capture or, with
+    the near user at 1 capture, the larger _FIELD_BYTES of the far field
+    beside _NEAR_FIELD_BYTES of the near one's build; for element_positions
+    _POSITION_BYTES, with its two axis vectors; for synthesize_hologram the
+    _HOLOGRAM_BYTES of the two holograms held beside the last tag's
+    synthesis, a pair's at 1 capture.
     """
     module, run = CHARGED_CALLS[case]
     charges = []
@@ -391,10 +422,13 @@ def test_byte_charge_is_the_traced_slope(monkeypatch, traced_peak, case):
 
     monkeypatch.setattr(f"{module}._check_bytes", check_bytes)
     run(16)
-    peaks = [traced_peak(lambda: run(n)) for n in (64, 128)]
+    peaks, charged = [], []
+    for n in (64, 128):
+        charges.clear()
+        peaks.append(traced_peak(lambda: run(n)))
+        charged.append(charges[0])
     rise = peaks[1] - peaks[0]
-    assert len(charges) == 3
-    assert rise <= charges[2] - charges[1] <= rise + (128**2 - 64**2)
+    assert rise <= charged[1] - charged[0] <= rise + (128**2 - 64**2)
 
 
 def test_synthesize_hologram_is_held_to_the_byte_budget_before_any_field(monkeypatch):
@@ -423,14 +457,14 @@ def test_synthesize_hologram_charges_the_holograms_held_beside_a_tag(monkeypatch
     with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "2147483648 bytes at 872 bytes each$"):
         synthesize_hologram(tagged, big)
     # the first tag's hologram beside the larger tag's work, a near-field pair's
-    # 3*16 + 32 + 88 bytes
+    # build, 16 + 88 bytes
     mixed = [*PAIR, Source.far_field(AngularLocation(0.0, 0.0), frequency_tag=1),
              Source.near_field((0.1, 2.0, 0.3), frequency_tag=1)]
-    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 176)
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 112)
     with pytest.raises(AssertionError, match="a field was built"):
         synthesize_hologram(mixed, GEOM)
-    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 176 - 1)
-    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "180223 bytes at 176 bytes each$"):
+    monkeypatch.setattr("holoris.geometry._MAX_BYTES", 32 * 32 * 112 - 1)
+    with pytest.raises(ValueError, match=SYNTHESIS_BYTES + "114687 bytes at 112 bytes each$"):
         synthesize_hologram(mixed, GEOM)
 
 
