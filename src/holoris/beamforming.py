@@ -437,7 +437,8 @@ _CODING_HEADER = (("n_x", int), ("n_z", int))
 def write_coding_file(path, coding: CodingMatrix) -> None:
     """Write a coding matrix in the v1 format: header plus 0/1 rows."""
     n_z, n_x = coding.states.shape
-    rows = ("".join(str(int(s)) for s in row) for row in coding.states)
+    digits = (coding.states + ord("0")).astype(np.uint8)  # the ASCII of each 0/1 state
+    rows = (row.tobytes().decode("ascii") for row in digits)
     _write_matrix_file(path, _CODING_MAGIC, _CODING_HEADER, {"n_x": n_x, "n_z": n_z}, rows)
 
 

@@ -289,6 +289,16 @@ def test_coding_file_round_trip(tmp_path):
     assert exc.value.line_number == data_start + 1
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 40), (40, 1), (7, 5), (32, 32)])
+def test_coding_file_spells_each_state_as_its_digit(tmp_path, shape):
+    states = np.random.default_rng(shape[0] * 100 + shape[1]).integers(0, 2, shape)
+    path = tmp_path / "coding.txt"
+    write_coding_file(path, CodingMatrix(states=states))
+    rows = ["".join(str(int(s)) for s in row) for row in states]
+    assert path.read_bytes() == "\n".join(
+        ["# holoris-coding v1", f"# n_x={shape[1]}", f"# n_z={shape[0]}", *rows, ""]).encode()
+
+
 @pytest.mark.parametrize("lineno, key, bad", [
     pytest.param(2, "n_x", "abc", id="2-n_x"),
     pytest.param(3, "n_z", "abc", id="3-n_z"),
