@@ -404,7 +404,11 @@ def test_byte_charge_is_the_traced_slope(monkeypatch, traced_peak, case):
     the rise in the charge the size check is given (no undercharge) and at
     least that less 1 byte an element (no overcharge), so fixed overhead
     drops out.  A call on a 16x16 panel first takes the one-time
-    allocations of a first call out of the smaller panel's peak.  The
+    allocations of a first call out of the smaller panel's peak, and each
+    panel's peak is the least of three calls: a call can find a few small
+    objects already free that another allocates (with one call a panel,
+    the three-tag synthesize_hologram's rise passed its charge by up to 52
+    bytes in two of eight runs of the suite).  The
     charge, an element: for synthesize_trials _FIELD_BYTES for each of the
     two fields and their sum and _CAPTURE_BYTES for each capture or, with
     the near user at 1 capture, the larger _FIELD_BYTES of the far field
@@ -425,7 +429,7 @@ def test_byte_charge_is_the_traced_slope(monkeypatch, traced_peak, case):
     peaks, charged = [], []
     for n in (64, 128):
         charges.clear()
-        peaks.append(traced_peak(lambda: run(n)))
+        peaks.append(min(traced_peak(lambda: run(n)) for _ in range(3)))
         charged.append(charges[0])
     rise = peaks[1] - peaks[0]
     assert rise <= charged[1] - charged[0] <= rise + (128**2 - 64**2)
