@@ -287,12 +287,12 @@ def _pattern_plan(
     theta_abs, theta_row = _magnitudes(theta)
     u, p, h = theta_abs.size, phi.size, (geom.n_x + 1) // 2
     _check_bytes("pattern's grid", u * p, 16 * h, _pattern_bytes(geom, theta.size, p, u))
-    w_z, w_x = _frequency_grid(np.stack([theta_abs, -theta_abs], axis=1).ravel(), phi, geom)
-    e_z = np.multiply.outer(w_z, 1j * np.arange(geom.n_z))
+    w_z, w_x = _frequency_grid(theta_abs, phi, geom)  # w_z is odd in theta, w_x even
+    e_z = np.multiply.outer(np.stack([w_z, -w_z], axis=1).ravel(), 1j * np.arange(geom.n_z))
     np.exp(e_z, out=e_z)
     k = np.arange(geom.n_x - h, geom.n_x)[:, np.newaxis] - (geom.n_x - 1) / 2
     table = np.empty((u, 2 * h, p))
-    for plan_row, w in zip(table, w_x[::2]):  # cos(-theta) = cos(theta): both slots' w_x
+    for plan_row, w in zip(table, w_x):
         arg = k * w
         np.cos(arg, out=plan_row[:h])
         np.sin(arg, out=plan_row[h:])
@@ -315,7 +315,7 @@ def _pattern_bytes(geom: ArrayGeometry, t: int, p: int, u: int) -> int:
     angles with U distinct |theta|.
 
     The plan's e_z and rows, and the larger of what its build holds beside
-    them (its (2U, P) w_x and a plan row's (H, P) exp argument) and what a
+    them (its (U, P) w_x and a plan row's (H, P) exp argument) and what a
     call holds: its complex (2U, n_x) z-axis rows with their folded complex
     copies and float rows (_fold, 128 bytes a plan row and folded column),
     then the float rows, the (U, 2, P) slot powers and a block's sums, then
@@ -323,7 +323,7 @@ def _pattern_bytes(geom: ArrayGeometry, t: int, p: int, u: int) -> int:
     mask of it.
     """
     h = (geom.n_x + 1) // 2
-    build = 16 * u * p + 8 * h * p
+    build = 8 * u * p + 8 * h * p
     call = max(32 * u * geom.n_x + 128 * u * h,
                64 * u * h + 16 * u * p + 32 * min(u, _block_rows(p)) * p,
                16 * u * p + 9 * t * p)
