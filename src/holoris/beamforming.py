@@ -231,14 +231,12 @@ def _fold(y: np.ndarray, h: int) -> np.ndarray:
     """The rows of y (..., n_x) folded about their centre column, as the
     real (2, ..., 2H) rows [Re even | -Im odd] over [Im even | Re odd].
 
-    even = y[hi] + y[lo] and odd = y[hi] - y[lo] over the H = ceil(n_x/2)
-    columns hi at and right of the centre and their mirrors lo, at centred
-    indices k = hi - (n_x - 1)/2 >= 0.  A row's sum of y[n]*exp(i*n*w) is
-    exp(i*(n_x - 1)*w/2) times the sum over k of even*cos(k*w) +
-    i*odd*sin(k*w), so the two rows times [cos(k*w); sin(k*w)] give its
-    real and imaginary parts up to that unit phase.  An odd n_x's centre
-    column is its own mirror, which even holds twice, so its cos(0) is
-    weighted 1/2.
+    even and odd are y[hi] + y[lo] and y[hi] - y[lo] for the H = ceil(n_x/2)
+    columns hi at or right of the centre, at k = hi - (n_x - 1)/2 >= 0, and
+    their mirrors lo.  A row's sum of y[n]*exp(i*n*w) is exp(i*(n_x - 1)*w/2)
+    times that of even*cos(k*w) + i*odd*sin(k*w), so the two rows times
+    [cos(k*w); sin(k*w)] (a centre column, held twice in even, at half
+    weight) are its real and imaginary parts up to that unit phase.
     """
     hi, lo = y[..., -h:], y[..., h - 1::-1]
     z = np.concatenate((hi + lo, 1j * (hi - lo)), axis=-1)
@@ -296,7 +294,6 @@ def _pattern_plan(
         arg = k * w
         np.cos(arg, out=plan_row[:h])
         np.sin(arg, out=plan_row[h:])
-    del w_x, arg
     if geom.n_x % 2:
         table[:, 0] *= 0.5
     rows = 2 * theta_row + (theta < 0.0)

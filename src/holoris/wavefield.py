@@ -260,9 +260,8 @@ def _synthesis_bytes(trials: int, kinds) -> int:
     near field's temporaries are freed before the captures are made."""
     kinds = list(kinds)
     captures = _FIELD_BYTES * (len(kinds) + 1) + _CAPTURE_BYTES * trials
-    if "near_field" not in kinds:
-        return captures
-    return max(captures, _FIELD_BYTES * (len(kinds) - 1) + _NEAR_FIELD_BYTES)
+    near = _FIELD_BYTES * (len(kinds) - 1) + _NEAR_FIELD_BYTES if "near_field" in kinds else 0
+    return max(captures, near)
 
 
 def _check_synthesis(shape, item_bytes: int) -> None:
