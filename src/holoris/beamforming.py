@@ -298,7 +298,7 @@ def _pattern_plan(
         table[:, 0] *= 0.5
     rows = 2 * theta_row + (theta < 0.0)
     for factor in (e_z, table, rows):
-        factor.flags.writeable = False
+        factor.setflags(write=False)
     return e_z, table, rows
 
 

@@ -733,16 +733,24 @@ def test_pattern_charges_its_plan_and_a_calls_rows(monkeypatch, traced_peak):
     assert rise <= charges[1] - charges[0] <= rise + (256**2 - 128**2)
 
 
-def test_pattern_charges_its_plan_build_on_one_theta(monkeypatch, traced_peak):
+@pytest.mark.parametrize("grids", [
+    pytest.param(lambda n: ([10.0], np.linspace(-60.0, 60.0, n)), id="build"),
+    pytest.param(lambda n: (np.linspace(0.0, 60.0, n), [10.0]), id="fold"),
+])
+def test_pattern_charges_the_phase_that_leads(monkeypatch, traced_peak, grids):
     """pattern's charge against tracemalloc's peak over a call that builds its
-    plan, on one theta by 512 and 1024 phi on the 32x32 panel, where the
-    build leads: the table, 16*H bytes a phi column (H = n_x/2), and beside
-    it the plan's w_x, 8 bytes a phi column, and one plan row's (H, P) exp
-    argument, 8*H.  The rise in the peak from the smaller grid to the
-    larger, less 8 bytes a phi for the grid's key, is at most the rise in the
-    charge and at least that less 1 byte a grid point.  Each grid's peak is
-    the least of three calls, as in test_byte_charge_is_the_traced_slope:
-    with one call, the rise read up to 1,735 bytes below its least.
+    plan, on 512 and 1024 angles of one axis by one of the other on the
+    32x32 panel, where a phase test_pattern_charges_its_plan_and_a_calls_rows
+    does not reach leads.  On one theta, the plan's build: the table, 16*H
+    bytes a phi (H = n_x/2), and beside it the plan's w_x, 8 bytes a phi,
+    and one plan row's (H, P) exp argument, 8*H.  On one phi, the fold: the
+    plan, and a call's complex z-axis rows with their folded complex
+    copies and float rows, 32*n_x + 128*H bytes a theta.  The rise in the
+    peak from the smaller grid to the larger, less 8 bytes an angle for the
+    grid's key, is at most the rise in the charge and at least that less 1
+    byte a grid point.  Each grid's peak is the least of three calls, as in
+    test_byte_charge_is_the_traced_slope: with one call, the build's rise
+    read up to 1,735 bytes below its least.
     """
     charges = []
 
@@ -753,14 +761,14 @@ def test_pattern_charges_its_plan_build_on_one_theta(monkeypatch, traced_peak):
     monkeypatch.setattr("holoris.beamforming._check_bytes", check_bytes)
     coding, src = quantize_1bit(farfield_phase_profile(BS, UE, GEOM)), Source.far_field(BS)
 
-    def planned(phi):
+    def planned(theta, phi):
         _pattern_plan.cache_clear()
-        return pattern(coding, src, GEOM, [10.0], phi)
+        return pattern(coding, src, GEOM, theta, phi)
 
     peaks = []
     for n in (512, 1024):
-        phi = np.linspace(-60.0, 60.0, n)
-        peaks.append(min(traced_peak(lambda: planned(phi)) for _ in range(3)))
+        theta, phi = grids(n)
+        peaks.append(min(traced_peak(lambda: planned(theta, phi)) for _ in range(3)))
     rise = peaks[1] - peaks[0] - 8 * (1024 - 512)
     assert len(charges) == 6
     assert rise <= charges[3] - charges[0] <= rise + (1024 - 512)
