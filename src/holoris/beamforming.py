@@ -227,7 +227,7 @@ def _hpbw(axis_deg: np.ndarray, cut: np.ndarray, i: int) -> float:
     return float(edges[1] - edges[0])
 
 
-def _fold(y: np.ndarray, h: int) -> np.ndarray:
+def _fold(y: np.ndarray) -> np.ndarray:
     """The rows of y (..., n_x) folded about their centre column, as the
     real (2, ..., 2H) rows [Re even | -Im odd] over [Im even | Re odd].
 
@@ -238,6 +238,7 @@ def _fold(y: np.ndarray, h: int) -> np.ndarray:
     [cos(k*w); sin(k*w)] (a centre column, held twice in even, at half
     weight) are its real and imaginary parts up to that unit phase.
     """
+    h = (y.shape[-1] + 1) // 2
     hi, lo = y[..., -h:], y[..., h - 1::-1]
     z = np.concatenate((hi + lo, 1j * (hi - lo)), axis=-1)
     return np.stack((z.real, z.imag))
@@ -367,8 +368,8 @@ def pattern(
     e_z, table, rows = _pattern_plan(geom, theta_key, phi_key)
     # Views of the keys, which the caller cannot reach.
     theta_grid_deg, phi_grid_deg = np.frombuffer(theta_key), np.frombuffer(phi_key)
-    u, h, p = table.shape[0], table.shape[1] // 2, table.shape[2]
-    stack = _fold((e_z @ excitation).reshape(u, 2, geom.n_x), h)
+    u, p = table.shape[0], table.shape[2]
+    stack = _fold((e_z @ excitation).reshape(u, 2, geom.n_x))
     slots = np.empty((u, 2, p))
     step = _block_rows(p)
     for b in range(0, u, step):

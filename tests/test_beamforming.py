@@ -468,7 +468,7 @@ def test_blocked_dtft_matches_explicit_sum(n_x):
     k = np.arange(n_x - h, n_x)[:, np.newaxis] - (n_x - 1) / 2
     arg = k * w[:, np.newaxis, :]
     table = np.concatenate([np.cos(arg) * np.where(k == 0.0, 0.5, 1.0), np.sin(arg)], axis=1)
-    folded = _fold(y, h)
+    folded = _fold(y)
     assert folded.shape == (2, 6, 2, 2 * h)
     sums = np.square(folded @ table)
     got = sums[0] + sums[1]
@@ -750,7 +750,7 @@ def test_pattern_charges_the_phase_that_leads(monkeypatch, traced_peak, grids):
     grid's key, is at most the rise in the charge and at least that less 1
     byte a grid point.  Each grid's peak is the least of three calls, as in
     test_byte_charge_is_the_traced_slope: with one call, the build's rise
-    read up to 1,735 bytes below its least.
+    read up to 1,735 bytes under its charge's, past the 512 bytes allowed.
     """
     charges = []
 
